@@ -46,6 +46,7 @@
 //! would leave it; the seeded crash matrix lives in
 //! `collusion-sim::robustness`.
 
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -181,6 +182,14 @@ pub struct RecoveryReport {
     /// Sequence number the resumed WAL will assign next — the client's
     /// replay-from point for any ratings whose append never became durable.
     pub next_seq: u64,
+    /// Ratings the log holds that an engine folds: every rating record of
+    /// the valid prefix, the ones a checkpoint covers included, self-ratings
+    /// (logged, never folded) excluded.
+    pub folded_ratings: u64,
+    /// The last `StreamSession` marker of each session in the valid prefix:
+    /// `session → (frame_seq, accepted)`. A rejoining server rebuilds its
+    /// session table from this.
+    pub stream_sessions: BTreeMap<u64, (u64, u64)>,
 }
 
 /// Live-path bookkeeping counters.
@@ -321,6 +330,18 @@ impl DurableEngine {
             report.truncated_bytes = replay.truncated_bytes;
             report.wal_corruption = replay.corruption;
             for (seq, record) in replay.records {
+                // whole-log facts first: they cover the records a checkpoint
+                // makes the engine skip, too
+                match record {
+                    WalRecord::Rating(r) if !r.is_self_rating() => report.folded_ratings += 1,
+                    // the durable prefix ends mid-session exactly at the
+                    // last marker that hit disk; frames past it were never
+                    // acked and the resuming client retransmits them
+                    WalRecord::StreamSession { session, frame_seq, accepted } => {
+                        report.stream_sessions.insert(session, (frame_seq, accepted));
+                    }
+                    _ => {}
+                }
                 if seq < replay_from {
                     report.skipped_records += 1;
                     continue;
@@ -340,8 +361,8 @@ impl DurableEngine {
                         }
                     }
                     // Session watermarks are data-plane bookkeeping, not
-                    // detection state: the server rebuilds its session
-                    // table from them separately (`replay_stream_sessions`).
+                    // detection state; they were collected into
+                    // `RecoveryReport::stream_sessions` above.
                     WalRecord::StreamSession { .. } => {}
                 }
             }

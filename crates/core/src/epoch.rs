@@ -183,6 +183,23 @@ pub struct EpochEngine {
     last_close: CloseTimings,
 }
 
+/// What [`EpochEngine::frozen_snapshot`] is made of: a clone of the
+/// standing snapshot and a sorted copy of the open epoch, not merged yet.
+#[derive(Debug)]
+pub struct FrozenParts {
+    snap: ShardedSnapshot,
+    open: EpochDelta,
+    threads: usize,
+}
+
+impl FrozenParts {
+    /// Merge the open epoch into the snapshot copy.
+    pub fn merge(mut self) -> ShardedSnapshot {
+        self.snap.apply_epoch(&self.open, self.threads);
+        self.snap
+    }
+}
+
 /// Build the empty initial snapshot + high flags shared by the serial
 /// engine and the pipelined engine's merge stage.
 pub(crate) fn initial_state(
@@ -778,6 +795,26 @@ impl EpochEngine {
     #[inline]
     pub fn snapshot(&self) -> &ShardedSnapshot {
         &self.snap
+    }
+
+    /// The slice as of *now*: a clone of the standing snapshot with the
+    /// open epoch merged in through the same [`ShardedSnapshot::apply_epoch`]
+    /// a close uses, so it holds every rating [`EpochEngine::record`] has
+    /// accepted — bit-identical to a fresh build from a history that
+    /// recorded them. The engine itself is untouched (no epoch closes).
+    pub fn frozen_snapshot(&self) -> ShardedSnapshot {
+        self.frozen_parts().merge()
+    }
+
+    /// The copying half of [`EpochEngine::frozen_snapshot`], for a caller
+    /// that holds the engine behind a lock: take the parts under it,
+    /// [`FrozenParts::merge`] them after releasing it.
+    pub fn frozen_parts(&self) -> FrozenParts {
+        FrozenParts {
+            snap: self.snap.clone(),
+            open: self.buffer.peek(),
+            threads: self.close_threads,
+        }
     }
 
     /// Cumulative counters.
@@ -1467,6 +1504,49 @@ mod tests {
             DetectionPolicy::STRICT,
         );
         assert_eq!(rb.pairs, expect);
+    }
+
+    #[test]
+    fn frozen_snapshot_sees_the_open_epoch_and_leaves_the_engine_alone() {
+        let thresholds = Thresholds::new(1.0, 3, 0.8, 0.4);
+        let base_ids: Vec<u64> = (1..=12).collect();
+        let nodes: Vec<NodeId> = base_ids.iter().map(|&i| NodeId(i)).collect();
+        let policy = DetectionPolicy::STRICT;
+        let mut engine =
+            EpochEngine::new(&nodes, 4, EpochMethod::Optimized, thresholds, policy, false);
+        let mut history = InteractionHistory::new();
+        let fold =
+            |engine: &mut EpochEngine, history: &mut InteractionHistory, ids: &[u64], seed| {
+                for r in epoch_ratings(ids, 60, seed, seed * 10_000) {
+                    engine.record(r);
+                    history.record(r);
+                }
+            };
+        fold(&mut engine, &mut history, &base_ids, 1);
+        engine.close_epoch();
+        // the open epoch interns two ids the standing snapshot has not seen
+        let wider: Vec<u64> = base_ids.iter().copied().chain([40, 41]).collect();
+        fold(&mut engine, &mut history, &wider, 2);
+        let pending = engine.pending_ratings();
+        assert!(pending > 0);
+
+        let frozen = engine.frozen_snapshot();
+        let expect = DetectionSnapshot::build(&history, &nodes);
+        assert_eq!(frozen.nodes(), expect.nodes());
+        for i in 0..expect.n() as u32 {
+            assert_eq!(frozen.totals_of(i), expect.totals_of(i), "totals of {i}");
+            assert_eq!(frozen.row(i), expect.row(i), "row {i}");
+        }
+        // nothing was drained or closed
+        assert_eq!(engine.pending_ratings(), pending);
+        assert_eq!(engine.stats().epochs, 1);
+        assert!(engine.snapshot().index(NodeId(40)).is_none());
+        let all: Vec<NodeId> = wider.iter().map(|&i| NodeId(i)).collect();
+        let report = engine.close_epoch();
+        assert_eq!(
+            report.pairs,
+            full_pass(&history, &all, EpochMethod::Optimized, thresholds, policy)
+        );
     }
 
     #[test]

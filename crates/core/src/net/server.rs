@@ -1,14 +1,21 @@
 //! [`ManagerNode`]: a reputation manager as a real TCP server.
 //!
 //! Each node owns a [`DurableEngine`] (WAL + checkpoints) for its primary
-//! slice, an in-memory replica store for slices it backs up, and a
-//! [`ViewCell`] published read view answering `Query` without touching the
-//! write path — the same single-writer protocol the pipelined engine uses.
+//! slice — the **only** copy of that slice — an in-memory replica store for
+//! slices it backs up, and a [`ViewCell`] published read view answering
+//! `Query` without touching the write path — the same single-writer
+//! protocol the pipelined engine uses. The view is fed by counter deltas
+//! (`ViewTotals`): a publication costs the ratings since the last one
+//! plus one `Vec<i64>` clone, never a pass over the slice. A rejoin
+//! recovers the engine (checkpoint + WAL tail, one pass over the log) and
+//! seeds the view from it.
 //!
 //! The detection round is a three-RPC protocol driven by the harness:
 //!
-//! 1. `Freeze{round}` — every manager freezes its primary (and replica)
-//!    slice into [`DetectionSnapshot`]s, exactly like
+//! 1. `Freeze{round}` — every manager freezes its primary slice as the
+//!    engine holds it (standing [`ShardedSnapshot`] + the open epoch, see
+//!    [`EpochEngine::frozen_snapshot`](crate::epoch::EpochEngine::frozen_snapshot))
+//!    and its replica slice into a [`DetectionSnapshot`], like
 //!    `DecentralizedSystem::detect_robust` freezes per-manager slices;
 //! 2. `DetectRound{round}` — every manager walks its own responsible
 //!    nodes and, for each suspicious direction found, either verifies the
@@ -41,13 +48,14 @@ use collusion_dht::hash::consistent_hash;
 use collusion_dht::ring::ChordRing;
 use collusion_reputation::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use collusion_reputation::fxhash::FxHashMap;
-use collusion_reputation::history::{InteractionHistory, PairCounters};
+use collusion_reputation::history::{InteractionHistory, NodeTotals, PairCounters};
 use collusion_reputation::id::NodeId;
 use collusion_reputation::ingest::ShardedIntake;
 use collusion_reputation::rating::Rating;
+use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::snapshot::DetectionSnapshot;
 use collusion_reputation::thresholds::Thresholds;
-use collusion_reputation::wal::{replay_bytes, WalRecord};
+use collusion_reputation::view::SnapshotView;
 
 use crate::basic::BasicDetector;
 use crate::cost::CostMeter;
@@ -66,7 +74,7 @@ use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 
 /// WAL file name inside a manager's durability directory (pinned by the
-/// durable engine; used here to rebuild the detection history on rejoin).
+/// durable engine; its presence is what makes a spawn a rejoin).
 const WAL_FILE: &str = "engine.wal";
 
 /// Primary inserts between automatic view publications.
@@ -77,7 +85,7 @@ const POLL: Duration = Duration::from_millis(20);
 
 /// Intake-depth watermarks bounding the server-side stream queue (the
 /// ratings folded into [`ShardedIntake`] but not yet absorbed into the
-/// detection history). Past `high_watermark`, stream acks carry a
+/// read view's totals). Past `high_watermark`, stream acks carry a
 /// `throttle` hint that stalls the sender's window; past `hard_limit`,
 /// frames are refused with the retryable [`ErrorCode::Overloaded`] without
 /// advancing the stream sequence. Defaults are generous enough that only a
@@ -199,24 +207,118 @@ impl RingView {
 /// A round's frozen snapshots.
 struct Frozen {
     round: u64,
-    /// CSR view of the primary slice, interned over the responsible nodes.
-    snap: DetectionSnapshot,
-    /// Responsible nodes, ascending.
-    nodes: Vec<NodeId>,
-    /// Replica view over backed-up nodes, when this manager backs any up.
-    rep_snap: Option<(DetectionSnapshot, Vec<NodeId>)>,
+    /// The primary slice as the engine held it at the freeze (standing
+    /// snapshot + open epoch), interned over the responsible nodes.
+    snap: ShardedSnapshot,
+    /// Replica view over [`Shared::backed_up`], when this manager backs
+    /// any node up.
+    rep_snap: Option<DetectionSnapshot>,
 }
 
-/// Mutable control-plane state behind the single mutex: detection
-/// histories, frozen rounds, counters. The durable engine lives on the
-/// [`DataPlane`] so streaming inserts never serialize behind control RPCs.
+/// What the published view is made from: the primary slice's sorted node
+/// table — the responsible nodes plus every rater and ratee folded so far,
+/// the set a snapshot of the slice interns — and per-node totals, kept
+/// current by counter deltas instead of being re-read from the slice.
+struct ViewTotals {
+    /// Ascending; re-allocated only when a fold interns fresh ids, so
+    /// successive [`PublishedView`]s share one table.
+    nodes: Arc<Vec<NodeId>>,
+    /// Per-node aggregate counters, parallel to `nodes`.
+    totals: Vec<NodeTotals>,
+    /// `totals[i].signed()`, parallel to `nodes` — what a publication clones.
+    signed: Vec<i64>,
+}
+
+impl ViewTotals {
+    /// An unrated slice over `nodes` (ascending).
+    fn unrated(nodes: Vec<NodeId>) -> Self {
+        let n = nodes.len();
+        ViewTotals {
+            nodes: Arc::new(nodes),
+            totals: vec![NodeTotals::default(); n],
+            signed: vec![0; n],
+        }
+    }
+
+    /// The node table and totals of a snapshot of the slice.
+    fn of(snap: &ShardedSnapshot) -> Self {
+        let totals: Vec<NodeTotals> = (0..snap.n() as u32).map(|i| snap.totals_of(i)).collect();
+        ViewTotals {
+            nodes: Arc::new(snap.nodes().to_vec()),
+            signed: totals.iter().map(NodeTotals::signed).collect(),
+            totals,
+        }
+    }
+
+    /// Add `(ratee, rater, counters)` cells: intern both ids, add the
+    /// counters to the ratee's totals — the saturating adds of
+    /// [`InteractionHistory::insert_pair_counters`], so `signed` stays
+    /// bit-identical to a history that folded the same cells. Cells must be
+    /// non-empty and not self-pairs (the history ignores both).
+    fn fold(&mut self, cells: &[(NodeId, NodeId, PairCounters)]) {
+        let mut fresh: Vec<NodeId> = cells
+            .iter()
+            .flat_map(|&(ratee, rater, _)| [ratee, rater])
+            .filter(|id| self.nodes.binary_search(id).is_err())
+            .collect();
+        if !fresh.is_empty() {
+            fresh.sort_unstable();
+            fresh.dedup();
+            self.intern(&fresh);
+        }
+        for &(ratee, _, c) in cells {
+            let i = self.nodes.binary_search(&ratee).expect("ratee interned above");
+            let t = &mut self.totals[i];
+            t.total = t.total.saturating_add(c.total);
+            t.positive = t.positive.saturating_add(c.positive);
+            t.negative = t.negative.saturating_add(c.negative);
+            self.signed[i] = t.signed();
+        }
+    }
+
+    /// Merge `fresh` (ascending, none interned yet) into the node table.
+    fn intern(&mut self, fresh: &[NodeId]) {
+        let n = self.nodes.len() + fresh.len();
+        let mut nodes = Vec::with_capacity(n);
+        let mut totals = Vec::with_capacity(n);
+        let mut signed = Vec::with_capacity(n);
+        let (mut a, mut b) = (0, 0);
+        while a < self.nodes.len() || b < fresh.len() {
+            if b == fresh.len() || (a < self.nodes.len() && self.nodes[a] < fresh[b]) {
+                nodes.push(self.nodes[a]);
+                totals.push(self.totals[a]);
+                signed.push(self.signed[a]);
+                a += 1;
+            } else {
+                nodes.push(fresh[b]);
+                totals.push(NodeTotals::default());
+                signed.push(0);
+                b += 1;
+            }
+        }
+        self.nodes = Arc::new(nodes);
+        self.totals = totals;
+        self.signed = signed;
+    }
+}
+
+/// Mutable control-plane state behind the single mutex: the read view's
+/// source, the replica slices, frozen rounds, counters. The durable engine
+/// — the primary slice itself — lives on the [`DataPlane`] so streaming
+/// inserts never serialize behind control RPCs.
 struct State {
-    /// Primary-slice detection history (mirrors the WAL's rating stream).
-    history: InteractionHistory,
+    /// Node table and totals of the primary slice, as of the last absorb.
+    view: ViewTotals,
+    /// The engine's standing report. It changes only when an epoch closes:
+    /// refreshed at `CloseEpoch` and rejoin, and by the next publication
+    /// after a watermark-forced close ([`DataPlane::report_stale`]).
+    report: DetectionReport,
     /// Replica slices held for other managers' nodes.
     replica: InteractionHistory,
     frozen: Option<Arc<Frozen>>,
     last_round: Option<RoundReport>,
+    /// Ratings folded into the primary slice and absorbed into `view`
+    /// (self-ratings are logged but never folded, so never counted).
     recorded: u64,
     replicated: u64,
     epoch: u64,
@@ -228,20 +330,25 @@ struct State {
 /// `InsertStream` frames take only `durable` (WAL append + engine fold)
 /// plus per-stripe intake locks; control RPCs (`Freeze`, `CloseEpoch`,
 /// `Status`, detection) take the state mutex and *absorb* the intake into
-/// the detection history at well-defined points. Lock order is always
+/// the read view's totals at well-defined points. Lock order is always
 /// state → durable — a connection thread holding `durable` never waits on
 /// the state mutex, so concurrent streams stop serializing on control
 /// traffic.
 struct DataPlane {
     /// WAL + checkpointed engine for the primary slice.
     durable: Mutex<DurableEngine>,
-    /// Pending detection-history counter deltas from stream frames, lock-
-    /// striped by ratee. Drained into `State::history` by `absorb_intake`.
+    /// Pending read-view counter deltas from stream frames, lock-striped
+    /// by ratee. Drained into `State::view` by `absorb_intake`.
     intake: ShardedIntake,
+    /// Raised (under the durable lock) when folding an insert tripped the
+    /// pair watermark and the engine closed an epoch on the data plane: the
+    /// next publication re-reads the standing report before it goes out.
+    /// Every other publication leaves the durable lock alone.
+    report_stale: AtomicBool,
     /// Resumable-stream session table: session id → applied watermark.
-    /// Rebuilt from WAL `StreamSession` markers on rejoin; a `StreamResume`
-    /// barrier syncs the WAL first, which makes applied = durable at the
-    /// moment the table is read. Held across a session frame's whole
+    /// Rebuilt on rejoin from the last `StreamSession` marker of each
+    /// session the recovery saw; a `StreamResume` barrier syncs the WAL
+    /// first, which makes applied = durable at the moment the table is read. Held across a session frame's whole
     /// application so check-seq-then-apply is atomic per session (lock
     /// order: sessions → state → durable, never the reverse).
     sessions: Mutex<FxHashMap<u64, SessionEntry>>,
@@ -297,9 +404,10 @@ pub struct ManagerNode {
 
 impl ManagerNode {
     /// Bind an ephemeral loopback port and start serving. If `cfg.dir`
-    /// already holds a WAL the engine **recovers** from it and the
-    /// detection history is rebuilt by replaying the full log — the
-    /// kill-and-rejoin path; otherwise a fresh engine is created.
+    /// already holds a WAL the engine **recovers** from it (the log is read
+    /// once) and the read view and session table are seeded from the
+    /// recovery — the kill-and-rejoin path; otherwise a fresh engine is
+    /// created.
     pub fn spawn(cfg: ManagerConfig) -> io::Result<Self> {
         let ring = RingView::new(&cfg.managers);
         let mut responsible = Vec::new();
@@ -316,39 +424,27 @@ impl ManagerNode {
         backed_up.sort_unstable();
 
         let rejoining = cfg.dir.join(WAL_FILE).exists();
-        let mut sessions: FxHashMap<u64, SessionEntry> = FxHashMap::default();
-        let (durable, history, recorded) = if rejoining {
-            let (durable, _report) =
+        let (durable, totals, recorded, sessions) = if rejoining {
+            // the WAL is never truncated by checkpoints, so the recovery's
+            // one pass over it also sees every rating this manager accepted
+            // and every session marker that hit disk
+            let (durable, recovery) =
                 DurableEngine::recover(&cfg.dir, &responsible, cfg.setup(), cfg.durability)
                     .map_err(other_io)?;
-            // the WAL is never truncated by checkpoints, so a full replay
-            // reconstructs the exact rating stream this manager accepted
-            let bytes = std::fs::read(cfg.dir.join(WAL_FILE))?;
-            let replay = replay_bytes(&bytes).map_err(other_io)?;
-            let mut history = InteractionHistory::new();
-            let mut recorded = 0u64;
-            for (_, record) in replay.records {
-                match record {
-                    WalRecord::Rating(rating) => {
-                        history.record(rating);
-                        recorded += 1;
-                    }
-                    // the durable prefix ends mid-session exactly at the
-                    // last marker that hit disk; frames past it were never
-                    // acked and the resuming client retransmits them
-                    WalRecord::StreamSession { session, frame_seq, accepted } => {
-                        sessions
-                            .insert(session, SessionEntry { next_seq: frame_seq + 1, accepted });
-                    }
-                    WalRecord::EpochClose { .. } => {}
-                }
-            }
-            (durable, history, recorded)
+            let sessions = recovery
+                .stream_sessions
+                .iter()
+                .map(|(&session, &(frame_seq, accepted))| {
+                    (session, SessionEntry { next_seq: frame_seq + 1, accepted })
+                })
+                .collect();
+            let totals = ViewTotals::of(&durable.engine().frozen_snapshot());
+            (durable, totals, recovery.folded_ratings, sessions)
         } else {
             let durable =
                 DurableEngine::create(&cfg.dir, &responsible, cfg.setup(), cfg.durability)
                     .map_err(other_io)?;
-            (durable, InteractionHistory::new(), 0)
+            (durable, ViewTotals::unrated(responsible.clone()), 0, FxHashMap::default())
         };
 
         let initial = PublishedView {
@@ -359,7 +455,8 @@ impl ManagerNode {
         };
         let view = Arc::new(ViewCell::new(initial));
         let state = State {
-            history,
+            view: totals,
+            report: durable.report(),
             replica: InteractionHistory::new(),
             frozen: None,
             last_round: None,
@@ -371,6 +468,7 @@ impl ManagerNode {
         let data = DataPlane {
             durable: Mutex::new(durable),
             intake: ShardedIntake::new(cfg.shards.max(1)),
+            report_stale: AtomicBool::new(false),
             sessions: Mutex::new(sessions),
             stream_frames: AtomicU64::new(0),
             stream_ratings: AtomicU64::new(0),
@@ -487,36 +585,36 @@ fn other_io<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::other(e.to_string())
 }
 
-/// Rebuild and publish the read view from the primary slice. Call with
-/// the state lock held; takes the durable lock briefly for the engine
-/// report (lock order state → durable).
+/// Publish the read view from `st.view`: share the node table, clone the
+/// signed totals. Call with the state lock held. The durable lock is
+/// taken (lock order state → durable) only when a data-plane fold closed
+/// an epoch since the cached report was read.
 fn publish_view(shared: &Shared, st: &mut State) {
-    let snap = DetectionSnapshot::build(&st.history, &shared.responsible);
+    if shared.data.report_stale.swap(false, Ordering::AcqRel) {
+        st.report = shared.data.durable.lock().expect("durable engine lock").report();
+    }
     st.epoch += 1;
-    let report = shared.data.durable.lock().expect("durable engine lock").report();
     let view = PublishedView {
         epoch: st.epoch,
-        nodes: Arc::new((0..snap.n() as u32).map(|i| snap.node_id(i)).collect()),
-        signed: (0..snap.n() as u32).map(|i| snap.signed(i)).collect(),
-        report,
+        nodes: Arc::clone(&st.view.nodes),
+        signed: st.view.signed.clone(),
+        report: st.report.clone(),
     };
     shared.view.publish(Arc::new(view));
     st.since_publish = 0;
 }
 
-/// Drain the stream intake into the detection history. Call with the
+/// Drain the stream intake into the read view's totals. Call with the
 /// state lock held; this is where stream-ingested ratings become visible
-/// to `Freeze`/`publish_view`. Counter merging is commutative, and the
-/// snapshot builder sorts and re-interns everything, so absorption order
-/// cannot change detection output (same argument as the pipelined engine).
+/// to `publish_view` and `Status.recorded`. (`Freeze` reads the engine,
+/// which folded them when their frame was applied.) Counter adds commute,
+/// so absorption order cannot change what is published.
 fn absorb_intake(shared: &Shared, st: &mut State) {
     if shared.data.intake.is_empty() {
         return;
     }
     let delta = shared.data.intake.drain();
-    for (ratee, rater, c) in delta.entries {
-        st.history.insert_pair_counters(rater, ratee, c);
-    }
+    st.view.fold(&delta.entries);
     st.recorded += delta.ratings;
     st.since_publish += delta.ratings;
 }
@@ -638,6 +736,14 @@ fn handle_stream_frame(
         }
         apply_stream_frame(shared, sc, session, stream_seq, ratings, Some(entry))
     } else {
+        if stream_seq == 1 && sc.pending.is_empty() {
+            // frame 1 with nothing awaiting an ack opens a new anonymous
+            // stream: a client re-opening one on a pooled connection counts
+            // its frames and ratings from the start again, so must we
+            sc.session = 0;
+            sc.next_seq = 1;
+            sc.accepted = 0;
+        }
         if stream_seq != sc.next_seq {
             return Some(Response::StreamNack { expected_seq: sc.next_seq });
         }
@@ -703,11 +809,16 @@ fn apply_stream_frame(
     };
     let (wal_target, durable_now) = {
         let mut eng = shared.data.durable.lock().expect("durable engine lock");
+        let closes_before = eng.engine_stats().epochs;
         let appended = if session != 0 {
             eng.record_stream_frame(&owned, session, stream_seq, cum_accepted)
         } else {
             eng.record_batch(&owned)
         };
+        if eng.engine_stats().epochs != closes_before {
+            // the pair watermark closed an epoch inside the fold
+            shared.data.report_stale.store(true, Ordering::Release);
+        }
         let Ok(target) = appended else {
             return Some(Response::Error { code: ErrorCode::Internal });
         };
@@ -871,10 +982,11 @@ fn handle(shared: &Shared, req: Request) -> Response {
             absorb_intake(shared, &mut st);
             let closed = {
                 let mut eng = shared.data.durable.lock().expect("durable engine lock");
-                eng.close_epoch().map(|_| eng.wal().next_seq())
+                eng.close_epoch().map(|_| (eng.report(), eng.wal().next_seq()))
             };
             match closed {
-                Ok(seq) => {
+                Ok((report, seq)) => {
+                    st.report = report;
                     publish_view(shared, &mut st);
                     Response::Ack { seq, accepted: 0 }
                 }
@@ -884,17 +996,14 @@ fn handle(shared: &Shared, req: Request) -> Response {
         Request::Freeze { round } => {
             let mut st = shared.state.lock().expect("manager state lock");
             absorb_intake(shared, &mut st);
-            let snap = DetectionSnapshot::build(&st.history, &shared.responsible);
-            let rep_snap = if shared.backed_up.is_empty() {
-                None
-            } else {
-                Some((
-                    DetectionSnapshot::build(&st.replica, &shared.backed_up),
-                    shared.backed_up.clone(),
-                ))
-            };
-            let nodes = shared.responsible.clone();
-            st.frozen = Some(Arc::new(Frozen { round, snap, nodes, rep_snap }));
+            // copy under the durable lock, merge outside it: streams keep
+            // appending while the open epoch is folded into the copy
+            let parts =
+                shared.data.durable.lock().expect("durable engine lock").engine().frozen_parts();
+            let snap = parts.merge();
+            let rep_snap = (!shared.backed_up.is_empty())
+                .then(|| DetectionSnapshot::build(&st.replica, &shared.backed_up));
+            st.frozen = Some(Arc::new(Frozen { round, snap, rep_snap }));
             Response::Frozen { round, nodes: shared.responsible.len() as u64 }
         }
         Request::DetectRound { round } => detect_round(shared, round),
@@ -946,31 +1055,43 @@ fn handle(shared: &Shared, req: Request) -> Response {
     }
 }
 
-/// Primary-path insert: responsible ratings go through the WAL and the
-/// detection history; ratings for nodes this manager does not own are
-/// accepted into the replica store (degraded acceptance — the harness's
-/// failover path when the owner is down).
+/// Primary-path insert: responsible ratings go through the WAL into the
+/// engine and straight into the read view's totals; ratings for nodes this
+/// manager does not own are accepted into the replica store (degraded
+/// acceptance — the harness's failover path when the owner is down).
 fn insert(shared: &Shared, ratings: Vec<Rating>) -> Response {
     let mut st = shared.state.lock().expect("manager state lock");
     let mut accepted = 0u64;
+    let mut owned = 0u64;
+    let mut cells: Vec<(NodeId, NodeId, PairCounters)> = Vec::with_capacity(ratings.len());
     let next_seq = {
         let mut eng = shared.data.durable.lock().expect("durable engine lock");
+        let closes_before = eng.engine_stats().epochs;
         for r in ratings {
             if shared.ring.owner_of(r.ratee) == shared.cfg.id {
                 if eng.record(r).is_err() {
                     return Response::Error { code: ErrorCode::Internal };
                 }
-                st.history.record(r);
-                st.recorded += 1;
-                st.since_publish += 1;
                 accepted += 1;
+                owned += 1;
+                if !r.is_self_rating() {
+                    let mut c = PairCounters::default();
+                    c.accumulate(r.value);
+                    cells.push((r.ratee, r.rater, c));
+                }
             } else if st.replica.record(r) {
                 st.replicated += 1;
                 accepted += 1;
             }
         }
+        if eng.engine_stats().epochs != closes_before {
+            shared.data.report_stale.store(true, Ordering::Release);
+        }
         eng.wal().next_seq()
     };
+    st.view.fold(&cells);
+    st.recorded += cells.len() as u64;
+    st.since_publish += owned;
     if st.since_publish >= PUBLISH_EVERY {
         publish_view(shared, &mut st);
     }
@@ -979,9 +1100,9 @@ fn insert(shared: &Shared, ratings: Vec<Rating>) -> Response {
 
 /// Direction probe on a frozen snapshot — the networked twin of
 /// `DecentralizedSystem::direction_snap`.
-fn direction(
+fn direction<V: SnapshotView>(
     shared: &Shared,
-    snap: &DetectionSnapshot,
+    snap: &V,
     ratee: u32,
     rater: Option<u32>,
     meter: &CostMeter,
@@ -1010,36 +1131,41 @@ fn confirm(shared: &Shared, round: u64, ratee: NodeId, rater: NodeId) -> Respons
     if frozen.round != round {
         return Response::Error { code: ErrorCode::BadRound };
     }
-    let (snap, nodes) = if frozen.nodes.binary_search(&ratee).is_ok() {
-        (&frozen.snap, &frozen.nodes)
+    let verdict = if shared.responsible.binary_search(&ratee).is_ok() {
+        confirm_on(shared, &frozen.snap, ratee, rater)
     } else {
         match &frozen.rep_snap {
-            Some((snap, nodes)) if nodes.binary_search(&ratee).is_ok() => (snap, nodes),
-            _ => {
-                return Response::Verdict(ConfirmVerdict {
-                    known: false,
-                    high_reputed: false,
-                    reverse: None,
-                })
+            Some(snap) if shared.backed_up.binary_search(&ratee).is_ok() => {
+                confirm_on(shared, snap, ratee, rater)
             }
+            _ => None,
         }
     };
-    let Some(r_idx) = snap.index(ratee) else {
-        return Response::Verdict(ConfirmVerdict {
-            known: false,
-            high_reputed: false,
-            reverse: None,
-        });
-    };
-    let input = SnapshotInput::from_signed(snap, nodes);
-    let high_reputed = shared.cfg.thresholds.is_high_reputed(input.reputation_of_idx(r_idx));
+    Response::Verdict(verdict.unwrap_or(ConfirmVerdict {
+        known: false,
+        high_reputed: false,
+        reverse: None,
+    }))
+}
+
+/// The partner-side check of `ratee` on the frozen slice that covers it
+/// (so its reputation is its signed total there); `None` when the slice
+/// does not know the ratee.
+fn confirm_on<V: SnapshotView>(
+    shared: &Shared,
+    snap: &V,
+    ratee: NodeId,
+    rater: NodeId,
+) -> Option<ConfirmVerdict> {
+    let r_idx = snap.index(ratee)?;
+    let high_reputed = shared.cfg.thresholds.is_high_reputed(snap.signed(r_idx) as f64);
     if !high_reputed {
-        return Response::Verdict(ConfirmVerdict { known: true, high_reputed, reverse: None });
+        return Some(ConfirmVerdict { known: true, high_reputed, reverse: None });
     }
     let meter = CostMeter::new();
     let mut cache = vec![None; snap.n()];
     let reverse = direction(shared, snap, r_idx, snap.index(rater), &meter, &mut cache);
-    Response::Verdict(ConfirmVerdict { known: true, high_reputed, reverse })
+    Some(ConfirmVerdict { known: true, high_reputed, reverse })
 }
 
 /// The local forward walk plus outbound confirmations — the networked twin
@@ -1059,7 +1185,7 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
     let peers: HashMap<NodeId, SocketAddr> = shared.peers.lock().expect("peer map lock").clone();
 
     let snap = &frozen.snap;
-    let input = SnapshotInput::from_signed(snap, &frozen.nodes);
+    let input = SnapshotInput::from_signed(snap, &shared.responsible);
     let meter = CostMeter::new();
     let mut cache: Vec<Option<(u64, i64)>> = vec![None; snap.n()];
     let mut checked: HashSet<(NodeId, NodeId)> = HashSet::new();
@@ -1070,7 +1196,7 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
         shared.cfg.rpc.with_jitter_seed(shared.cfg.rpc.jitter_seed ^ shared.cfg.id.raw() ^ round);
     let mut client = RpcClient::new(rpc_cfg);
 
-    for &i in &frozen.nodes {
+    for &i in &shared.responsible {
         let Some(i_idx) = snap.index(i) else { continue };
         if !shared.cfg.thresholds.is_high_reputed(input.reputation_of_idx(i_idx)) {
             continue;
@@ -1158,12 +1284,15 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
 }
 
 #[cfg(test)]
+mod oracle_props;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::durability::scratch_dir;
     use crate::system::DecentralizedSystem;
     use collusion_reputation::id::SimTime;
-    use collusion_reputation::rating::Rating;
+    use collusion_reputation::wal::{replay_bytes, WalRecord};
     use std::collections::BTreeSet;
     use std::path::Path;
 
@@ -1557,6 +1686,69 @@ mod tests {
         let on_disk =
             replay.records.iter().filter(|(_, r)| matches!(r, WalRecord::Rating(_))).count();
         assert_eq!(on_disk, 4, "WAL must hold each rating exactly once");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_anonymous_stream_reopened_on_a_pooled_connection_starts_over() {
+        let dir = scratch_dir("net-stream-reopen");
+        let managers = manager_ids(1);
+        let nodes = spawn_cluster(&dir, &managers);
+        let addr = nodes[0].addr();
+        let mut client = RpcClient::new(RpcConfig::lan());
+        let all = ratings();
+        let (first, second) = all.split_at(all.len() / 3);
+
+        // the second stream rides the connection the first one handed back:
+        // the client numbers its frames from 1 again and so must the server,
+        // and acks count the new stream's ratings only
+        for part in [first, second] {
+            let mut stream = client.open_insert_stream(addr, 4).expect("open stream");
+            for chunk in part.chunks(7) {
+                stream.send(chunk).expect("stream frame");
+            }
+            let stats = client.close_insert_stream(stream).expect("close stream");
+            assert_eq!(stats.frames_acked, stats.frames_sent);
+            assert_eq!(stats.ratings_acked, part.len() as u64);
+        }
+
+        let resp = client.call(addr, &Request::Status).expect("status");
+        let Response::Status(info) = resp else { panic!("Status must answer Status") };
+        assert_eq!(info.stream_ratings, all.len() as u64);
+        assert_eq!(info.recorded + info.intake_pending, all.len() as u64);
+
+        drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn publications_that_intern_no_new_id_share_one_node_table() {
+        let dir = scratch_dir("net-view-table");
+        let managers = manager_ids(1);
+        let nodes = spawn_cluster(&dir, &managers);
+        let node = &nodes[0];
+        let mut client = RpcClient::new(RpcConfig::lan());
+        let mut publish = |batch: Vec<Rating>| {
+            client.call(node.addr(), &Request::InsertBatch(batch)).expect("insert");
+            client.call(node.addr(), &Request::CloseEpoch).expect("close epoch");
+            node.view_reader().get().clone()
+        };
+
+        let first = publish(ratings());
+        // every id of the second batch is interned already: the publication
+        // costs the delta, not a new table
+        let second = publish(ratings());
+        assert!(Arc::ptr_eq(&first.nodes, &second.nodes));
+        assert_eq!(second.reputation(NodeId(1)), Some(50), "n1: 2 × (+30 partner, -5 community)");
+        // one id nobody has seen re-allocates it, once
+        let third = publish(vec![Rating::positive(NodeId(77), NodeId(1), SimTime(1))]);
+        assert!(!Arc::ptr_eq(&second.nodes, &third.nodes));
+        assert_eq!(third.reputation(NodeId(77)), Some(0));
+        assert_eq!(third.reputation(NodeId(1)), Some(51));
+        let fourth = publish(Vec::new());
+        assert!(Arc::ptr_eq(&third.nodes, &fourth.nodes));
+
+        drop(nodes);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -170,7 +170,10 @@ pub struct RoundReport {
 pub struct StatusInfo {
     /// Manager id.
     pub manager: NodeId,
-    /// Primary ratings recorded (durably).
+    /// Ratings folded into the primary slice and absorbed into the read
+    /// view — self-ratings are logged but never folded, so never counted;
+    /// stream ratings still in the intake are `intake_pending`. Means the
+    /// same before and after a rejoin.
     pub recorded: u64,
     /// Replica ratings held for other managers' nodes.
     pub replicated: u64,
@@ -187,7 +190,7 @@ pub struct StatusInfo {
     /// the un-fsynced backlog).
     pub wal_len: u64,
     /// Ratings folded into the sharded intake but not yet absorbed into
-    /// the detection history (the data-plane queue depth).
+    /// the read view (the data-plane queue depth).
     pub intake_pending: u64,
     /// Stream frames accepted over all connections so far.
     pub stream_frames: u64,

@@ -116,6 +116,16 @@ impl EpochBuffer {
         entries.sort_unstable_by_key(|&(ratee, rater, _)| (ratee, rater));
         EpochDelta { entries, ratings: std::mem::take(&mut self.ratings) }
     }
+
+    /// The sorted delta [`EpochBuffer::drain`] would return, without
+    /// emptying the buffer — what a reader of the open epoch merges over
+    /// the standing snapshot to see every rating folded so far.
+    pub fn peek(&self) -> EpochDelta {
+        let mut entries: Vec<(NodeId, NodeId, PairCounters)> =
+            self.delta.iter().map(|(&(ratee, rater), &c)| (ratee, rater, c)).collect();
+        entries.sort_unstable_by_key(|&(ratee, rater, _)| (ratee, rater));
+        EpochDelta { entries, ratings: self.ratings }
+    }
 }
 
 /// One closed epoch's aggregated counter delta.
@@ -174,7 +184,11 @@ mod tests {
         }
         assert_eq!(buf.ratings(), 5);
         assert_eq!(buf.pairs_touched(), 3);
+        // peeking reads the same delta and leaves the buffer as it was
+        let peeked = buf.peek();
+        assert_eq!(buf.ratings(), 5);
         let delta = buf.drain();
+        assert_eq!((&peeked.entries, peeked.ratings), (&delta.entries, delta.ratings));
         assert!(buf.is_empty());
         assert_eq!(delta.ratings, 5);
         for &(ratee, rater, c) in &delta.entries {

@@ -116,13 +116,34 @@ fn merge_sorted_into(list: &mut Vec<u32>, run: &[(u32, u32)]) {
     debug_assert_eq!(w, a);
 }
 
+/// Reusable buffers of [`Shard::rebuild_with`]: the spare arena epoch
+/// merges write into and swap (so steady-state closes never allocate), and
+/// the new-edge list of the last merge. Scratch, not state — a clone of a
+/// shard starts with none, so freezing a snapshot copies each arena once.
+#[derive(Debug, Default)]
+struct MergeScratch {
+    /// Spare CSR offsets.
+    offsets: Vec<u32>,
+    /// Spare rater-index arena.
+    cols: Vec<u32>,
+    /// Spare counter arena.
+    cells: Vec<PairCounters>,
+    /// Brand-new `(rater, ratee row)` edges of the last merge, for the
+    /// reverse-adjacency fix-up (cleared per merge).
+    new_edges: Vec<(u32, u32)>,
+}
+
+impl Clone for MergeScratch {
+    fn clone(&self) -> Self {
+        MergeScratch::default()
+    }
+}
+
 /// One contiguous range of ratee rows with its own CSR arena and overlay.
 ///
 /// Per-ratee totals are stored structure-of-arrays — three contiguous
 /// `u64` columns instead of an array of structs — so the batch band/high
-/// kernels in `collusion-core` can stream them with vector loads. The
-/// spare arena double-buffers [`Shard::rebuild_with`]: epoch merges write
-/// into it and swap, so steady-state closes never allocate.
+/// kernels in `collusion-core` can stream them with vector loads.
 #[derive(Clone, Debug)]
 struct Shard {
     /// First global row index of the range.
@@ -149,15 +170,8 @@ struct Shard {
     freq: Option<Vec<(u64, i64)>>,
     /// Cell count with overlays resolved.
     nnz: usize,
-    /// Spare CSR offsets for the double-buffered epoch merge.
-    spare_offsets: Vec<u32>,
-    /// Spare rater-index arena.
-    spare_cols: Vec<u32>,
-    /// Spare counter arena.
-    spare_cells: Vec<PairCounters>,
-    /// Brand-new `(rater, ratee row)` edges of the last merge, for the
-    /// reverse-adjacency fix-up (reused, cleared per merge).
-    new_edges: Vec<(u32, u32)>,
+    /// Double-buffer and edge list of the epoch merge.
+    scratch: MergeScratch,
 }
 
 impl Shard {
@@ -175,10 +189,7 @@ impl Shard {
             patched_rows: 0,
             freq: with_freq.then(|| vec![(0, 0); rows]),
             nnz: 0,
-            spare_offsets: Vec::new(),
-            spare_cols: Vec::new(),
-            spare_cells: Vec::new(),
-            new_edges: Vec::new(),
+            scratch: MergeScratch::default(),
         }
     }
 
@@ -268,7 +279,7 @@ impl Shard {
     /// Untouched row *ranges* are bulk-copied (`extend_from_slice`, no
     /// per-cell work); touched rows two-pointer-merge against their entry
     /// group. Totals and frequent aggregates update in place, brand-new
-    /// `(rater, row)` edges are recorded in [`Shard::new_edges`] for the
+    /// `(rater, row)` edges are recorded in [`MergeScratch::new_edges`] for the
     /// caller's reverse-adjacency fix-up. After the first few epochs the
     /// spare arenas have grown to capacity and the merge allocates
     /// nothing. Requires an empty overlay (`compact` first).
@@ -277,10 +288,10 @@ impl Shard {
         // `u64::MAX` sentinel keeps the merge loop branch-simple when the
         // snapshot tracks no frequent aggregates (no cell ever qualifies).
         let freq_min = freq_t_n.unwrap_or(u64::MAX);
-        self.new_edges.clear();
-        let mut offs = std::mem::take(&mut self.spare_offsets);
-        let mut cols = std::mem::take(&mut self.spare_cols);
-        let mut cells = std::mem::take(&mut self.spare_cells);
+        self.scratch.new_edges.clear();
+        let mut offs = std::mem::take(&mut self.scratch.offsets);
+        let mut cols = std::mem::take(&mut self.scratch.cols);
+        let mut cells = std::mem::take(&mut self.scratch.cells);
         offs.clear();
         cols.clear();
         cells.clear();
@@ -358,7 +369,7 @@ impl Shard {
                         dfreq_signed += d.signed();
                     }
                     cells.push(d);
-                    self.new_edges.push((r, g));
+                    self.scratch.new_edges.push((r, g));
                 }
             }
             cols.extend_from_slice(&src_cols[a..e]);
@@ -386,9 +397,9 @@ impl Shard {
         std::mem::swap(&mut self.row_offsets, &mut offs);
         std::mem::swap(&mut self.row_cols, &mut cols);
         std::mem::swap(&mut self.row_cells, &mut cells);
-        self.spare_offsets = offs;
-        self.spare_cols = cols;
-        self.spare_cells = cells;
+        self.scratch.offsets = offs;
+        self.scratch.cols = cols;
+        self.scratch.cells = cells;
         self.nnz = self.row_cols.len();
     }
 }
@@ -741,7 +752,7 @@ impl ShardedSnapshot {
         // identical to per-edge sorted insertion.
         self.fixup_edges.clear();
         for shard in &self.shards {
-            self.fixup_edges.extend_from_slice(&shard.new_edges);
+            self.fixup_edges.extend_from_slice(&shard.scratch.new_edges);
         }
         self.fixup_edges.sort_unstable();
         let mut e = 0usize;

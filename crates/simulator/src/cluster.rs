@@ -10,8 +10,8 @@
 //!    `Replicate` pushes to the owner's ring successors;
 //! 2. applies churn as real **process kills**: the victim manager is shut
 //!    down (WAL synced — the crash-after-fsync instant), then respawned on
-//!    its durability directory, rebuilding its detection history by
-//!    replaying its own WAL, and rejoining on a fresh port;
+//!    its durability directory, recovering its engine from checkpoint +
+//!    WAL tail, and rejoining on a fresh port;
 //! 3. runs one detection round over TCP: `Freeze` on every manager, then
 //!    `DetectRound`, during which cross-manager confirmations travel
 //!    through per-manager [`FaultProxy`]s re-expressing the
@@ -789,7 +789,7 @@ pub struct WireIngestConfig {
 pub struct ManagerWireStatus {
     /// Manager id.
     pub manager: NodeId,
-    /// Ratings absorbed into the detection history.
+    /// Ratings folded into the primary slice and absorbed into the read view.
     pub recorded: u64,
     /// WAL durable watermark, bytes.
     pub durable_len: u64,
@@ -942,8 +942,10 @@ pub fn run_wire_ingest(cfg: &WireIngestConfig) -> WireIngestOutcome {
 
 /// Serial in-process reference for the wire-ingest grid: the same rating
 /// stream recorded through one [`DurableEngine`] (same async WAL policy as
-/// the cluster managers) plus a detection history — the work one manager
-/// does per rating, minus every socket. Returns `(ratings, ratings/sec)`.
+/// the cluster managers) plus one counter fold per rating (an
+/// `InteractionHistory`, standing in for a manager's intake and view
+/// totals) — the work one manager does per rating, minus every socket.
+/// Returns `(ratings, ratings/sec)`.
 pub fn inprocess_serial_rate(cfg: &ClusterConfig) -> (u64, f64) {
     use collusion_core::durability::{DurableEngine, EngineSetup};
     use collusion_core::epoch::EpochMethod;

@@ -160,4 +160,11 @@ timeout 240 cargo test --release -q -p collusion-sim --test net_cluster nemesis_
   -- --nocapture > "$nemesis_out"
 diff scripts/BENCH_nemesis_smoke_expected.txt <(grep '^NEMESIS ' "$nemesis_out")
 
+echo "== benchmark smoke (all four workloads at n=2k, every correctness gate) =="
+# the benchmark package's own gates: planted pairs == reported set on
+# every workload, acked == offered == Σ Status.recorded and a respawned
+# manager holding what it held on wire-mixed, exact counts equal across
+# reps. ~14 s; figures at this size are not compared with anything.
+timeout 300 bash benchmark/run.sh --smoke | tail -n 1
+
 echo "All checks passed."

@@ -402,3 +402,40 @@ proptest! {
         prop_assert_eq!(ra.next_seq, rb.next_seq);
     }
 }
+
+/// The recovery report's whole-log facts — what a rejoining manager seeds
+/// its `Status.recorded` and session table from — cover the records a
+/// checkpoint makes the engine skip, count no self-rating, and keep only
+/// the last marker of each session.
+#[test]
+fn recovery_report_counts_the_whole_log_in_one_pass() {
+    let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
+    let setup = EngineSetup {
+        target_shards: 2,
+        method: EpochMethod::Optimized,
+        thresholds: Thresholds::new(1.0, 4, 0.6, 0.4),
+        policy: DetectionPolicy::STRICT,
+        prune: true,
+        close_threads: 0,
+    };
+    let cfg = DurabilityConfig::default(); // checkpoint at every close
+    let dir = scratch_dir("props-whole-log");
+    let rate = |a: u64, b: u64| Rating::positive(NodeId(a), NodeId(b), SimTime(0));
+    let mut durable = DurableEngine::create(&dir, &nodes, setup, cfg).expect("create");
+    durable.record_stream_frame(&[rate(1, 2), rate(3, 3), rate(2, 1)], 7, 1, 3).expect("frame");
+    durable.record_stream_frame(&[rate(4, 5)], 9, 1, 1).expect("frame");
+    durable.close_epoch().expect("close");
+    durable.record_stream_frame(&[rate(1, 2), rate(5, 5)], 7, 2, 5).expect("frame");
+    durable.record(rate(0, 1)).expect("record");
+    durable.sync().expect("sync");
+    drop(durable);
+
+    let (recovered, report) = DurableEngine::recover(&dir, &nodes, setup, cfg).expect("recover");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(report.skipped_records > 0, "the checkpoint must cover the first epoch");
+    assert_eq!(report.folded_ratings, 5, "7 rating records, 2 of them self-ratings");
+    let stats = recovered.engine_stats();
+    assert_eq!(stats.ratings + recovered.engine().pending_ratings(), report.folded_ratings);
+    let sessions: Vec<_> = report.stream_sessions.into_iter().collect();
+    assert_eq!(sessions, vec![(7, (2, 5)), (9, (1, 1))]);
+}
