@@ -11,17 +11,34 @@
 //!
 //! At [`EpochEngine::close_epoch`] the buffer drains into a sorted
 //! [`EpochDelta`] — the dirty-pair work queue — and the engine re-examines
-//! only the *candidate pairs* whose verdict could have changed:
+//! only the *candidate pairs* whose verdict could have changed. A node is
+//! *active* when it is a dirty ratee (its row, totals or frequent aggregate
+//! changed) or its high-reputed flag flipped. Then:
 //!
-//! * for every dirty ratee `d` (a row, totals or frequent-aggregate
-//!   change): every pair `{x, d}` with `x` a rater of `d`, **and** every
-//!   pair `{d, y}` with `y` a ratee of `d` (the direction *ratee = d,
-//!   rater = y* reads `d`'s totals even when `y` never rated `d`);
-//! * for every node whose high-reputed flag flipped: the same two edge
-//!   fans (a flip gates every incident pair in or out of consideration).
+//! * every standing verdict with an active endpoint is re-checked (it may
+//!   need retraction);
+//! * **frequency first** — the paper's C4, "for each pair with
+//!   `N(j,i) ≥ T_N`", is the first line of both kernels, and a direction
+//!   `D(i←j)` (is `j` boosting `i`?) reads nothing outside `i`'s row. So a
+//!   *new* flag on an active high row `c` can only come through a rater `x`
+//!   whose cell in `c`'s row is frequent: the forward fan emits `{x, c}`
+//!   for exactly those, and a row whose frequent aggregate count is zero
+//!   emits nothing without its cells being read;
+//! * the reverse fan `{c, y}`, over the rows `y` holding a frequent cell
+//!   from `c` ([`ShardedSnapshot::frequent_ratees_of`]), runs only when `c`
+//!   flipped **to** high under a non-mutual policy. Otherwise it cannot
+//!   matter: an un-dirty `y` keeps `D(y←c)` unchanged, a dirty `y` reaches
+//!   the pair through its own forward fan, and under `require_mutual` a
+//!   flag needs `cell(c, y)` frequent as well, which `c`'s forward fan
+//!   covers. What is left is `D(y←c)` having held all along while `c` sat
+//!   below `T_R` — the flip opens that pair without touching `y`.
 //!
-//! Any pair outside the candidate set kept all of its inputs byte-for-byte
-//! unchanged, so its standing verdict is still exact. Candidate pairs are
+//! (`T_N = 0` makes an absent cell frequent, so there the reverse fan runs
+//! for every active row, over what is then the full reverse adjacency.)
+//!
+//! Any pair outside the candidate set either kept all of its inputs
+//! byte-for-byte unchanged, so its standing verdict is still exact, or
+//! fails C4 in every direction that changed. Candidate pairs are
 //! re-checked with the *same* kernels the full pass uses
 //! ([`BasicDetector::check_pair_snap`] /
 //! [`OptimizedDetector::check_direction_snap`]) and the verdict map is
@@ -34,7 +51,8 @@
 //! With `prune` enabled (and the strict community definition in force) the
 //! Formula (2) band pre-filter of [`OptimizedDetector::detect_pruned`]
 //! additionally discards candidates whose row totals prove no band can be
-//! entered, before any row data is touched.
+//! entered. Behind the frequency gate it has almost nothing left to do —
+//! see [`EpochStats::pruned`].
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -76,14 +94,19 @@ pub struct EpochStats {
     pub epochs: u64,
     /// Ratings folded through the buffer.
     pub ratings: u64,
-    /// Candidate pairs that survived the cheap eligibility gates
-    /// (deduplicated; ineligible fans never become candidates).
+    /// Candidate pairs that survived the cheap eligibility gates —
+    /// frequent cell (C4), both endpoints high, not banned by the band
+    /// memo (deduplicated; ineligible fans never become candidates).
     pub candidates: u64,
     /// Candidates that reached a kernel check.
     pub checked: u64,
-    /// Candidates discarded by the band pre-filter at check time (these
-    /// are standing-verdict re-checks; newly enumerated pairs the band
-    /// bans are filtered out before they ever become candidates).
+    /// Candidates discarded by the band pre-filter at check time.
+    /// Enumeration subsumes the pre-filter; `pruned` counts
+    /// standing-verdict re-checks only: newly enumerated pairs the band
+    /// bans are filtered out before they ever become candidates. Behind
+    /// the frequency gate that filter has nothing left to remove on the
+    /// benchmark: 0 of the 2 000 post-gate emissions (1 000 pairs) on both
+    /// `engine-churn` and `engine-bulk`, seed 42.
     pub pruned: u64,
     /// Epoch closes forced by the [`EpochBuffer`] max-pairs memory
     /// watermark rather than the caller's schedule (a subset of `epochs`).
@@ -122,6 +145,8 @@ pub(crate) struct EnumLocal {
 /// forked path with shared [`OnceLock`] cells so the fill — and its
 /// metered row scan — happens exactly once per ratee regardless of which
 /// worker gets there first (identical cost to the serial first-use fill).
+/// Only `community_excludes_frequent` reads either, so only that policy
+/// pays their O(n) reset; otherwise both stay empty.
 #[derive(Debug, Default)]
 pub(crate) struct RecheckScratch {
     /// Per-ratee frequent-aggregate cache (serial path).
@@ -137,6 +162,9 @@ pub(crate) struct RecheckScratch {
 pub(crate) struct CloseScratch {
     /// Dirty-or-flipped node flags (step 3).
     pub(crate) active: Vec<bool>,
+    /// Nodes whose high flag flipped *to* high in this close (step 3; the
+    /// only rows the reverse fan serves).
+    pub(crate) to_high: Vec<bool>,
     /// Per-row prunability flags, batch-filled by
     /// [`OptimizedDetector::rows_prunable_batch`] when pruning is armed:
     /// nonzero = prunable (step 3, reused verbatim by step 4).
@@ -153,10 +181,12 @@ pub(crate) struct CloseScratch {
 }
 
 impl CloseScratch {
-    /// Reset `active` and `memo` for a snapshot of `n` nodes.
+    /// Reset `active`, `to_high` and `memo` for a snapshot of `n` nodes.
     pub(crate) fn reset_merge(&mut self, n: usize) {
         self.active.clear();
         self.active.resize(n, false);
+        self.to_high.clear();
+        self.to_high.resize(n, false);
         self.memo.clear();
         self.memo.resize(n, 0);
     }
@@ -201,19 +231,16 @@ impl FrozenParts {
 }
 
 /// Build the empty initial snapshot + high flags shared by the serial
-/// engine and the pipelined engine's merge stage.
+/// engine and the pipelined engine's merge stage. Every engine snapshot
+/// carries the frequent aggregates and reverse index for `T_N`, whatever
+/// the policy: the candidate fan reads them.
 pub(crate) fn initial_state(
     nodes: &[NodeId],
     target_shards: usize,
     thresholds: Thresholds,
-    policy: DetectionPolicy,
 ) -> (ShardedSnapshot, Vec<bool>) {
     let empty = InteractionHistory::new();
-    let snap = if policy.community_excludes_frequent {
-        ShardedSnapshot::build_with_frequent(&empty, nodes, target_shards, thresholds.t_n)
-    } else {
-        ShardedSnapshot::build(&empty, nodes, target_shards)
-    };
+    let snap = ShardedSnapshot::build_with_frequent(&empty, nodes, target_shards, thresholds.t_n);
     let high =
         (0..snap.n() as u32).map(|i| thresholds.is_high_reputed(snap.signed(i) as f64)).collect();
     (snap, high)
@@ -310,13 +337,15 @@ pub(crate) struct CandidateParams<'a> {
 struct FanState<'a> {
     high: &'a [bool],
     active: &'a [bool],
+    to_high: &'a [bool],
     memo: &'a [u8],
 }
 
 /// The candidate fan over rows `range` (the body of step 3's scan):
-/// pairs incident to an active high row that pass the cheap gates are
-/// pushed into `cands` in discovery order, first-wins deduplicated
-/// against `seen`.
+/// pairs joined to an active high row by a frequent cell (the module docs
+/// give the rule and why the reverse fan is this narrow) that pass the
+/// cheap gates are pushed into `cands` in discovery order, first-wins
+/// deduplicated against `seen`.
 fn fan_rows(
     snap: &ShardedSnapshot,
     params: &CandidateParams<'_>,
@@ -325,9 +354,12 @@ fn fan_rows(
     seen: &mut PairSet,
     cands: &mut Vec<(u32, u32)>,
 ) {
-    let FanState { high, active, memo } = *state;
+    let FanState { high, active, to_high, memo } = *state;
     let prune_on = params.prune_on;
     let prunable = |x: u32| -> bool { prune_on && memo[x as usize] != 0 };
+    // `T_N = 0` makes an absent cell frequent: a pair can then be flagged
+    // through a direction that has no cell to fan over
+    let absent_is_frequent = params.optimized.thresholds.t_n == 0;
     for c in range {
         if !active[c as usize] || !high[c as usize] {
             continue;
@@ -348,15 +380,16 @@ fn fan_rows(
             };
             !banned
         };
-        let (cols, _) = snap.row(c);
-        for &x in cols {
+        for x in snap.frequent_raters_of(c) {
             if admit(x) && seen.insert(x, c) {
                 cands.push((x, c));
             }
         }
-        for &y in snap.ratees_of(c) {
-            if admit(y) && seen.insert(c, y) {
-                cands.push((c, y));
+        if (to_high[c as usize] && !params.require_mutual) || absent_is_frequent {
+            for &y in snap.frequent_ratees_of(c) {
+                if admit(y) && seen.insert(c, y) {
+                    cands.push((c, y));
+                }
             }
         }
     }
@@ -407,6 +440,7 @@ pub(crate) fn enumerate_candidates<I: IntoIterator<Item = (NodeId, NodeId)>>(
         }
         for &f in flips {
             active[f as usize] = true;
+            scratch.to_high[f as usize] = high[f as usize];
         }
     }
     scratch.seen.clear();
@@ -429,7 +463,12 @@ pub(crate) fn enumerate_candidates<I: IntoIterator<Item = (NodeId, NodeId)>>(
     }
     let n = snap.n() as u32;
     if threads <= 1 {
-        let state = FanState { high, active: &scratch.active, memo: &scratch.memo };
+        let state = FanState {
+            high,
+            active: &scratch.active,
+            to_high: &scratch.to_high,
+            memo: &scratch.memo,
+        };
         fan_rows(snap, params, &state, 0..n, &mut scratch.seen, &mut scratch.cands);
         return;
     }
@@ -442,7 +481,8 @@ pub(crate) fn enumerate_candidates<I: IntoIterator<Item = (NodeId, NodeId)>>(
     if scratch.locals.len() < ranges.len() {
         scratch.locals.resize_with(ranges.len(), EnumLocal::default);
     }
-    let state = FanState { high, active: &scratch.active, memo: &scratch.memo };
+    let state =
+        FanState { high, active: &scratch.active, to_high: &scratch.to_high, memo: &scratch.memo };
     let mut items: Vec<(std::ops::Range<u32>, &mut EnumLocal)> =
         ranges.into_iter().zip(scratch.locals.iter_mut()).collect();
     par::for_each_mut(threads, &mut items, |(range, local)| {
@@ -589,6 +629,7 @@ pub(crate) fn recheck_candidates<V: SnapshotView + Sync>(
     let meter = CostMeter::new();
     let mut checked = 0u64;
     let mut pruned = 0u64;
+    let excludes_frequent = kernels.optimized.policy.community_excludes_frequent;
     let mut apply = |key: (NodeId, NodeId), outcome: CandOutcome| match outcome {
         CandOutcome::NotHigh => {
             verdicts.remove(&key);
@@ -609,7 +650,9 @@ pub(crate) fn recheck_candidates<V: SnapshotView + Sync>(
     if threads <= 1 || cands.len() <= 1 {
         let cache = &mut scratch.cache;
         cache.clear();
-        cache.resize(snap.n(), None);
+        if excludes_frequent {
+            cache.resize(snap.n(), None);
+        }
         for &(i, j) in cands {
             let (id_i, id_j) = (snap.node_id(i), snap.node_id(j));
             let key = if id_i < id_j { (id_i, id_j) } else { (id_j, id_i) };
@@ -620,7 +663,9 @@ pub(crate) fn recheck_candidates<V: SnapshotView + Sync>(
         }
     } else {
         scratch.once.clear();
-        scratch.once.resize_with(snap.n(), OnceLock::new);
+        if excludes_frequent {
+            scratch.once.resize_with(snap.n(), OnceLock::new);
+        }
         let once = &scratch.once[..];
         let meter_ref = &meter;
         let chunk = cands.len().div_ceil(threads);
@@ -693,7 +738,7 @@ impl EpochEngine {
         policy: DetectionPolicy,
         prune: bool,
     ) -> Self {
-        let (snap, high) = initial_state(nodes, target_shards, thresholds, policy);
+        let (snap, high) = initial_state(nodes, target_shards, thresholds);
         EpochEngine::from_parts(EngineParts {
             thresholds,
             policy,
@@ -709,8 +754,14 @@ impl EpochEngine {
 
     /// Assemble an engine around already-evolved detection state. The
     /// caller owns the invariant that `high` and `verdicts` are consistent
-    /// with `snap` (both are pure functions of it at epoch boundaries).
+    /// with `snap` (both are pure functions of it at epoch boundaries), and
+    /// that `snap` came from [`initial_state`]'s kind of build.
     pub(crate) fn from_parts(parts: EngineParts) -> Self {
+        assert_eq!(
+            parts.snap.frequent_t_n(),
+            Some(parts.thresholds.t_n),
+            "engine snapshots carry the frequent index the candidate fan reads"
+        );
         EpochEngine {
             thresholds: parts.thresholds,
             policy: parts.policy,
@@ -872,14 +923,14 @@ impl EpochEngine {
         //    a) standing verdicts with an active endpoint are re-checked
         //       (they may need retraction) — a scan of the small verdict
         //       map, not of the graph;
-        //    b) *new* flags can only appear on pairs incident to an active
-        //       node that is high — and, when pruning is armed, not
-        //       provably banned by its own row totals — so ineligible
-        //       fans are skipped before they ever touch the dedup set.
-        //       Each surviving neighbour gets the same cheap gate. Skipped
-        //       pairs are exactly those the kernel provably would not
-        //       flag, and any stale verdict they might carry is already
-        //       covered by (a).
+        //    b) *new* flags can only appear on pairs joined by a frequent
+        //       cell (C4) to an active node that is high — and, when
+        //       pruning is armed, not provably banned by its own row
+        //       totals — so ineligible fans are skipped before they ever
+        //       touch the dedup set. Each surviving neighbour gets the
+        //       same cheap gate. Skipped pairs are exactly those the
+        //       kernel provably would not flag, and any stale verdict they
+        //       might carry is already covered by (a).
         let params = CandidateParams {
             optimized: &self.optimized,
             require_mutual: self.policy.require_mutual,
@@ -1038,11 +1089,8 @@ impl EpochEngine {
                 history.insert_pair_counters(nodes[col], nodes[i], counters);
             }
         }
-        let snap = if policy.community_excludes_frequent {
-            ShardedSnapshot::build_with_frequent(&history, &nodes, target_shards, thresholds.t_n)
-        } else {
-            ShardedSnapshot::build(&history, &nodes, target_shards)
-        };
+        let snap =
+            ShardedSnapshot::build_with_frequent(&history, &nodes, target_shards, thresholds.t_n);
         let mut verdicts = BTreeMap::new();
         let verdict_raw = r.get_u32()? as u64;
         let verdict_count = r.checked_count(verdict_raw, 18)?;
@@ -1374,6 +1422,54 @@ mod tests {
         );
         assert_eq!(pair_keys(&r2.pairs), pair_keys(&expect));
         assert!(!r2.is_colluder(NodeId(1)), "verdict retracted after community evidence");
+    }
+
+    /// The one case the reverse fan still serves: under a non-mutual policy
+    /// `D(y←c)` holds for epochs while `c` sits below `T_R`, then `c` flips
+    /// to high in an epoch that does not touch `y`. Nothing in `y`'s row
+    /// changed and `c`'s own row has no frequent cell, so only the fan over
+    /// `frequent_ratees_of(c)` can raise the pair.
+    #[test]
+    fn to_high_flip_opens_a_standing_direction_through_the_reverse_fan() {
+        let thresholds = Thresholds::new(2.0, 3, 0.8, 0.4);
+        let policy = DetectionPolicy { require_mutual: false, community_excludes_frequent: false };
+        let (c, y) = (NodeId(1), NodeId(2));
+        let nodes: Vec<NodeId> = (1..=6).map(NodeId).collect();
+        for method in [EpochMethod::Basic, EpochMethod::Optimized] {
+            let mut engine = EpochEngine::new(&nodes, 2, method, thresholds, policy, false);
+            let mut history = InteractionHistory::new();
+            let mut t = 0u64;
+            let mut close = |engine: &mut EpochEngine,
+                             history: &mut InteractionHistory,
+                             ratings: &[(u64, u64, RatingValue)]| {
+                for &(rater, ratee, v) in ratings {
+                    let r = Rating::new(NodeId(rater), NodeId(ratee), v, SimTime(t));
+                    t += 1;
+                    engine.record(r);
+                    history.record(r);
+                }
+                let report = engine.close_epoch();
+                assert_eq!(report.pairs, full_pass(history, &nodes, method, thresholds, policy));
+                report
+            };
+            use RatingValue::{Negative, Positive};
+            // c boosts y against a hostile community: D(y←c) holds, y is
+            // high, c has no reputation at all — nothing is flagged
+            let boost = [(1, 2, Positive); 6];
+            let community = [(3, 2, Negative), (4, 2, Negative), (5, 2, Positive)];
+            let r1 = close(&mut engine, &mut history, &[&boost[..], &community[..]].concat());
+            assert!(r1.pairs.is_empty());
+            // an epoch that touches neither: still nothing
+            let r2 = close(&mut engine, &mut history, &[(5, 6, Positive)]);
+            assert!(r2.pairs.is_empty());
+            // c crosses T_R on one-off ratings (no frequent cell in its own
+            // row); y is not rated, so only the to-high flip is new
+            let r3 = close(&mut engine, &mut history, &[(3, 1, Positive), (4, 1, Positive)]);
+            assert_eq!(pair_keys(&r3.pairs), [(c, y)], "{method:?}: flip opens the pair");
+            // and falling back below T_R retracts it
+            let r4 = close(&mut engine, &mut history, &[(5, 1, Negative)]);
+            assert!(r4.pairs.is_empty(), "{method:?}: flip to low retracts");
+        }
     }
 
     #[test]

@@ -570,8 +570,7 @@ impl PipelinedEngine {
 
     fn build(nodes: &[NodeId], cfg: PipelineConfig, wal: Option<Wal>) -> Self {
         let setup = cfg.setup;
-        let (snap, high) =
-            initial_state(nodes, setup.target_shards, setup.thresholds, setup.policy);
+        let (snap, high) = initial_state(nodes, setup.target_shards, setup.thresholds);
         let initial = PublishedView {
             epoch: 0,
             nodes: Arc::new(snap.nodes().to_vec()),

@@ -17,12 +17,17 @@
 //! * **bounded compaction** — the 25% patched-row threshold applies per
 //!   shard, so compacting scattered updates costs O(shard), not O(matrix).
 //!
-//! Instead of the monolithic snapshot's reverse CSR (which interleaves all
-//! shards and would serialize refresh), the sharded form keeps a plain
-//! reverse *adjacency* (`rev_adj[j]` = sorted ratees j has rated, no
-//! counters); pair probes binary-search the ratee's forward row inside its
-//! shard, and the adjacency answers "whose verdicts can a rater's
-//! reputation flip affect" during epoch-incremental detection.
+//! The sharded form keeps no reverse CSR (it would interleave all shards
+//! and serialize refresh): pair probes binary-search the ratee's forward
+//! row inside its shard. The one reverse question epoch-incremental
+//! detection still asks — "which rows hold a *frequent* cell from this
+//! rater", for a rater whose reputation just crossed `T_R` — is answered
+//! by a reverse index of frequent edges only (`freq_rev[j]` = sorted ratees
+//! `i` with `cell(i, j).total ≥ T_N`, no counters). The paper's C4 gate
+//! rules every other edge out before anything else is read, so the index
+//! holds a few entries per colluder instead of one per rating pair; it is
+//! kept beside the per-row frequent aggregates, from the same `T_N`
+//! crossings, and is empty for a snapshot built without a `T_N`.
 //!
 //! The snapshot also absorbs closed [`EpochDelta`]s directly
 //! ([`ShardedSnapshot::apply_epoch`]) — counters merge into rows in place,
@@ -40,7 +45,8 @@ use crate::snapshot::RefreshOutcome;
 use crate::view::SnapshotView;
 use rayon::prelude::*;
 
-/// Per-row refresh diff: `(global row, old rater indices, new rater indices)`.
+/// Per-row refresh diff: `(global row, old frequent raters, new frequent
+/// raters)`, both ascending.
 type RowDiff = (u32, Vec<u32>, Vec<u32>);
 
 /// One epoch-delta entry with ids resolved to dense indices:
@@ -75,7 +81,7 @@ fn rows_per_shard_for(n: usize, target: usize) -> usize {
 }
 
 /// Merge the ascending ratee indices of one rater's `(rater, ratee)` edge
-/// run into the rater's ascending adjacency list, in place, with one
+/// run into the rater's ascending frequent-ratee list, in place, with one
 /// backward two-pointer pass — every element moves at most once, against
 /// the O(len) memmove a per-edge `Vec::insert` pays. Values already
 /// present are skipped, so the result matches per-edge sorted insertion.
@@ -118,8 +124,9 @@ fn merge_sorted_into(list: &mut Vec<u32>, run: &[(u32, u32)]) {
 
 /// Reusable buffers of [`Shard::rebuild_with`]: the spare arena epoch
 /// merges write into and swap (so steady-state closes never allocate), and
-/// the new-edge list of the last merge. Scratch, not state — a clone of a
-/// shard starts with none, so freezing a snapshot copies each arena once.
+/// the newly frequent edges of the last merge. Scratch, not state — a clone
+/// of a shard starts with none, so freezing a snapshot copies each arena
+/// once.
 #[derive(Debug, Default)]
 struct MergeScratch {
     /// Spare CSR offsets.
@@ -128,9 +135,9 @@ struct MergeScratch {
     cols: Vec<u32>,
     /// Spare counter arena.
     cells: Vec<PairCounters>,
-    /// Brand-new `(rater, ratee row)` edges of the last merge, for the
-    /// reverse-adjacency fix-up (cleared per merge).
-    new_edges: Vec<(u32, u32)>,
+    /// `(rater, ratee row)` edges whose cell crossed `T_N` in the last
+    /// merge, for the frequent reverse index (cleared per merge).
+    new_frequent: Vec<(u32, u32)>,
 }
 
 impl Clone for MergeScratch {
@@ -170,7 +177,7 @@ struct Shard {
     freq: Option<Vec<(u64, i64)>>,
     /// Cell count with overlays resolved.
     nnz: usize,
-    /// Double-buffer and edge list of the epoch merge.
+    /// Double-buffer and newly frequent edges of the epoch merge.
     scratch: MergeScratch,
 }
 
@@ -242,6 +249,16 @@ impl Shard {
         (count, signed)
     }
 
+    /// Rater indices of the row's frequent cells (`total ≥ t_n`), ascending.
+    /// The row's aggregate count is the sum of exactly those cells' totals
+    /// (each ≥ 1), so a zero count answers "none" without reading a cell.
+    fn frequent_raters(&self, local: usize, t_n: Option<u64>) -> impl Iterator<Item = u32> + '_ {
+        let t_n = t_n.filter(|_| self.freq.as_ref().is_some_and(|f| f[local].0 > 0));
+        let (cols, cells) = t_n.map_or((&[][..], &[][..]), |_| self.row(local));
+        let min = t_n.unwrap_or(u64::MAX);
+        cols.iter().zip(cells).filter(move |(_, c)| c.total >= min).map(|(&j, _)| j)
+    }
+
     /// Materialize overlays back into a packed arena.
     fn compact(&mut self) {
         if self.patched_rows == 0 {
@@ -278,17 +295,18 @@ impl Shard {
     ///
     /// Untouched row *ranges* are bulk-copied (`extend_from_slice`, no
     /// per-cell work); touched rows two-pointer-merge against their entry
-    /// group. Totals and frequent aggregates update in place, brand-new
-    /// `(rater, row)` edges are recorded in [`MergeScratch::new_edges`] for the
-    /// caller's reverse-adjacency fix-up. After the first few epochs the
-    /// spare arenas have grown to capacity and the merge allocates
-    /// nothing. Requires an empty overlay (`compact` first).
+    /// group. Totals and frequent aggregates update in place; a cell that
+    /// crosses `T_N` (the same comparison the aggregate delta makes) is
+    /// recorded in [`MergeScratch::new_frequent`] for the caller's reverse
+    /// index. Counters only grow, so no cell ever crosses back. After the
+    /// first few epochs the spare arenas have grown to capacity and the
+    /// merge allocates nothing. Requires an empty overlay (`compact` first).
     fn rebuild_with(&mut self, entries: &[IdxEntry], freq_t_n: Option<u64>) {
         debug_assert_eq!(self.patched_rows, 0, "rebuild_with requires a compacted shard");
         // `u64::MAX` sentinel keeps the merge loop branch-simple when the
         // snapshot tracks no frequent aggregates (no cell ever qualifies).
         let freq_min = freq_t_n.unwrap_or(u64::MAX);
-        self.scratch.new_edges.clear();
+        self.scratch.new_frequent.clear();
         let mut offs = std::mem::take(&mut self.scratch.offsets);
         let mut cols = std::mem::take(&mut self.scratch.cols);
         let mut cells = std::mem::take(&mut self.scratch.cells);
@@ -353,13 +371,17 @@ impl Shard {
                     let old = src_cells[a];
                     let mut c = old;
                     c.merge(&d);
-                    if old.total >= freq_min {
+                    let was_frequent = old.total >= freq_min;
+                    if was_frequent {
                         dfreq_count -= old.total as i64;
                         dfreq_signed -= old.signed();
                     }
                     if c.total >= freq_min {
                         dfreq_count += c.total as i64;
                         dfreq_signed += c.signed();
+                        if !was_frequent {
+                            self.scratch.new_frequent.push((r, g));
+                        }
                     }
                     cells.push(c);
                     a += 1;
@@ -367,9 +389,9 @@ impl Shard {
                     if d.total >= freq_min {
                         dfreq_count += d.total as i64;
                         dfreq_signed += d.signed();
+                        self.scratch.new_frequent.push((r, g));
                     }
                     cells.push(d);
-                    self.scratch.new_edges.push((r, g));
                 }
             }
             cols.extend_from_slice(&src_cols[a..e]);
@@ -424,14 +446,16 @@ pub struct ShardedSnapshot {
     target_shards: usize,
     /// The shards, ascending by row range.
     shards: Vec<Shard>,
-    /// `rev_adj[j]` = global ratee indices `j` has rated, ascending. No
+    /// `freq_rev[j]` = global ratee indices `i` with `cell(i, j).total ≥
+    /// T_N`, ascending; every list is empty when `freq_t_n` is `None`. No
     /// counters — pair probes go through the ratee's forward row.
-    rev_adj: Vec<Vec<u32>>,
-    /// `T_N` the per-shard frequent aggregates were computed for, if any.
+    freq_rev: Vec<Vec<u32>>,
+    /// `T_N` the per-shard frequent aggregates and the frequent reverse
+    /// index were computed for, if any.
     freq_t_n: Option<u64>,
     /// Reusable id→index resolution scratch for [`ShardedSnapshot::apply_epoch`].
     apply_idx: Vec<IdxEntry>,
-    /// Reusable `(rater, ratee)` scratch for the reverse-adjacency fix-up.
+    /// Reusable `(rater, ratee)` scratch for the frequent reverse index.
     fixup_edges: Vec<(u32, u32)>,
 }
 
@@ -444,7 +468,8 @@ impl ShardedSnapshot {
     }
 
     /// [`ShardedSnapshot::build`] plus eager per-shard frequent aggregates
-    /// for `t_n` (the extended detection policy).
+    /// and the frequent reverse index for `t_n` (the epoch engine's
+    /// frequency-first candidate fan, and the extended detection policy).
     pub fn build_with_frequent(
         history: &InteractionHistory,
         nodes: &[NodeId],
@@ -519,14 +544,15 @@ impl ShardedSnapshot {
             })
             .collect();
 
-        // Reverse adjacency: ascending global row walk keeps each rater's
-        // ratee list sorted without an explicit sort.
-        let mut rev_adj: Vec<Vec<u32>> = (0..n).map(|_| Vec::new()).collect();
+        // Frequent reverse index: the ascending global row walk keeps each
+        // rater's list sorted without an explicit sort, and a row without
+        // frequent cells is skipped on its aggregate alone.
+        let mut freq_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
         for shard in &shards {
             for local in 0..shard.rows {
                 let g = shard.base + local as u32;
-                for &j in shard.row(local).0 {
-                    rev_adj[j as usize].push(g);
+                for j in shard.frequent_raters(local, freq_t_n) {
+                    freq_rev[j as usize].push(g);
                 }
             }
         }
@@ -537,7 +563,7 @@ impl ShardedSnapshot {
             rows_per_shard,
             target_shards,
             shards,
-            rev_adj,
+            freq_rev,
             freq_t_n,
             apply_idx: Vec::new(),
             fixup_edges: Vec::new(),
@@ -563,11 +589,29 @@ impl ShardedSnapshot {
         self.shards.iter().map(|s| s.patched_rows).sum()
     }
 
-    /// Global ratee indices `rater` has rated, ascending — the reverse
-    /// adjacency used to enumerate verdicts a reputation flip can affect.
+    /// The `T_N` this snapshot keeps frequent aggregates and the frequent
+    /// reverse index for, if it was built with one.
     #[inline]
-    pub fn ratees_of(&self, rater: u32) -> &[u32] {
-        &self.rev_adj[rater as usize]
+    pub fn frequent_t_n(&self) -> Option<u64> {
+        self.freq_t_n
+    }
+
+    /// Global ratee indices holding a frequent cell (`total ≥ T_N`) from
+    /// `rater`, ascending — the rows whose verdict with `rater` a flip of
+    /// `rater`'s reputation can open. Empty without a `T_N`.
+    #[inline]
+    pub fn frequent_ratees_of(&self, rater: u32) -> &[u32] {
+        &self.freq_rev[rater as usize]
+    }
+
+    /// Global rater indices whose cell in `ratee`'s row is frequent
+    /// (`total ≥ T_N`), ascending. A row whose frequent aggregate count is
+    /// zero yields nothing without its cells being read. Empty without a
+    /// `T_N`.
+    #[inline]
+    pub fn frequent_raters_of(&self, ratee: u32) -> impl Iterator<Item = u32> + '_ {
+        let shard = self.shard_of(ratee);
+        shard.frequent_raters((ratee - shard.base) as usize, self.freq_t_n)
     }
 
     /// Iterate the per-shard structure-of-arrays totals columns, ascending
@@ -627,7 +671,8 @@ impl ShardedSnapshot {
         let index = &self.index;
         let freq_t_n = self.freq_t_n;
         // Each shard rebuilds its dirty rows independently and reports the
-        // (row, old raters, new raters) diffs for the adjacency fix-up.
+        // (row, old frequent raters, new frequent raters) diffs for the
+        // frequent reverse index.
         let diffs: Vec<Vec<RowDiff>> = self
             .shards
             .par_iter_mut()
@@ -637,7 +682,7 @@ impl ShardedSnapshot {
                 for g in gs {
                     let local = (g - shard.base) as usize;
                     let id = nodes[g as usize];
-                    let old_cols = shard.row(local).0.to_vec();
+                    let old_freq: Vec<u32> = shard.frequent_raters(local, freq_t_n).collect();
                     let mut new_row: Vec<(u32, PairCounters)> = history
                         .raters_of(id)
                         .iter()
@@ -646,7 +691,7 @@ impl ShardedSnapshot {
                     new_row.sort_unstable_by_key(|e| e.0);
                     let new_cols: Vec<u32> = new_row.iter().map(|e| e.0).collect();
                     let new_cells: Vec<PairCounters> = new_row.iter().map(|e| e.1).collect();
-                    shard.set_row(local, new_cols.clone(), new_cells);
+                    shard.set_row(local, new_cols, new_cells);
                     shard.set_totals(local, history.totals(id));
                     if let Some(t_n) = freq_t_n {
                         let agg = shard.row_freq(local, t_n);
@@ -654,25 +699,25 @@ impl ShardedSnapshot {
                             f[local] = agg;
                         }
                     }
-                    out.push((g, old_cols, new_cols));
+                    out.push((g, old_freq, shard.frequent_raters(local, freq_t_n).collect()));
                 }
                 shard.maybe_compact();
                 out
             })
             .collect();
 
-        for (g, old_cols, new_cols) in diffs.into_iter().flatten() {
-            for &j in &new_cols {
-                if old_cols.binary_search(&j).is_err() {
-                    let list = &mut self.rev_adj[j as usize];
+        for (g, old_freq, new_freq) in diffs.into_iter().flatten() {
+            for &j in &new_freq {
+                if old_freq.binary_search(&j).is_err() {
+                    let list = &mut self.freq_rev[j as usize];
                     if let Err(pos) = list.binary_search(&g) {
                         list.insert(pos, g);
                     }
                 }
             }
-            for &j in &old_cols {
-                if new_cols.binary_search(&j).is_err() {
-                    let list = &mut self.rev_adj[j as usize];
+            for &j in &old_freq {
+                if new_freq.binary_search(&j).is_err() {
+                    let list = &mut self.freq_rev[j as usize];
                     if let Ok(pos) = list.binary_search(&g) {
                         list.remove(pos);
                     }
@@ -686,8 +731,8 @@ impl ShardedSnapshot {
 
     /// Merge one closed epoch's counter delta into the shards, without any
     /// backing history. Counters add cell-wise (LSM-style), totals and
-    /// frequent aggregates update per touched row, new (rater, ratee) edges
-    /// enter the reverse adjacency.
+    /// frequent aggregates update per touched row, (rater, ratee) edges
+    /// whose cell crossed `T_N` enter the frequent reverse index.
     ///
     /// The merge is a shard-parallel **arena rebuild**: ids resolve to
     /// dense indices once (reusable scratch), each touched shard rewrites
@@ -744,15 +789,16 @@ impl ShardedSnapshot {
             shard.rebuild_with(&idx_ref[lo..hi], freq_t_n);
         });
 
-        // Serial reverse-adjacency fix-up from the per-shard new edges.
-        // Gathered and sorted by rater so each touched list is extended by
-        // ONE backward in-place merge instead of a `Vec::insert` (and its
-        // memmove) per edge — the per-rater edge runs arrive sorted and a
-        // rater's list is touched exactly once, so the resulting lists are
-        // identical to per-edge sorted insertion.
+        // Serial frequent-reverse-index fix-up from the per-shard newly
+        // frequent edges (usually none). Gathered and sorted by rater so
+        // each touched list is extended by ONE backward in-place merge
+        // instead of a `Vec::insert` (and its memmove) per edge — the
+        // per-rater edge runs arrive sorted and a rater's list is touched
+        // exactly once, so the resulting lists are identical to per-edge
+        // sorted insertion.
         self.fixup_edges.clear();
         for shard in &self.shards {
-            self.fixup_edges.extend_from_slice(&shard.scratch.new_edges);
+            self.fixup_edges.extend_from_slice(&shard.scratch.new_frequent);
         }
         self.fixup_edges.sort_unstable();
         let mut e = 0usize;
@@ -762,7 +808,7 @@ impl ShardedSnapshot {
             while e_end < self.fixup_edges.len() && self.fixup_edges[e_end].0 == j {
                 e_end += 1;
             }
-            merge_sorted_into(&mut self.rev_adj[j as usize], &self.fixup_edges[e..e_end]);
+            merge_sorted_into(&mut self.freq_rev[j as usize], &self.fixup_edges[e..e_end]);
             e = e_end;
         }
 
@@ -868,16 +914,16 @@ impl ShardedSnapshot {
             shard
         });
 
-        let old_rev = std::mem::take(&mut self.rev_adj);
-        let mut rev_adj: Vec<Vec<u32>> = (0..n).map(|_| Vec::new()).collect();
-        for (oj, list) in old_rev.into_iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
+        let old_rev = std::mem::take(&mut self.freq_rev);
+        let mut freq_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (oj, mut list) in old_rev.into_iter().enumerate() {
             // The remap is strictly monotone, so remapped lists stay sorted.
-            rev_adj[remap[oj] as usize] = list.into_iter().map(|g| remap[g as usize]).collect();
+            for g in &mut list {
+                *g = remap[*g as usize];
+            }
+            freq_rev[remap[oj] as usize] = list;
         }
-        self.rev_adj = rev_adj;
+        self.freq_rev = freq_rev;
         remap
     }
 }
@@ -980,8 +1026,30 @@ mod tests {
         }
     }
 
+    /// The frequent reverse index and the per-row frequent-rater walk both
+    /// equal the brute-force `{(j → i) : cell(i, j).total ≥ t_n}` over the
+    /// forward rows (nothing at all for a snapshot built without a `T_N`).
+    fn assert_frequent_index_exact(sharded: &ShardedSnapshot) {
+        let n = SnapshotView::n(sharded);
+        let mut brute: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for i in 0..n as u32 {
+            let (cols, cells) = SnapshotView::row(sharded, i);
+            let mut raters = Vec::new();
+            for (&j, c) in cols.iter().zip(cells) {
+                if sharded.frequent_t_n().is_some_and(|t_n| c.total >= t_n) {
+                    brute[j as usize].push(i);
+                    raters.push(j);
+                }
+            }
+            assert_eq!(sharded.frequent_raters_of(i).collect::<Vec<_>>(), raters, "raters of {i}");
+        }
+        for j in 0..n as u32 {
+            assert_eq!(sharded.frequent_ratees_of(j), &brute[j as usize][..], "ratees of {j}");
+        }
+    }
+
     /// Both views agree on every probe the detectors make, and the sharded
-    /// reverse adjacency inverts the forward rows exactly.
+    /// frequent reverse index matches the forward rows exactly.
     fn assert_views_equal(sharded: &ShardedSnapshot, mono: &DetectionSnapshot) {
         assert_eq!(SnapshotView::n(sharded), SnapshotView::n(mono));
         assert_eq!(SnapshotView::nodes(sharded), SnapshotView::nodes(mono));
@@ -999,19 +1067,9 @@ mod tests {
                     SnapshotView::pair(mono, j, idx),
                     "pair {j}->{idx}"
                 );
-                assert!(sharded.ratees_of(j).binary_search(&idx).is_ok(), "rev_adj missing");
             }
         }
-        for j in 0..SnapshotView::n(sharded) as u32 {
-            let ratees = sharded.ratees_of(j);
-            assert!(ratees.windows(2).all(|w| w[0] < w[1]), "rev_adj of {j} not sorted");
-            for &i in ratees {
-                assert!(
-                    SnapshotView::row(sharded, i).0.binary_search(&j).is_ok(),
-                    "rev_adj phantom edge {j}->{i}"
-                );
-            }
-        }
+        assert_frequent_index_exact(sharded);
     }
 
     #[test]
@@ -1024,6 +1082,11 @@ mod tests {
             let sharded = ShardedSnapshot::build(&h, &nodes, target);
             assert!(sharded.n_shards() <= target.max(1));
             assert_views_equal(&sharded, &mono);
+            // without a T_N there is no frequent index at all
+            assert!((0..30).all(|j| sharded.frequent_ratees_of(j).is_empty()));
+            let frequent = ShardedSnapshot::build_with_frequent(&h, &nodes, target, 2);
+            assert!((0..30).any(|j| !frequent.frequent_ratees_of(j).is_empty()));
+            assert_views_equal(&frequent, &mono);
         }
     }
 
@@ -1032,7 +1095,7 @@ mod tests {
         let mut h = InteractionHistory::new();
         record_all(&mut h, &pseudo_ratings(21, 24, 400));
         let nodes: Vec<NodeId> = (0..24).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build(&h, &nodes, 5);
+        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 5, 2);
         h.take_dirty();
         for round in 0..8u64 {
             record_all(&mut h, &pseudo_ratings(100 + round, 24, 20));
@@ -1085,7 +1148,7 @@ mod tests {
         let base = pseudo_ratings(11, 20, 300);
         record_all(&mut h, &base);
         let nodes: Vec<NodeId> = (0..20).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build(&h, &nodes, 6);
+        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 6, 2);
         let mut buf = EpochBuffer::new();
         for round in 0..5u64 {
             let epoch = pseudo_ratings(700 + round, 20, 50);
@@ -1106,7 +1169,7 @@ mod tests {
         record_all(&mut h, &pseudo_ratings(13, 10, 120));
         // leave gaps so the new ids land between existing ones
         let nodes: Vec<NodeId> = (0..20).step_by(2).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build(&h, &nodes, 3);
+        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 3, 2);
         let old_nodes: Vec<NodeId> = SnapshotView::nodes(&sharded).to_vec();
         let mut buf = EpochBuffer::new();
         let extra = [
@@ -1153,6 +1216,87 @@ mod tests {
             );
         }
         assert_eq!(SnapshotView::frequent_agg(&sharded, 19, 0), None);
+    }
+
+    /// Every way an edge enters or leaves the frequent reverse index, with
+    /// the expected lists spelled out (ids are dense indices here until the
+    /// re-interning step) and the brute-force check after each step.
+    #[test]
+    fn frequent_reverse_index_tracks_every_crossing() {
+        const T_N: u64 = 3;
+        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
+        let mut h = InteractionHistory::new();
+        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 3, T_N);
+        let mut buf = EpochBuffer::new();
+        let mut t = 0u64;
+        let mut close = |sharded: &mut ShardedSnapshot,
+                         h: &mut InteractionHistory,
+                         edges: &[(u64, u64, u64)]| {
+            for &(rater, ratee, times) in edges {
+                for _ in 0..times {
+                    let r = Rating::positive(NodeId(rater), NodeId(ratee), SimTime(t));
+                    t += 1;
+                    buf.record(r);
+                    h.record(r);
+                }
+            }
+            sharded.apply_epoch(&buf.drain(), 2);
+            assert_frequent_index_exact(sharded);
+        };
+        // a brand-new cell already at T_N enters; one below it does not
+        close(&mut sharded, &mut h, &[(1, 4, 3), (1, 2, 2), (5, 4, 1)]);
+        assert_eq!(sharded.frequent_ratees_of(1), &[4]);
+        assert!(sharded.frequent_ratees_of(5).is_empty());
+        // an existing cell crosses by merge, in a row before the one held
+        close(&mut sharded, &mut h, &[(1, 2, 1)]);
+        assert_eq!(sharded.frequent_ratees_of(1), &[2, 4]);
+        // a cell that only crosses two epochs after it appeared
+        close(&mut sharded, &mut h, &[(5, 4, 1)]);
+        assert!(sharded.frequent_ratees_of(5).is_empty());
+        close(&mut sharded, &mut h, &[(5, 4, 1)]);
+        assert_eq!(sharded.frequent_ratees_of(5), &[4]);
+        // an already-frequent cell growing is not inserted twice
+        close(&mut sharded, &mut h, &[(1, 4, 5), (1, 2, 1)]);
+        assert_eq!(sharded.frequent_ratees_of(1), &[2, 4]);
+        assert_eq!(sharded.frequent_raters_of(4).collect::<Vec<_>>(), [1, 5]);
+
+        // re-interning: a fresh id 7 lands between the held ids 0..6 and
+        // 10..16, so entries of and about the upper block shift by one
+        let upper: Vec<NodeId> = (10..16).map(NodeId).collect();
+        for _ in 0..T_N {
+            h.record(Rating::positive(NodeId(14), NodeId(11), SimTime(t)));
+        }
+        let mut wide = ShardedSnapshot::build_with_frequent(&h, &upper, 3, T_N);
+        let index = |snap: &ShardedSnapshot, id| SnapshotView::index(snap, NodeId(id)).expect("id");
+        assert_eq!(wide.frequent_ratees_of(index(&wide, 14)), &[index(&wide, 11)]);
+        let (i5, i10) = (index(&wide, 5) as usize, index(&wide, 10) as usize);
+        for _ in 0..T_N {
+            buf.record(Rating::positive(NodeId(12), NodeId(7), SimTime(t)));
+            buf.record(Rating::positive(NodeId(7), NodeId(12), SimTime(t)));
+        }
+        let remap = wide.apply_epoch(&buf.drain(), 2).expect("fresh id must remap");
+        assert_eq!(remap[i5] as usize, i5, "the lower block stays");
+        assert_eq!(remap[i10] as usize, i10 + 1, "the upper block shifts by one");
+        assert_eq!(wide.frequent_ratees_of(index(&wide, 1)), &[index(&wide, 2), index(&wide, 4)]);
+        assert_eq!(wide.frequent_ratees_of(index(&wide, 14)), &[index(&wide, 11)]);
+        assert_eq!(wide.frequent_ratees_of(index(&wide, 7)), &[index(&wide, 12)]);
+        assert_eq!(wide.frequent_ratees_of(index(&wide, 12)), &[index(&wide, 7)]);
+        assert_frequent_index_exact(&wide);
+
+        // refresh: row 4 loses rater 5 and gains rater 0 against a history
+        // that says so; row 2 is dirty but keeps its frequent rater
+        let mut other = InteractionHistory::new();
+        for (rater, ratee, times) in [(1u64, 4u64, 8u64), (0, 4, 4), (5, 4, 2), (1, 2, 4)] {
+            for _ in 0..times {
+                other.record(Rating::positive(NodeId(rater), NodeId(ratee), SimTime(0)));
+            }
+        }
+        let outcome = sharded.refresh(&other, &[NodeId(4), NodeId(2)]);
+        assert_eq!(outcome, RefreshOutcome::Patched(2));
+        assert_eq!(sharded.frequent_ratees_of(0), &[4]);
+        assert_eq!(sharded.frequent_ratees_of(1), &[2, 4]);
+        assert!(sharded.frequent_ratees_of(5).is_empty());
+        assert_frequent_index_exact(&sharded);
     }
 
     #[test]

@@ -126,40 +126,75 @@ proptest! {
 
     /// The epoch engine's standing suspect set after each close equals a
     /// full detector pass over the same cumulative ratings, for arbitrary
-    /// epoch boundaries.
+    /// epoch boundaries — under all four policies and both kernels, with
+    /// `T_N` small enough that frequent cells are common (and 0, where an
+    /// absent cell is frequent), and with fresh node ids arriving
+    /// mid-stream (ids above `N` re-intern the snapshot).
     #[test]
     fn epoch_engine_matches_full_pass(
-        epochs in prop::collection::vec(ratings_strategy(150), 1..5),
+        epochs in prop::collection::vec(
+            (ratings_strategy(150), prop::collection::vec((1..=N + 6, 1..=N + 6), 0..8)),
+            1..5,
+        ),
         shards in 1usize..=8,
         prune in any::<bool>(),
+        t_n in prop_oneof![Just(0u64), Just(2u64), Just(3u64)],
+        // (T_R, T_b): the usual pair, and one loose enough that a never-rated
+        // stranger is high on arrival and a direction can hold on few ratings
+        loose in any::<bool>(),
     ) {
-        let t = thresholds();
+        let (t_r, t_b) = if loose { (-1.0, 0.7) } else { (1.0, 0.4) };
+        let t = Thresholds::new(t_r, t_n, 0.8, t_b);
         let nodes = nodes();
-        let mut engine = EpochEngine::new(
-            &nodes,
-            shards,
-            EpochMethod::Optimized,
-            t,
-            DetectionPolicy::STRICT,
-            prune,
-        );
-        let mut h = InteractionHistory::new();
-        for batch in &epochs {
-            for r in batch {
-                engine.record(*r);
-                h.record(*r);
+        let mut engines = Vec::new();
+        for require_mutual in [true, false] {
+            for community_excludes_frequent in [true, false] {
+                let policy = DetectionPolicy { require_mutual, community_excludes_frequent };
+                for method in [EpochMethod::Basic, EpochMethod::Optimized] {
+                    engines.push((
+                        policy,
+                        method,
+                        EpochEngine::new(&nodes, shards, method, t, policy, prune),
+                    ));
+                }
             }
-            let report = engine.close_epoch();
-            let mono = DetectionSnapshot::build(&h, &nodes);
-            let expect = OptimizedDetector::new(t)
-                .detect_snapshot(&SnapshotInput::from_signed(&mono, &nodes));
-            prop_assert_eq!(report.pairs, expect.pairs);
+        }
+        let mut h = InteractionHistory::new();
+        for (batch, strangers) in &epochs {
+            let arrivals = strangers
+                .iter()
+                .map(|&(a, b)| Rating::new(NodeId(a), NodeId(b), RatingValue::Positive, SimTime(0)));
+            for r in batch.iter().copied().chain(arrivals) {
+                h.record(r);
+                for (_, _, engine) in &mut engines {
+                    engine.record(r);
+                }
+            }
+            for (policy, method, engine) in &mut engines {
+                let report = engine.close_epoch();
+                let mono = if policy.community_excludes_frequent {
+                    DetectionSnapshot::build_with_frequent(&h, &nodes, t.t_n)
+                } else {
+                    DetectionSnapshot::build(&h, &nodes)
+                };
+                // every interned id is examined, strangers included
+                let input = SnapshotInput::from_signed(&mono, mono.nodes());
+                let expect = match method {
+                    EpochMethod::Basic => {
+                        BasicDetector::with_policy(t, *policy).detect_snapshot(&input)
+                    }
+                    EpochMethod::Optimized => {
+                        OptimizedDetector::with_policy(t, *policy).detect_snapshot(&input)
+                    }
+                };
+                prop_assert_eq!(&report.pairs, &expect.pairs, "{:?} {:?}", policy, method);
+            }
         }
     }
 }
 
 /// Probe-level equality of two sharded snapshots: interning, every forward
-/// row, totals, reverse adjacency and patched-row count must all agree.
+/// row, totals, frequent reverse index and patched-row count must all agree.
 fn assert_sharded_eq(a: &ShardedSnapshot, b: &ShardedSnapshot) {
     prop_assert_eq!(a.n(), b.n());
     prop_assert_eq!(a.nodes(), b.nodes());
@@ -171,7 +206,12 @@ fn assert_sharded_eq(a: &ShardedSnapshot, b: &ShardedSnapshot) {
         prop_assert_eq!(ac, bc, "row cols @ {}", idx);
         prop_assert_eq!(av, bv, "row cells @ {}", idx);
         prop_assert_eq!(a.totals_of(idx), b.totals_of(idx), "totals @ {}", idx);
-        prop_assert_eq!(a.ratees_of(idx), b.ratees_of(idx), "rev adj @ {}", idx);
+        prop_assert_eq!(
+            a.frequent_ratees_of(idx),
+            b.frequent_ratees_of(idx),
+            "frequent ratees @ {}",
+            idx
+        );
     }
 }
 
@@ -206,7 +246,8 @@ proptest! {
         for r in &base {
             h.record(*r);
         }
-        let mut oracle = ShardedSnapshot::build(&h, &nodes, shards);
+        // with a T_N, so the frequent reverse index has entries to compare
+        let mut oracle = ShardedSnapshot::build_with_frequent(&h, &nodes, shards, 2);
         h.clear_dirty();
         for wave in &waves {
             for r in wave {
