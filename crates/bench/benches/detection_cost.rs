@@ -1,8 +1,7 @@
 //! Figure 13 kernel: Basic (`O(m·n²)`) vs Optimized (`O(m·n)`) detection
 //! cost as the number of colluders grows — HashMap-backed inputs vs the
-//! CSR [`DetectionSnapshot`] kernels, plus full-rebuild vs incremental
-//! refresh. For machine-readable numbers (BENCH_detection.json) run the
-//! `detection_json` binary instead.
+//! CSR [`ShardedSnapshot`] kernels, plus full-rebuild vs incremental
+//! refresh.
 
 use collusion_core::basic::BasicDetector;
 use collusion_core::input::{DetectionInput, SnapshotInput};
@@ -11,7 +10,7 @@ use collusion_core::prelude::Thresholds;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::{Rating, RatingValue};
-use collusion_reputation::snapshot::DetectionSnapshot;
+use collusion_reputation::sharded::ShardedSnapshot;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -63,10 +62,6 @@ fn bench_detection(c: &mut Criterion) {
             let det = BasicDetector::new(thresholds);
             bench.iter(|| black_box(det.detect(black_box(input))));
         });
-        group.bench_with_input(BenchmarkId::new("basic_par", colluders), &input, |bench, input| {
-            let det = BasicDetector::new(thresholds);
-            bench.iter(|| black_box(det.detect_par(black_box(input))));
-        });
         group.bench_with_input(BenchmarkId::new("optimized", colluders), &input, |bench, input| {
             let det = OptimizedDetector::new(thresholds);
             bench.iter(|| black_box(det.detect(black_box(input))));
@@ -74,7 +69,7 @@ fn bench_detection(c: &mut Criterion) {
         // snapshot variants: the CSR view is built once per detection pass,
         // so it lives outside the timed loop (the refresh group below times
         // the build itself)
-        let snap = DetectionSnapshot::build_with_frequent(&h, &nodes, thresholds.t_n);
+        let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds.t_n);
         let sinput = SnapshotInput::from_signed(&snap, &nodes);
         group.bench_with_input(
             BenchmarkId::new("basic_snapshot", colluders),
@@ -92,14 +87,6 @@ fn bench_detection(c: &mut Criterion) {
                 bench.iter(|| black_box(det.detect_snapshot(black_box(input))));
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("optimized_snapshot_par", colluders),
-            &sinput,
-            |bench, input| {
-                let det = OptimizedDetector::new(thresholds);
-                bench.iter(|| black_box(det.detect_par(black_box(input))));
-            },
-        );
     }
     group.finish();
 }
@@ -111,7 +98,7 @@ fn bench_snapshot_refresh(c: &mut Criterion) {
     let n = 2000u64;
     let (mut h, nodes) = build_history(n, 58, 42);
     h.clear_dirty();
-    let base = DetectionSnapshot::build_with_frequent(&h, &nodes, thresholds.t_n);
+    let base = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds.t_n);
     // dirty ~2% of the ratees with one extra rating each
     let mut rng = SmallRng::seed_from_u64(7);
     for t in 10_000_000u64..10_000_000 + n / 50 {
@@ -127,9 +114,10 @@ fn bench_snapshot_refresh(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot_refresh");
     group.bench_function(BenchmarkId::new("full_build", n), |bench| {
         bench.iter(|| {
-            black_box(DetectionSnapshot::build_with_frequent(
+            black_box(ShardedSnapshot::build_with_frequent(
                 black_box(&h),
                 black_box(&nodes),
+                1,
                 thresholds.t_n,
             ))
         });

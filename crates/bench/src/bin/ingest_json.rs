@@ -9,8 +9,9 @@
 //! `n ∈ {20 000, 100 000}` through:
 //!
 //! * the serial **baseline** — a [`DurableEngine`] folding every rating on
-//!   the caller's thread: one WAL `write(2)` per record, an fsync every 64
-//!   records, detection inline at every close;
+//!   the caller's thread: buffered WAL appends under
+//!   [`SyncPolicy::ASYNC_DEFAULT`] (the fsync runs on the group-commit
+//!   thread), detection inline at every close;
 //! * the staged [`PipelinedEngine`] at **1..8 producer threads** — sharded
 //!   lock-striped intake, batched WAL appends on a dedicated stage thread,
 //!   group-commit fsync at epoch closes, merge and detect stages overlapped

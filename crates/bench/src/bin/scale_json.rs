@@ -1,4 +1,4 @@
-//! Scale benchmark: monolithic vs sharded detection kernels, full-pass vs
+//! Scale benchmark: the sharded detection kernels, full-pass vs
 //! epoch-incremental, across population sizes (`BENCH_scale.json`).
 //!
 //! ```text
@@ -8,10 +8,10 @@
 //! The full grid runs `n ∈ {200, 2 000, 20 000, 100 000}` over the seeded
 //! [`ScaleConfig`] trace and reports, per point:
 //!
-//! * build / refresh / detect wall-clock medians for the monolithic
-//!   [`DetectionSnapshot`] and the [`ShardedSnapshot`],
+//! * build / refresh / detect wall-clock medians for the
+//!   [`ShardedSnapshot`],
 //! * the Formula (2) band-pruned pass with its skip counters,
-//! * the [`EpochEngine`]'s median epoch-close time against the monolithic
+//! * the [`EpochEngine`]'s median epoch-close time against the full-pass
 //!   "refresh + full detect" period, and the derived speedup,
 //! * resident-set sizes from `/proc/self/status`.
 //!
@@ -31,7 +31,6 @@ use collusion_core::prelude::Thresholds;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::sharded::ShardedSnapshot;
-use collusion_reputation::snapshot::DetectionSnapshot;
 use collusion_trace::scale::ScaleConfig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -88,12 +87,9 @@ struct GridPoint {
     engine_candidates: u64,
     engine_checked: u64,
     engine_pruned: u64,
-    build_monolithic_ns: u128,
     build_sharded_ns: u128,
-    detect_monolithic_ns: u128,
     detect_sharded_ns: u128,
     detect_pruned_ns: u128,
-    refresh_monolithic_ns: u128,
     refresh_sharded_ns: u128,
     epoch_close_median_ns: u128,
     full_pass_median_ns: u128,
@@ -117,47 +113,33 @@ fn run_point(n: u64, iters: usize, epochs: usize) -> GridPoint {
     history.clear_dirty();
 
     // builds
-    let build_monolithic_ns = median_ns(iters, || {
-        black_box(DetectionSnapshot::build(black_box(&history), black_box(&nodes)));
-    });
     let build_sharded_ns = median_ns(iters, || {
         black_box(ShardedSnapshot::build(black_box(&history), black_box(&nodes), shards));
     });
-    let mono = DetectionSnapshot::build(&history, &nodes);
     let shard = ShardedSnapshot::build(&history, &nodes, shards);
 
-    // full-pass detects: monolithic, sharded, band-pruned — identical sets
-    let input_mono = SnapshotInput::from_signed(&mono, &nodes);
+    // full-pass detects: plain and band-pruned — identical sets
     let input_shard = SnapshotInput::from_signed(&shard, &nodes);
-    let detect_monolithic_ns = median_ns(iters, || {
-        black_box(det.detect_snapshot(black_box(&input_mono)));
-    });
     let detect_sharded_ns = median_ns(iters, || {
         black_box(det.detect_snapshot(black_box(&input_shard)));
     });
     let detect_pruned_ns = median_ns(iters, || {
         black_box(det.detect_pruned(black_box(&input_shard)));
     });
-    let report_mono = det.detect_snapshot(&input_mono);
     let report_shard = det.detect_snapshot(&input_shard);
     let (report_pruned, prune) = det.detect_pruned(&input_shard);
     assert_eq!(
-        suspect_ids(&report_mono.pairs),
         suspect_ids(&report_shard.pairs),
-        "sharded detect diverged at n={n}"
-    );
-    assert_eq!(
-        suspect_ids(&report_mono.pairs),
         suspect_ids(&report_pruned.pairs),
         "band-pruned detect diverged at n={n}"
     );
     for (a, b) in cfg.planted_pairs() {
         assert!(
-            report_mono.pairs.iter().any(|p| p.ids() == (a, b)),
+            report_shard.pairs.iter().any(|p| p.ids() == (a, b)),
             "planted pair ({a},{b}) missed at n={n}"
         );
     }
-    let suspects = report_mono.pairs.len();
+    let suspects = report_shard.pairs.len();
 
     // refresh with ~1 % dirty ratees (background-shaped extra ratings)
     let mut s = SEED ^ 0xf5e5;
@@ -178,16 +160,6 @@ fn run_point(n: u64, iters: usize, epochs: usize) -> GridPoint {
         ));
     }
     let dirty: Vec<NodeId> = history.dirty_ratees().collect();
-    let refresh_monolithic_ns = median_of(
-        (0..iters)
-            .map(|_| {
-                let mut fresh = mono.clone();
-                let start = Instant::now();
-                black_box(fresh.refresh(black_box(&history), black_box(&dirty)));
-                start.elapsed().as_nanos()
-            })
-            .collect(),
-    );
     let refresh_sharded_ns = median_of(
         (0..iters)
             .map(|_| {
@@ -198,10 +170,9 @@ fn run_point(n: u64, iters: usize, epochs: usize) -> GridPoint {
             })
             .collect(),
     );
-    drop(mono);
     drop(shard);
 
-    // epoch-incremental vs monolithic full pass, over `epochs` closes
+    // epoch-incremental vs full pass (refresh + detect), over `epochs` closes
     let mut engine = EpochEngine::new(
         &nodes,
         shards,
@@ -210,25 +181,25 @@ fn run_point(n: u64, iters: usize, epochs: usize) -> GridPoint {
         DetectionPolicy::STRICT,
         true,
     );
-    let mut mono_hist = InteractionHistory::new();
-    let mut mono_snap = DetectionSnapshot::build(&mono_hist, &nodes);
-    mono_hist.clear_dirty();
+    let mut full_hist = InteractionHistory::new();
+    let mut full_snap = ShardedSnapshot::build(&full_hist, &nodes, shards);
+    full_hist.clear_dirty();
     let chunk = ratings.len().div_ceil(epochs);
     let mut close_times = Vec::with_capacity(epochs);
     let mut full_times = Vec::with_capacity(epochs);
     for batch in ratings.chunks(chunk) {
         for &r in batch {
             engine.record(r);
-            mono_hist.record(r);
+            full_hist.record(r);
         }
         let start = Instant::now();
         let incremental = engine.close_epoch();
         close_times.push(start.elapsed().as_nanos());
 
-        let dirty: Vec<NodeId> = mono_hist.take_dirty().into_iter().collect();
+        let dirty: Vec<NodeId> = full_hist.take_dirty().into_iter().collect();
         let start = Instant::now();
-        mono_snap.refresh(&mono_hist, &dirty);
-        let input = SnapshotInput::from_signed(&mono_snap, &nodes);
+        full_snap.refresh(&full_hist, &dirty);
+        let input = SnapshotInput::from_signed(&full_snap, &nodes);
         let full = det.detect_snapshot(&input);
         full_times.push(start.elapsed().as_nanos());
         assert_eq!(
@@ -249,12 +220,9 @@ fn run_point(n: u64, iters: usize, epochs: usize) -> GridPoint {
         engine_candidates: stats.candidates,
         engine_checked: stats.checked,
         engine_pruned: stats.pruned,
-        build_monolithic_ns,
         build_sharded_ns,
-        detect_monolithic_ns,
         detect_sharded_ns,
         detect_pruned_ns,
-        refresh_monolithic_ns,
         refresh_sharded_ns,
         epoch_close_median_ns: median_of(close_times),
         full_pass_median_ns: median_of(full_times),
@@ -295,12 +263,9 @@ fn json_point(p: &GridPoint, smoke: bool) -> String {
     } else {
         let speedup = p.full_pass_median_ns as f64 / p.epoch_close_median_ns.max(1) as f64;
         j.push_str(",\n");
-        j.push_str(&format!("      \"build_monolithic_ns\": {},\n", p.build_monolithic_ns));
         j.push_str(&format!("      \"build_sharded_ns\": {},\n", p.build_sharded_ns));
-        j.push_str(&format!("      \"detect_monolithic_ns\": {},\n", p.detect_monolithic_ns));
         j.push_str(&format!("      \"detect_sharded_ns\": {},\n", p.detect_sharded_ns));
         j.push_str(&format!("      \"detect_pruned_ns\": {},\n", p.detect_pruned_ns));
-        j.push_str(&format!("      \"refresh_monolithic_ns\": {},\n", p.refresh_monolithic_ns));
         j.push_str(&format!("      \"refresh_sharded_ns\": {},\n", p.refresh_sharded_ns));
         j.push_str(&format!("      \"epoch_close_median_ns\": {},\n", p.epoch_close_median_ns));
         j.push_str(&format!("      \"full_pass_median_ns\": {},\n", p.full_pass_median_ns));

@@ -29,7 +29,6 @@ use collusion_reputation::history::PairCounters;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
 use collusion_reputation::view::SnapshotView;
-use rayon::prelude::*;
 use std::collections::HashSet;
 
 /// The `O(m·n²)` row-scanning detector.
@@ -58,9 +57,7 @@ impl BasicDetector {
     /// and scans elements in each row from the left to the right": every
     /// column `j` of a high-reputed row `i` is inspected, whether or not
     /// `n_j` ever rated `n_i` — the matrix is dense. This is what makes the
-    /// method `O(m·n²)` and the Figure 13 cost curve what it is; the
-    /// [`BasicDetector::detect_par`] variant keeps the identical detection
-    /// predicate but iterates sparsely, as an engineering baseline.
+    /// method `O(m·n²)` and the Figure 13 cost curve what it is.
     pub fn detect(&self, input: &DetectionInput<'_>) -> DetectionReport {
         let meter = CostMeter::new();
         let high = input.high_reputed(&self.thresholds);
@@ -95,46 +92,11 @@ impl BasicDetector {
         DetectionReport::new(pairs, meter.snapshot())
     }
 
-    /// Rayon-parallel detection. Rows are examined concurrently without the
-    /// cross-row marking optimization, so metered cost is up to 2× the
-    /// sequential pass (each unordered pair may be examined from both
-    /// sides; [`crate::report::normalize_pairs`] deduplicates); the reported
-    /// pairs are identical and sorted before the report is built, so the
-    /// output ordering never depends on thread scheduling.
-    ///
-    /// Note the iteration is sparse (each row visits only its raters), so a
-    /// pair whose ratings flow in one direction only is reached from the
-    /// *ratee's* row — both rows must therefore examine their raters, not
-    /// just the lower-id side.
-    pub fn detect_par(&self, input: &DetectionInput<'_>) -> DetectionReport {
-        let meter = CostMeter::new();
-        let high = input.high_reputed(&self.thresholds);
-        let high_set: HashSet<NodeId> = high.iter().copied().collect();
-        let meter_ref = &meter;
-        let high_set_ref = &high_set;
-        let mut pairs: Vec<SuspectPair> = high
-            .par_iter()
-            .flat_map_iter(|&i| {
-                input.history.raters_of(i).iter().filter_map(move |&j| {
-                    meter_ref.element_check();
-                    if !high_set_ref.contains(&j) {
-                        return None;
-                    }
-                    self.check_pair(input, i, j, meter_ref)
-                })
-            })
-            .collect();
-        crate::report::normalize_pairs(&mut pairs);
-        DetectionReport::new(pairs, meter.snapshot())
-    }
-
     /// [`BasicDetector::detect`] on the frozen CSR snapshot: the identical
     /// dense row-by-row procedure and metering, with every matrix probe an
     /// array access instead of a hash lookup. Produces a bit-identical
     /// [`DetectionReport`] (pairs *and* cost) to the legacy path — enforced
-    /// by `tests/detection_equivalence.rs`. Generic over the
-    /// [`SnapshotView`], so the same kernel runs on monolithic and sharded
-    /// snapshots.
+    /// by `tests/detection_equivalence.rs`.
     pub fn detect_snapshot<V: SnapshotView>(
         &self,
         input: &SnapshotInput<'_, V>,
@@ -340,7 +302,7 @@ mod tests {
     use collusion_reputation::history::InteractionHistory;
     use collusion_reputation::id::SimTime;
     use collusion_reputation::rating::Rating;
-    use collusion_reputation::snapshot::DetectionSnapshot;
+    use collusion_reputation::sharded::ShardedSnapshot;
 
     /// Build the canonical collusion scenario:
     /// colluders c1, c2 rate each other +1 `boost` times;
@@ -458,20 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agrees_with_sequential() {
-        let (h, nodes) = scenario(30, 5);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let det = BasicDetector::new(thresholds());
-        let seq = det.detect(&input);
-        let par = det.detect_par(&input);
-        assert_eq!(seq.pair_ids(), par.pair_ids());
-    }
-
-    #[test]
     fn snapshot_path_is_bit_identical() {
         let (h, nodes) = scenario(30, 5);
         let input = DetectionInput::from_signed_history(&h, &nodes);
-        let snap = DetectionSnapshot::build(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
         let sinput = SnapshotInput::from_signed(&snap, &nodes);
         for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
             let det = BasicDetector::with_policy(thresholds(), policy);
@@ -483,10 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_extended_catches_one_directional_pairs() {
+    fn extended_catches_one_directional_pairs() {
         // n1 showers n2 with praise; under the extended policy that alone
-        // implicates the pair, and the sparse parallel path must reach it
-        // from n2's row (regression test: a lower-id-only filter missed it)
+        // implicates the pair
         let mut h = InteractionHistory::new();
         for t in 0..30 {
             h.record(Rating::positive(NodeId(1), NodeId(2), SimTime(t)));
@@ -498,10 +449,7 @@ mod tests {
         let nodes = vec![NodeId(1), NodeId(2), NodeId(9)];
         let input = DetectionInput::from_signed_history(&h, &nodes);
         let det = BasicDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED);
-        let seq = det.detect(&input);
-        let par = det.detect_par(&input);
-        assert_eq!(seq.pair_ids(), vec![(NodeId(1), NodeId(2))]);
-        assert_eq!(seq.pair_ids(), par.pair_ids());
+        assert_eq!(det.detect(&input).pair_ids(), vec![(NodeId(1), NodeId(2))]);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! EigenTrust > Optimized; EigenTrust flat in the number of colluders)
 //! depends only on these counts.
 //!
-//! [`CostMeter`] uses relaxed atomics so the rayon-parallel basic detector
-//! can meter from many threads without locks; `Relaxed` suffices because the
+//! [`CostMeter`] uses relaxed atomics so the forked epoch re-check can
+//! meter from many threads without locks; `Relaxed` suffices because the
 //! counters are statistics, not synchronization.
 
 use serde::{Deserialize, Serialize};

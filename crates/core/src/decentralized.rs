@@ -26,8 +26,9 @@ use collusion_dht::id::Key;
 use collusion_dht::ring::ChordRing;
 use collusion_dht::routing::Router;
 use collusion_reputation::id::NodeId;
-use collusion_reputation::snapshot::DetectionSnapshot;
+use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
+use collusion_reputation::view::SnapshotView;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -89,7 +90,7 @@ impl DecentralizedDetector {
     /// `consistent_hash(node_id)`; each manager scans only its responsible
     /// nodes and requests cross-manager confirmations as needed.
     ///
-    /// Internally the pass freezes the history into a [`DetectionSnapshot`]
+    /// Internally the pass freezes the history into a [`ShardedSnapshot`]
     /// once, so every manager's row walk and every partner probe is an
     /// array access — the reported pairs, metered costs, messages and hops
     /// are identical to the former hash-map implementation.
@@ -141,7 +142,7 @@ impl DecentralizedDetector {
         }
 
         // Freeze the rating matrix once for all managers.
-        let snap = DetectionSnapshot::build(input.history, &input.nodes);
+        let snap = ShardedSnapshot::build(input.history, &input.nodes, 1);
         let sinput = SnapshotInput::new(&snap, &input.nodes, &input.reputation);
 
         let meter = CostMeter::new();
@@ -234,7 +235,7 @@ impl DecentralizedDetector {
 
     fn direction_snap(
         &self,
-        snap: &DetectionSnapshot,
+        snap: &ShardedSnapshot,
         ratee: u32,
         rater: u32,
         meter: &CostMeter,

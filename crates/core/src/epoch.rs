@@ -325,7 +325,7 @@ pub(crate) fn advance_epoch_state(
 
 /// Inputs of the candidate-enumeration pass that are not per-close state.
 pub(crate) struct CandidateParams<'a> {
-    /// Band detector supplying [`OptimizedDetector::row_prunable`].
+    /// Band detector supplying [`OptimizedDetector::rows_prunable_batch`].
     pub(crate) optimized: &'a OptimizedDetector,
     /// [`DetectionPolicy::require_mutual`].
     pub(crate) require_mutual: bool,
@@ -550,7 +550,7 @@ fn eval_candidate<V: SnapshotView>(
     kernels: &RecheckKernels<'_>,
     snap: &V,
     high: &[bool],
-    prunable: Option<&[u8]>,
+    prunable: &[u8],
     meter: &CostMeter,
     (i, j): (u32, u32),
     mut direction: impl FnMut(u32, Option<u32>) -> Option<DirectionEvidence>,
@@ -559,13 +559,7 @@ fn eval_candidate<V: SnapshotView>(
         return CandOutcome::NotHigh;
     }
     if kernels.prune_active {
-        let (pi, pj) = match prunable {
-            Some(flags) => (flags[i as usize] != 0, flags[j as usize] != 0),
-            None => (
-                kernels.optimized.row_prunable(snap.totals_of(i)),
-                kernels.optimized.row_prunable(snap.totals_of(j)),
-            ),
-        };
+        let (pi, pj) = (prunable[i as usize] != 0, prunable[j as usize] != 0);
         let skip = if kernels.require_mutual { pi || pj } else { pi && pj };
         if skip {
             // sound: a prunable row's direction check cannot pass,
@@ -603,10 +597,9 @@ fn eval_candidate<V: SnapshotView>(
 /// against a partial slice of the snapshot covering only the candidate
 /// endpoints; the kernels read nothing else.
 ///
-/// `prunable` optionally supplies per-row prunability flags (nonzero =
-/// prunable) batch-computed by [`enumerate_candidates`] from the same
-/// snapshot state, saving the two scalar [`OptimizedDetector::row_prunable`]
-/// evaluations per candidate; `None` falls back to the scalar oracle.
+/// `prunable` holds the per-row prunability flags (nonzero = prunable)
+/// batch-computed by [`enumerate_candidates`] from the same snapshot state;
+/// it is read only when `kernels.prune_active`.
 ///
 /// `threads` bounds the fork-join width. The forked path chunks the
 /// candidate list contiguously; each worker evaluates its chunk against
@@ -621,7 +614,7 @@ pub(crate) fn recheck_candidates<V: SnapshotView + Sync>(
     snap: &V,
     high: &[bool],
     cands: &[(u32, u32)],
-    prunable: Option<&[u8]>,
+    prunable: &[u8],
     verdicts: &mut BTreeMap<(NodeId, NodeId), SuspectPair>,
     scratch: &mut RecheckScratch,
     threads: usize,
@@ -959,13 +952,12 @@ impl EpochEngine {
             optimized: &self.optimized,
         };
         let scratch = &mut self.scratch;
-        let prunable = kernels.prune_active.then_some(scratch.memo.as_slice());
         let out = recheck_candidates(
             &kernels,
             &self.snap,
             &self.high,
             &scratch.cands,
-            prunable,
+            &scratch.memo,
             &mut self.verdicts,
             &mut scratch.recheck,
             threads,
@@ -1239,7 +1231,6 @@ mod tests {
     use collusion_reputation::history::InteractionHistory;
     use collusion_reputation::id::SimTime;
     use collusion_reputation::rating::RatingValue;
-    use collusion_reputation::snapshot::DetectionSnapshot;
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -1282,9 +1273,9 @@ mod tests {
         policy: DetectionPolicy,
     ) -> Vec<SuspectPair> {
         let snap = if policy.community_excludes_frequent {
-            DetectionSnapshot::build_with_frequent(history, ids, thresholds.t_n)
+            ShardedSnapshot::build_with_frequent(history, ids, 1, thresholds.t_n)
         } else {
-            DetectionSnapshot::build(history, ids)
+            ShardedSnapshot::build(history, ids, 1)
         };
         let input = SnapshotInput::from_signed(&snap, ids);
         let report = match method {
@@ -1627,7 +1618,7 @@ mod tests {
         assert!(pending > 0);
 
         let frozen = engine.frozen_snapshot();
-        let expect = DetectionSnapshot::build(&history, &nodes);
+        let expect = ShardedSnapshot::build(&history, &nodes, 1);
         assert_eq!(frozen.nodes(), expect.nodes());
         for i in 0..expect.n() as u32 {
             assert_eq!(frozen.totals_of(i), expect.totals_of(i), "totals of {i}");

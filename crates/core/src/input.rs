@@ -18,7 +18,7 @@
 
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::NodeId;
-use collusion_reputation::snapshot::DetectionSnapshot;
+use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
 use collusion_reputation::view::SnapshotView;
 use std::collections::HashMap;
@@ -103,11 +103,10 @@ impl<'a> DetectionInput<'a> {
 /// [`SnapshotView`] plus a dense reputation vector. This is what the
 /// snapshot-path detector kernels (`detect_snapshot`) consume — every probe
 /// is an array access or a binary search, never a hash. Generic over the
-/// view so the same kernels run against the monolithic
-/// [`DetectionSnapshot`] (the default, keeping existing callers unchanged)
-/// or the sharded `ShardedSnapshot`.
+/// [`SnapshotView`]; every caller today passes a [`ShardedSnapshot`] (the
+/// default).
 #[derive(Clone, Debug)]
-pub struct SnapshotInput<'a, V: SnapshotView = DetectionSnapshot> {
+pub struct SnapshotInput<'a, V: SnapshotView = ShardedSnapshot> {
     /// The frozen CSR view of the interaction history.
     pub snapshot: &'a V,
     /// Dense indices of the nodes under the manager's responsibility,
@@ -265,7 +264,7 @@ mod tests {
         h.record(Rating::positive(NodeId(3), NodeId(2), SimTime(1)));
         h.record(Rating::negative(NodeId(1), NodeId(3), SimTime(2)));
         let nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();
-        let snap = DetectionSnapshot::build(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
         let legacy = DetectionInput::from_signed_history(&h, &nodes);
         let input = SnapshotInput::from_signed(&snap, &nodes);
         assert_eq!(input.n(), legacy.n());
@@ -283,7 +282,7 @@ mod tests {
     fn snapshot_input_external_map_covers_off_view_nodes() {
         let mut h = InteractionHistory::new();
         h.record(Rating::positive(NodeId(9), NodeId(1), SimTime(0)));
-        let snap = DetectionSnapshot::build(&h, &[NodeId(1)]);
+        let snap = ShardedSnapshot::build(&h, &[NodeId(1)], 1);
         let rep: HashMap<NodeId, f64> = [(NodeId(1), 0.5), (NodeId(9), 2.0)].into_iter().collect();
         let input = SnapshotInput::new(&snap, &[NodeId(1)], &rep);
         // node 9 is outside the view but its reputation is still visible,

@@ -15,7 +15,7 @@
 //! 1. `Freeze{round}` — every manager freezes its primary slice as the
 //!    engine holds it (standing [`ShardedSnapshot`] + the open epoch, see
 //!    [`EpochEngine::frozen_snapshot`](crate::epoch::EpochEngine::frozen_snapshot))
-//!    and its replica slice into a [`DetectionSnapshot`], like
+//!    and builds one of its replica slice, like
 //!    `DecentralizedSystem::detect_robust` freezes per-manager slices;
 //! 2. `DetectRound{round}` — every manager walks its own responsible
 //!    nodes and, for each suspicious direction found, either verifies the
@@ -53,7 +53,6 @@ use collusion_reputation::id::NodeId;
 use collusion_reputation::ingest::ShardedIntake;
 use collusion_reputation::rating::Rating;
 use collusion_reputation::sharded::ShardedSnapshot;
-use collusion_reputation::snapshot::DetectionSnapshot;
 use collusion_reputation::thresholds::Thresholds;
 use collusion_reputation::view::SnapshotView;
 
@@ -125,7 +124,8 @@ pub struct ManagerConfig {
     pub method: Method,
     /// Detection policy.
     pub policy: DetectionPolicy,
-    /// Shard target of the durable engine's snapshot.
+    /// Shard target of the durable engine's snapshot and of the frozen
+    /// replica slice.
     pub shards: usize,
     /// Durability tuning.
     pub durability: DurabilityConfig,
@@ -212,7 +212,7 @@ struct Frozen {
     snap: ShardedSnapshot,
     /// Replica view over [`Shared::backed_up`], when this manager backs
     /// any node up.
-    rep_snap: Option<DetectionSnapshot>,
+    rep_snap: Option<ShardedSnapshot>,
 }
 
 /// What the published view is made from: the primary slice's sorted node
@@ -1002,7 +1002,7 @@ fn handle(shared: &Shared, req: Request) -> Response {
                 shared.data.durable.lock().expect("durable engine lock").engine().frozen_parts();
             let snap = parts.merge();
             let rep_snap = (!shared.backed_up.is_empty())
-                .then(|| DetectionSnapshot::build(&st.replica, &shared.backed_up));
+                .then(|| ShardedSnapshot::build(&st.replica, &shared.backed_up, shared.cfg.shards));
             st.frozen = Some(Arc::new(Frozen { round, snap, rep_snap }));
             Response::Frozen { round, nodes: shared.responsible.len() as u64 }
         }
@@ -1100,9 +1100,9 @@ fn insert(shared: &Shared, ratings: Vec<Rating>) -> Response {
 
 /// Direction probe on a frozen snapshot — the networked twin of
 /// `DecentralizedSystem::direction_snap`.
-fn direction<V: SnapshotView>(
+fn direction(
     shared: &Shared,
-    snap: &V,
+    snap: &ShardedSnapshot,
     ratee: u32,
     rater: Option<u32>,
     meter: &CostMeter,
@@ -1151,9 +1151,9 @@ fn confirm(shared: &Shared, round: u64, ratee: NodeId, rater: NodeId) -> Respons
 /// The partner-side check of `ratee` on the frozen slice that covers it
 /// (so its reputation is its signed total there); `None` when the slice
 /// does not know the ratee.
-fn confirm_on<V: SnapshotView>(
+fn confirm_on(
     shared: &Shared,
-    snap: &V,
+    snap: &ShardedSnapshot,
     ratee: NodeId,
     rater: NodeId,
 ) -> Option<ConfirmVerdict> {

@@ -1,7 +1,7 @@
 //! One manager driven through random interleavings of every way a rating
 //! or a control request reaches it, against an oracle that keeps what the
 //! manager used to keep: an [`InteractionHistory`] mirror of the primary
-//! slice, a [`DetectionSnapshot`] built from it for every publication and
+//! slice, a one-shard [`ShardedSnapshot`] built from it for every publication and
 //! every `Freeze`, and the publication schedule (`PUBLISH_EVERY` ratings
 //! absorbed from the intake or inserted, every `CloseEpoch`, every rejoin).
 //! After every step the manager's published view, its `Query` answers, its
@@ -122,7 +122,7 @@ impl Oracle {
 
     /// What `publish_view` did: a full snapshot of the mirror.
     fn publish(&mut self) {
-        let snap = DetectionSnapshot::build(&self.absorbed, &self.responsible);
+        let snap = ShardedSnapshot::build(&self.absorbed, &self.responsible, 1);
         let signed = (0..snap.n() as u32).map(|i| snap.signed(i)).collect();
         self.published = (snap.nodes().to_vec(), signed, self.engine.report().pairs);
         self.since_publish = 0;
@@ -180,7 +180,7 @@ fn assert_matches(client: &mut RpcClient, node: &ManagerNode, oracle: &Oracle, s
 /// a snapshot built from the full history.
 fn assert_frozen_matches(node: &ManagerNode, oracle: &Oracle) {
     let frozen = node.shared.state.lock().expect("state lock").frozen.clone().expect("frozen");
-    let expect = DetectionSnapshot::build(&oracle.history, &oracle.responsible);
+    let expect = ShardedSnapshot::build(&oracle.history, &oracle.responsible, 1);
     assert_eq!(frozen.snap.nodes(), expect.nodes(), "frozen node table");
     for i in 0..expect.n() as u32 {
         assert_eq!(frozen.snap.totals_of(i), expect.totals_of(i), "frozen totals of {i}");

@@ -32,7 +32,6 @@ use collusion_reputation::id::NodeId;
 use collusion_reputation::sharded::TotalsColumns;
 use collusion_reputation::thresholds::Thresholds;
 use collusion_reputation::view::SnapshotView;
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -189,121 +188,22 @@ impl OptimizedDetector {
 
     /// [`OptimizedDetector::detect`] on the frozen CSR snapshot: the same
     /// sparse row walk and metering, with the pair probe a binary search in
-    /// the rater's reverse row and the extended-policy frequent aggregates
-    /// served from the snapshot's precomputed table (falling back to a row
-    /// pass when the snapshot was built without them). Produces a
-    /// bit-identical [`DetectionReport`] (pairs *and* cost) to the legacy
-    /// path — enforced by `tests/detection_equivalence.rs`. Generic over the
-    /// [`SnapshotView`], so the same kernel runs on monolithic and sharded
-    /// snapshots.
+    /// the ratee's row and the extended-policy frequent aggregates served
+    /// from the snapshot's precomputed table (falling back to a row pass
+    /// when the snapshot was built without them). Produces a bit-identical
+    /// [`DetectionReport`] (pairs *and* cost) to the legacy path — enforced
+    /// by `tests/detection_equivalence.rs`.
     pub fn detect_snapshot<V: SnapshotView>(
         &self,
         input: &SnapshotInput<'_, V>,
     ) -> DetectionReport {
-        let meter = CostMeter::new();
-        let snap = input.snapshot;
-        let high = input.high_reputed_idx(&self.thresholds);
-        let mut is_high = vec![false; snap.n()];
-        for &i in &high {
-            is_high[i as usize] = true;
-        }
-        // pre-size from the stored cell count: every marked pair is an edge
-        let mut checked = PairSet::with_capacity(snap.nnz());
-        let mut cache: Vec<Option<(u64, i64)>> = vec![None; snap.n()];
-        let mut pairs = Vec::new();
-        for &i in &high {
-            let (cols, _) = snap.row(i);
-            for &j in cols {
-                meter.element_check();
-                if checked.contains(i, j) {
-                    continue;
-                }
-                if !is_high[j as usize] {
-                    continue;
-                }
-                checked.insert(i, j);
-                let ev_fwd = self.direction_cached(snap, i, Some(j), &meter, &mut cache);
-                if self.policy.require_mutual {
-                    let Some(fwd) = ev_fwd else { continue };
-                    let Some(rev) = self.direction_cached(snap, j, Some(i), &meter, &mut cache)
-                    else {
-                        continue;
-                    };
-                    pairs.push(SuspectPair::new(
-                        snap.node_id(j),
-                        snap.node_id(i),
-                        Some(fwd),
-                        Some(rev),
-                    ));
-                } else {
-                    let ev_rev = self.direction_cached(snap, j, Some(i), &meter, &mut cache);
-                    if ev_fwd.is_none() && ev_rev.is_none() {
-                        continue;
-                    }
-                    pairs.push(SuspectPair::new(snap.node_id(j), snap.node_id(i), ev_fwd, ev_rev));
-                }
-            }
-        }
-        DetectionReport::new(pairs, meter.snapshot())
-    }
-
-    /// Rayon-parallel [`OptimizedDetector::detect_snapshot`]: high rows are
-    /// walked concurrently and the per-ratee frequent aggregates are shared
-    /// through lock-free [`OnceLock`] cells. There is no cross-row pair
-    /// marking, so metered cost is up to 2× the sequential pass (each
-    /// unordered pair may be examined from both sides;
-    /// [`DetectionReport::new`] deduplicates); the reported pairs are
-    /// identical.
-    pub fn detect_par<V: SnapshotView>(&self, input: &SnapshotInput<'_, V>) -> DetectionReport {
-        let meter = CostMeter::new();
-        let snap = input.snapshot;
-        let high = input.high_reputed_idx(&self.thresholds);
-        let mut is_high = vec![false; snap.n()];
-        for &i in &high {
-            is_high[i as usize] = true;
-        }
-        let agg: Vec<OnceLock<(u64, i64)>> = (0..snap.n()).map(|_| OnceLock::new()).collect();
-        let meter_ref = &meter;
-        let is_high_ref = &is_high;
-        let agg_ref = &agg;
-        let mut pairs: Vec<SuspectPair> = high
-            .par_iter()
-            .flat_map_iter(|&i| {
-                let (cols, _) = snap.row(i);
-                cols.iter().filter_map(move |&j| {
-                    meter_ref.element_check();
-                    if !is_high_ref[j as usize] {
-                        return None;
-                    }
-                    let ev_fwd = self.direction_once(snap, i, Some(j), meter_ref, agg_ref);
-                    if self.policy.require_mutual {
-                        let fwd = ev_fwd?;
-                        let rev = self.direction_once(snap, j, Some(i), meter_ref, agg_ref)?;
-                        Some(SuspectPair::new(
-                            snap.node_id(j),
-                            snap.node_id(i),
-                            Some(fwd),
-                            Some(rev),
-                        ))
-                    } else {
-                        let ev_rev = self.direction_once(snap, j, Some(i), meter_ref, agg_ref);
-                        if ev_fwd.is_none() && ev_rev.is_none() {
-                            return None;
-                        }
-                        Some(SuspectPair::new(snap.node_id(j), snap.node_id(i), ev_fwd, ev_rev))
-                    }
-                })
-            })
-            .collect();
-        // sort + dedup here, not just in the report constructor, so the
-        // parallel collection order can never leak into the output
-        crate::report::normalize_pairs(&mut pairs);
-        DetectionReport::new(pairs, meter.snapshot())
+        self.walk_rows(input, false).0
     }
 
     /// Snapshot analogue of [`OptimizedDetector::check_direction`], with the
     /// extended-policy frequent aggregate supplied lazily by `freq_of` so
-    /// sequential and parallel callers can share their own cache shapes.
+    /// the sequential walk and the forked epoch re-check can bring their own
+    /// cache shapes.
     /// Metering is placed identically to the legacy path. `rater` is `None`
     /// when the rater is not interned in this snapshot (a partitioned
     /// manager probing an unknown partner) — the probe then sees zero
@@ -404,6 +304,19 @@ impl OptimizedDetector {
         &self,
         input: &SnapshotInput<'_, V>,
     ) -> (DetectionReport, PruneStats) {
+        self.walk_rows(input, !self.policy.community_excludes_frequent)
+    }
+
+    /// The one snapshot row walk: every high row's raters in row order,
+    /// first-wins pair marking, both direction checks. With `prune` the
+    /// band pre-filter of [`OptimizedDetector::detect_pruned`] runs ahead of
+    /// the direction checks and fills the returned [`PruneStats`]; without
+    /// it they stay zero.
+    fn walk_rows<V: SnapshotView>(
+        &self,
+        input: &SnapshotInput<'_, V>,
+        prune: bool,
+    ) -> (DetectionReport, PruneStats) {
         let meter = CostMeter::new();
         let snap = input.snapshot;
         let high = input.high_reputed_idx(&self.thresholds);
@@ -411,10 +324,9 @@ impl OptimizedDetector {
         for &i in &high {
             is_high[i as usize] = true;
         }
-        let prune_active = !self.policy.community_excludes_frequent;
         let mut stats = PruneStats::default();
         let mut prunable = vec![false; snap.n()];
-        if prune_active {
+        if prune {
             for &i in &high {
                 if self.row_prunable(snap.totals_of(i)) {
                     prunable[i as usize] = true;
@@ -422,6 +334,7 @@ impl OptimizedDetector {
                 }
             }
         }
+        // pre-size from the stored cell count: every marked pair is an edge
         let mut checked = PairSet::with_capacity(snap.nnz());
         let mut cache: Vec<Option<(u64, i64)>> = vec![None; snap.n()];
         let mut pairs = Vec::new();
@@ -437,7 +350,7 @@ impl OptimizedDetector {
                     continue;
                 }
                 checked.insert(i, j);
-                if prune_active {
+                if prune {
                     let skip = if self.policy.require_mutual {
                         row_dead || prunable[j as usize]
                     } else {
@@ -511,11 +424,6 @@ impl OptimizedDetector {
     /// batch lane therefore hoists `2·T_a·T_N` out of the loop and compares
     /// against `lo_base − N_i` directly; `tests/pipeline_props.rs` asserts
     /// lane-for-lane equality with the oracle over adversarial totals.
-    ///
-    /// With the `explicit-simd` cargo feature the loop runs over fixed
-    /// `[_; 4]` lane arrays instead (same per-lane arithmetic, still safe
-    /// code), pinning the vector shape rather than trusting the
-    /// autovectorizer.
     pub fn rows_prunable_batch(&self, cols: &TotalsColumns<'_>, out: &mut [u8]) {
         let rows = cols.total.len();
         assert!(
@@ -525,10 +433,20 @@ impl OptimizedDetector {
         let t = &self.thresholds;
         let upper_armed = t.t_b <= 1.0 - 1e-9;
         let lo_base = 2.0 * t.t_a * t.t_n as f64;
-        prunable_batch_impl(t.t_n, upper_armed, lo_base, cols, &mut out[..rows]);
+        for (k, flag) in out[..rows].iter_mut().enumerate() {
+            *flag = prunable_lane(
+                t.t_n,
+                upper_armed,
+                lo_base,
+                cols.total[k],
+                cols.positive[k],
+                cols.negative[k],
+            );
+        }
     }
 
-    /// Parallel snapshot direction test backed by shared [`OnceLock`] cells.
+    /// Snapshot direction test backed by shared [`OnceLock`] cells, for the
+    /// forked epoch re-check.
     pub(crate) fn direction_once<V: SnapshotView>(
         &self,
         snap: &V,
@@ -570,67 +488,6 @@ fn prunable_lane(
     prunable as u8
 }
 
-/// Autovectorized batch-kernel body: one branch-free pass over the SoA
-/// columns, letting LLVM pick the vector width.
-#[cfg(not(feature = "explicit-simd"))]
-fn prunable_batch_impl(
-    t_n: u64,
-    upper_armed: bool,
-    lo_base: f64,
-    cols: &TotalsColumns<'_>,
-    out: &mut [u8],
-) {
-    for (k, flag) in out.iter_mut().enumerate() {
-        *flag = prunable_lane(
-            t_n,
-            upper_armed,
-            lo_base,
-            cols.total[k],
-            cols.positive[k],
-            cols.negative[k],
-        );
-    }
-}
-
-/// Explicit-SIMD batch-kernel body: fixed four-wide `[_; 4]` lane arrays
-/// (safe code — the crate forbids `unsafe`, so no `std::arch`), scalar
-/// tail. Per-lane arithmetic is [`prunable_lane`] verbatim, so the flags
-/// are bit-identical to the autovectorized and scalar paths.
-#[cfg(feature = "explicit-simd")]
-fn prunable_batch_impl(
-    t_n: u64,
-    upper_armed: bool,
-    lo_base: f64,
-    cols: &TotalsColumns<'_>,
-    out: &mut [u8],
-) {
-    const LANES: usize = 4;
-    let rows = out.len();
-    let chunks = rows / LANES * LANES;
-    let mut k = 0;
-    while k < chunks {
-        let tt: [u64; LANES] = cols.total[k..k + LANES].try_into().expect("lane chunk");
-        let pp: [u64; LANES] = cols.positive[k..k + LANES].try_into().expect("lane chunk");
-        let nn: [u64; LANES] = cols.negative[k..k + LANES].try_into().expect("lane chunk");
-        let mut flags = [0u8; LANES];
-        for l in 0..LANES {
-            flags[l] = prunable_lane(t_n, upper_armed, lo_base, tt[l], pp[l], nn[l]);
-        }
-        out[k..k + LANES].copy_from_slice(&flags);
-        k += LANES;
-    }
-    for (j, flag) in out.iter_mut().enumerate().skip(chunks) {
-        *flag = prunable_lane(
-            t_n,
-            upper_armed,
-            lo_base,
-            cols.total[j],
-            cols.positive[j],
-            cols.negative[j],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,7 +495,7 @@ mod tests {
     use collusion_reputation::history::InteractionHistory;
     use collusion_reputation::id::SimTime;
     use collusion_reputation::rating::{Rating, RatingValue};
-    use collusion_reputation::snapshot::DetectionSnapshot;
+    use collusion_reputation::sharded::ShardedSnapshot;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -746,7 +603,7 @@ mod tests {
     fn snapshot_path_is_bit_identical() {
         let (h, nodes) = collusion_history(30, 5);
         let input = DetectionInput::from_signed_history(&h, &nodes);
-        let snap = DetectionSnapshot::build(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
         let sinput = SnapshotInput::from_signed(&snap, &nodes);
         for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
             let det = OptimizedDetector::with_policy(thresholds(), policy);
@@ -763,26 +620,13 @@ mod tests {
         // legacy cache-fill row scans under the extended policy
         let (h, nodes) = collusion_history(30, 5);
         let input = DetectionInput::from_signed_history(&h, &nodes);
-        let snap = DetectionSnapshot::build_with_frequent(&h, &nodes, thresholds().t_n);
+        let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
         let sinput = SnapshotInput::from_signed(&snap, &nodes);
         let det = OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED);
         let legacy = det.detect(&input);
         let fast = det.detect_snapshot(&sinput);
         assert_eq!(legacy.pairs, fast.pairs);
         assert_eq!(legacy.cost, fast.cost);
-    }
-
-    #[test]
-    fn parallel_snapshot_agrees_with_sequential() {
-        let (h, nodes) = collusion_history(30, 5);
-        let snap = DetectionSnapshot::build(&h, &nodes);
-        let sinput = SnapshotInput::from_signed(&snap, &nodes);
-        for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
-            let det = OptimizedDetector::with_policy(thresholds(), policy);
-            let seq = det.detect_snapshot(&sinput);
-            let par = det.detect_par(&sinput);
-            assert_eq!(seq.pairs, par.pairs);
-        }
     }
 
     #[test]

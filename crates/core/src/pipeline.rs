@@ -683,10 +683,9 @@ impl PipelinedEngine {
 
     /// Drain the pipeline and reassemble the serial [`EpochEngine`] it is
     /// bit-identical to, plus the pipeline counters. All producer handles
-    /// must be dropped or flushed first; ratings still in the intake stay
-    /// buffered in the returned engine's open epoch? No — they were never
-    /// closed, so they are re-folded into the returned engine's buffer,
-    /// preserving `pending_ratings` semantics.
+    /// must be dropped or flushed first; ratings still in the intake were
+    /// never closed, so they are re-folded into the returned engine's open
+    /// buffer, preserving `pending_ratings` semantics.
     pub fn finish(self) -> (EpochEngine, PipelineStats) {
         // anything still in the intake was never closed; re-fold it into
         // the returned engine's open buffer below
@@ -890,8 +889,7 @@ fn merge_stage(
                     let cands = scratch.cands.clone();
                     let slice = DetectSlice::build(&snap, &cands, setup.thresholds.t_n);
                     // ship the batch prunability flags with the plan: they
-                    // were computed from exactly the state the slice froze,
-                    // so the detect stage skips its scalar re-evaluation
+                    // were computed from exactly the state the slice froze
                     let prunable = if prune_on { scratch.memo.clone() } else { Vec::new() };
                     (cands, slice, prunable)
                 };
@@ -979,13 +977,12 @@ fn detect_stage(
             DetectMsg::Finish => break,
         };
         let work_start = std::time::Instant::now();
-        let prunable = (!plan.prunable.is_empty()).then_some(plan.prunable.as_slice());
         let out = recheck_candidates(
             &kernels,
             &plan.slice,
             &plan.high,
             &plan.cands,
-            prunable,
+            &plan.prunable,
             &mut verdicts,
             &mut scratch,
             threads,

@@ -38,8 +38,9 @@ use collusion_dht::routing::Router;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::rating::Rating;
-use collusion_reputation::snapshot::DetectionSnapshot;
+use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
+use collusion_reputation::view::SnapshotView;
 use collusion_reputation::wal::{replay_bytes, SyncPolicy, Wal, WalRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -559,7 +560,7 @@ impl DecentralizedSystem {
     /// periodic check), returning the merged report.
     ///
     /// Each manager freezes its local slice into an owned
-    /// [`DetectionSnapshot`] once per round — no history clones, no
+    /// [`ShardedSnapshot`] once per round — no history clones, no
     /// per-pair reputation-map copies — and both the local forward walk
     /// and the partner-side reverse verification run on these frozen
     /// views. A partner that has never seen the probing rater answers
@@ -600,11 +601,11 @@ impl DecentralizedSystem {
         // Freeze each manager's local slice; reputations are the signed
         // sums each manager computes from its own data.
         let empty = InteractionHistory::new();
-        let snaps: Vec<DetectionSnapshot> = manager_list
+        let snaps: Vec<ShardedSnapshot> = manager_list
             .iter()
             .map(|m| {
                 let history = self.histories.get(m).unwrap_or(&empty);
-                DetectionSnapshot::build(history, &manager_nodes[m])
+                ShardedSnapshot::build(history, &manager_nodes[m], 1)
             })
             .collect();
         let inputs: Vec<SnapshotInput<'_>> = manager_list
@@ -696,7 +697,7 @@ impl DecentralizedSystem {
 
     fn direction_snap(
         &self,
-        snap: &DetectionSnapshot,
+        snap: &ShardedSnapshot,
         ratee: u32,
         rater: Option<u32>,
         meter: &CostMeter,

@@ -137,7 +137,7 @@ pub struct InteractionHistory {
     /// Number of ratings folded in.
     recorded: u64,
     /// Ratees whose rows changed since the last [`InteractionHistory::take_dirty`];
-    /// drives incremental `DetectionSnapshot::refresh`.
+    /// drives incremental `ShardedSnapshot::refresh`.
     #[serde(default)]
     dirty: BTreeSet<NodeId>,
 }
@@ -200,7 +200,7 @@ impl InteractionHistory {
     }
 
     /// Drain the set of ratees whose rows changed since the last call,
-    /// ascending. Feed the result to `DetectionSnapshot::refresh` to bring a
+    /// ascending. Feed the result to `ShardedSnapshot::refresh` to bring a
     /// snapshot up to date in O(changed rows).
     pub fn take_dirty(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.dirty).into_iter().collect()

@@ -50,7 +50,6 @@ pub mod manager;
 pub mod par;
 pub mod rating;
 pub mod sharded;
-pub mod snapshot;
 pub mod thresholds;
 pub mod trust_matrix;
 pub mod view;
@@ -72,8 +71,7 @@ pub mod prelude {
     pub use crate::local::{EBaySum, LocalAggregator, PositiveFraction};
     pub use crate::manager::CentralizedManager;
     pub use crate::rating::{Rating, RatingLog, RatingValue};
-    pub use crate::sharded::ShardedSnapshot;
-    pub use crate::snapshot::{DetectionSnapshot, RefreshOutcome};
+    pub use crate::sharded::{RefreshOutcome, ShardedSnapshot};
     pub use crate::thresholds::Thresholds;
     pub use crate::trust_matrix::TrustMatrix;
     pub use crate::view::SnapshotView;

@@ -1,25 +1,38 @@
-//! [`ShardedSnapshot`] — the rating matrix split by ratee-id range into
-//! independent CSR shards, for 100k-node scale.
+//! [`ShardedSnapshot`] — the frozen CSR view of an [`InteractionHistory`]
+//! that every detection pass reads, split by ratee-id range into
+//! independent shards.
 //!
-//! The monolithic [`DetectionSnapshot`](crate::snapshot::DetectionSnapshot)
-//! keeps one CSR arena for the whole matrix: any refresh that crosses the
-//! patch-overlay threshold rebuilds *everything*, and a rebuild is a single
-//! serial-memory-bound pass. At 100k nodes / millions of cells that is the
-//! dominant cost of an incremental pipeline. This structure splits the
-//! interned index space into `target_shards` contiguous ranges of ratee
-//! rows; each [`Shard`] owns the forward CSR, totals, patch overlay and
-//! optional frequent aggregates for its range:
+//! The detectors in `collusion-core` probe the rating matrix millions of
+//! times per pass. Served from `InteractionHistory`'s hash maps, every probe
+//! pays a hash of a `(NodeId, NodeId)` tuple; served from this snapshot, a
+//! probe is a binary search over a short, contiguous row. The snapshot is
+//! *frozen*: detectors only read it, so row walks need no locks.
 //!
-//! * **refresh locality** — a dirty ratee touches exactly one shard; shards
-//!   with no dirty rows are not read, written or compacted;
+//! Node ids are interned to dense `u32` indices (`nodes[idx] ↔ idx`),
+//! ascending by id, covering the caller's node list *plus* every rater and
+//! ratee in the history (detector row scans include raters outside the
+//! manager's view). The interned index space is cut into `target_shards`
+//! contiguous ranges of ratee rows — one shard for a paper-scale matrix, 64
+//! at 100k nodes — and each [`Shard`] owns the forward CSR (per ratee, the
+//! rater indices ascending with their packed [`PairCounters`]), the
+//! per-ratee totals (`N_i` and the signed reputation `R_i` of Formula 2),
+//! the patch overlay and the optional frequent aggregates (per-ratee
+//! `(count, signed sum)` over raters with `N(j,i) ≥ T_N`, for the extended
+//! policy) of its range:
+//!
+//! * **refresh locality** — [`InteractionHistory`] tracks the ratees whose
+//!   rows changed since the last [`InteractionHistory::take_dirty`];
+//!   [`ShardedSnapshot::refresh`] rebuilds only those rows as overlay
+//!   patches, and a dirty ratee touches exactly one shard;
 //! * **parallel maintenance** — shards rebuild and refresh under
 //!   `rayon::par_iter_mut`, since their row ranges are disjoint;
-//! * **bounded compaction** — the 25% patched-row threshold applies per
-//!   shard, so compacting scattered updates costs O(shard), not O(matrix).
+//! * **bounded compaction** — a shard whose overlay passes 25% of its rows
+//!   compacts, so compacting scattered updates costs O(shard), not
+//!   O(matrix).
 //!
-//! The sharded form keeps no reverse CSR (it would interleave all shards
-//! and serialize refresh): pair probes binary-search the ratee's forward
-//! row inside its shard. The one reverse question epoch-incremental
+//! There is no reverse CSR (it would interleave all shards and serialize
+//! refresh): pair probes binary-search the ratee's forward row inside its
+//! shard. The one reverse question epoch-incremental
 //! detection still asks — "which rows hold a *frequent* cell from this
 //! rater", for a rater whose reputation just crossed `T_R` — is answered
 //! by a reverse index of frequent edges only (`freq_rev[j]` = sorted ratees
@@ -34,16 +47,27 @@
 //! previously unseen nodes are re-interned with a monotone index remap —
 //! so a long-running engine never replays a full history. Every mutation
 //! path is bit-identical to a fresh build from an equivalent history; the
-//! crate tests and the workspace `detection_equivalence`/`scale_props`
-//! harnesses assert this.
+//! crate tests check each probe against the history itself, and the
+//! workspace `detection_equivalence`/`scale_props` harnesses check the
+//! detectors' reports.
 
 use crate::epoch::EpochDelta;
 use crate::fxhash::FxHashMap;
 use crate::history::{InteractionHistory, NodeTotals, PairCounters};
 use crate::id::NodeId;
-use crate::snapshot::RefreshOutcome;
 use crate::view::SnapshotView;
 use rayon::prelude::*;
+
+/// How a [`ShardedSnapshot::refresh`] was carried out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RefreshOutcome {
+    /// No dirty rows — the snapshot was already current.
+    Unchanged,
+    /// Only the dirty rows were rebuilt (count given).
+    Patched(usize),
+    /// The whole snapshot was rebuilt (a previously unseen node appeared).
+    Rebuilt,
+}
 
 /// Per-row refresh diff: `(global row, old frequent raters, new frequent
 /// raters)`, both ascending.
@@ -428,11 +452,9 @@ impl Shard {
 
 /// Frozen CSR view of the rating matrix, sharded by ratee-index range.
 ///
-/// Functionally equivalent to the monolithic
-/// [`DetectionSnapshot`](crate::snapshot::DetectionSnapshot) (both implement
-/// [`SnapshotView`], and detectors produce bit-identical suspect sets over
-/// either), but maintainable shard-by-shard: refresh and epoch application
-/// touch only shards owning dirty rows, in parallel.
+/// Detectors read it through [`SnapshotView`] and produce bit-identical
+/// reports for every shard count; refresh and epoch application touch only
+/// shards owning dirty rows, in parallel.
 #[derive(Clone, Debug)]
 pub struct ShardedSnapshot {
     /// Interned node ids, ascending; `nodes[idx]` is the id of dense `idx`.
@@ -462,7 +484,8 @@ pub struct ShardedSnapshot {
 impl ShardedSnapshot {
     /// Build a sharded snapshot of `history` over at most `target_shards`
     /// shards. The interned set is the union of `nodes` and every
-    /// rater/ratee in the history, exactly as the monolithic build.
+    /// rater/ratee in the history, so detector row scans (which include
+    /// raters outside the manager's view) never miss an id.
     pub fn build(history: &InteractionHistory, nodes: &[NodeId], target_shards: usize) -> Self {
         Self::build_inner(history, nodes.to_vec(), target_shards, None)
     }
@@ -959,8 +982,8 @@ impl SnapshotView for ShardedSnapshot {
         shard.row((idx - shard.base) as usize)
     }
 
-    /// Pair probe via the *ratee's forward row* (the sharded form keeps no
-    /// reverse counters): binary search inside one shard.
+    /// Pair probe via the *ratee's forward row* (there are no reverse
+    /// counters): binary search inside one shard.
     #[inline]
     fn pair(&self, rater: u32, ratee: u32) -> PairCounters {
         let (cols, cells) = self.row(ratee);
@@ -992,7 +1015,6 @@ mod tests {
     use crate::epoch::EpochBuffer;
     use crate::id::SimTime;
     use crate::rating::{Rating, RatingValue};
-    use crate::snapshot::DetectionSnapshot;
 
     fn pseudo_ratings(seed: u64, n: u64, len: u64) -> Vec<Rating> {
         let mut s = seed;
@@ -1048,50 +1070,134 @@ mod tests {
         }
     }
 
-    /// Both views agree on every probe the detectors make, and the sharded
-    /// frequent reverse index matches the forward rows exactly.
-    fn assert_views_equal(sharded: &ShardedSnapshot, mono: &DetectionSnapshot) {
-        assert_eq!(SnapshotView::n(sharded), SnapshotView::n(mono));
-        assert_eq!(SnapshotView::nodes(sharded), SnapshotView::nodes(mono));
-        assert_eq!(SnapshotView::nnz(sharded), SnapshotView::nnz(mono));
-        for idx in 0..SnapshotView::n(mono) as u32 {
-            assert_eq!(sharded.totals_of(idx), mono.totals_of(idx), "totals of {idx}");
-            assert_eq!(SnapshotView::signed(sharded, idx), SnapshotView::signed(mono, idx));
-            let (sc, scc) = SnapshotView::row(sharded, idx);
-            let (mc, mcc) = SnapshotView::row(mono, idx);
-            assert_eq!(sc, mc, "row cols of {idx}");
-            assert_eq!(scc, mcc, "row cells of {idx}");
-            for &j in sc {
-                assert_eq!(
-                    SnapshotView::pair(sharded, j, idx),
-                    SnapshotView::pair(mono, j, idx),
-                    "pair {j}->{idx}"
-                );
+    /// Every probe of the snapshot equals the corresponding call on the
+    /// history it was built from over the base list `base`, and the frequent
+    /// reverse index matches the forward rows.
+    fn assert_matches_history(snap: &ShardedSnapshot, h: &InteractionHistory, base: &[NodeId]) {
+        let mut interned: Vec<NodeId> = base.to_vec();
+        interned.extend(h.iter_pairs().flat_map(|(rater, ratee, _)| [rater, ratee]));
+        interned.sort_unstable();
+        interned.dedup();
+        assert_eq!(snap.nodes(), &interned[..], "interned set");
+        assert_eq!(snap.n(), interned.len());
+        assert_eq!(snap.nnz(), h.iter_pairs().count(), "nnz");
+        for &ratee in snap.nodes() {
+            let i = snap.index(ratee).unwrap();
+            assert_eq!(snap.node_id(i), ratee);
+            assert_eq!(snap.totals_of(i), h.totals(ratee), "totals of {ratee}");
+            assert_eq!(snap.signed(i), h.signed_reputation(ratee));
+            let (cols, cells) = snap.row(i);
+            assert_eq!(cols.len(), h.raters_of(ratee).len(), "row len of {ratee}");
+            let mut prev = None;
+            for (&c, &cell) in cols.iter().zip(cells) {
+                assert!(Some(c) > prev, "row of {ratee} not strictly ascending");
+                prev = Some(c);
+                let rater = snap.node_id(c);
+                assert_eq!(cell, h.pair(rater, ratee), "cell {rater}->{ratee}");
+                assert_eq!(snap.pair(c, i), cell, "pair probe {rater}->{ratee}");
+            }
+            // an absent cell probes as zero counters
+            if let Some(j) = (0..snap.n() as u32).find(|j| cols.binary_search(j).is_err()) {
+                assert_eq!(snap.pair(j, i), PairCounters::default(), "absent {j}->{i}");
+            }
+            if let Some(t_n) = snap.frequent_t_n() {
+                let frequent =
+                    h.raters_of(ratee).iter().map(|&r| h.pair(r, ratee)).filter(|c| c.total >= t_n);
+                let agg = frequent.fold((0, 0), |(n, s), c| (n + c.total, s + c.signed()));
+                assert_eq!(snap.frequent_agg(t_n, i), Some(agg), "frequent agg of {ratee}");
             }
         }
-        assert_frequent_index_exact(sharded);
+        assert_frequent_index_exact(snap);
     }
 
     #[test]
-    fn build_matches_monolithic_across_shard_counts() {
+    fn build_matches_history_across_shard_counts() {
         let mut h = InteractionHistory::new();
         record_all(&mut h, &pseudo_ratings(7, 30, 600));
         let nodes: Vec<NodeId> = (0..30).map(NodeId).collect();
-        let mono = DetectionSnapshot::build(&h, &nodes);
         for target in [1, 3, 7, 16, 64] {
             let sharded = ShardedSnapshot::build(&h, &nodes, target);
             assert!(sharded.n_shards() <= target.max(1));
-            assert_views_equal(&sharded, &mono);
+            assert_matches_history(&sharded, &h, &nodes);
             // without a T_N there is no frequent index at all
             assert!((0..30).all(|j| sharded.frequent_ratees_of(j).is_empty()));
             let frequent = ShardedSnapshot::build_with_frequent(&h, &nodes, target, 2);
             assert!((0..30).any(|j| !frequent.frequent_ratees_of(j).is_empty()));
-            assert_views_equal(&frequent, &mono);
+            assert_matches_history(&frequent, &h, &nodes);
         }
     }
 
     #[test]
-    fn refresh_matches_fresh_build() {
+    fn interning_covers_raters_outside_the_view() {
+        // rater 99 is not in the caller's node list but rates node 1
+        let mut h = InteractionHistory::new();
+        h.record(Rating::positive(NodeId(99), NodeId(1), SimTime(0)));
+        h.record(Rating::negative(NodeId(2), NodeId(1), SimTime(1)));
+        let sharded = ShardedSnapshot::build(&h, &[NodeId(1), NodeId(2)], 2);
+        assert_eq!(sharded.n(), 3);
+        let (i1, i2) = (sharded.index(NodeId(1)).unwrap(), sharded.index(NodeId(2)).unwrap());
+        assert_eq!(sharded.row(i1).0.len(), 2);
+        let i99 = sharded.index(NodeId(99)).unwrap();
+        assert_eq!(sharded.pair(i99, i1).positive, 1);
+        // the reverse direction was never rated
+        assert_eq!(sharded.pair(i1, i2), PairCounters::default());
+        assert_matches_history(&sharded, &h, &[NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn refresh_handles_split_off_rows() {
+        let mut h = InteractionHistory::new();
+        record_all(&mut h, &pseudo_ratings(11, 12, 300));
+        let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
+        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 3, 2);
+        h.take_dirty();
+        let _slice = h.split_off_ratee(NodeId(4));
+        let dirty = h.take_dirty();
+        assert!(dirty.contains(&NodeId(4)));
+        sharded.refresh(&h, &dirty);
+        let i4 = sharded.index(NodeId(4)).unwrap();
+        assert!(sharded.row(i4).0.is_empty());
+        assert_eq!(sharded.totals_of(i4), NodeTotals::default());
+        assert_matches_history(&sharded, &h, &nodes);
+    }
+
+    #[test]
+    fn frequent_aggregates_survive_refresh() {
+        let mut h = InteractionHistory::new();
+        record_all(&mut h, &pseudo_ratings(13, 10, 300));
+        let nodes: Vec<NodeId> = (0..10).map(NodeId).collect();
+        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 3, 20);
+        h.take_dirty();
+        for t in 0..30 {
+            h.record(Rating::positive(NodeId(7), NodeId(8), SimTime(9000 + t)));
+        }
+        let dirty = h.take_dirty();
+        assert_eq!(sharded.refresh(&h, &dirty), RefreshOutcome::Patched(1));
+        let i8 = sharded.index(NodeId(8)).unwrap();
+        assert!(sharded.frequent_agg(20, i8).unwrap().0 >= 30);
+        assert_matches_history(&sharded, &h, &nodes);
+    }
+
+    #[test]
+    fn nnz_stays_exact_across_refreshes() {
+        let mut h = InteractionHistory::new();
+        record_all(&mut h, &pseudo_ratings(23, 12, 250));
+        let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
+        let mut sharded = ShardedSnapshot::build(&h, &nodes, 3);
+        h.take_dirty();
+        for round in 0..6u64 {
+            // a brand-new cell or a repeat rating on an existing cell
+            h.record(Rating::positive(NodeId(round % 12), NodeId((round + 3) % 12), SimTime(9000)));
+            let dirty = h.take_dirty();
+            sharded.refresh(&h, &dirty);
+            let resolved: usize = (0..sharded.n() as u32).map(|i| sharded.row(i).0.len()).sum();
+            assert_eq!(sharded.nnz(), resolved, "nnz diverged from the rows at round {round}");
+            assert_eq!(sharded.nnz(), h.iter_pairs().count(), "nnz diverged at round {round}");
+        }
+    }
+
+    #[test]
+    fn refresh_matches_history() {
         let mut h = InteractionHistory::new();
         record_all(&mut h, &pseudo_ratings(21, 24, 400));
         let nodes: Vec<NodeId> = (0..24).map(NodeId).collect();
@@ -1102,8 +1208,7 @@ mod tests {
             let dirty = h.take_dirty();
             let outcome = sharded.refresh(&h, &dirty);
             assert_ne!(outcome, RefreshOutcome::Unchanged);
-            let mono = DetectionSnapshot::build(&h, &nodes);
-            assert_views_equal(&sharded, &mono);
+            assert_matches_history(&sharded, &h, &nodes);
         }
     }
 
@@ -1118,7 +1223,7 @@ mod tests {
         let dirty = h.take_dirty();
         assert_eq!(sharded.refresh(&h, &dirty), RefreshOutcome::Rebuilt);
         assert!(SnapshotView::index(&sharded, NodeId(500)).is_some());
-        assert_views_equal(&sharded, &DetectionSnapshot::build(&h, &nodes));
+        assert_matches_history(&sharded, &h, &nodes);
     }
 
     #[test]
@@ -1139,7 +1244,7 @@ mod tests {
                 );
             }
         }
-        assert_views_equal(&sharded, &DetectionSnapshot::build(&h, &nodes));
+        assert_matches_history(&sharded, &h, &nodes);
     }
 
     #[test]
@@ -1159,7 +1264,7 @@ mod tests {
             let delta = buf.drain();
             let remap = sharded.apply_epoch(&delta, 2);
             assert!(remap.is_none(), "no new nodes expected");
-            assert_views_equal(&sharded, &DetectionSnapshot::build(&h, &nodes));
+            assert_matches_history(&sharded, &h, &nodes);
         }
     }
 
@@ -1187,7 +1292,7 @@ mod tests {
             assert_eq!(SnapshotView::node_id(&sharded, new_idx), old_nodes[old_idx]);
         }
         assert!(remap.windows(2).all(|w| w[0] < w[1]), "remap must be strictly monotone");
-        assert_views_equal(&sharded, &DetectionSnapshot::build(&h, &nodes));
+        assert_matches_history(&sharded, &h, &nodes);
     }
 
     #[test]
@@ -1203,19 +1308,11 @@ mod tests {
             h.record(r);
         }
         sharded.apply_epoch(&buf.drain(), 2);
-        let mono = DetectionSnapshot::build_with_frequent(&h, &nodes, 20);
-        for idx in 0..SnapshotView::n(&sharded) as u32 {
-            assert_eq!(
-                SnapshotView::frequent_agg(&sharded, 20, idx),
-                SnapshotView::frequent_agg(&mono, 20, idx),
-                "frequent agg of {idx}"
-            );
-            assert_eq!(
-                SnapshotView::frequent_agg(&sharded, 20, idx),
-                Some(SnapshotView::row_freq(&sharded, idx, 20))
-            );
-        }
-        assert_eq!(SnapshotView::frequent_agg(&sharded, 19, 0), None);
+        assert_matches_history(&sharded, &h, &nodes);
+        // the boosted pair is counted; a different t_n has no cached aggregate
+        let i2 = sharded.index(NodeId(2)).unwrap();
+        assert!(sharded.frequent_agg(20, i2).unwrap().0 >= 30);
+        assert_eq!(sharded.frequent_agg(19, 0), None);
     }
 
     /// Every way an edge enters or leaves the frequent reverse index, with
@@ -1304,10 +1401,13 @@ mod tests {
         let h = InteractionHistory::new();
         let nodes: Vec<NodeId> = (0..5).map(NodeId).collect();
         let mut sharded = ShardedSnapshot::build(&h, &nodes, 2);
-        assert_eq!(SnapshotView::n(&sharded), 5);
-        assert_eq!(SnapshotView::nnz(&sharded), 0);
+        assert_eq!(sharded.n(), 5);
+        assert_eq!(sharded.nnz(), 0);
+        let i1 = sharded.index(NodeId(1)).unwrap();
+        assert!(sharded.row(i1).0.is_empty());
+        assert_eq!(sharded.signed(i1), 0);
         assert_eq!(sharded.refresh(&h, &[]), RefreshOutcome::Unchanged);
         assert!(sharded.apply_epoch(&EpochDelta::default(), 2).is_none());
-        assert_views_equal(&sharded, &DetectionSnapshot::build(&h, &nodes));
+        assert_matches_history(&sharded, &h, &nodes);
     }
 }

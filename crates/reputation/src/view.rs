@@ -2,21 +2,18 @@
 //! against.
 //!
 //! The detectors in `collusion-core` only ever *read* a frozen rating
-//! matrix: rows, reverse probes, per-ratee totals and the optional frequent
+//! matrix: rows, pair probes, per-ratee totals and the optional frequent
 //! aggregates. Abstracting those probes behind a trait lets the same kernel
-//! code run over the monolithic [`crate::snapshot::DetectionSnapshot`] and
-//! the sharded [`crate::sharded::ShardedSnapshot`] without duplication —
-//! and guarantees the two paths share one definition of every quantity, so
-//! "bit-identical suspect sets" is a property of the data, not of parallel
-//! reimplementations.
+//! code run over a whole [`crate::sharded::ShardedSnapshot`] and over the
+//! pipelined engine's partial slice of one (only the rows a close's
+//! candidates touch), so both share one definition of every quantity.
 //!
-//! The `Sync` supertrait lets rayon kernels walk rows of any view from many
-//! threads; views are frozen during a detection pass, so no locks are
+//! The `Sync` supertrait lets the forked epoch re-check probe a view from
+//! many threads; views are frozen during a detection pass, so no locks are
 //! needed.
 
 use crate::history::{NodeTotals, PairCounters};
 use crate::id::NodeId;
-use crate::snapshot::DetectionSnapshot;
 
 /// Read-only probe interface over a frozen CSR rating matrix.
 ///
@@ -71,62 +68,5 @@ pub trait SnapshotView: Sync {
             }
         }
         (count, signed)
-    }
-}
-
-impl SnapshotView for DetectionSnapshot {
-    #[inline]
-    fn n(&self) -> usize {
-        DetectionSnapshot::n(self)
-    }
-
-    #[inline]
-    fn nodes(&self) -> &[NodeId] {
-        DetectionSnapshot::nodes(self)
-    }
-
-    #[inline]
-    fn node_id(&self, idx: u32) -> NodeId {
-        DetectionSnapshot::node_id(self, idx)
-    }
-
-    #[inline]
-    fn index(&self, id: NodeId) -> Option<u32> {
-        DetectionSnapshot::index(self, id)
-    }
-
-    #[inline]
-    fn nnz(&self) -> usize {
-        DetectionSnapshot::nnz(self)
-    }
-
-    #[inline]
-    fn row(&self, idx: u32) -> (&[u32], &[PairCounters]) {
-        DetectionSnapshot::row(self, idx)
-    }
-
-    #[inline]
-    fn pair(&self, rater: u32, ratee: u32) -> PairCounters {
-        DetectionSnapshot::pair(self, rater, ratee)
-    }
-
-    #[inline]
-    fn totals_of(&self, idx: u32) -> NodeTotals {
-        DetectionSnapshot::totals_of(self, idx)
-    }
-
-    #[inline]
-    fn signed(&self, idx: u32) -> i64 {
-        DetectionSnapshot::signed(self, idx)
-    }
-
-    #[inline]
-    fn frequent_agg(&self, t_n: u64, idx: u32) -> Option<(u64, i64)> {
-        DetectionSnapshot::frequent_agg(self, t_n, idx)
-    }
-
-    #[inline]
-    fn row_freq(&self, idx: u32, t_n: u64) -> (u64, i64) {
-        DetectionSnapshot::row_freq(self, idx, t_n)
     }
 }

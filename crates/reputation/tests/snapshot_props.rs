@@ -34,11 +34,41 @@ fn history_of(ratings: &[Rating]) -> InteractionHistory {
 
 const N: u64 = 6;
 
+/// Shard counts every property runs over: one shard, an uneven split, and
+/// more shards than rows.
+const SHARD_COUNTS: [usize; 3] = [1, 3, 64];
+
+/// Logical equality of two frozen views: same interned nodes, same totals,
+/// same resolved rows — regardless of how much of either lives in refresh
+/// overlays or how the rows are sharded.
+fn assert_same_rows(a: &ShardedSnapshot, b: &ShardedSnapshot) {
+    assert_eq!(a.nodes(), b.nodes());
+    assert_eq!(a.nnz(), b.nnz());
+    for i in 0..a.n() as u32 {
+        assert_eq!(a.totals_of(i), b.totals_of(i), "totals of row {i}");
+        assert_eq!(a.row(i), b.row(i), "row {i}");
+    }
+}
+
+/// An empty slice (a manager that owns nothing yet) snapshots to zero rows,
+/// and the refresh that interns its first node rebuilds.
+#[test]
+fn empty_slice_then_first_node() {
+    let mut h = InteractionHistory::new();
+    let mut snap = ShardedSnapshot::build(&h, &[], 1);
+    assert_eq!(snap.n(), 0);
+    assert_eq!(snap.nnz(), 0);
+    h.record(Rating::positive(NodeId(1), NodeId(2), SimTime(0)));
+    let dirty = h.take_dirty();
+    assert_eq!(snap.refresh(&h, &dirty), RefreshOutcome::Rebuilt);
+    assert_same_rows(&snap, &ShardedSnapshot::build(&h, &[], 1));
+    assert_eq!(snap.nodes(), &[NodeId(1), NodeId(2)]);
+}
+
 proptest! {
     /// Merging two histories and snapshotting equals snapshotting the
-    /// history that recorded the concatenated rating stream directly.
-    /// (Snapshot equality is logical — nodes, totals, resolved rows — so
-    /// it is independent of how the counters were accumulated.)
+    /// history that recorded the concatenated rating stream directly,
+    /// independent of how the counters were accumulated.
     #[test]
     fn merge_then_snapshot_equals_snapshot_of_merged(
         first in ratings_strategy(N, 200),
@@ -49,9 +79,11 @@ proptest! {
         merged.merge(&history_of(&second));
         let all: Vec<Rating> = first.iter().chain(second.iter()).copied().collect();
         let direct = history_of(&all);
-        let a = DetectionSnapshot::build(&merged, &nodes);
-        let b = DetectionSnapshot::build(&direct, &nodes);
-        prop_assert_eq!(a, b);
+        for shards in SHARD_COUNTS {
+            let a = ShardedSnapshot::build(&merged, &nodes, shards);
+            let b = ShardedSnapshot::build(&direct, &nodes, shards);
+            assert_same_rows(&a, &b);
+        }
     }
 
     /// `raters_of` stays duplicate-free for every ratee across `merge` and
@@ -96,13 +128,14 @@ proptest! {
         let nodes: Vec<NodeId> = (0..N).map(NodeId).collect();
         let mut h = history_of(&base);
         h.clear_dirty();
-        let mut snap = DetectionSnapshot::build(&h, &nodes);
+        let mut snaps = SHARD_COUNTS.map(|shards| ShardedSnapshot::build(&h, &nodes, shards));
         for r in &extra {
             h.record(*r);
         }
         let dirty = h.take_dirty();
-        snap.refresh(&h, &dirty);
-        let rebuilt = DetectionSnapshot::build(&h, &nodes);
-        prop_assert_eq!(snap, rebuilt);
+        for (snap, shards) in snaps.iter_mut().zip(SHARD_COUNTS) {
+            snap.refresh(&h, &dirty);
+            assert_same_rows(snap, &ShardedSnapshot::build(&h, &nodes, shards));
+        }
     }
 }

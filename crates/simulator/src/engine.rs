@@ -28,7 +28,7 @@ use collusion_reputation::eigentrust::{EigenTrust, NormalizedWeightedEngine, Wei
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::Rating;
-use collusion_reputation::snapshot::DetectionSnapshot;
+use collusion_reputation::sharded::ShardedSnapshot;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -50,7 +50,7 @@ pub struct Simulation {
     /// CSR view of the cumulative history, refreshed incrementally from the
     /// dirty-ratee set each detection period (cumulative mode only; windowed
     /// runs rebuild a fresh snapshot of the merged window every period).
-    snapshot: Option<DetectionSnapshot>,
+    snapshot: Option<ShardedSnapshot>,
     /// Global reputation, indexed by raw node id (index 0 unused).
     reputation: Vec<f64>,
     detected: BTreeSet<NodeId>,
@@ -338,7 +338,7 @@ impl Simulation {
     /// matrix … and detects collusion"). Server selection only ever sees
     /// the post-mitigation values.
     ///
-    /// The pair detectors run on a [`DetectionSnapshot`]: cumulative runs
+    /// The pair detectors run on a one-shard [`ShardedSnapshot`]: cumulative runs
     /// keep one snapshot alive and patch only the ratees dirtied since the
     /// previous period, windowed runs rebuild from the merged window.
     fn run_detection(&mut self) {
@@ -360,10 +360,10 @@ impl Simulation {
             // instead of rebuild (windowed runs discard it — their snapshot
             // is rebuilt from the merged window anyway)
             let dirty = self.history.take_dirty();
-            let fresh: Option<DetectionSnapshot>;
-            let snap: &DetectionSnapshot = match &windowed {
+            let fresh: Option<ShardedSnapshot>;
+            let snap: &ShardedSnapshot = match &windowed {
                 Some(h) => {
-                    fresh = Some(DetectionSnapshot::build_with_frequent(h, &nodes, t_n));
+                    fresh = Some(ShardedSnapshot::build_with_frequent(h, &nodes, 1, t_n));
                     fresh.as_ref().expect("just built")
                 }
                 None => {
@@ -372,9 +372,10 @@ impl Simulation {
                             s.refresh(&self.history, &dirty);
                         }
                         None => {
-                            self.snapshot = Some(DetectionSnapshot::build_with_frequent(
+                            self.snapshot = Some(ShardedSnapshot::build_with_frequent(
                                 &self.history,
                                 &nodes,
+                                1,
                                 t_n,
                             ));
                         }

@@ -18,7 +18,8 @@
 //!   stay exact at every scale.
 //!
 //! Used by the `scale_json` benchmark to measure build/refresh/detect
-//! throughput of the monolithic and sharded kernels on identical inputs.
+//! throughput of the full-pass and epoch-incremental kernels on identical
+//! inputs.
 
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::{Rating, RatingValue};

@@ -29,12 +29,6 @@ for w in 1 4; do
     --test pipeline_props --test scale_props
 done
 
-echo "== explicit-simd build matrix (fixed-lane band kernels, both paths bit-identical) =="
-# compile + lint the pinned-vector-shape kernel path, then run the kernel
-# oracle and pipeline bit-identity properties under it
-cargo clippy -p collusion-core --features explicit-simd --all-targets -- -D warnings
-cargo test --release -q --features explicit-simd --test pipeline_props
-
 echo "== fault matrix (drop ∈ {0, 0.1, 0.3}) =="
 cargo test --release --test fault_tolerance -q
 

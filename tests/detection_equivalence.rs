@@ -87,16 +87,6 @@ fn injected_pairs_are_recovered() {
 }
 
 #[test]
-fn parallel_basic_agrees_with_sequential_across_seeds() {
-    for seed in 0..10u64 {
-        let (h, nodes) = random_history(200 + seed, 40, 3);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let det = BasicDetector::new(thresholds());
-        assert_eq!(det.detect(&input).pair_ids(), det.detect_par(&input).pair_ids());
-    }
-}
-
-#[test]
 fn extended_policy_finds_a_superset_of_strict() {
     for seed in 0..10u64 {
         let (h, nodes) = random_history(300 + seed, 40, 3);
@@ -121,27 +111,47 @@ fn detection_is_deterministic() {
     assert_eq!(a.cost, b.cost);
 }
 
+/// Shard counts every snapshot equivalence runs over: the one shard the
+/// paper-scale call sites use, uneven splits, and more shards than rows.
+const SHARD_COUNTS: [usize; 4] = [1, 3, 8, 64];
+
+/// `detect_snapshot` over `snap` must reproduce the HashMap-backed detectors
+/// over the raw history exactly: same suspect pairs AND the same metered
+/// cost, for both detectors under both policies.
+fn assert_snapshot_matches_raw(
+    snap: &ShardedSnapshot,
+    h: &InteractionHistory,
+    nodes: &[NodeId],
+    ctx: &str,
+) {
+    let raw_input = DetectionInput::from_signed_history(h, nodes);
+    let snap_input = SnapshotInput::from_signed(snap, nodes);
+    for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
+        let basic = BasicDetector::with_policy(thresholds(), policy);
+        let raw = basic.detect(&raw_input);
+        let fast = basic.detect_snapshot(&snap_input);
+        assert_eq!(raw.pairs, fast.pairs, "{ctx}, {policy:?}: basic pairs");
+        assert_eq!(raw.cost, fast.cost, "{ctx}, {policy:?}: basic cost");
+        let optimized = OptimizedDetector::with_policy(thresholds(), policy);
+        let raw = optimized.detect(&raw_input);
+        let fast = optimized.detect_snapshot(&snap_input);
+        assert_eq!(raw.pairs, fast.pairs, "{ctx}, {policy:?}: optimized pairs");
+        assert_eq!(raw.cost, fast.cost, "{ctx}, {policy:?}: optimized cost");
+    }
+}
+
 #[test]
 fn snapshot_paths_are_bit_identical_across_seeds() {
-    // The CSR snapshot kernels must reproduce the HashMap-backed detectors
-    // exactly: same suspect pairs AND the same metered cost, for both
-    // detectors under both policies.
     for seed in 0..10u64 {
         let (h, nodes) = random_history(400 + seed, 40, 3);
-        let legacy_input = DetectionInput::from_signed_history(&h, &nodes);
-        let snap = DetectionSnapshot::build(&h, &nodes);
-        let snap_input = SnapshotInput::from_signed(&snap, &nodes);
-        for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
-            let basic = BasicDetector::with_policy(thresholds(), policy);
-            let legacy = basic.detect(&legacy_input);
-            let fast = basic.detect_snapshot(&snap_input);
-            assert_eq!(legacy.pairs, fast.pairs, "seed {seed}, {policy:?}: basic pairs");
-            assert_eq!(legacy.cost, fast.cost, "seed {seed}, {policy:?}: basic cost");
-            let optimized = OptimizedDetector::with_policy(thresholds(), policy);
-            let legacy = optimized.detect(&legacy_input);
-            let fast = optimized.detect_snapshot(&snap_input);
-            assert_eq!(legacy.pairs, fast.pairs, "seed {seed}, {policy:?}: optimized pairs");
-            assert_eq!(legacy.cost, fast.cost, "seed {seed}, {policy:?}: optimized cost");
+        for shards in SHARD_COUNTS {
+            let snap = ShardedSnapshot::build(&h, &nodes, shards);
+            assert_snapshot_matches_raw(
+                &snap,
+                &h,
+                &nodes,
+                &format!("seed {seed}, {shards} shards"),
+            );
         }
     }
 }
@@ -153,29 +163,13 @@ fn precomputed_frequent_aggregates_stay_bit_identical() {
     // paper's algorithm, not our shortcut).
     for seed in 0..5u64 {
         let (h, nodes) = random_history(500 + seed, 40, 3);
-        let legacy_input = DetectionInput::from_signed_history(&h, &nodes);
-        let snap = DetectionSnapshot::build_with_frequent(&h, &nodes, thresholds().t_n);
-        let snap_input = SnapshotInput::from_signed(&snap, &nodes);
-        let det = OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED);
-        let legacy = det.detect(&legacy_input);
-        let fast = det.detect_snapshot(&snap_input);
-        assert_eq!(legacy.pairs, fast.pairs, "seed {seed}: pairs");
-        assert_eq!(legacy.cost, fast.cost, "seed {seed}: cost");
-    }
-}
-
-#[test]
-fn parallel_snapshot_optimized_agrees_across_seeds() {
-    for seed in 0..10u64 {
-        let (h, nodes) = random_history(600 + seed, 40, 3);
-        let snap = DetectionSnapshot::build(&h, &nodes);
-        let input = SnapshotInput::from_signed(&snap, &nodes);
-        for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
-            let det = OptimizedDetector::with_policy(thresholds(), policy);
-            assert_eq!(
-                det.detect_snapshot(&input).pairs,
-                det.detect_par(&input).pairs,
-                "seed {seed}, {policy:?}"
+        for shards in SHARD_COUNTS {
+            let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, shards, thresholds().t_n);
+            assert_snapshot_matches_raw(
+                &snap,
+                &h,
+                &nodes,
+                &format!("seed {seed}, {shards} shards"),
             );
         }
     }
@@ -189,7 +183,7 @@ fn incremental_refresh_matches_fresh_build_detection() {
     for seed in 0..5u64 {
         let (mut h, nodes) = random_history(700 + seed, 40, 2);
         h.clear_dirty();
-        let mut snap = DetectionSnapshot::build_with_frequent(&h, &nodes, thresholds().t_n);
+        let mut snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
         // second wave of traffic, including a fresh colluding pair
         let mut rng = SmallRng::seed_from_u64(9000 + seed);
         let mut t = 1_000_000u64;
@@ -208,14 +202,17 @@ fn incremental_refresh_matches_fresh_build_detection() {
             t += 1;
         }
         let dirty = h.take_dirty();
-        snap.refresh(&h, &dirty);
-        let rebuilt = DetectionSnapshot::build_with_frequent(&h, &nodes, thresholds().t_n);
-        assert_eq!(snap, rebuilt, "seed {seed}: refreshed snapshot diverged");
+        assert_eq!(snap.refresh(&h, &dirty), RefreshOutcome::Patched(dirty.len()));
+        let rebuilt = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
+        for i in 0..rebuilt.n() as u32 {
+            assert_eq!(snap.row(i), rebuilt.row(i), "seed {seed}: refreshed row {i} diverged");
+        }
         let det = OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED);
         let patched = det.detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
         let fresh = det.detect_snapshot(&SnapshotInput::from_signed(&rebuilt, &nodes));
         assert_eq!(patched.pairs, fresh.pairs, "seed {seed}: pairs");
         assert_eq!(patched.cost, fresh.cost, "seed {seed}: cost");
+        assert_snapshot_matches_raw(&snap, &h, &nodes, &format!("seed {seed}, refreshed"));
     }
 }
 
@@ -255,7 +252,7 @@ fn fault_free_plan_is_bit_identical_to_fault_oblivious_run() {
         assert!(none_plan.unconfirmed.is_empty(), "seed {seed}");
         assert_eq!(none_plan.fault.completeness(), 1.0, "seed {seed}");
         // centralized CSR snapshot path reaches the same verdicts
-        let snap = DetectionSnapshot::build(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
         let sinput = SnapshotInput::from_signed(&snap, &nodes);
         let central = OptimizedDetector::new(thresholds()).detect_snapshot(&sinput);
         assert_eq!(none_plan.report.pair_ids(), central.pair_ids(), "seed {seed}: centralized");
@@ -264,55 +261,32 @@ fn fault_free_plan_is_bit_identical_to_fault_oblivious_run() {
 
 #[test]
 fn sharded_snapshot_paths_are_bit_identical_across_seeds() {
-    // The sharded CSR arena feeds the very same generic kernels through
-    // `SnapshotView`, so pairs AND metered cost must match the monolithic
-    // snapshot exactly — for both detectors, both policies, and shard
-    // counts from one to far-more-than-rows.
+    // The same row walk with the band gate armed (`detect_pruned`), at every
+    // shard count, against the raw-history detector: under the extended
+    // policy the gate disarms itself, so pairs AND cost are the oracle's;
+    // under the strict policy the pairs are the oracle's and every metered
+    // counter can only go down.
     for seed in 0..10u64 {
         let (h, nodes) = random_history(900 + seed, 40, 3);
-        for shards in [1usize, 3, 8, 64] {
+        let raw_input = DetectionInput::from_signed_history(&h, &nodes);
+        for shards in SHARD_COUNTS {
+            let snap = ShardedSnapshot::build(&h, &nodes, shards);
+            let input = SnapshotInput::from_signed(&snap, &nodes);
             for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
-                let (mono, shard) = if policy.community_excludes_frequent {
-                    (
-                        DetectionSnapshot::build_with_frequent(&h, &nodes, thresholds().t_n),
-                        ShardedSnapshot::build_with_frequent(&h, &nodes, shards, thresholds().t_n),
-                    )
+                let det = OptimizedDetector::with_policy(thresholds(), policy);
+                let raw = det.detect(&raw_input);
+                let (pruned, stats) = det.detect_pruned(&input);
+                let ctx = format!("seed {seed}, {shards} shards, {policy:?}");
+                assert_eq!(raw.pairs, pruned.pairs, "{ctx}: pruned pairs");
+                if policy.community_excludes_frequent {
+                    assert_eq!(raw.cost, pruned.cost, "{ctx}: disarmed gate must not change cost");
+                    assert_eq!(stats, PruneStats::default(), "{ctx}");
                 } else {
-                    (
-                        DetectionSnapshot::build(&h, &nodes),
-                        ShardedSnapshot::build(&h, &nodes, shards),
-                    )
-                };
-                let mono_in = SnapshotInput::from_signed(&mono, &nodes);
-                let shard_in = SnapshotInput::from_signed(&shard, &nodes);
-                for_both_detectors(&mono_in, &shard_in, seed, shards, policy);
+                    assert!(stats.pairs_examined >= pruned.pairs.len() as u64, "{ctx}");
+                    assert!(pruned.cost.element_checks <= raw.cost.element_checks, "{ctx}");
+                    assert!(pruned.cost.band_checks <= raw.cost.band_checks, "{ctx}");
+                }
             }
         }
-    }
-}
-
-fn for_both_detectors(
-    mono_in: &SnapshotInput<'_, DetectionSnapshot>,
-    shard_in: &SnapshotInput<'_, ShardedSnapshot>,
-    seed: u64,
-    shards: usize,
-    policy: DetectionPolicy,
-) {
-    let basic = BasicDetector::with_policy(thresholds(), policy);
-    let a = basic.detect_snapshot(mono_in);
-    let b = basic.detect_snapshot(shard_in);
-    assert_eq!(a.pairs, b.pairs, "seed {seed}, {shards} shards, {policy:?}: basic pairs");
-    assert_eq!(a.cost, b.cost, "seed {seed}, {shards} shards, {policy:?}: basic cost");
-    let opt = OptimizedDetector::with_policy(thresholds(), policy);
-    let a = opt.detect_snapshot(mono_in);
-    let b = opt.detect_snapshot(shard_in);
-    assert_eq!(a.pairs, b.pairs, "seed {seed}, {shards} shards, {policy:?}: optimized pairs");
-    assert_eq!(a.cost, b.cost, "seed {seed}, {shards} shards, {policy:?}: optimized cost");
-    // band pruning on the sharded view: identical pairs, strictly fewer
-    // (or equal) full checks
-    if !policy.community_excludes_frequent {
-        let (pruned, stats) = opt.detect_pruned(shard_in);
-        assert_eq!(a.pairs, pruned.pairs, "seed {seed}, {shards} shards: pruned pairs");
-        assert!(stats.pairs_examined >= pruned.pairs.len() as u64);
     }
 }

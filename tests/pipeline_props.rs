@@ -106,8 +106,7 @@ fn totals_strategy() -> impl Strategy<Value = (u64, u64, u64)> {
 
 proptest! {
     /// The batch band kernel ([`OptimizedDetector::rows_prunable_batch`],
-    /// SoA columns, branch-free lanes, `2·T_a·T_N` hoisted — and fixed
-    /// `[_; 4]` lane arrays under the `explicit-simd` feature) must agree
+    /// SoA columns, branch-free lanes, `2·T_a·T_N` hoisted) must agree
     /// with the scalar oracle [`OptimizedDetector::row_prunable`] lane for
     /// lane on *arbitrary* totals, including saturating counts the clamp
     /// rules exist for. Both forms read the same raw fields, so

@@ -1,7 +1,8 @@
 //! Property-based guarantees for the scale path: sharded CSR snapshots,
 //! Formula (2) band pruning, and the epoch-incremental engine are all
-//! *bit-identical* to the monolithic full-pass kernels — the correctness
-//! contract that lets `BENCH_scale.json` compare their costs honestly.
+//! *bit-identical* to a full pass of the raw-history detectors — the
+//! correctness contract that lets `BENCH_scale.json` compare their costs
+//! honestly.
 
 use collusion::core::epoch::{EpochEngine, EpochMethod};
 use collusion::core::policy::DetectionPolicy;
@@ -35,8 +36,9 @@ fn nodes() -> Vec<NodeId> {
 }
 
 proptest! {
-    /// Sharded detection is bit-identical to monolithic — pairs *and*
-    /// metered cost — for any shard count, both detectors, both policies.
+    /// Sharded detection is bit-identical to the raw-history detectors —
+    /// pairs *and* metered cost — for any shard count, both detectors, both
+    /// policies.
     #[test]
     fn sharded_detect_bit_identical(ratings in ratings_strategy(400), shards in 1usize..=16) {
         let mut h = InteractionHistory::new();
@@ -45,24 +47,21 @@ proptest! {
         }
         let t = thresholds();
         let nodes = nodes();
+        let raw_in = DetectionInput::from_signed_history(&h, &nodes);
         for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
-            let (mono, shard) = if policy.community_excludes_frequent {
-                (
-                    DetectionSnapshot::build_with_frequent(&h, &nodes, t.t_n),
-                    ShardedSnapshot::build_with_frequent(&h, &nodes, shards, t.t_n),
-                )
+            let shard = if policy.community_excludes_frequent {
+                ShardedSnapshot::build_with_frequent(&h, &nodes, shards, t.t_n)
             } else {
-                (DetectionSnapshot::build(&h, &nodes), ShardedSnapshot::build(&h, &nodes, shards))
+                ShardedSnapshot::build(&h, &nodes, shards)
             };
-            let mono_in = SnapshotInput::from_signed(&mono, &nodes);
             let shard_in = SnapshotInput::from_signed(&shard, &nodes);
             let opt = OptimizedDetector::with_policy(t, policy);
-            let a = opt.detect_snapshot(&mono_in);
+            let a = opt.detect(&raw_in);
             let b = opt.detect_snapshot(&shard_in);
             prop_assert_eq!(&a.pairs, &b.pairs, "optimized pairs, {:?}", policy);
             prop_assert_eq!(a.cost, b.cost, "optimized cost, {:?}", policy);
             let basic = BasicDetector::with_policy(t, policy);
-            let a = basic.detect_snapshot(&mono_in);
+            let a = basic.detect(&raw_in);
             let b = basic.detect_snapshot(&shard_in);
             prop_assert_eq!(&a.pairs, &b.pairs, "basic pairs, {:?}", policy);
             prop_assert_eq!(a.cost, b.cost, "basic cost, {:?}", policy);
@@ -70,8 +69,8 @@ proptest! {
     }
 
     /// Random refresh sequences: a sharded snapshot patched wave by wave
-    /// from the dirty set detects identically to a monolithic snapshot
-    /// rebuilt from scratch at every step.
+    /// from the dirty set detects identically — pairs and cost — to the
+    /// raw-history detector at every step.
     #[test]
     fn sharded_refresh_sequences_bit_identical(
         waves in prop::collection::vec(ratings_strategy(120), 1..5),
@@ -89,10 +88,10 @@ proptest! {
             }
             let dirty: Vec<NodeId> = h.take_dirty().into_iter().collect();
             shard.refresh(&h, &dirty);
-            let mono = DetectionSnapshot::build(&h, &nodes);
-            let a = opt.detect_snapshot(&SnapshotInput::from_signed(&mono, &nodes));
+            let a = opt.detect(&DetectionInput::from_signed_history(&h, &nodes));
             let b = opt.detect_snapshot(&SnapshotInput::from_signed(&shard, &nodes));
             prop_assert_eq!(a.pairs, b.pairs);
+            prop_assert_eq!(a.cost, b.cost);
         }
     }
 
@@ -172,13 +171,13 @@ proptest! {
             }
             for (policy, method, engine) in &mut engines {
                 let report = engine.close_epoch();
-                let mono = if policy.community_excludes_frequent {
-                    DetectionSnapshot::build_with_frequent(&h, &nodes, t.t_n)
+                let full = if policy.community_excludes_frequent {
+                    ShardedSnapshot::build_with_frequent(&h, &nodes, 1, t.t_n)
                 } else {
-                    DetectionSnapshot::build(&h, &nodes)
+                    ShardedSnapshot::build(&h, &nodes, 1)
                 };
                 // every interned id is examined, strangers included
-                let input = SnapshotInput::from_signed(&mono, mono.nodes());
+                let input = SnapshotInput::from_signed(&full, full.nodes());
                 let expect = match method {
                     EpochMethod::Basic => {
                         BasicDetector::with_policy(t, *policy).detect_snapshot(&input)
