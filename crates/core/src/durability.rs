@@ -18,16 +18,21 @@
 //! * Every [`DurabilityConfig::checkpoint_interval`] closes, the engine
 //!   state is checkpointed atomically
 //!   ([`collusion_reputation::checkpoint`]): serialized via
-//!   [`EpochEngine::persist_bytes`], written to a temp file, checksummed,
-//!   renamed.
+//!   [`EpochEngine::persist_bytes`], checksummed a word at a time, written
+//!   once to a temp file, renamed.
 //!
 //! # Recovery
 //!
 //! [`DurableEngine::recover`] loads the newest checkpoint that validates
 //! (corrupt ones are skipped, stale `.tmp` litter from a mid-checkpoint
-//! crash is ignored), rebuilds the engine from it, then replays the WAL
+//! crash is ignored, and so is a checkpoint in a previous file format —
+//! the log is never truncated, so the worst case is a full replay),
+//! rebuilds the engine from it, then replays the WAL
 //! tail — every record at or past the checkpoint's replay cursor — through
-//! the same `record`/`close_epoch` entry points the live path uses. A torn
+//! the same `record`/`close_epoch` entry points the live path uses, each
+//! record folded as the scanner decodes it from a window over the file
+//! ([`Wal::open_with`]), so neither the log's image nor its decoded
+//! records are ever held in memory. A torn
 //! or corrupt final WAL record ends the replay and is physically truncated
 //! away; the loss is reported in [`RecoveryReport`], never a panic. Because
 //! detection state is a pure fold over the record stream, the recovered
@@ -326,10 +331,9 @@ impl DurableEngine {
 
         let wal_path = dir.join(WAL_FILE);
         let wal = if wal_path.exists() {
-            let (wal, replay) = Wal::open_existing(&wal_path)?;
-            report.truncated_bytes = replay.truncated_bytes;
-            report.wal_corruption = replay.corruption;
-            for (seq, record) in replay.records {
+            // fold, count and close as the log is decoded: a
+            // multi-million-rating log is never held, as bytes or as records
+            let (wal, scan) = Wal::open_with(&wal_path, |seq, record| {
                 // whole-log facts first: they cover the records a checkpoint
                 // makes the engine skip, too
                 match record {
@@ -344,7 +348,7 @@ impl DurableEngine {
                 }
                 if seq < replay_from {
                     report.skipped_records += 1;
-                    continue;
+                    return;
                 }
                 report.replayed_records += 1;
                 match record {
@@ -365,7 +369,9 @@ impl DurableEngine {
                     // `RecoveryReport::stream_sessions` above.
                     WalRecord::StreamSession { .. } => {}
                 }
-            }
+            })?;
+            report.truncated_bytes = scan.truncated_bytes;
+            report.wal_corruption = scan.corruption;
             if wal.next_seq() < replay_from {
                 // A torn tail ate records the newest checkpoint already
                 // covers (e.g. a close marker whose checkpoint hit disk

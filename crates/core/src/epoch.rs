@@ -997,7 +997,10 @@ impl EpochEngine {
             "persist_bytes requires an epoch boundary (open buffer must be empty)"
         );
         let n = self.snap.n();
-        let mut w = ByteWriter::with_capacity(64 + n * 8 + self.snap.nnz() * 28);
+        // ids, row lengths and cells are exact; ~80 bytes a verdict is not
+        let mut w = ByteWriter::with_capacity(
+            128 + n * 12 + self.snap.nnz() * CELL_BYTES + self.verdicts.len() * 80,
+        );
         w.put_u32(STATE_VERSION);
         w.put_u64(wal_seq);
         w.put_u32(n as u32);
@@ -1005,13 +1008,16 @@ impl EpochEngine {
             w.put_u64(self.snap.node_id(i).raw());
         }
         for i in 0..n as u32 {
+            // a row at a time into space reserved once, not a capacity
+            // check per field (four a cell, 8 M at n = 100k)
             let (cols, cells) = self.snap.row(i);
-            w.put_u32(cols.len() as u32);
-            for (k, &col) in cols.iter().enumerate() {
-                w.put_u32(col);
-                w.put_u64(cells[k].total);
-                w.put_u64(cells[k].positive);
-                w.put_u64(cells[k].negative);
+            let (len, row) = w.put_zeroed(4 + cols.len() * CELL_BYTES).split_at_mut(4);
+            len.copy_from_slice(&(cols.len() as u32).to_le_bytes());
+            for ((out, &col), cell) in row.chunks_exact_mut(CELL_BYTES).zip(cols).zip(cells) {
+                out[..4].copy_from_slice(&col.to_le_bytes());
+                out[4..12].copy_from_slice(&cell.total.to_le_bytes());
+                out[12..20].copy_from_slice(&cell.positive.to_le_bytes());
+                out[20..].copy_from_slice(&cell.negative.to_le_bytes());
             }
         }
         w.put_u32(self.verdicts.len() as u32);
@@ -1067,7 +1073,7 @@ impl EpochEngine {
         let mut history = InteractionHistory::new();
         for i in 0..n {
             let row_raw = r.get_u32()? as u64;
-            let row_len = r.checked_count(row_raw, 28)?;
+            let row_len = r.checked_count(row_raw, CELL_BYTES)?;
             for _ in 0..row_len {
                 let col = r.get_u32()? as usize;
                 let counters = PairCounters {
@@ -1177,6 +1183,9 @@ impl EpochEngine {
 /// Version tag inside checkpoint payloads (the file-level header is owned
 /// by `collusion_reputation::checkpoint`).
 const STATE_VERSION: u32 = 1;
+/// Encoded size of one snapshot cell: `col:u32 total:u64 positive:u64
+/// negative:u64`.
+const CELL_BYTES: usize = 28;
 
 fn encode_evidence(w: &mut ByteWriter, ev: Option<&DirectionEvidence>) {
     match ev {

@@ -198,7 +198,15 @@ proptest! {
         let dir = scratch_dir("net-oracle");
         let cfg = config(&dir, pair_watermark);
         let mut node = ManagerNode::spawn(cfg.clone()).expect("spawn manager");
-        let mut client = RpcClient::new(RpcConfig::lan());
+        // patient and never retrying: `Insert`/`InsertBatch` are not
+        // idempotent, and on a busy disk one batch's `EveryK` fsyncs outlast
+        // `lan()`'s 400 ms attempt, so a retry would fold the batch twice
+        let mut client = RpcClient::new(RpcConfig {
+            attempt_timeout_ms: 30_000,
+            total_deadline_ms: 30_000,
+            max_retries: 0,
+            ..RpcConfig::lan()
+        });
         let mut engine = EpochEngine::new(
             &cfg.nodes,
             cfg.shards,

@@ -28,12 +28,28 @@
 //! # Torn tails
 //!
 //! A crash mid-append leaves a record whose length prefix, payload or
-//! checksum is incomplete or wrong. [`WalReplay`] stops at the *first* record
+//! checksum is incomplete or wrong. The scan stops at the *first* record
 //! that fails any validation, reports everything before it, and records how
 //! many bytes were discarded — recovery then physically truncates the file to
-//! the valid prefix ([`Wal::open_existing`] does this) and resumes appending.
+//! the valid prefix ([`Wal::open_with`] does this) and resumes appending.
 //! Corruption is data, not a programming error: nothing in this module
 //! panics on malformed input (fuzzed in `tests/durability_props.rs`).
+//!
+//! There is one record loop and it is a visitor: recovery
+//! ([`Wal::open_with`]) reads the file a chunk at a time and folds each
+//! record as it is decoded, holding neither the file image nor the decoded
+//! log. [`scan_bytes`] is the same loop over bytes already in memory;
+//! [`replay_bytes`] and [`Wal::open_existing`] collect what it visits into
+//! a [`WalReplay`], for tests and harnesses.
+//!
+//! # Group commit
+//!
+//! Under [`SyncPolicy::Async`] a committer thread owns both the fsyncs and
+//! the max-delay clock, so the append path is an encode, a length compare
+//! and one atomic load (see [`Wal::enable_group_commit`]). The durable
+//! watermark ([`Wal::durable_len`]) moves only on a *successful*
+//! `sync_data`: a failed one is latched and re-raised at the next barrier,
+//! and never makes unsynced bytes read as durable.
 
 use crate::codec::{fnv64, ByteReader, ByteWriter, CodecError};
 use crate::id::{NodeId, SimTime};
@@ -41,7 +57,8 @@ use crate::rating::{Rating, RatingValue};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,6 +79,10 @@ const KIND_STREAM_SESSION: u8 = 0x03;
 /// torn/corrupt length prefix. The largest legal payload (a rating) is
 /// 34 bytes, so this is generous headroom for future record kinds.
 const MAX_PAYLOAD_LEN: u32 = 4096;
+/// Largest record the scanner accepts: length prefix, checksum, payload.
+const MAX_RECORD_LEN: usize = 12 + MAX_PAYLOAD_LEN as usize;
+/// How much of a log [`Wal::open_with`] holds at a time.
+const SCAN_CHUNK: usize = 1 << 20;
 /// Largest encoded payload the live writer produces (a rating record:
 /// seq 8 + kind 1 + rater 8 + ratee 8 + value 1 + time 8).
 const MAX_LIVE_PAYLOAD: usize = 34;
@@ -98,7 +119,9 @@ pub enum SyncPolicy {
         /// Commit once this many encoded bytes are pending (0 behaves as
         /// 1: every flush requests a commit).
         max_bytes: u32,
-        /// Commit once the oldest pending append is this old.
+        /// Commit at the first append after the oldest pending one is
+        /// this old (the committer keeps the clock, so add at most one
+        /// in-flight fsync; 0: every append commits).
         max_delay_micros: u32,
     },
 }
@@ -185,7 +208,22 @@ impl From<io::Error> for WalError {
     }
 }
 
-/// Result of scanning a WAL byte stream: the valid prefix, decoded.
+/// What a scan of a WAL byte stream found, besides the records it handed
+/// to its visitor.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalScan {
+    /// Byte length of the valid prefix (header + intact records).
+    pub valid_len: u64,
+    /// Bytes after the valid prefix that were discarded as torn/corrupt.
+    pub truncated_bytes: u64,
+    /// Why the scan stopped early, if it did.
+    pub corruption: Option<CodecError>,
+    /// Sequence number the next append should use.
+    pub next_seq: u64,
+}
+
+/// Result of scanning a WAL byte stream: the valid prefix, decoded and
+/// collected ([`scan_bytes`] is the same scan without the collection).
 #[derive(Clone, Debug, Default)]
 pub struct WalReplay {
     /// Decoded records of the valid prefix, in append order.
@@ -204,6 +242,16 @@ impl WalReplay {
     /// Whether the scan hit a torn or corrupt record.
     pub fn is_truncated(&self) -> bool {
         self.truncated_bytes > 0
+    }
+
+    fn collected(records: Vec<(u64, WalRecord)>, scan: WalScan) -> Self {
+        WalReplay {
+            records,
+            valid_len: scan.valid_len,
+            truncated_bytes: scan.truncated_bytes,
+            corruption: scan.corruption,
+            next_seq: scan.next_seq,
+        }
     }
 }
 
@@ -293,33 +341,31 @@ fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord), CodecError> {
     Ok((seq, record))
 }
 
-/// Scan raw WAL bytes (header included) and decode the valid prefix.
-///
-/// Never panics: any malformed region simply ends the scan. Records must
-/// carry consecutive sequence numbers starting from the header's
-/// `start_seq`; a gap or repeat is treated as corruption at that point.
-pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay, WalError> {
-    if bytes.len() < WAL_HEADER_LEN {
-        return Err(WalError::BadHeader);
-    }
-    let mut hdr = ByteReader::new(&bytes[..WAL_HEADER_LEN]);
+/// Validate a WAL file header; returns its `start_seq`.
+fn parse_header(header: &[u8]) -> Result<u64, WalError> {
+    let mut hdr = ByteReader::new(header);
     let magic = hdr.get_bytes(4).map_err(|_| WalError::BadHeader)?;
     let version = hdr.get_u32().map_err(|_| WalError::BadHeader)?;
     if magic != WAL_MAGIC || version != WAL_VERSION {
         return Err(WalError::BadHeader);
     }
-    let start_seq = hdr.get_u64().map_err(|_| WalError::BadHeader)?;
+    hdr.get_u64().map_err(|_| WalError::BadHeader)
+}
 
-    let mut replay =
-        WalReplay { valid_len: WAL_HEADER_LEN as u64, next_seq: start_seq, ..WalReplay::default() };
-    let mut pos = WAL_HEADER_LEN;
-    let mut expect_seq = start_seq;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            break;
-        }
-        let mut frame = ByteReader::new(rest);
+/// The one record loop of this format: decode records from the front of
+/// `bytes` (no file header), handing each to `visit`, until the bytes run
+/// out or a record fails validation. Records must carry consecutive
+/// sequence numbers from `*expect_seq`, which is advanced past every
+/// record visited. Returns the bytes consumed and why the scan stopped
+/// short of the end, if it did. Never panics.
+fn scan_records(
+    bytes: &[u8],
+    expect_seq: &mut u64,
+    visit: &mut impl FnMut(u64, WalRecord),
+) -> (usize, Option<CodecError>) {
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let mut frame = ByteReader::new(&bytes[pos..]);
         let outcome = (|| -> Result<(usize, u64, WalRecord), CodecError> {
             let len = frame.get_u32()?;
             if len > MAX_PAYLOAD_LEN {
@@ -334,30 +380,95 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay, WalError> {
             Ok((frame.pos(), seq, record))
         })();
         match outcome {
-            Ok((consumed, seq, record)) if seq == expect_seq => {
+            Ok((consumed, seq, record)) if seq == *expect_seq => {
                 pos += consumed;
-                replay.valid_len = pos as u64;
-                replay.records.push((seq, record));
-                expect_seq += 1;
+                *expect_seq += 1;
+                visit(seq, record);
             }
-            Ok(_) => {
-                replay.corruption = Some(CodecError::BadLength);
-                break;
-            }
-            Err(e) => {
-                replay.corruption = Some(e);
-                break;
-            }
+            // a gap or repeat in the sequence is corruption at that point
+            Ok(_) => return (pos, Some(CodecError::BadLength)),
+            Err(e) => return (pos, Some(e)),
         }
     }
-    replay.truncated_bytes = bytes.len() as u64 - replay.valid_len;
-    replay.next_seq = expect_seq;
-    Ok(replay)
+    (pos, None)
+}
+
+/// Scan raw WAL bytes (header included), handing each record of the valid
+/// prefix to `visit` as it is decoded.
+///
+/// Never panics: any malformed region simply ends the scan. Records must
+/// carry consecutive sequence numbers starting from the header's
+/// `start_seq`; a gap or repeat is treated as corruption at that point.
+pub fn scan_bytes(
+    bytes: &[u8],
+    mut visit: impl FnMut(u64, WalRecord),
+) -> Result<WalScan, WalError> {
+    let (header, records) = bytes.split_at_checked(WAL_HEADER_LEN).ok_or(WalError::BadHeader)?;
+    let mut next_seq = parse_header(header)?;
+    let (consumed, corruption) = scan_records(records, &mut next_seq, &mut visit);
+    Ok(WalScan {
+        valid_len: (WAL_HEADER_LEN + consumed) as u64,
+        truncated_bytes: (records.len() - consumed) as u64,
+        corruption,
+        next_seq,
+    })
+}
+
+/// [`scan_bytes`] over a file read `chunk` bytes at a time from its start,
+/// so a log of any length is scanned in constant memory: the same record
+/// loop runs over a window that is refilled as it drains. A record that
+/// fails at the window's edge is retried with more bytes behind it; the
+/// failure stands once the file has ended or the window holds a whole
+/// largest-possible record, which is all the record loop can look at —
+/// so the result is exactly what [`scan_bytes`] returns for the file's
+/// bytes.
+fn scan_file(
+    file: &mut File,
+    chunk: usize,
+    mut visit: impl FnMut(u64, WalRecord),
+) -> Result<WalScan, WalError> {
+    let file_len = file.seek(SeekFrom::End(0))?;
+    if file_len < WAL_HEADER_LEN as u64 {
+        return Err(WalError::BadHeader);
+    }
+    file.seek(SeekFrom::Start(0))?;
+    let mut header = [0u8; WAL_HEADER_LEN];
+    file.read_exact(&mut header)?;
+    let mut next_seq = parse_header(&header)?;
+
+    let mut valid_len = WAL_HEADER_LEN as u64;
+    let mut window = Vec::with_capacity(chunk + MAX_RECORD_LEN);
+    let mut ended = false;
+    let corruption = loop {
+        if !ended {
+            ended = (&mut *file).take(chunk as u64).read_to_end(&mut window)? < chunk;
+        }
+        let (consumed, stop) = scan_records(&window, &mut next_seq, &mut visit);
+        valid_len += consumed as u64;
+        window.drain(..consumed);
+        match stop {
+            None if ended => break None,
+            Some(e) if ended || window.len() >= MAX_RECORD_LEN => break Some(e),
+            _ => {}
+        }
+    };
+    Ok(WalScan { valid_len, truncated_bytes: file_len - valid_len, corruption, next_seq })
+}
+
+/// [`scan_bytes`], collecting the records.
+pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay, WalError> {
+    let mut records = Vec::new();
+    let scan = scan_bytes(bytes, |seq, record| records.push((seq, record)))?;
+    Ok(WalReplay::collected(records, scan))
 }
 
 /// Message to the asynchronous committer thread.
 enum CommitMsg {
-    /// Make the file durable up to this logical byte length.
+    /// The first append since the last hand-over: start the max-delay
+    /// clock. The number identifies the arm (see [`CommitShared::overdue`]).
+    Arm(u64),
+    /// A hand-over: make the file durable up to this logical byte length.
+    /// Whatever clock was running is moot.
     Commit(u64),
     /// Final commit, then exit.
     Shutdown,
@@ -366,7 +477,9 @@ enum CommitMsg {
 /// State shared between the writer and its committer thread.
 #[derive(Debug, Default)]
 struct CommitProgress {
-    /// Logical byte length confirmed durable by `sync_data`.
+    /// Logical byte length confirmed durable by a *successful*
+    /// `sync_data` — what stream acks are released against, so a failed
+    /// fsync must never move it.
     durable_len: u64,
     /// Fsyncs the committer has issued.
     fsyncs: u64,
@@ -374,10 +487,33 @@ struct CommitProgress {
     failed: Option<String>,
 }
 
+impl CommitProgress {
+    /// Account one `sync_data` that was asked to cover `target`. Success
+    /// advances the watermark; failure latches the error and leaves the
+    /// watermark where the last successful fsync put it — waiters leave on
+    /// `failed`, not on a watermark that would call never-synced bytes
+    /// durable.
+    fn publish(&mut self, target: u64, res: io::Result<()>) {
+        self.fsyncs += 1;
+        match res {
+            Ok(()) => self.durable_len = self.durable_len.max(target),
+            Err(e) => {
+                self.failed.get_or_insert_with(|| e.to_string());
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct CommitShared {
     progress: Mutex<CommitProgress>,
     cv: Condvar,
+    /// Number of the newest [`CommitMsg::Arm`] whose max-delay ran out
+    /// before a hand-over superseded it. The writer compares it with the
+    /// arm it has out, so a clock that fires late, after its hand-over,
+    /// is not mistaken for the next one. `Relaxed` on both sides: the
+    /// number is the whole message, it publishes no other memory.
+    overdue: AtomicU64,
 }
 
 /// Handle to the committer thread (see [`Wal::enable_group_commit`]).
@@ -386,23 +522,56 @@ struct Committer {
     tx: Sender<CommitMsg>,
     shared: Arc<CommitShared>,
     join: Option<JoinHandle<()>>,
+    /// Hand over once the encode buffer holds this many bytes (1 when
+    /// `max_delay_micros` is 0: every append hands over).
+    max_bytes: usize,
+    /// Arms sent so far; while `armed`, the number of the one that is out.
+    arms: u64,
+    /// Whether the committer is timing the bytes appended since the last
+    /// hand-over.
+    armed: bool,
 }
 
-/// The committer loop: drain commit requests (coalescing bursts into the
-/// highest requested length — one fsync covers them all), `sync_data`,
-/// publish the new durable watermark. Never panics on I/O failure; the
-/// error is latched and re-raised at the writer's next barrier.
-fn committer_loop(file: File, rx: Receiver<CommitMsg>, shared: Arc<CommitShared>) {
+/// The committer loop: drain the channel (coalescing a burst of commit
+/// requests into the highest requested length — one fsync covers them
+/// all), `sync_data`, publish the new durable watermark. It also keeps the
+/// max-delay clock: while an arm is out it waits for its next message only
+/// until `armed + max_delay`, and raises [`CommitShared::overdue`] when
+/// that passes, so the append path never reads a clock. An arm that
+/// arrives while a `sync_data` is in flight starts its clock when that
+/// returns. Never panics on I/O failure; the error is latched and
+/// re-raised at the writer's next barrier.
+fn committer_loop(
+    file: File,
+    rx: Receiver<CommitMsg>,
+    shared: Arc<CommitShared>,
+    max_delay: Duration,
+) {
     let mut target = 0u64;
-    loop {
-        let mut shutdown = false;
-        match rx.recv() {
-            Ok(CommitMsg::Commit(len)) => target = target.max(len),
-            Ok(CommitMsg::Shutdown) | Err(_) => shutdown = true,
-        }
-        while let Ok(msg) = rx.try_recv() {
+    let mut clock: Option<(Instant, u64)> = None;
+    let mut shutdown = false;
+    while !shutdown {
+        let first = match clock {
+            None => rx.recv().unwrap_or(CommitMsg::Shutdown),
+            Some((due, arm)) => {
+                match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout) => {
+                        shared.overdue.store(arm, Ordering::Relaxed);
+                        clock = None;
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => CommitMsg::Shutdown,
+                }
+            }
+        };
+        for msg in std::iter::once(first).chain(rx.try_iter()) {
             match msg {
-                CommitMsg::Commit(len) => target = target.max(len),
+                CommitMsg::Arm(arm) => clock = Some((Instant::now() + max_delay, arm)),
+                CommitMsg::Commit(len) => {
+                    target = target.max(len);
+                    clock = None;
+                }
                 CommitMsg::Shutdown => shutdown = true,
             }
         }
@@ -410,22 +579,9 @@ fn committer_loop(file: File, rx: Receiver<CommitMsg>, shared: Arc<CommitShared>
         if target > durable {
             let res = file.sync_data();
             if let Ok(mut p) = shared.progress.lock() {
-                p.fsyncs += 1;
-                match res {
-                    Ok(()) => p.durable_len = p.durable_len.max(target),
-                    Err(e) => {
-                        if p.failed.is_none() {
-                            p.failed = Some(e.to_string());
-                        }
-                        // fail the barrier rather than hang it
-                        p.durable_len = p.durable_len.max(target);
-                    }
-                }
+                p.publish(target, res);
             }
             shared.cv.notify_all();
-        }
-        if shutdown {
-            break;
         }
     }
 }
@@ -486,13 +642,8 @@ pub struct Wal {
     /// ([`Wal::sync`] without a committer). With group commit on, the
     /// committer's progress supersedes this — see [`Wal::durable_len`].
     synced_len: u64,
-    /// Group-commit trigger thresholds, when async mode is on.
-    group: Option<(usize, Duration)>,
-    /// Committer thread, when async mode is on.
+    /// Committer thread and hand-over triggers, when async mode is on.
     committer: Option<Committer>,
-    /// When the oldest byte not yet handed to the committer was appended
-    /// (drives the max-delay flush trigger).
-    pending_since: Option<Instant>,
 }
 
 impl Wal {
@@ -515,9 +666,7 @@ impl Wal {
             last_record_span: (WAL_HEADER_LEN as u64, WAL_HEADER_LEN as u64),
             buf: Vec::new(),
             synced_len: WAL_HEADER_LEN as u64,
-            group: None,
             committer: None,
-            pending_since: None,
         })
     }
 
@@ -525,38 +674,57 @@ impl Wal {
     /// valid prefix (dropping any torn tail) and positioned for appending.
     /// Returns the writer plus the replay of the surviving records.
     pub fn open_existing(path: &Path) -> Result<(Self, WalReplay), WalError> {
+        let mut records = Vec::new();
+        let (wal, scan) = Wal::open_with(path, |seq, record| records.push((seq, record)))?;
+        Ok((wal, WalReplay::collected(records, scan)))
+    }
+
+    /// [`Wal::open_existing`] without the collection: each surviving
+    /// record goes to `visit` as it is decoded, and the file is read a
+    /// chunk at a time, so opening a log of any length holds neither its
+    /// image nor its decoded records.
+    pub fn open_with(
+        path: &Path,
+        visit: impl FnMut(u64, WalRecord),
+    ) -> Result<(Self, WalScan), WalError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let replay = replay_bytes(&bytes)?;
-        if replay.truncated_bytes > 0 {
-            file.set_len(replay.valid_len)?;
+        let scan = scan_file(&mut file, SCAN_CHUNK, visit)?;
+        if scan.truncated_bytes > 0 {
+            file.set_len(scan.valid_len)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(replay.valid_len))?;
+        file.seek(SeekFrom::Start(scan.valid_len))?;
         let wal = Wal {
             file,
             path: path.to_path_buf(),
-            next_seq: replay.next_seq,
-            len: replay.valid_len,
-            last_record_span: (replay.valid_len, replay.valid_len),
+            next_seq: scan.next_seq,
+            len: scan.valid_len,
+            last_record_span: (scan.valid_len, scan.valid_len),
             buf: Vec::new(),
-            synced_len: replay.valid_len,
-            group: None,
+            synced_len: scan.valid_len,
             committer: None,
-            pending_since: None,
         };
-        Ok((wal, replay))
+        Ok((wal, scan))
     }
 
     /// Switch to asynchronous group commit ([`SyncPolicy::Async`]): spawn
-    /// a committer thread over a clone of the file handle. From here on,
-    /// appends hand encoded bytes to the committer whenever `max_bytes`
-    /// accumulate or the oldest pending append is `max_delay_micros` old,
-    /// and the committer fsyncs in the background; [`Wal::sync`] becomes a
-    /// barrier that waits for the durable watermark to catch up. The byte
-    /// stream written is identical to synchronous mode — replay cannot
-    /// tell which mode produced a log.
+    /// a committer thread over a clone of the file handle. From here on an
+    /// append *hands over* — writes the encode buffer to the OS and asks
+    /// the committer to fsync it in the background — whenever `max_bytes`
+    /// have accumulated, or at the first append after the bytes pending
+    /// since the last hand-over became `max_delay_micros` old;
+    /// [`Wal::sync`] becomes a barrier that waits for the durable
+    /// watermark to catch up. The byte stream written is identical to
+    /// synchronous mode — replay cannot tell which mode produced a log.
+    ///
+    /// The committer keeps the max-delay clock (see `committer_loop`), so
+    /// an append costs an encode, a length compare and one atomic load —
+    /// no clock, lock or syscall until a hand-over is due. The age bound
+    /// is therefore `max_delay_micros` plus at most one in-flight
+    /// `sync_data`, and as ever it is checked *by an append*: a writer
+    /// that falls silent hands its tail over at the next
+    /// [`Wal::request_durable`] or [`Wal::sync`]. `max_delay_micros = 0`
+    /// hands over on every append.
     pub fn enable_group_commit(
         &mut self,
         max_bytes: u32,
@@ -572,13 +740,20 @@ impl Wal {
                 ..Default::default()
             }),
             cv: Condvar::new(),
+            overdue: AtomicU64::new(0),
         });
         let (tx, rx) = channel();
         let loop_shared = Arc::clone(&shared);
-        let join = std::thread::spawn(move || committer_loop(file, rx, loop_shared));
-        self.committer = Some(Committer { tx, shared, join: Some(join) });
-        self.group =
-            Some(((max_bytes as usize).max(1), Duration::from_micros(max_delay_micros as u64)));
+        let max_delay = Duration::from_micros(max_delay_micros as u64);
+        let join = std::thread::spawn(move || committer_loop(file, rx, loop_shared, max_delay));
+        self.committer = Some(Committer {
+            tx,
+            shared,
+            join: Some(join),
+            max_bytes: if max_delay_micros == 0 { 1 } else { (max_bytes as usize).max(1) },
+            arms: 0,
+            armed: false,
+        });
         Ok(())
     }
 
@@ -598,31 +773,39 @@ impl Wal {
         Ok(())
     }
 
-    /// Ask the committer to make everything written so far durable
-    /// (non-blocking).
+    /// Hand over: write the encode buffer to the OS and ask the committer
+    /// to make everything so far durable (non-blocking). Disarms the
+    /// max-delay clock; the next append arms it again.
     fn request_commit(&mut self) -> Result<(), WalError> {
         self.flush_os()?;
-        if let Some(c) = &self.committer {
+        if let Some(c) = &mut self.committer {
             let _ = c.tx.send(CommitMsg::Commit(self.len));
+            c.armed = false;
         }
-        self.pending_since = None;
         Ok(())
     }
 
-    /// Post-append bookkeeping: flush the encode buffer when it is full,
-    /// and in group-commit mode also when the max-bytes or max-delay
-    /// trigger fires.
+    /// Post-append bookkeeping: flush the encode buffer when it is full;
+    /// in group-commit mode hand over when the max-bytes trigger fires or
+    /// the committer reports the armed clock overdue, and arm the clock on
+    /// the first append after a hand-over.
+    #[inline]
     fn after_append(&mut self) -> Result<(), WalError> {
-        match self.group {
+        match &mut self.committer {
             None => {
                 if self.buf.len() >= WRITE_BUF_FLUSH {
                     self.flush_os()?;
                 }
             }
-            Some((max_bytes, max_delay)) => {
-                let since = *self.pending_since.get_or_insert_with(Instant::now);
-                if self.buf.len() >= max_bytes || since.elapsed() >= max_delay {
+            Some(c) => {
+                if self.buf.len() >= c.max_bytes
+                    || (c.armed && c.shared.overdue.load(Ordering::Relaxed) == c.arms)
+                {
                     self.request_commit()?;
+                } else if !c.armed {
+                    c.armed = true;
+                    c.arms += 1;
+                    let _ = c.tx.send(CommitMsg::Arm(c.arms));
                 }
             }
         }
@@ -671,7 +854,7 @@ impl Wal {
     /// committer and blocks until the durable watermark covers every
     /// append so far (re-raising any latched committer I/O error).
     pub fn sync(&mut self) -> Result<(), WalError> {
-        self.flush_os()?;
+        self.request_commit()?;
         match &self.committer {
             None => {
                 self.file.sync_data()?;
@@ -679,8 +862,6 @@ impl Wal {
             }
             Some(c) => {
                 let target = self.len;
-                let _ = c.tx.send(CommitMsg::Commit(target));
-                self.pending_since = None;
                 let mut progress = c.shared.progress.lock().expect("WAL committer mutex poisoned");
                 while progress.durable_len < target && progress.failed.is_none() {
                     progress = c.shared.cv.wait(progress).expect("WAL committer mutex poisoned");
@@ -786,7 +967,6 @@ impl Drop for Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1036,6 +1216,163 @@ mod tests {
         wal.append(&WalRecord::EpochClose { forced: false }).unwrap();
         wal.sync().unwrap();
         assert_eq!(wal.durable_len(), wal.len_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Poll until `done`, failing the test after five seconds.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn max_delay_hands_over_at_the_first_append_after_it_passes() {
+        let dir = scratch("max-delay");
+        let mut wal = Wal::create(&dir.join("delay.wal"), 0).unwrap();
+        // max_bytes out of reach: only the committer's clock can trigger
+        wal.enable_group_commit(u32::MAX, 5_000).unwrap();
+        wal.append(&WalRecord::Rating(rating(1, 2, 0))).unwrap();
+        let c = wal.committer.as_ref().unwrap();
+        assert!(c.armed && c.arms == 1, "the first append arms the clock");
+        assert!(!wal.buf.is_empty(), "and stays in the encode buffer");
+        let shared = Arc::clone(&c.shared);
+        eventually("the committer never raised the flag", || {
+            shared.overdue.load(Ordering::Relaxed) == 1
+        });
+        assert_eq!(wal.durable_len(), WAL_HEADER_LEN as u64, "the flag alone moves nothing");
+        wal.append(&WalRecord::Rating(rating(3, 2, 1))).unwrap();
+        assert!(wal.buf.is_empty(), "the first append after the delay hands over");
+        assert!(!wal.committer.as_ref().unwrap().armed);
+        let two_records = wal.len_bytes();
+        // no sync, no request_durable: the hand-over alone makes them durable
+        eventually("the hand-over was never committed", || wal.durable_len() >= two_records);
+        // the next append starts a new arm; the old flag does not fire it
+        wal.append(&WalRecord::Rating(rating(4, 2, 2))).unwrap();
+        let c = wal.committer.as_ref().unwrap();
+        assert!(c.armed && c.arms == 2 && !wal.buf.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreachable_max_delay_waits_for_the_barrier_and_zero_never_waits() {
+        let dir = scratch("delay-extremes");
+        let mut never = Wal::create(&dir.join("never.wal"), 0).unwrap();
+        never.enable_group_commit(u32::MAX, u32::MAX).unwrap();
+        let mut always = Wal::create(&dir.join("always.wal"), 0).unwrap();
+        always.enable_group_commit(u32::MAX, 0).unwrap();
+        for k in 0..20 {
+            never.append(&WalRecord::Rating(rating(k + 1, 2, k))).unwrap();
+            always.append(&WalRecord::Rating(rating(k + 1, 2, k))).unwrap();
+            assert!(always.buf.is_empty(), "max_delay 0 hands over on every append");
+        }
+        let target = always.len_bytes();
+        eventually("max_delay 0 never became durable", || always.durable_len() >= target);
+        assert_eq!(always.committer.as_ref().unwrap().arms, 0, "nothing to time");
+        // the same twenty appends, and at least as much time, on the other log
+        assert_eq!(never.durable_len(), WAL_HEADER_LEN as u64);
+        assert_eq!(never.committer_fsyncs(), 0);
+        assert_eq!(never.buf.len() as u64, target - WAL_HEADER_LEN as u64);
+        never.sync().unwrap();
+        assert_eq!(never.durable_len(), target);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_fsync_leaves_the_watermark_and_fails_the_barrier_once() {
+        let dir = scratch("failed-fsync");
+        let mut wal = Wal::create(&dir.join("failed.wal"), 0).unwrap();
+        wal.enable_group_commit(u32::MAX, u32::MAX).unwrap();
+        for k in 0..10 {
+            wal.append(&WalRecord::Rating(rating(k + 1, 2, k))).unwrap();
+        }
+        let target = wal.len_bytes();
+        let shared = Arc::clone(&wal.committer.as_ref().unwrap().shared);
+        // the committer's publish step, fed the error a dying disk returns
+        shared.progress.lock().unwrap().publish(target, Err(io::Error::other("EIO")));
+        shared.cv.notify_all();
+        assert_eq!(wal.durable_len(), WAL_HEADER_LEN as u64, "never-synced bytes read durable");
+        let waiter = wal.waiter().unwrap();
+        assert!(!waiter.wait_covered(target, Duration::from_secs(5)), "a failure reads false");
+        let err = wal.sync().expect_err("the barrier re-raises the latched error");
+        assert!(err.to_string().contains("EIO"), "{err}");
+        // raised once; the retry's fsync succeeds and the watermark moves again
+        wal.sync().unwrap();
+        assert_eq!(wal.durable_len(), target);
+        assert!(waiter.wait_covered(target, Duration::ZERO));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chunked_file_scan_equals_the_scan_of_its_bytes() {
+        let dir = scratch("chunked");
+        let path = dir.join("chunked.wal");
+        let mut wal = Wal::create(&path, 5).unwrap();
+        for k in 0..=300u64 {
+            wal.append(&match k % 7 {
+                3 => WalRecord::EpochClose { forced: k % 2 == 0 },
+                5 => WalRecord::StreamSession { session: k, frame_seq: k / 7, accepted: k },
+                _ => WalRecord::Rating(rating(k % 9 + 1, k % 11 + 20, k)),
+            })
+            .unwrap();
+        }
+        wal.sync().unwrap();
+        drop(wal);
+        let intact = std::fs::read(&path).unwrap();
+        assert!(intact.len() > 3 * MAX_RECORD_LEN, "several windows' worth of log");
+
+        let mut variants = vec![intact.clone()];
+        for cut in [16, 17, 27, 29, 61, intact.len() / 2, intact.len() - 1] {
+            variants.push(intact[..cut].to_vec());
+        }
+        // the first record's length prefix (still plausible, then not),
+        // checksum and payload; then the same damage somewhere mid-log
+        for record_at in [WAL_HEADER_LEN, WAL_HEADER_LEN + 46 * 100] {
+            for (offset, mask) in [(1, 0x0f), (2, 0x01), (7, 0x80), (20, 0x04)] {
+                let mut flipped = intact.clone();
+                flipped[record_at + offset] ^= mask;
+                variants.push(flipped);
+            }
+        }
+        // the last record (a rating) claims more than is left to read
+        let mut overlong = intact.clone();
+        let last = overlong.len() - 46;
+        overlong[last..last + 4].copy_from_slice(&4000u32.to_le_bytes());
+        let replay = replay_bytes(&overlong).unwrap();
+        assert_eq!(
+            (replay.records.len(), replay.corruption),
+            (300, Some(CodecError::UnexpectedEof))
+        );
+        variants.push(overlong);
+
+        for bytes in variants {
+            std::fs::write(&path, &bytes).unwrap();
+            let expected = replay_bytes(&bytes).unwrap();
+            for chunk in [1, 7, 46, 1000, MAX_RECORD_LEN, 1 << 20] {
+                let mut file = File::open(&path).unwrap();
+                let mut streamed = Vec::new();
+                let scan = scan_file(&mut file, chunk, |seq, r| streamed.push((seq, r))).unwrap();
+                assert_eq!(streamed, expected.records, "chunk {chunk}");
+                assert_eq!(
+                    (scan.valid_len, scan.truncated_bytes, scan.corruption, scan.next_seq),
+                    (
+                        expected.valid_len,
+                        expected.truncated_bytes,
+                        expected.corruption,
+                        expected.next_seq
+                    ),
+                    "chunk {chunk}, {} bytes",
+                    bytes.len()
+                );
+            }
+        }
+        for bad in [&b"CWAL"[..], &[0u8; 40][..]] {
+            std::fs::write(&path, bad).unwrap();
+            let mut file = File::open(&path).unwrap();
+            assert!(matches!(scan_file(&mut file, 8, |_, _| {}), Err(WalError::BadHeader)));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

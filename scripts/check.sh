@@ -161,4 +161,9 @@ echo "== benchmark smoke (all four workloads at n=2k, every correctness gate) ==
 # reps. ~14 s; figures at this size are not compared with anything.
 timeout 300 bash benchmark/run.sh --smoke | tail -n 1
 
+echo "== benchmark unit tests (BENCHMARK.json == spec.rs, stats, JSON, compare) =="
+# the benchmark is a package of its own, so `cargo test --workspace` never
+# sees its tests; shares the smoke run's build. < 1 s warm, offline.
+cargo test --release -q --manifest-path benchmark/Cargo.toml --target-dir target
+
 echo "All checks passed."

@@ -8,7 +8,8 @@ use collusion::core::durability::scratch_dir;
 use collusion::core::epoch::{EpochEngine, EpochMethod};
 use collusion::prelude::*;
 use collusion::reputation::checkpoint::{decode_checkpoint, encode_checkpoint};
-use collusion::reputation::wal::{replay_bytes, Wal, WalRecord};
+use collusion::reputation::codec::{fnv64, wordsum64};
+use collusion::reputation::wal::{replay_bytes, scan_bytes, Wal, WalRecord, WalReplay};
 use proptest::prelude::*;
 
 /// Strategy: a list of ratings among `n` nodes (self-ratings included —
@@ -58,6 +59,28 @@ fn wal_bytes(records: &[WalRecord], start_seq: u64) -> Vec<u8> {
     bytes
 }
 
+/// Opening the bytes as a file — the streamed scan recovery folds through —
+/// hands its visitor exactly what `replay_bytes` collected from them,
+/// reports the same stopping point, and leaves the file cut to its valid
+/// prefix.
+fn assert_streams_as_collected(bytes: &[u8], replay: &WalReplay) {
+    let dir = scratch_dir("props-streamed");
+    let path = dir.join("s.wal");
+    std::fs::write(&path, bytes).expect("write log");
+    let mut streamed = Vec::new();
+    let (wal, scan) =
+        Wal::open_with(&path, |seq, record| streamed.push((seq, record))).expect("opens");
+    assert_eq!(streamed, replay.records);
+    assert_eq!(
+        (scan.valid_len, scan.truncated_bytes, scan.corruption, scan.next_seq),
+        (replay.valid_len, replay.truncated_bytes, replay.corruption, replay.next_seq)
+    );
+    assert_eq!((wal.len_bytes(), wal.next_seq()), (replay.valid_len, replay.next_seq));
+    drop(wal);
+    assert_eq!(std::fs::metadata(&path).expect("stat").len(), replay.valid_len);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     /// Arbitrary bytes through the WAL scanner: no panic, and the reported
     /// valid prefix + discarded tail always account for every input byte.
@@ -66,6 +89,9 @@ proptest! {
         if let Ok(replay) = replay_bytes(&bytes) {
             prop_assert!(replay.valid_len as usize <= bytes.len());
             prop_assert_eq!(replay.valid_len + replay.truncated_bytes, bytes.len() as u64);
+            assert_streams_as_collected(&bytes, &replay);
+        } else {
+            prop_assert!(scan_bytes(&bytes, |_, _| {}).is_err());
         }
     }
 
@@ -87,6 +113,7 @@ proptest! {
                     prop_assert_eq!(*seq, start_seq + k as u64);
                     prop_assert_eq!(rec, &records[k]);
                 }
+                assert_streams_as_collected(&bytes[..cut], &replay);
             }
         }
     }
@@ -109,6 +136,7 @@ proptest! {
                 prop_assert_eq!(*seq, k as u64);
                 prop_assert_eq!(rec, &records[k]);
             }
+            assert_streams_as_collected(&bytes, &replay);
         }
     }
 
@@ -117,14 +145,13 @@ proptest! {
     #[test]
     fn checkpoint_decode_of_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
         if let Some((wal_seq, payload)) = decode_checkpoint(&bytes) {
-            prop_assert_eq!(encode_checkpoint(wal_seq, &payload), bytes);
+            prop_assert_eq!(encode_checkpoint(wal_seq, payload), bytes);
         }
     }
 
-    /// A flipped bit in a checkpoint image is always caught — except in the
-    /// header's `wal_seq` field, which the checksum does not cover; there
-    /// the payload still decodes intact (the store's filename cross-check
-    /// rejects such files at load time).
+    /// A flipped bit anywhere in a checkpoint image — magic, version,
+    /// `wal_seq`, length, checksum or payload — is always caught: the
+    /// checksum covers every byte of the file but itself.
     #[test]
     fn bit_flipped_checkpoint_never_yields_a_corrupt_payload(
         payload in prop::collection::vec(any::<u8>(), 0..512),
@@ -133,14 +160,42 @@ proptest! {
         bit in 0u8..8,
     ) {
         let mut image = encode_checkpoint(wal_seq, &payload);
+        prop_assert_eq!(decode_checkpoint(&image), Some((wal_seq, &payload[..])));
         let idx = ((image.len() - 1) as f64 * byte_frac) as usize;
         image[idx] ^= 1 << bit;
-        match decode_checkpoint(&image) {
-            None => {}
-            Some((seq, decoded)) => {
-                prop_assert_eq!(&decoded, &payload, "payload corruption must never decode");
-                prop_assert!((8..16).contains(&idx), "only a wal_seq flip may survive");
-                prop_assert_ne!(seq, wal_seq);
+        prop_assert_eq!(decode_checkpoint(&image), None, "flip at byte {} decoded", idx);
+    }
+
+    /// The image checksum tells apart what a byte-serial sum gets for free
+    /// and a lane-parallel one must work for: a single flipped bit, a
+    /// zero byte more at the end, two words trading places across lanes.
+    #[test]
+    fn wordsum64_sees_flips_extensions_and_transpositions(
+        bytes in prop::collection::vec(any::<u8>(), 1..400),
+        seed in any::<u64>(),
+        at in 0.0f64..1.0,
+        bit in 0u8..8,
+        lane_a in 0usize..4,
+        lane_gap in 1usize..4,
+    ) {
+        let sum = wordsum64(seed, &bytes);
+        let mut flipped = bytes.clone();
+        flipped[((bytes.len() - 1) as f64 * at) as usize] ^= 1 << bit;
+        prop_assert_ne!(wordsum64(seed, &flipped), sum);
+        let mut longer = bytes.clone();
+        longer.push(0);
+        prop_assert_ne!(wordsum64(seed, &longer), sum);
+        prop_assert_ne!(wordsum64(seed ^ (1 << bit), &bytes), sum);
+        // two whole words of one 32-byte block, on different lanes
+        let block = ((bytes.len() / 32) as f64 * at) as usize * 32;
+        if block + 32 <= bytes.len() {
+            let (a, b) = (block + 8 * lane_a, block + 8 * ((lane_a + lane_gap) % 4));
+            if bytes[a..a + 8] != bytes[b..b + 8] {
+                let mut swapped = bytes.clone();
+                for k in 0..8 {
+                    swapped.swap(a + k, b + k);
+                }
+                prop_assert_ne!(wordsum64(seed, &swapped), sum);
             }
         }
     }
@@ -438,4 +493,67 @@ fn recovery_report_counts_the_whole_log_in_one_pass() {
     assert_eq!(stats.ratings + recovered.engine().pending_ratings(), report.folded_ratings);
     let sessions: Vec<_> = report.stream_sessions.into_iter().collect();
     assert_eq!(sessions, vec![(7, (2, 5)), (9, (1, 1))]);
+}
+
+/// A directory whose checkpoints were all written in the previous format
+/// (version 1: FNV-1a over the payload alone) still recovers: every image
+/// is skipped and counted, and the engine is rebuilt from the log, which
+/// is never truncated — bit-identical to an uncrashed run.
+#[test]
+fn version_1_checkpoints_fall_back_to_the_whole_wal() {
+    let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
+    let setup = EngineSetup {
+        target_shards: 2,
+        method: EpochMethod::Optimized,
+        thresholds: Thresholds::new(1.0, 4, 0.6, 0.4),
+        policy: DetectionPolicy::STRICT,
+        prune: true,
+        close_threads: 0,
+    };
+    let cfg = DurabilityConfig::default(); // checkpoint at every close, keep 2
+    let dir = scratch_dir("props-v1-fallback");
+    let mut durable = DurableEngine::create(&dir, &nodes, setup, cfg).expect("create");
+    let mut reference = EpochEngine::new(
+        &nodes,
+        setup.target_shards,
+        setup.method,
+        setup.thresholds,
+        setup.policy,
+        setup.prune,
+    );
+    for k in 0..60u64 {
+        let r = Rating::positive(NodeId(k % 2), NodeId(2 + k % 3), SimTime(k));
+        durable.record(r).expect("record");
+        reference.record(r);
+        if k % 20 == 19 {
+            durable.close_epoch().expect("close");
+            reference.close_epoch();
+        }
+    }
+    drop(durable);
+
+    let mut rewritten = 0;
+    for entry in std::fs::read_dir(&dir).expect("list") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_some_and(|e| e == "ckpt") {
+            let image = std::fs::read(&path).expect("read checkpoint");
+            let (wal_seq, payload) = decode_checkpoint(&image).expect("a version-2 image");
+            let mut v1 = b"CCKP".to_vec();
+            v1.extend_from_slice(&1u32.to_le_bytes());
+            v1.extend_from_slice(&wal_seq.to_le_bytes());
+            v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            v1.extend_from_slice(&fnv64(payload).to_le_bytes());
+            v1.extend_from_slice(payload);
+            std::fs::write(&path, v1).expect("rewrite as version 1");
+            rewritten += 1;
+        }
+    }
+    assert_eq!(rewritten, 2);
+
+    let (recovered, report) = DurableEngine::recover(&dir, &nodes, setup, cfg).expect("recover");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(report.invalid_checkpoints, 2);
+    assert_eq!(report.checkpoint_cursor, None);
+    assert_eq!((report.skipped_records, report.replayed_records), (0, 63));
+    assert_eq!(recovered.engine().persist_bytes(0), reference.persist_bytes(0));
 }
