@@ -120,6 +120,7 @@ fn run_point(n: u64, iters: usize) -> GridPoint {
             engine.close_epoch().expect("durable close");
         }
         engine.sync().expect("final fsync");
+        engine.wait_checkpoint().expect("last checkpoint on disk");
         suspects = engine.report().pairs.len();
         let expected_state = engine.engine().persist_bytes(0);
         wal_records = engine.wal().next_seq();

@@ -7,19 +7,23 @@
 //! * Every accepted rating is appended to the WAL
 //!   ([`collusion_reputation::wal`]) before it is folded into the engine;
 //!   fsync scheduling follows [`DurabilityConfig::sync_policy`] — per
-//!   record, every k records (the default, k = 64), group-commit only
-//!   at epoch closes, or asynchronous group commit on a background
-//!   committer thread ([`SyncPolicy::Async`]: the record path never
-//!   blocks on fsync; closes and checkpoints barrier on the committer's
-//!   durable watermark).
+//!   record, every k records (the default, k = 64), or asynchronous group
+//!   commit on a background committer thread ([`SyncPolicy::Async`]: the
+//!   record path never blocks on fsync; closes barrier on the
+//!   committer's durable watermark).
 //! * Every epoch close — scheduled or forced by the epoch-buffer memory
 //!   watermark — appends an epoch-close marker and fsyncs, so epoch
 //!   boundaries are always durable.
 //! * Every [`DurabilityConfig::checkpoint_interval`] closes, the engine
 //!   state is checkpointed atomically
 //!   ([`collusion_reputation::checkpoint`]): serialized via
-//!   [`EpochEngine::persist_bytes`], checksummed a word at a time, written
-//!   once to a temp file, renamed.
+//!   [`EpochEngine::persist_bytes`] at the boundary, then handed to a
+//!   background writer thread that checksums it a word at a time, writes
+//!   it once to a temp file, fsyncs and renames it. The close does not
+//!   wait for that: its ratings are already durable in the log, which is
+//!   never truncated. One image is in flight at a time, the next close
+//!   waits for it, and a failed save is returned by the next
+//!   [`DurableEngine::checkpoint`] or [`DurableEngine::wait_checkpoint`].
 //!
 //! # Recovery
 //!
@@ -56,6 +60,7 @@ use std::fs::OpenOptions;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::JoinHandle;
 
 use collusion_reputation::checkpoint::{encode_checkpoint, CheckpointError, CheckpointStore};
 use collusion_reputation::codec::CodecError;
@@ -204,8 +209,12 @@ pub struct DurabilityStats {
     pub wal_appends: u64,
     /// Group fsyncs issued.
     pub wal_syncs: u64,
-    /// Checkpoints completed.
+    /// Checkpoints completed: saved by the writer and collected by a
+    /// close, a checkpoint or [`DurableEngine::wait_checkpoint`].
     pub checkpoints: u64,
+    /// Times a close or a checkpoint found the previous image still being
+    /// written and waited for it.
+    pub checkpoint_waits: u64,
 }
 
 /// Crash instants the injection harness can simulate. Each leaves the
@@ -233,12 +242,76 @@ impl KillPoint {
 /// WAL file name inside a durability directory.
 const WAL_FILE: &str = "engine.wal";
 
+/// The background checkpoint writer: the save in flight, on a thread of
+/// its own that runs [`CheckpointStore::save`] on one image, frees it and
+/// exits. One image is in flight at a time. Dropping the writer joins the
+/// save in flight, so an image handed off before the drop is on disk when
+/// the drop returns — without a `Drop` on [`DurableEngine`] itself, which
+/// [`DurableEngine::crash`] and [`DurableEngine::into_engine`] take apart.
+///
+/// A thread per save rather than one per engine: a thread that has
+/// allocated holds a glibc malloc arena for as long as it lives, and on
+/// the benchmark's `wire-mixed` (2-core box) three long-lived writers, one
+/// per manager, pushed the process into more arenas, each growing to a
+/// manager's transient footprint: `peak_rss_mb` 354 → 437 MB. A save's
+/// thread lives for the few milliseconds of the save, and spawning it
+/// costs tens of microseconds.
+#[derive(Debug, Default)]
+struct CheckpointWriter {
+    /// The save in flight.
+    saving: Option<JoinHandle<Result<(), CheckpointError>>>,
+    /// A failed save, held until a checkpoint or
+    /// [`DurableEngine::wait_checkpoint`] returns it.
+    failed: Option<CheckpointError>,
+}
+
+impl CheckpointWriter {
+    /// Save `image`, taken at WAL cursor `cursor`, in the background. The
+    /// previous save must have been settled.
+    fn hand_off(&mut self, store: &CheckpointStore, cursor: u64, image: Vec<u8>) -> io::Result<()> {
+        debug_assert!(self.saving.is_none(), "one image in flight");
+        let store = store.clone();
+        let saving = std::thread::Builder::new()
+            .name("checkpoint-writer".into())
+            .spawn(move || store.save(cursor, &image).map(drop))?;
+        self.saving = Some(saving);
+        Ok(())
+    }
+
+    /// Collect the save in flight, if any, blocking until it is on disk:
+    /// count it in `stats`, latch a failure in `failed`.
+    fn settle(&mut self, stats: &mut DurabilityStats) {
+        let Some(saving) = self.saving.take() else { return };
+        if !saving.is_finished() {
+            stats.checkpoint_waits += 1;
+        }
+        let panicked = || io::Error::other("checkpoint writer thread panicked");
+        match saving.join().unwrap_or_else(|_| Err(CheckpointError::Io(panicked()))) {
+            Ok(()) => stats.checkpoints += 1,
+            Err(e) => {
+                self.failed.get_or_insert(e);
+            }
+        }
+    }
+}
+
+impl Drop for CheckpointWriter {
+    /// Wait for the save in flight. Its failure has no caller left to take
+    /// it; [`DurableEngine::wait_checkpoint`] first to see it.
+    fn drop(&mut self) {
+        if let Some(saving) = self.saving.take() {
+            let _ = saving.join();
+        }
+    }
+}
+
 /// An [`EpochEngine`] whose rating stream and epoch state are durable.
 #[derive(Debug)]
 pub struct DurableEngine {
     engine: EpochEngine,
     wal: Wal,
     store: CheckpointStore,
+    writer: CheckpointWriter,
     cfg: DurabilityConfig,
     setup: EngineSetup,
     appends_since_sync: u64,
@@ -276,6 +349,7 @@ impl DurableEngine {
             engine,
             wal,
             store,
+            writer: CheckpointWriter::default(),
             cfg,
             setup,
             appends_since_sync: 0,
@@ -409,6 +483,7 @@ impl DurableEngine {
                 engine,
                 wal,
                 store,
+                writer: CheckpointWriter::default(),
                 cfg,
                 setup,
                 appends_since_sync: 0,
@@ -516,20 +591,44 @@ impl DurableEngine {
             && self.closes_since_ckpt >= self.cfg.checkpoint_interval
         {
             self.checkpoint()?;
+        } else {
+            // an image never outlives the epoch after the one it was
+            // taken in, so after any close the directory is settled; a
+            // failure waits for the next checkpoint or wait_checkpoint
+            self.writer.settle(&mut self.stats);
         }
         Ok(())
     }
 
-    /// Write a checkpoint now. Must be called at an epoch boundary (the
+    /// Take a checkpoint now. Must be called at an epoch boundary (the
     /// engine's open buffer is empty right after a close; `record` never
     /// leaves one open across a forced close).
+    ///
+    /// The engine state is serialized here, at the current WAL cursor;
+    /// writing, fsyncing and renaming the file happen on a background
+    /// writer thread, and this returns as soon as the image is handed off.
+    /// One image is in flight at a time: a hand-off first waits for the
+    /// previous save and returns its error, if it failed, without taking a
+    /// new checkpoint.
     pub fn checkpoint(&mut self) -> Result<(), DurabilityError> {
+        self.wait_checkpoint()?;
         let cursor = self.wal.next_seq();
-        let payload = self.engine.persist_bytes(cursor);
-        self.store.save(cursor, &payload)?;
-        self.stats.checkpoints += 1;
+        let image = self.engine.persist_bytes(cursor);
+        self.writer.hand_off(&self.store, cursor, image)?;
         self.closes_since_ckpt = 0;
         Ok(())
+    }
+
+    /// Wait until the checkpoint in flight, if any, is on disk, and return
+    /// the error of a failed background save not yet returned — once:
+    /// the next call returns `Ok`. [`DurableEngine::sync`] never waits for
+    /// the writer; this is the one wait.
+    pub fn wait_checkpoint(&mut self) -> Result<(), DurabilityError> {
+        self.writer.settle(&mut self.stats);
+        match self.writer.failed.take() {
+            Some(e) => Err(e.into()),
+            None => Ok(()),
+        }
     }
 
     /// The wrapped engine (read-only; mutations must go through the logged
@@ -540,8 +639,8 @@ impl DurableEngine {
     }
 
     /// Consume the durable wrapper and return the in-memory engine. The
-    /// WAL file handle closes; the directory is left on disk for
-    /// [`DurableEngine::recover`].
+    /// WAL file handle closes and a checkpoint in flight lands; the
+    /// directory is left on disk for [`DurableEngine::recover`].
     pub fn into_engine(self) -> EpochEngine {
         self.engine
     }
@@ -588,7 +687,10 @@ impl DurableEngine {
         self.cfg
     }
 
-    /// Force any buffered WAL appends to stable storage.
+    /// Force any buffered WAL appends to stable storage. A WAL barrier
+    /// only: it never waits for the checkpoint writer (see
+    /// [`DurableEngine::wait_checkpoint`]), so a stream ack never waits on
+    /// a checkpoint.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
         self.wal.sync()?;
         self.stats.wal_syncs += 1;
@@ -599,8 +701,10 @@ impl DurableEngine {
     /// Simulate a crash at `kill`, consuming the engine and leaving the
     /// durability directory exactly as a process death at that instant
     /// would. The in-memory state is discarded unconditionally; only the
-    /// on-disk mutation differs per kill-point.
-    pub fn crash(self, kill: KillPoint) -> Result<(), DurabilityError> {
+    /// on-disk mutation differs per kill-point. A checkpoint still being
+    /// written lands first: the kill-point is the instant after it.
+    pub fn crash(mut self, kill: KillPoint) -> Result<(), DurabilityError> {
+        self.wait_checkpoint()?;
         let DurableEngine { engine, mut wal, store, .. } = self;
         match kill {
             KillPoint::MidWalAppend => {

@@ -549,9 +549,10 @@ impl ManagerNode {
     }
 
     /// Kill the process model: stop accepting, join every connection
-    /// thread, fsync the WAL, and drop the engine. The durability
-    /// directory is left exactly as a crash-after-fsync would leave it —
-    /// [`ManagerNode::spawn`] on the same directory rejoins from it.
+    /// thread, fsync the WAL, wait for the checkpoint writer, and drop the
+    /// engine. The durability directory is left exactly as a
+    /// crash-after-fsync would leave it — [`ManagerNode::spawn`] on the
+    /// same directory rejoins from it.
     pub fn kill(mut self) -> io::Result<()> {
         self.shutdown()
     }
@@ -570,7 +571,12 @@ impl ManagerNode {
         for h in handles {
             h.join().ok();
         }
-        self.shared.data.durable.lock().expect("durable engine lock").sync().map_err(other_io)
+        let mut eng = self.shared.data.durable.lock().expect("durable engine lock");
+        eng.sync().map_err(other_io)?;
+        // the last close's checkpoint lands before the directory is handed
+        // to a respawn, which then loads the same image a crash-free
+        // shutdown would have left
+        eng.wait_checkpoint().map_err(other_io)
     }
 }
 
@@ -1031,7 +1037,14 @@ fn handle(shared: &Shared, req: Request) -> Response {
         Request::Status => {
             let st = shared.state.lock().expect("manager state lock");
             let (wal_next_seq, durable_len, wal_len) = {
-                let eng = shared.data.durable.lock().expect("durable engine lock");
+                let mut eng = shared.data.durable.lock().expect("durable engine lock");
+                // answer for a settled durable layer: the last close's
+                // checkpoint lands first (it is long done unless Status
+                // follows a close at once), so the directory is what a kill
+                // now would leave
+                if eng.wait_checkpoint().is_err() {
+                    return Response::Error { code: ErrorCode::Internal };
+                }
                 (eng.wal().next_seq(), eng.durable_len(), eng.wal().len_bytes())
             };
             Response::Status(StatusInfo {
@@ -1565,6 +1578,47 @@ mod tests {
         assert_eq!(after, before, "rejoined cluster diverged from pre-kill verdicts");
 
         drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `CloseEpoch` is acked before its checkpoint is on disk, yet a
+    /// kill right after the ack leaves that checkpoint behind: `shutdown`
+    /// waits for the writer after its WAL sync, and the checkpoint's cursor
+    /// is the acked `seq`, so recovery replays nothing.
+    #[test]
+    fn a_kill_right_after_a_close_leaves_that_close_s_checkpoint() {
+        let dir = scratch_dir("net-close-kill");
+        let managers = manager_ids(1);
+        let mut nodes = spawn_cluster(&dir, &managers);
+        let addr = nodes[0].addr();
+        let owned = nodes[0].responsible().to_vec();
+        // no retries: a retried batch would be folded twice
+        let mut client = RpcClient::new(RpcConfig { max_retries: 0, ..RpcConfig::lan() });
+        let mut seq = 0;
+        for round in 0..2 {
+            let resp = client.call(addr, &Request::InsertBatch(ratings())).expect("insert");
+            assert!(matches!(resp, Response::Ack { .. }), "round {round}: {resp:?}");
+            let resp = client.call(addr, &Request::CloseEpoch).expect("close epoch");
+            let Response::Ack { seq: acked, .. } = resp else {
+                panic!("CloseEpoch must answer Ack, got {resp:?}")
+            };
+            seq = acked;
+        }
+        nodes.remove(0).kill().expect("clean kill");
+
+        let cfg = config(managers[0], &dir, &managers);
+        let newest = std::fs::read_dir(&cfg.dir)
+            .expect("manager directory")
+            .filter_map(|e| {
+                let name = e.expect("entry").file_name().into_string().expect("utf-8 name");
+                name.strip_prefix("ckpt-")?.strip_suffix(".ckpt")?.parse::<u64>().ok()
+            })
+            .max();
+        assert_eq!(newest, Some(seq), "the newest checkpoint must be the acked close's");
+        let (_, report) =
+            DurableEngine::recover(&cfg.dir, &owned, cfg.setup(), cfg.durability).expect("recover");
+        assert_eq!(report.checkpoint_cursor, Some(seq));
+        assert_eq!(report.replayed_records, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -252,7 +252,8 @@ pub enum Request {
     /// Replace the peer address map (sent at cluster start and after a
     /// rejoined manager comes back on a new port).
     SetPeers(Vec<PeerAddr>),
-    /// Introspection.
+    /// Introspection, answered for a settled durable layer: a checkpoint
+    /// still being written lands first.
     Status,
     /// One frame of a windowed insert stream: the client keeps several of
     /// these in flight and the server acknowledges cumulatively with

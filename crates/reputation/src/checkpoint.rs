@@ -160,7 +160,7 @@ fn read_checkpoint(path: &Path) -> Option<(u64, Vec<u8>)> {
 }
 
 /// A directory of numbered checkpoint files.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     keep: usize,

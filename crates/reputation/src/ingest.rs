@@ -55,12 +55,6 @@ impl ShardedIntake {
         }
     }
 
-    /// Number of lock stripes.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     #[inline]
     fn shard_of(&self, ratee: NodeId) -> usize {
         // keyed by ratee so each ratee's cells live in exactly one shard:

@@ -34,6 +34,11 @@ cargo test --release --test fault_tolerance -q
 echo "== crash matrix (every kill-point, fixed seed, bit-identical recovery) =="
 cargo test --release -q -p collusion-sim crash -- --nocapture
 
+echo "== durability props ×3 (the background checkpoint writer is a thread: loop it) =="
+for i in 1 2 3; do
+  cargo test --release -q --test durability_props
+done
+
 echo "== scale smoke (n=2k sharded/pruned/epoch kernels, fixed shape) =="
 # the smoke run asserts bit-identical suspect sets across all kernel
 # variants internally; the diff pins the deterministic counters

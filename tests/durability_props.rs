@@ -4,7 +4,7 @@
 //! recovery (for every kill-point, recover + resume is bit-identical to an
 //! uncrashed engine over the same stream).
 
-use collusion::core::durability::scratch_dir;
+use collusion::core::durability::{scratch_dir, DurabilityError};
 use collusion::core::epoch::{EpochEngine, EpochMethod};
 use collusion::prelude::*;
 use collusion::reputation::checkpoint::{decode_checkpoint, encode_checkpoint};
@@ -556,4 +556,124 @@ fn version_1_checkpoints_fall_back_to_the_whole_wal() {
     assert_eq!(report.checkpoint_cursor, None);
     assert_eq!((report.skipped_records, report.replayed_records), (0, 63));
     assert_eq!(recovered.engine().persist_bytes(0), reference.persist_bytes(0));
+}
+
+/// The engine the checkpoint-writer tests run: 300 nodes, checkpoints
+/// only where a test takes them.
+fn writer_engine() -> (Vec<NodeId>, EngineSetup, DurabilityConfig) {
+    let nodes: Vec<NodeId> = (0..300).map(NodeId).collect();
+    let setup = EngineSetup {
+        target_shards: 2,
+        method: EpochMethod::Optimized,
+        thresholds: Thresholds::new(1.0, 4, 0.6, 0.4),
+        policy: DetectionPolicy::STRICT,
+        prune: true,
+        close_threads: 0,
+    };
+    let cfg = DurabilityConfig { checkpoint_interval: 0, ..Default::default() }; // keeps 2
+    (nodes, setup, cfg)
+}
+
+/// Fold one epoch of `len` seeded ratings among the 300 nodes and close it.
+fn writer_epoch(durable: &mut DurableEngine, epoch: u64, len: u64) {
+    let mut x = epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    for t in 0..len {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let (a, b) = (x % 300, (x >> 20) % 300);
+        durable.record(Rating::positive(NodeId(a), NodeId(b), SimTime(t))).expect("record");
+    }
+    durable.close_epoch().expect("close");
+}
+
+/// Completed checkpoint cursors in `dir`, ascending.
+fn checkpoint_cursors(dir: &std::path::Path) -> Vec<u64> {
+    let mut seqs: Vec<u64> = std::fs::read_dir(dir)
+        .expect("list")
+        .filter_map(|e| {
+            let name = e.expect("entry").file_name().into_string().expect("utf-8 name");
+            name.strip_prefix("ckpt-")?.strip_suffix(".ckpt")?.parse().ok()
+        })
+        .collect();
+    seqs.sort_unstable();
+    seqs
+}
+
+/// `checkpoint()` returns once the image is handed to the background
+/// writer; dropping the engine right after must still leave that image on
+/// disk, because the writer's drop waits for the save in flight.
+#[test]
+fn dropping_the_engine_lands_the_checkpoint_in_flight() {
+    let (nodes, setup, cfg) = writer_engine();
+    let dir = scratch_dir("props-writer-drop");
+    let mut durable = DurableEngine::create(&dir, &nodes, setup, cfg).expect("create");
+    writer_epoch(&mut durable, 1, 30_000);
+    let cursor = durable.wal().next_seq();
+    durable.checkpoint().expect("hand-off");
+    drop(durable);
+
+    let (_, report) = DurableEngine::recover(&dir, &nodes, setup, cfg).expect("recover");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(report.checkpoint_cursor, Some(cursor));
+    assert_eq!(report.replayed_records, 0);
+    assert_eq!(report.stale_tmp, 0);
+}
+
+/// A background save that fails is returned exactly once, by the next
+/// `checkpoint()`, which then takes no new image; the log keeps taking
+/// ratings, and recovery, finding no checkpoint, replays all of it. The
+/// directory is moved away rather than made read-only, which root ignores.
+#[test]
+fn a_failed_background_save_is_returned_once_and_the_log_carries_on() {
+    let (nodes, setup, cfg) = writer_engine();
+    let dir = scratch_dir("props-writer-fail");
+    let moved = dir.with_extension("moved");
+    let mut durable = DurableEngine::create(&dir, &nodes, setup, cfg).expect("create");
+    writer_epoch(&mut durable, 1, 2_000);
+    std::fs::rename(&dir, &moved).expect("move the directory away");
+    durable.checkpoint().expect("the hand-off itself succeeds");
+    let err = durable.checkpoint().expect_err("the failed save is returned");
+    assert!(matches!(err, DurabilityError::Checkpoint(_)), "got {err}");
+    durable.wait_checkpoint().expect("a failure is returned once");
+    std::fs::rename(&moved, &dir).expect("put the directory back");
+
+    writer_epoch(&mut durable, 2, 2_000);
+    let stats = durable.stats();
+    assert_eq!(stats.checkpoints, 0);
+    let next_seq = durable.wal().next_seq();
+    durable.sync().expect("sync");
+    drop(durable);
+
+    let (_, report) = DurableEngine::recover(&dir, &nodes, setup, cfg).expect("recover");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(report.checkpoint_cursor, None);
+    assert_eq!((report.skipped_records, report.replayed_records), (0, next_seq));
+}
+
+/// Checkpoints of closes that follow each other at once (a large epoch,
+/// then two of a few ratings, checkpointing at every close) go to disk one
+/// at a time in cursor order: the newest is the last one taken, and
+/// retention keeps exactly the newest `keep_checkpoints`.
+#[test]
+fn back_to_back_checkpoints_land_in_cursor_order() {
+    let (nodes, setup, cfg) = writer_engine();
+    let cfg = DurabilityConfig { checkpoint_interval: 1, ..cfg };
+    let dir = scratch_dir("props-writer-order");
+    let mut durable = DurableEngine::create(&dir, &nodes, setup, cfg).expect("create");
+    let mut cursors = Vec::new();
+    for (epoch, len) in [(1, 10_000), (2, 10), (3, 10)] {
+        writer_epoch(&mut durable, epoch, len);
+        cursors.push(durable.wal().next_seq());
+    }
+    durable.wait_checkpoint().expect("every save succeeded");
+    let stats = durable.stats();
+    assert_eq!(stats.checkpoints, 3);
+    assert_eq!(checkpoint_cursors(&dir), cursors[1..]);
+    drop(durable);
+
+    let (_, report) = DurableEngine::recover(&dir, &nodes, setup, cfg).expect("recover");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(report.checkpoint_cursor, Some(cursors[2]));
+    assert_eq!(report.replayed_records, 0);
 }
