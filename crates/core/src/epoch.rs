@@ -1008,12 +1008,15 @@ impl EpochEngine {
     /// Returns the engine plus the checkpoint's WAL high-water mark;
     /// recovery replays WAL records with sequence numbers beyond it.
     ///
-    /// Counters and verdicts round-trip bit-identically: rows are replayed
-    /// through [`InteractionHistory::insert_pair_counters`] and the
-    /// deterministic snapshot build, evidence `f64`s travel as bit
-    /// patterns, and high-reputed flags are recomputed from the restored
-    /// snapshot (they are a pure function of it at epoch boundaries).
-    /// Malformed payloads yield `Err`, never a panic.
+    /// Counters and verdicts round-trip bit-identically: each persisted
+    /// row is validated and decoded straight into the arena of the
+    /// snapshot shard that owns it ([`ShardedSnapshot::row_builder`]), its
+    /// totals the saturating sum of its cells, as the history that folded
+    /// them holds them. Evidence `f64`s travel as bit patterns, and
+    /// high-reputed flags are recomputed from the restored snapshot (they
+    /// are a pure function of it at epoch boundaries). Malformed payloads —
+    /// including a row whose columns are not strictly ascending, which the
+    /// writer never produces — yield `Err`, never a panic.
     pub fn recover_from_bytes(
         bytes: &[u8],
         target_shards: usize,
@@ -1034,14 +1037,16 @@ impl EpochEngine {
             nodes.push(NodeId(r.get_u64()?));
         }
         // interning order must be strictly ascending for row indices to be
-        // meaningful against the rebuilt snapshot
+        // meaningful against the restored snapshot
         if !nodes.windows(2).all(|w| w[0] < w[1]) {
             return Err(CodecError::BadLength);
         }
-        let mut history = InteractionHistory::new();
+        let mut rows = ShardedSnapshot::row_builder(nodes, target_shards, Some(thresholds.t_n));
         for i in 0..n {
             let row_raw = r.get_u32()? as u64;
             let row_len = r.checked_count(row_raw, CELL_BYTES)?;
+            let mut sum = PairCounters::default();
+            let mut prev = None;
             for _ in 0..row_len {
                 let col = r.get_u32()? as usize;
                 let counters = PairCounters {
@@ -1049,14 +1054,20 @@ impl EpochEngine {
                     positive: r.get_u64()?,
                     negative: r.get_u64()?,
                 };
-                if col >= n || col == i || counters.total == 0 {
+                if col >= n || col == i || counters.total == 0 || prev >= Some(col) {
                     return Err(CodecError::BadLength);
                 }
-                history.insert_pair_counters(nodes[col], nodes[i], counters);
+                prev = Some(col);
+                sum.merge(&counters);
+                rows.push(col as u32, counters);
             }
+            rows.end_row(NodeTotals {
+                total: sum.total,
+                positive: sum.positive,
+                negative: sum.negative,
+            });
         }
-        let snap =
-            ShardedSnapshot::build_with_frequent(&history, &nodes, target_shards, thresholds.t_n);
+        let snap = rows.finish();
         let mut verdicts = BTreeMap::new();
         let verdict_raw = r.get_u32()? as u64;
         let verdict_count = r.checked_count(verdict_raw, 18)?;
@@ -1515,9 +1526,35 @@ mod tests {
         padded.push(0);
         assert!(recover(&padded).is_err());
         // wrong version tag
-        let mut wrong = good;
+        let mut wrong = good.clone();
         wrong[0] ^= 0xFF;
         assert!(recover(&wrong).is_err());
+        // a row's columns repeated, or descending: the writer emits neither
+        let cells = first_row_with_two_cells(&good);
+        let mut repeated = good.clone();
+        repeated.copy_within(cells..cells + 4, cells + CELL_BYTES);
+        assert!(recover(&repeated).is_err(), "repeated column accepted");
+        let mut descending = good.clone();
+        descending[cells..cells + 2 * CELL_BYTES].rotate_left(CELL_BYTES);
+        assert!(recover(&descending).is_err(), "descending columns accepted");
+    }
+
+    /// Byte offset of the first cell of the first persisted row holding at
+    /// least two cells.
+    fn first_row_with_two_cells(image: &[u8]) -> usize {
+        let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+        // version, wal_seq, then n and the node ids
+        let mut at = 4 + 8;
+        let n = u32_at(at);
+        at += 4 + n * 8;
+        for _ in 0..n {
+            let len = u32_at(at);
+            if len >= 2 {
+                return at + 4;
+            }
+            at += 4 + len * CELL_BYTES;
+        }
+        panic!("no row holds two cells");
     }
 
     #[test]

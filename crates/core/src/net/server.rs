@@ -250,10 +250,10 @@ impl ViewTotals {
     }
 
     /// Add `(ratee, rater, counters)` cells: intern both ids, add the
-    /// counters to the ratee's totals — the saturating adds of
-    /// [`InteractionHistory::insert_pair_counters`], so `signed` stays
-    /// bit-identical to a history that folded the same cells. Cells must be
-    /// non-empty and not self-pairs (the history ignores both).
+    /// counters to the ratee's totals — saturating, as
+    /// [`InteractionHistory::record`] counts them, so `signed` stays
+    /// bit-identical to a history that folded the same ratings. Cells must
+    /// be non-empty and not self-pairs (the history ignores both).
     fn fold(&mut self, cells: &[(NodeId, NodeId, PairCounters)]) {
         let mut fresh: Vec<NodeId> = cells
             .iter()

@@ -170,35 +170,6 @@ impl InteractionHistory {
         true
     }
 
-    /// Insert a whole counter cell for the ordered pair (rater → ratee),
-    /// merging with any existing cell and updating the ratee's aggregate
-    /// totals. This is the bulk-restore path checkpoint recovery uses to
-    /// rebuild a history from serialized [`PairCounters`] rows; counters
-    /// rebuilt this way are bit-identical to the originals. Self-pairs and
-    /// empty cells are ignored (returns `false`).
-    pub fn insert_pair_counters(
-        &mut self,
-        rater: NodeId,
-        ratee: NodeId,
-        counters: PairCounters,
-    ) -> bool {
-        if rater == ratee || counters.total == 0 {
-            return false;
-        }
-        let pair = self.pairs.entry((rater, ratee)).or_default();
-        if pair.total == 0 {
-            self.raters_of.entry(ratee).or_default().push(rater);
-        }
-        pair.merge(&counters);
-        let tot = self.totals.entry(ratee).or_default();
-        tot.total = tot.total.saturating_add(counters.total);
-        tot.positive = tot.positive.saturating_add(counters.positive);
-        tot.negative = tot.negative.saturating_add(counters.negative);
-        self.recorded = self.recorded.saturating_add(counters.total);
-        self.dirty.insert(ratee);
-        true
-    }
-
     /// Drain the set of ratees whose rows changed since the last call,
     /// ascending. Feed the result to `ShardedSnapshot::refresh` to bring a
     /// snapshot up to date in O(changed rows).
@@ -322,7 +293,7 @@ impl InteractionHistory {
     }
 
     /// Iterate over every (rater, ratee, counters) triple.
-    pub fn iter_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId, PairCounters)> + '_ {
+    pub fn iter_pairs(&self) -> impl ExactSizeIterator<Item = (NodeId, NodeId, PairCounters)> + '_ {
         self.pairs.iter().map(|(&(j, i), &c)| (j, i, c))
     }
 
@@ -530,27 +501,6 @@ mod tests {
         assert_eq!(huge.signed(), i64::MAX);
         let tot = NodeTotals { total: u64::MAX, positive: 0, negative: u64::MAX };
         assert_eq!(tot.signed(), i64::MIN + 1);
-    }
-
-    #[test]
-    fn insert_pair_counters_matches_recording() {
-        let reference = hist(&[(1, 2, 1), (1, 2, -1), (3, 2, 1), (1, 3, 0)]);
-        let mut rebuilt = InteractionHistory::new();
-        let mut cells: Vec<_> = reference.iter_pairs().collect();
-        cells.sort_by_key(|&(j, i, _)| (i, j));
-        for (rater, ratee, c) in cells {
-            assert!(rebuilt.insert_pair_counters(rater, ratee, c));
-        }
-        assert_eq!(rebuilt.recorded(), reference.recorded());
-        for (rater, ratee, c) in reference.iter_pairs() {
-            assert_eq!(rebuilt.pair(rater, ratee), c);
-        }
-        for ratee in reference.ratees() {
-            assert_eq!(rebuilt.totals(ratee), reference.totals(ratee));
-        }
-        // self-pairs and empty cells rejected
-        assert!(!rebuilt.insert_pair_counters(NodeId(7), NodeId(7), PairCounters::default()));
-        assert!(!rebuilt.insert_pair_counters(NodeId(7), NodeId(8), PairCounters::default()));
     }
 
     #[test]

@@ -30,6 +30,17 @@
 //!   compacts, so compacting scattered updates costs O(shard), not
 //!   O(matrix).
 //!
+//! Every whole-matrix build goes through one row-order constructor,
+//! [`RowBuilder`]: rows arrive in ascending order, columns strictly
+//! ascending, and each is written straight into the arena of the shard that
+//! owns it. [`ShardedSnapshot::build`] feeds it from one pass over the
+//! history's cells — ids resolved through the base list's index (only ids
+//! the list lacks are interned on top), cells grouped by shard in place,
+//! each shard's cells counting-sorted by row and each row sorted by column
+//! — instead of one hash probe per cell; checkpoint restore
+//! (`EpochEngine::recover_from_bytes` in `collusion-core`) decodes
+//! persisted rows into it directly, with no history in between.
+//!
 //! There is no reverse CSR (it would interleave all shards and serialize
 //! refresh): pair probes binary-search the ratee's forward row inside its
 //! shard. The one reverse question epoch-incremental
@@ -480,13 +491,194 @@ pub struct ShardedSnapshot {
     fixup_edges: Vec<(u32, u32)>,
 }
 
+/// The row-order constructor of a [`ShardedSnapshot`], the one way a whole
+/// matrix is built: rows are written in ascending global row order, each as
+/// its cells (columns strictly ascending) followed by its totals, straight
+/// into the arena of the shard that owns the row. The shard partition is
+/// fixed by the node count before the first row, so nothing is staged in
+/// a whole-matrix temporary.
+///
+/// Checkpoint restore decodes persisted rows into it; a build from an
+/// [`InteractionHistory`] groups the history's cells by row and feeds
+/// them in.
+#[derive(Debug)]
+pub struct RowBuilder {
+    /// The snapshot under construction; rows at and after the cursor are
+    /// still empty.
+    snap: ShardedSnapshot,
+    /// Shard owning the row being written.
+    shard: usize,
+    /// Local index of the row being written inside that shard.
+    local: usize,
+}
+
+impl RowBuilder {
+    fn new(
+        nodes: Vec<NodeId>,
+        index: FxHashMap<NodeId, u32>,
+        target_shards: usize,
+        freq_t_n: Option<u64>,
+    ) -> Self {
+        assert!(nodes.len() <= u32::MAX as usize, "too many nodes for u32 interning");
+        let n = nodes.len();
+        let rows_per_shard = rows_per_shard_for(n, target_shards);
+        let shards = (0..n.div_ceil(rows_per_shard))
+            .map(|s| {
+                let base = s * rows_per_shard;
+                Shard::empty(base as u32, rows_per_shard.min(n - base), freq_t_n.is_some())
+            })
+            .collect();
+        RowBuilder {
+            snap: ShardedSnapshot {
+                nodes,
+                index,
+                rows_per_shard,
+                target_shards,
+                shards,
+                freq_rev: Vec::new(),
+                freq_t_n,
+                apply_idx: Vec::new(),
+                fixup_edges: Vec::new(),
+            },
+            shard: 0,
+            local: 0,
+        }
+    }
+
+    /// Append cell `(col, cell)` to the open row. Columns must be strictly
+    /// ascending within a row and `cell` non-empty; a caller holding
+    /// untrusted rows checks both before pushing.
+    #[inline]
+    pub fn push(&mut self, col: u32, cell: PairCounters) {
+        let shard = &mut self.snap.shards[self.shard];
+        debug_assert!(
+            shard.row_cols.len() == shard.row_offsets[self.local] as usize
+                || shard.row_cols.last() < Some(&col),
+            "row columns must be strictly ascending"
+        );
+        debug_assert!(cell.total > 0, "stored cells are non-empty");
+        shard.row_cols.push(col);
+        shard.row_cells.push(cell);
+    }
+
+    /// Make room for `cells` more cells in the open row's shard, so the
+    /// arena grows once instead of by doubling.
+    fn reserve(&mut self, cells: usize) {
+        let shard = &mut self.snap.shards[self.shard];
+        shard.row_cols.reserve_exact(cells);
+        shard.row_cells.reserve_exact(cells);
+    }
+
+    /// Close the open row with the ratee's `totals` and its frequent
+    /// aggregate, and move to the next row.
+    pub fn end_row(&mut self, totals: NodeTotals) {
+        let freq_t_n = self.snap.freq_t_n;
+        let shard = &mut self.snap.shards[self.shard];
+        let local = self.local;
+        assert!(shard.row_cols.len() <= u32::MAX as usize, "too many cells for u32 shard offsets");
+        shard.row_offsets[local + 1] = shard.row_cols.len() as u32;
+        shard.nnz = shard.row_cols.len();
+        shard.set_totals(local, totals);
+        if let Some(t_n) = freq_t_n {
+            let agg = shard.row_freq(local, t_n);
+            if let Some(f) = shard.freq.as_mut() {
+                f[local] = agg;
+            }
+        }
+        self.local += 1;
+        if self.local == shard.rows {
+            self.shard += 1;
+            self.local = 0;
+        }
+    }
+
+    /// The finished snapshot, once every row has been ended.
+    pub fn finish(self) -> ShardedSnapshot {
+        let mut snap = self.snap;
+        assert_eq!(self.shard, snap.shards.len(), "every row must be ended before finish");
+        // Frequent reverse index: the ascending global row walk keeps each
+        // rater's list sorted without an explicit sort, and a row without
+        // frequent cells is skipped on its aggregate alone.
+        let mut freq_rev: Vec<Vec<u32>> = vec![Vec::new(); snap.nodes.len()];
+        for shard in &snap.shards {
+            for local in 0..shard.rows {
+                let g = shard.base + local as u32;
+                for j in shard.frequent_raters(local, snap.freq_t_n) {
+                    freq_rev[j as usize].push(g);
+                }
+            }
+        }
+        snap.freq_rev = freq_rev;
+        snap
+    }
+}
+
+/// `id → dense index` for interned `nodes`.
+fn index_of(nodes: &[NodeId]) -> FxHashMap<NodeId, u32> {
+    nodes.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect()
+}
+
+/// One history cell with ids resolved: `(ratee row, rater column,
+/// counters)`.
+type RowCell = (u32, u32, PairCounters);
+
+/// Resolve every cell of `history` through `index` into `out`, in the
+/// history's iteration order. Returns the ids `index` lacks, sorted and
+/// deduplicated; when there are any, `out` misses their cells.
+fn resolve_cells(
+    history: &InteractionHistory,
+    index: &FxHashMap<NodeId, u32>,
+    out: &mut Vec<RowCell>,
+) -> Vec<NodeId> {
+    out.clear();
+    out.reserve_exact(history.iter_pairs().len());
+    let mut fresh = Vec::new();
+    for (rater, ratee, c) in history.iter_pairs() {
+        match (index.get(&ratee), index.get(&rater)) {
+            (Some(&i), Some(&j)) => out.push((i, j, c)),
+            (i, j) => {
+                fresh.extend(i.is_none().then_some(ratee));
+                fresh.extend(j.is_none().then_some(rater));
+            }
+        }
+    }
+    fresh.sort_unstable();
+    fresh.dedup();
+    fresh
+}
+
+/// Permute `cells` in place so each shard's cells are contiguous, in shard
+/// order (an American-flag pass: every cell moves at most once). Returns
+/// the `n_shards + 1` shard bounds.
+fn partition_by_shard(cells: &mut [RowCell], rows_per_shard: usize, n_shards: usize) -> Vec<usize> {
+    let shard_of = |cell: &RowCell| cell.0 as usize / rows_per_shard;
+    let mut bounds = vec![0usize; n_shards + 1];
+    for cell in cells.iter() {
+        bounds[shard_of(cell) + 1] += 1;
+    }
+    for s in 0..n_shards {
+        bounds[s + 1] += bounds[s];
+    }
+    let mut next = bounds.clone();
+    for s in 0..n_shards {
+        while next[s] < bounds[s + 1] {
+            let t = shard_of(&cells[next[s]]);
+            if t != s {
+                cells.swap(next[s], next[t]);
+            }
+            next[t] += 1;
+        }
+    }
+    bounds
+}
+
 impl ShardedSnapshot {
     /// Build a sharded snapshot of `history` over at most `target_shards`
     /// shards. The interned set is the union of `nodes` and every
     /// rater/ratee in the history, so detector row scans (which include
     /// raters outside the manager's view) never miss an id.
     pub fn build(history: &InteractionHistory, nodes: &[NodeId], target_shards: usize) -> Self {
-        Self::build_inner(history, nodes.to_vec(), target_shards, None)
+        Self::from_history(history, nodes.to_vec(), target_shards, None)
     }
 
     /// [`ShardedSnapshot::build`] plus eager per-shard frequent aggregates
@@ -498,98 +690,85 @@ impl ShardedSnapshot {
         target_shards: usize,
         t_n: u64,
     ) -> Self {
-        Self::build_inner(history, nodes.to_vec(), target_shards, Some(t_n))
+        Self::from_history(history, nodes.to_vec(), target_shards, Some(t_n))
     }
 
-    fn build_inner(
+    /// A [`RowBuilder`] over `nodes` (strictly ascending: dense index `i`
+    /// is `nodes[i]`), cut into at most `target_shards` shards, keeping
+    /// frequent aggregates and the frequent reverse index for `freq_t_n`.
+    pub fn row_builder(
+        nodes: Vec<NodeId>,
+        target_shards: usize,
+        freq_t_n: Option<u64>,
+    ) -> RowBuilder {
+        assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must be strictly ascending");
+        let index = index_of(&nodes);
+        RowBuilder::new(nodes, index, target_shards, freq_t_n)
+    }
+
+    /// The history build: intern, resolve the cells in one pass, group
+    /// them by shard in place, then counting-sort each shard's cells by
+    /// row, sort each row by column and write the rows through a
+    /// [`RowBuilder`]. The cells are held once, plus one shard's scratch.
+    fn from_history(
         history: &InteractionHistory,
-        base: Vec<NodeId>,
+        mut nodes: Vec<NodeId>,
         target_shards: usize,
         freq_t_n: Option<u64>,
     ) -> Self {
-        let mut nodes = base;
-        for (rater, ratee, _) in history.iter_pairs() {
-            nodes.push(rater);
-            nodes.push(ratee);
-        }
+        // Intern: the base list, plus only the ids its index misses.
         nodes.sort_unstable();
         nodes.dedup();
-        assert!(nodes.len() <= u32::MAX as usize, "too many nodes for u32 interning");
-        let n = nodes.len();
-        let index: FxHashMap<NodeId, u32> =
-            nodes.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
-        let rows_per_shard = rows_per_shard_for(n, target_shards);
-        let n_shards = n.div_ceil(rows_per_shard);
+        let mut index = index_of(&nodes);
+        let mut cells = Vec::new();
+        let fresh = resolve_cells(history, &index, &mut cells);
+        if !fresh.is_empty() {
+            nodes.extend(fresh);
+            nodes.sort_unstable();
+            index = index_of(&nodes);
+            let missed = resolve_cells(history, &index, &mut cells);
+            debug_assert!(missed.is_empty(), "every id is interned after the first pass");
+        }
 
-        let nodes_ref = &nodes;
-        let index_ref = &index;
-        let shards: Vec<Shard> = (0..n_shards)
-            .into_par_iter()
-            .map(|s| {
-                let base = s * rows_per_shard;
-                let rows = rows_per_shard.min(n - base);
-                let mut shard = Shard::empty(base as u32, rows, freq_t_n.is_some());
-                let mut scratch: Vec<(u32, PairCounters)> = Vec::new();
-                let mut row_offsets = Vec::with_capacity(rows + 1);
-                row_offsets.push(0u32);
-                let mut row_cols = Vec::new();
-                let mut row_cells = Vec::new();
-                for local in 0..rows {
-                    let id = nodes_ref[base + local];
-                    scratch.clear();
-                    for &r in history.raters_of(id) {
-                        scratch.push((index_ref[&r], history.pair(r, id)));
-                    }
-                    scratch.sort_unstable_by_key(|e| e.0);
-                    for &(c, cell) in &scratch {
-                        row_cols.push(c);
-                        row_cells.push(cell);
-                    }
-                    row_offsets.push(row_cols.len() as u32);
-                    shard.set_totals(local, history.totals(id));
+        let mut rows = RowBuilder::new(nodes, index, target_shards, freq_t_n);
+        let (rows_per_shard, n_shards) = (rows.snap.rows_per_shard, rows.snap.shards.len());
+        let bounds = partition_by_shard(&mut cells, rows_per_shard, n_shards);
+        let mut offsets: Vec<u32> = Vec::new();
+        let mut grouped: Vec<(u32, PairCounters)> = Vec::new();
+        for (s, span) in bounds.windows(2).enumerate() {
+            let shard_cells = &cells[span[0]..span[1]];
+            let (base, n_rows) = (rows.snap.shards[s].base, rows.snap.shards[s].rows);
+            assert!(shard_cells.len() <= u32::MAX as usize, "too many cells for u32 shard offsets");
+            // counting sort by row: offsets[k + 1] counts, then bounds, row k
+            offsets.clear();
+            offsets.resize(n_rows + 1, 0);
+            for &(i, _, _) in shard_cells {
+                offsets[(i - base) as usize + 1] += 1;
+            }
+            for k in 0..n_rows {
+                offsets[k + 1] += offsets[k];
+            }
+            grouped.clear();
+            grouped.resize(shard_cells.len(), (0, PairCounters::default()));
+            for &(i, j, c) in shard_cells {
+                let slot = &mut offsets[(i - base) as usize];
+                grouped[*slot as usize] = (j, c);
+                *slot += 1;
+            }
+            rows.reserve(shard_cells.len());
+            // each offsets[k] advanced to row k's end, the start of row k + 1
+            let mut start = 0;
+            for k in 0..n_rows {
+                let row = &mut grouped[start..offsets[k] as usize];
+                start = offsets[k] as usize;
+                row.sort_unstable_by_key(|e| e.0);
+                for &(j, c) in &*row {
+                    rows.push(j, c);
                 }
-                assert!(
-                    row_cols.len() <= u32::MAX as usize,
-                    "too many cells for u32 shard offsets"
-                );
-                shard.nnz = row_cols.len();
-                shard.row_offsets = row_offsets;
-                shard.row_cols = row_cols;
-                shard.row_cells = row_cells;
-                if let (Some(t_n), Some(mut freq)) = (freq_t_n, shard.freq.take()) {
-                    for (local, agg) in freq.iter_mut().enumerate() {
-                        *agg = shard.row_freq(local, t_n);
-                    }
-                    shard.freq = Some(freq);
-                }
-                shard
-            })
-            .collect();
-
-        // Frequent reverse index: the ascending global row walk keeps each
-        // rater's list sorted without an explicit sort, and a row without
-        // frequent cells is skipped on its aggregate alone.
-        let mut freq_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for shard in &shards {
-            for local in 0..shard.rows {
-                let g = shard.base + local as u32;
-                for j in shard.frequent_raters(local, freq_t_n) {
-                    freq_rev[j as usize].push(g);
-                }
+                rows.end_row(history.totals(rows.snap.nodes[base as usize + k]));
             }
         }
-
-        ShardedSnapshot {
-            nodes,
-            index,
-            rows_per_shard,
-            target_shards,
-            shards,
-            freq_rev,
-            freq_t_n,
-            apply_idx: Vec::new(),
-            fixup_edges: Vec::new(),
-        }
+        rows.finish()
     }
 
     // ----- Shape ------------------------------------------------------------
@@ -679,7 +858,7 @@ impl ShardedSnapshot {
         }
         if need_rebuild {
             let nodes = std::mem::take(&mut self.nodes);
-            *self = Self::build_inner(history, nodes, self.target_shards, self.freq_t_n);
+            *self = Self::from_history(history, nodes, self.target_shards, self.freq_t_n);
             return RefreshOutcome::Rebuilt;
         }
 
@@ -894,7 +1073,7 @@ impl ShardedSnapshot {
         }
         let n = merged.len();
         assert!(n <= u32::MAX as usize, "too many nodes for u32 interning");
-        self.index = merged.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
+        self.index = index_of(&merged);
         self.nodes = merged;
 
         let old_rps = self.rows_per_shard;
@@ -1150,6 +1329,29 @@ mod tests {
             let frequent = ShardedSnapshot::build_with_frequent(&h, &nodes, target, 2);
             assert!((0..30).any(|j| !frequent.frequent_ratees_of(j).is_empty()));
             assert_matches_history(&frequent, &h, &nodes);
+        }
+
+        // an unsorted base list with duplicates, partly outside the history
+        let base: Vec<NodeId> = [29, 3, 3, 40, 0, 17, 29, 35, 3].map(NodeId).to_vec();
+        // a history assembled from slices: ratees split off one history and
+        // merged into another, raters and ratees reaching past the base
+        let mut assembled = InteractionHistory::new();
+        record_all(&mut assembled, &pseudo_ratings(31, 50, 400));
+        let mut donor = InteractionHistory::new();
+        record_all(&mut donor, &pseudo_ratings(37, 60, 500));
+        for ratee in [5, 44, 58] {
+            assembled.merge(&donor.split_off_ratee(NodeId(ratee)));
+        }
+        let _gone = assembled.split_off_ratee(NodeId(12));
+        assembled.merge(&donor);
+        for (h, base) in [(&h, &base[..]), (&assembled, &nodes[..])] {
+            for target in [1, 3, 7, 16, 64] {
+                let sharded = ShardedSnapshot::build(h, base, target);
+                assert!(sharded.n_shards() <= target.max(1));
+                assert_matches_history(&sharded, h, base);
+                let frequent = ShardedSnapshot::build_with_frequent(h, base, target, 2);
+                assert_matches_history(&frequent, h, base);
+            }
         }
     }
 

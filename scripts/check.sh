@@ -39,13 +39,24 @@ for i in 1 2 3; do
   cargo test --release -q --test durability_props
 done
 
+echo "== paper figures (reproduce fig8 … fig13 --csv, byte-identical) =="
+# the simulator detects through the same snapshot builds as every other
+# path; the CSVs are deterministic, so any byte of difference is a change
+# in behaviour, not noise. Regenerate the expected files (same command,
+# `--csv scripts/figures_expected`) only in a change meant to move a figure.
+figs_out="$(mktemp -d)"
+trap 'rm -rf "$figs_out"' EXIT
+timeout 300 cargo run --release -q -p collusion-bench --bin reproduce -- \
+  fig8 fig9 fig10 fig11 fig12 fig13 --csv "$figs_out" > /dev/null
+diff -r scripts/figures_expected "$figs_out"
+
 echo "== scale smoke (n=2k sharded/pruned/epoch kernels, fixed shape) =="
 # the smoke run asserts bit-identical suspect sets across all kernel
 # variants internally; the diff pins the deterministic counters
 smoke_out="$(mktemp)"
 recovery_out="$(mktemp)"
 net_out="$(mktemp)"
-trap 'rm -f "$smoke_out" "$recovery_out" "$net_out"' EXIT
+trap 'rm -rf "$figs_out" "$smoke_out" "$recovery_out" "$net_out"' EXIT
 timeout 120 cargo run --release -q -p collusion-bench --bin scale_json -- \
   --smoke --out "$smoke_out"
 diff scripts/BENCH_scale_smoke_expected.json "$smoke_out"
@@ -94,7 +105,7 @@ echo "== nemesis smoke (crash + partition + overload against live resumable stre
 # equality with the in-process baseline; the diff pins the deterministic
 # projection (counts and invariant flags — rates stay unpinned).
 nemesis_out="$(mktemp)"
-trap 'rm -f "$smoke_out" "$recovery_out" "$net_out" "$nemesis_out"' EXIT
+trap 'rm -rf "$figs_out" "$smoke_out" "$recovery_out" "$net_out" "$nemesis_out"' EXIT
 timeout 240 cargo test --release -q -p collusion-sim --test net_cluster nemesis_smoke_gate \
   -- --nocapture > "$nemesis_out"
 diff scripts/BENCH_nemesis_smoke_expected.txt <(grep '^NEMESIS ' "$nemesis_out")

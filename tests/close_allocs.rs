@@ -1,4 +1,5 @@
-//! Allocation budget of a steady-state epoch close.
+//! Allocation budgets of a steady-state epoch close and of a checkpoint
+//! restore.
 //!
 //! The close reuses its detection scratch (candidate dedup set, prunability
 //! flags, re-check caches) across epochs, so once warm it should allocate
@@ -7,6 +8,11 @@
 //! serial [`DurableEngine`]; the pre-scratch code cost thousands of
 //! allocations there, the reused scratch about 140.
 //!
+//! A restore decodes the image's rows straight into the snapshot's shard
+//! arenas, so it allocates per shard and per frequent reverse-index list,
+//! not per row: re-folding the rows through a hash-map history cost about
+//! 7 400 allocations on the same engine.
+//!
 //! The allocator counts every thread of the process, so this file holds a
 //! single test: no other test thread can allocate during the count.
 
@@ -14,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use collusion::core::durability::{scratch_dir, DurabilityConfig, DurableEngine, EngineSetup};
-use collusion::core::epoch::EpochMethod;
+use collusion::core::epoch::{EpochEngine, EpochMethod};
 use collusion::core::policy::DetectionPolicy;
 use collusion::reputation::thresholds::Thresholds;
 use collusion::reputation::wal::SyncPolicy;
@@ -49,6 +55,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// cost, far under the pre-scratch cost.
 const BUDGET: u64 = 1_000;
 
+/// Allocations a restore of the closed engine's image may make: headroom
+/// over the measured cost (about 120), far under a re-fold's.
+const RESTORE_BUDGET: u64 = 500;
+
 const EPOCHS: usize = 10;
 
 #[test]
@@ -82,6 +92,20 @@ fn steady_state_close_stays_inside_its_allocation_budget() {
         costs.push(ALLOCS.load(Ordering::Relaxed) - before);
     }
     let suspects = engine.engine().report().pairs.len();
+
+    let image = engine.engine().persist_bytes(0);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let (restored, _) = EpochEngine::recover_from_bytes(
+        &image,
+        setup.target_shards,
+        setup.method,
+        setup.thresholds,
+        setup.policy,
+        setup.prune,
+    )
+    .expect("restore");
+    let restore = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(restored.state_eq(engine.engine()), "the restored engine differs");
     drop(engine);
     std::fs::remove_dir_all(&dir).ok();
 
@@ -91,5 +115,9 @@ fn steady_state_close_stays_inside_its_allocation_budget() {
     assert!(
         steady <= BUDGET,
         "steady-state close allocated {steady} times (budget {BUDGET}); per close: {costs:?}"
+    );
+    assert!(
+        restore <= RESTORE_BUDGET,
+        "restore allocated {restore} times (budget {RESTORE_BUDGET})"
     );
 }
