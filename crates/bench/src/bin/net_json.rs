@@ -99,11 +99,10 @@ fn main() {
 
     // ----- wire-ingest throughput grid (connections × batch × window) ---
     //
-    // Streaming data plane vs the two reference rates: the pre-streaming
-    // one-ack-per-batch `InsertBatch` path (same cluster, `legacy`) and a
-    // serial in-process `DurableEngine` fed the identical rating stream
-    // (no sockets). Every grid point asserts suspect-set equality against
-    // the in-process detection baseline and full durable acking.
+    // Streaming data plane vs a serial in-process `DurableEngine` fed the
+    // identical rating stream (no sockets). Every grid point asserts
+    // suspect-set equality against the in-process detection baseline and
+    // full durable acking.
     let wire_base = {
         let mut c = base.clone();
         c.replication = 1; // pure primary-ingest measurement
@@ -113,14 +112,6 @@ fn main() {
         &[(1, 64, 1), (1, 128, 32), (2, 256, 64)]
     } else {
         &[(1, 256, 1), (1, 256, 64), (2, 256, 64), (4, 256, 64), (4, 512, 64)]
-    };
-    let legacy_point = {
-        let mut c = wire_base.clone();
-        c.batch = wire_grid[0].1;
-        let o = run_wire_ingest(&WireIngestConfig { cluster: c, connections: 1, legacy: true });
-        check_wire_point(&o, "legacy");
-        eprintln!("net: legacy InsertBatch reference {:.0} ratings/s", o.ratings_per_sec);
-        o
     };
     // The serial reference is re-measured back to back with every wire
     // point (paired measurement): both sides fsync through the same
@@ -137,8 +128,8 @@ fn main() {
         let mut c = wire_base.clone();
         c.batch = batch;
         c.window = window;
-        let o = run_wire_ingest(&WireIngestConfig { cluster: c, connections, legacy: false });
-        check_wire_point(&o, "stream");
+        let o = run_wire_ingest(&WireIngestConfig { cluster: c, connections });
+        check_wire_point(&o);
         let ratio = o.ratings_per_sec / s_rps.max(1e-9);
         eprintln!(
             "  {:.0} ratings/s ({} ratings, {} frames, {} bytes, {} ms) \
@@ -178,19 +169,13 @@ fn main() {
             best_ratio = best_ratio.max(rps / s_rps.max(1e-9));
         }
     }
-    let over_legacy = best_rps / legacy_point.ratings_per_sec.max(1e-9);
     let of_inprocess = best_ratio;
     eprintln!(
-        "net: best wire {best_rps:.0} ratings/s = {over_legacy:.1}x legacy, \
-         {of_inprocess:.2}x paired in-process serial"
+        "net: best wire {best_rps:.0} ratings/s = {of_inprocess:.2}x paired in-process serial"
     );
     if !smoke {
         // The tentpole: the wire-vs-in-process ingest gap is closed to 2x
         // (the pre-streaming server measured ~20x off; see DESIGN.md §13).
-        // `over_legacy` is reported but not gated: legacy `InsertBatch`
-        // acks are accepted-not-durable, so whenever fsync latency spikes
-        // the durable-acked stream necessarily trails it — the ratio
-        // measures disk weather, not the protocol.
         assert!(
             of_inprocess >= 0.5,
             "streamed ingest must be within 2x of in-process serial (got {of_inprocess:.2}x)"
@@ -221,33 +206,26 @@ fn main() {
     assert!(json.ends_with(tail), "render_grid tail changed; update the wire-ingest splice");
     json.truncate(json.len() - tail.len());
     json.push_str("  ],\n");
-    json.push_str(&wire_section_json(
-        serial_rps,
-        &legacy_point,
-        best_rps,
-        over_legacy,
-        of_inprocess,
-        &wire_rows,
-    ));
+    json.push_str(&wire_section_json(serial_rps, best_rps, of_inprocess, &wire_rows));
     json.push_str("}\n");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("{json}");
     eprintln!("wrote {out_path}");
 }
 
-/// Every wire-ingest point — streamed or legacy — must reproduce the
-/// in-process suspect set exactly and ack the whole offered stream.
-fn check_wire_point(o: &WireIngestOutcome, tag: &str) {
+/// Every wire-ingest point must reproduce the in-process suspect set
+/// exactly and ack the whole offered stream.
+fn check_wire_point(o: &WireIngestOutcome) {
     assert_eq!(
         o.confirmed_pairs, o.baseline_pairs,
-        "{tag} wire ingest diverged from the in-process suspect set"
+        "wire ingest diverged from the in-process suspect set"
     );
-    assert_eq!(o.acked, o.ratings, "{tag} wire ingest must ack every offered rating");
+    assert_eq!(o.acked, o.ratings, "wire ingest must ack every offered rating");
     for m in &o.managers {
-        assert_eq!(m.intake_pending, 0, "{tag}: manager {} left intake residue", m.manager.raw());
+        assert_eq!(m.intake_pending, 0, "manager {} left intake residue", m.manager.raw());
         assert!(
             m.durable_len <= m.wal_len,
-            "{tag}: manager {} durable watermark beyond the WAL",
+            "manager {} durable watermark beyond the WAL",
             m.manager.raw()
         );
     }
@@ -272,21 +250,11 @@ fn wire_row_json(
     )
 }
 
-fn wire_section_json(
-    serial_rps: f64,
-    legacy: &WireIngestOutcome,
-    best_rps: f64,
-    over_legacy: f64,
-    of_inprocess: f64,
-    rows: &[String],
-) -> String {
+fn wire_section_json(serial_rps: f64, best_rps: f64, of_inprocess: f64, rows: &[String]) -> String {
     let mut s = String::new();
     s.push_str("  \"wire_ingest\": {\n");
     s.push_str(&format!("    \"inprocess_serial_ratings_per_sec\": {serial_rps:.1},\n"));
-    s.push_str(&format!("    \"legacy_wire_ratings_per_sec\": {:.1},\n", legacy.ratings_per_sec));
-    s.push_str(&format!("    \"legacy_ratings\": {},\n", legacy.ratings));
     s.push_str(&format!("    \"best_wire_ratings_per_sec\": {best_rps:.1},\n"));
-    s.push_str(&format!("    \"wire_over_legacy\": {over_legacy:.2},\n"));
     s.push_str(&format!("    \"wire_over_inprocess\": {of_inprocess:.3},\n"));
     s.push_str("    \"grid\": [\n");
     for (i, r) in rows.iter().enumerate() {

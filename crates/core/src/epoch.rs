@@ -40,8 +40,8 @@
 //! byte-for-byte unchanged, so its standing verdict is still exact, or
 //! fails C4 in every direction that changed. Candidate pairs are
 //! re-checked with the *same* kernels the full pass uses
-//! ([`BasicDetector::check_pair_snap`] /
-//! [`OptimizedDetector::check_direction_snap`]) and the verdict map is
+//! (`BasicDetector::check_pair_snap` /
+//! `OptimizedDetector::check_direction_snap`) and the verdict map is
 //! updated both ways — inserted on a flag, *removed* when a previously
 //! suspicious pair no longer checks out. The resulting suspect set is
 //! therefore bit-identical to running the full detector on the current
@@ -113,9 +113,9 @@ pub struct EpochStats {
 }
 
 /// Wall-clock breakdown of the most recent epoch close, in nanoseconds.
-/// `advance` covers steps 1–2 ([`advance_epoch_state`]: delta merge +
-/// high-flag recompute), `enumerate` step 3 ([`enumerate_candidates`]) and
-/// `recheck` step 4 ([`recheck_candidates`]). The benchmark's engine
+/// `advance` covers steps 1–2 (`advance_epoch_state`: delta merge +
+/// high-flag recompute), `enumerate` step 3 (`enumerate_candidates`) and
+/// `recheck` step 4 (`recheck_candidates`). The benchmark's engine
 /// workloads report these per close so the next close-path bottleneck is
 /// visible by name.
 #[derive(Clone, Copy, Debug, Default)]
@@ -861,8 +861,8 @@ impl EpochEngine {
     /// and return the updated standing suspect set. The reported cost
     /// covers only this close's kernel work.
     ///
-    /// Steps 1–2 are [`advance_epoch_state`], step 3
-    /// [`enumerate_candidates`] and step 4 [`recheck_candidates`]; the
+    /// Steps 1–2 are `advance_epoch_state`, step 3
+    /// `enumerate_candidates` and step 4 `recheck_candidates`; the
     /// step comments live on those functions.
     pub fn close_epoch(&mut self) -> DetectionReport {
         let delta: EpochDelta = self.buffer.drain();
@@ -1530,7 +1530,7 @@ mod tests {
         wrong[0] ^= 0xFF;
         assert!(recover(&wrong).is_err());
         // a row's columns repeated, or descending: the writer emits neither
-        let cells = first_row_with_two_cells(&good);
+        let (_, cells) = first_row_with_two_cells(&good);
         let mut repeated = good.clone();
         repeated.copy_within(cells..cells + 4, cells + CELL_BYTES);
         assert!(recover(&repeated).is_err(), "repeated column accepted");
@@ -1539,22 +1539,71 @@ mod tests {
         assert!(recover(&descending).is_err(), "descending columns accepted");
     }
 
-    /// Byte offset of the first cell of the first persisted row holding at
-    /// least two cells.
-    fn first_row_with_two_cells(image: &[u8]) -> usize {
+    /// Index of the first persisted row holding at least two cells, and the
+    /// byte offset of its first cell.
+    fn first_row_with_two_cells(image: &[u8]) -> (u32, usize) {
         let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
         // version, wal_seq, then n and the node ids
         let mut at = 4 + 8;
         let n = u32_at(at);
         at += 4 + n * 8;
-        for _ in 0..n {
+        for row in 0..n as u32 {
             let len = u32_at(at);
             if len >= 2 {
-                return at + 4;
+                return (row, at + 4);
             }
             at += 4 + len * CELL_BYTES;
         }
         panic!("no row holds two cells");
+    }
+
+    /// Counts no engine could have counted, but an image can claim: two
+    /// frequent cells of one row at `total = 2^63` overflow the row's sums.
+    /// Restore, the row's frequent aggregate, the next record and the next
+    /// close saturate instead of panicking.
+    #[test]
+    fn restored_counts_past_u64_saturate_instead_of_panicking() {
+        let thresholds = Thresholds::new(1.0, 3, 0.8, 0.4);
+        let nodes: Vec<NodeId> = (1..=6).map(NodeId).collect();
+        let mut seed = EpochEngine::new(
+            &nodes,
+            2,
+            EpochMethod::Optimized,
+            thresholds,
+            DetectionPolicy::STRICT,
+            true,
+        );
+        for r in epoch_ratings(&[1, 2, 3, 4, 5, 6], 40, 0xAB, 0) {
+            seed.record(r);
+        }
+        seed.close_epoch();
+        let mut image = seed.persist_bytes(5);
+        let (row, cells) = first_row_with_two_cells(&image);
+        let rater_col = u32::from_le_bytes(image[cells..cells + 4].try_into().unwrap());
+        for cell in [cells, cells + CELL_BYTES] {
+            image[cell + 4..cell + 12].copy_from_slice(&(1u64 << 63).to_le_bytes());
+            image[cell + 12..cell + 20].copy_from_slice(&(1u64 << 63).to_le_bytes());
+            image[cell + 20..cell + 28].copy_from_slice(&0u64.to_le_bytes());
+        }
+        let (mut restored, _) = EpochEngine::recover_from_bytes(
+            &image,
+            2,
+            EpochMethod::Optimized,
+            thresholds,
+            DetectionPolicy::STRICT,
+            true,
+        )
+        .expect("an overflowing row still restores");
+        let snap = restored.snapshot();
+        assert_eq!(snap.row_freq(row, thresholds.t_n), (u64::MAX, i64::MAX));
+        assert_eq!(snap.frequent_agg(thresholds.t_n, row), Some((u64::MAX, i64::MAX)));
+        let (ratee, rater) = (snap.node_id(row), snap.node_id(rater_col));
+        restored.record(Rating::positive(rater, ratee, SimTime(1_000)));
+        restored.close_epoch();
+        let snap = restored.snapshot();
+        let row = snap.index(ratee).expect("ratee still interned");
+        assert_eq!(snap.totals_of(row).total, u64::MAX);
+        assert_eq!(snap.frequent_agg(thresholds.t_n, row), Some((u64::MAX, i64::MAX)));
     }
 
     #[test]

@@ -1124,7 +1124,7 @@ mod tests {
             })
             .collect();
         assert!(
-            client.call(addr, &Request::InsertBatch(big)).is_err(),
+            client.call(addr, &Request::Replicate(big)).is_err(),
             "the stalled call must fail, not hang"
         );
         stall_tx.send(()).expect("server thread alive");

@@ -75,7 +75,7 @@ use crate::report::DetectionReport;
 /// durable engine; its presence is what makes a spawn a rejoin).
 const WAL_FILE: &str = "engine.wal";
 
-/// Primary inserts between automatic view publications.
+/// Intake depth (ratings) at which a stream frame absorbs and publishes.
 const PUBLISH_EVERY: u64 = 1024;
 
 /// Idle poll interval of the accept loop and connection read loops.
@@ -321,7 +321,6 @@ struct State {
     recorded: u64,
     replicated: u64,
     epoch: u64,
-    since_publish: u64,
 }
 
 /// The streaming data plane, split off the control-plane state mutex.
@@ -462,7 +461,6 @@ impl ManagerNode {
             recorded,
             replicated: 0,
             epoch: 0,
-            since_publish: 0,
         };
         let data = DataPlane {
             durable: Mutex::new(durable),
@@ -606,7 +604,6 @@ fn publish_view(shared: &Shared, st: &mut State) {
         report: st.report.clone(),
     };
     shared.view.publish(Arc::new(view));
-    st.since_publish = 0;
 }
 
 /// Drain the stream intake into the read view's totals. Call with the
@@ -621,7 +618,6 @@ fn absorb_intake(shared: &Shared, st: &mut State) {
     let delta = shared.data.intake.drain();
     st.view.fold(&delta.entries);
     st.recorded += delta.ratings;
-    st.since_publish += delta.ratings;
 }
 
 /// Per-connection streaming-insert state: the server side of one
@@ -714,8 +710,9 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) {
 /// ratings (durable lock only — the state mutex is not touched on this
 /// path), fold their counters into the sharded intake, and return a
 /// cumulative ack if the durable watermark already covers pending frames.
-/// Misrouted ratings fall back to the replica store under the state lock,
-/// mirroring the degraded acceptance of plain `Insert`.
+/// Misrouted ratings fall back to the replica store under the state lock
+/// (degraded acceptance: the harness's failover path when the owner is
+/// down).
 fn handle_stream_frame(
     shared: &Shared,
     sc: &mut StreamConn,
@@ -945,8 +942,6 @@ fn flush_acks(shared: &Shared, sc: &mut StreamConn, stream: &mut TcpStream) -> R
 fn handle(shared: &Shared, req: Request) -> Response {
     match req {
         Request::Ping => Response::Pong { manager: shared.cfg.id },
-        Request::Insert(r) => insert(shared, vec![r]),
-        Request::InsertBatch(rs) => insert(shared, rs),
         Request::Replicate(rs) => {
             let mut st = shared.state.lock().expect("manager state lock");
             let mut accepted = 0;
@@ -1065,49 +1060,6 @@ fn handle(shared: &Shared, req: Request) -> Response {
             })
         }
     }
-}
-
-/// Primary-path insert: responsible ratings go through the WAL into the
-/// engine and straight into the read view's totals; ratings for nodes this
-/// manager does not own are accepted into the replica store (degraded
-/// acceptance — the harness's failover path when the owner is down).
-fn insert(shared: &Shared, ratings: Vec<Rating>) -> Response {
-    let mut st = shared.state.lock().expect("manager state lock");
-    let mut accepted = 0u64;
-    let mut owned = 0u64;
-    let mut cells: Vec<(NodeId, NodeId, PairCounters)> = Vec::with_capacity(ratings.len());
-    let next_seq = {
-        let mut eng = shared.data.durable.lock().expect("durable engine lock");
-        let closes_before = eng.engine_stats().epochs;
-        for r in ratings {
-            if shared.ring.owner_of(r.ratee) == shared.cfg.id {
-                if eng.record(r).is_err() {
-                    return Response::Error { code: ErrorCode::Internal };
-                }
-                accepted += 1;
-                owned += 1;
-                if !r.is_self_rating() {
-                    let mut c = PairCounters::default();
-                    c.accumulate(r.value);
-                    cells.push((r.ratee, r.rater, c));
-                }
-            } else if st.replica.record(r) {
-                st.replicated += 1;
-                accepted += 1;
-            }
-        }
-        if eng.engine_stats().epochs != closes_before {
-            shared.data.report_stale.store(true, Ordering::Release);
-        }
-        eng.wal().next_seq()
-    };
-    st.view.fold(&cells);
-    st.recorded += cells.len() as u64;
-    st.since_publish += owned;
-    if st.since_publish >= PUBLISH_EVERY {
-        publish_view(shared, &mut st);
-    }
-    Response::Ack { seq: next_seq, accepted }
 }
 
 /// Direction probe on a frozen snapshot — the networked twin of
@@ -1378,15 +1330,37 @@ mod tests {
         nodes
     }
 
-    /// Route each rating to its owner over the wire.
-    fn ingest(client: &mut RpcClient, nodes: &[ManagerNode], ring: &RingView) {
+    /// Send `rs` over one windowed insert stream to `addr` and check that
+    /// every rating comes back acked durable.
+    fn stream(client: &mut RpcClient, addr: SocketAddr, rs: &[Rating]) {
+        let mut session = client.open_insert_stream(addr, 4).expect("open stream");
+        for chunk in rs.chunks(7) {
+            session.send(chunk).expect("stream frame");
+        }
+        let stats = client.close_insert_stream(session).expect("close stream");
+        assert_eq!(stats.frames_acked, stats.frames_sent, "close must drain the window");
+        assert_eq!(stats.ratings_acked, rs.len() as u64, "every rating must be acked durable");
+        assert!(rs.is_empty() || stats.durable_len > 0, "acks must carry the durable watermark");
+    }
+
+    /// Route each rating to its owner over windowed insert streams; returns
+    /// each rated owner's address and ratings.
+    fn ingest(
+        client: &mut RpcClient,
+        nodes: &[ManagerNode],
+        ring: &RingView,
+    ) -> HashMap<NodeId, (SocketAddr, Vec<Rating>)> {
         let addr_of: HashMap<NodeId, SocketAddr> =
             nodes.iter().map(|n| (n.id(), n.addr())).collect();
+        let mut by_owner: HashMap<NodeId, (SocketAddr, Vec<Rating>)> = HashMap::new();
         for r in ratings() {
             let owner = ring.owner_of(r.ratee);
-            let resp = client.call(addr_of[&owner], &Request::Insert(r)).expect("insert");
-            assert!(matches!(resp, Response::Ack { accepted: 1, .. }), "owner must accept");
+            by_owner.entry(owner).or_insert_with(|| (addr_of[&owner], Vec::new())).1.push(r);
         }
+        for (addr, rs) in by_owner.values() {
+            stream(client, *addr, rs);
+        }
+        by_owner
     }
 
     fn run_round(
@@ -1459,38 +1433,17 @@ mod tests {
     }
 
     #[test]
-    fn streamed_ingest_matches_plain_ingest_and_acks_durably() {
+    fn streamed_ingest_acks_durably_and_matches_in_process_detection() {
         let dir = scratch_dir("net-stream");
         let managers = manager_ids(3);
         let nodes = spawn_cluster(&dir, &managers);
         let ring = RingView::new(&managers);
         let mut client = RpcClient::new(RpcConfig::lan());
-
-        // route every rating to its owner over windowed insert streams
-        let addr_of: HashMap<NodeId, SocketAddr> =
-            nodes.iter().map(|n| (n.id(), n.addr())).collect();
-        let mut by_owner: HashMap<NodeId, Vec<Rating>> = HashMap::new();
-        for r in ratings() {
-            by_owner.entry(ring.owner_of(r.ratee)).or_default().push(r);
-        }
-        for (owner, rs) in &by_owner {
-            let mut session = client.open_insert_stream(addr_of[owner], 4).expect("open stream");
-            for chunk in rs.chunks(7) {
-                session.send(chunk).expect("stream frame");
-            }
-            let stats = client.close_insert_stream(session).expect("close stream");
-            assert_eq!(stats.frames_acked, stats.frames_sent, "close must drain the window");
-            assert_eq!(
-                stats.ratings_acked,
-                rs.len() as u64,
-                "every routed rating must be acked durable"
-            );
-            assert!(stats.durable_len > 0, "acks must carry the durable watermark");
-        }
+        let by_owner = ingest(&mut client, &nodes, &ring);
 
         // acked ⇒ on disk: the WAL already holds every acked rating even
         // though no explicit sync/close was requested
-        for (owner, rs) in &by_owner {
+        for (owner, (_, rs)) in &by_owner {
             let wal_path = dir.join(format!("m{}", owner.raw())).join(WAL_FILE);
             let bytes = std::fs::read(&wal_path).expect("wal readable");
             let replay = replay_bytes(&bytes).expect("wal replays");
@@ -1499,7 +1452,7 @@ mod tests {
             assert_eq!(on_disk, rs.len(), "acked ratings must already be in the WAL");
         }
 
-        // the stream path must feed detection identically to plain inserts
+        // the stream path must feed detection identically to in-process submits
         let mut sys = DecentralizedSystem::new(
             &managers,
             thresholds(),
@@ -1519,8 +1472,8 @@ mod tests {
         assert_eq!(confirmed, baseline, "streamed ingest diverged from in-process detection");
 
         // the extended Status surfaces the stream's data-plane counters
-        for (owner, rs) in &by_owner {
-            let resp = client.call(addr_of[owner], &Request::Status).expect("status");
+        for (addr, rs) in by_owner.values() {
+            let resp = client.call(*addr, &Request::Status).expect("status");
             let Response::Status(info) = resp else { panic!("Status must answer Status") };
             assert_eq!(info.stream_ratings, rs.len() as u64);
             assert!(info.stream_frames > 0);
@@ -1592,12 +1545,11 @@ mod tests {
         let mut nodes = spawn_cluster(&dir, &managers);
         let addr = nodes[0].addr();
         let owned = nodes[0].responsible().to_vec();
-        // no retries: a retried batch would be folded twice
+        // no retries: a retried close would close a second epoch
         let mut client = RpcClient::new(RpcConfig { max_retries: 0, ..RpcConfig::lan() });
         let mut seq = 0;
-        for round in 0..2 {
-            let resp = client.call(addr, &Request::InsertBatch(ratings())).expect("insert");
-            assert!(matches!(resp, Response::Ack { .. }), "round {round}: {resp:?}");
+        for _ in 0..2 {
+            stream(&mut client, addr, &ratings());
             let resp = client.call(addr, &Request::CloseEpoch).expect("close epoch");
             let Response::Ack { seq: acked, .. } = resp else {
                 panic!("CloseEpoch must answer Ack, got {resp:?}")
@@ -1674,6 +1626,28 @@ mod tests {
         write_frame(stream, &req.encode()).expect("write request frame");
         let payload = read_frame(stream, MAX_FRAME_PAYLOAD).expect("read response frame");
         Response::decode(&payload).expect("decode response")
+    }
+
+    #[test]
+    fn a_retired_insert_tag_is_malformed_and_the_connection_survives() {
+        let dir = scratch_dir("net-retired-tag");
+        let managers = manager_ids(1);
+        let nodes = spawn_cluster(&dir, &managers);
+        let mut conn = TcpStream::connect(nodes[0].addr()).expect("connect");
+        let mut frame = Request::Replicate(ratings()).encode();
+        frame[1] = 1; // the retired `Insert` tag
+        write_frame(&mut conn, &frame).expect("send");
+        let resp = Response::decode(&read_frame(&mut conn, MAX_FRAME_PAYLOAD).expect("reply"))
+            .expect("decode");
+        assert_eq!(resp, Response::Error { code: ErrorCode::Malformed });
+        assert_eq!(call_raw(&mut conn, &Request::Ping), Response::Pong { manager: managers[0] });
+        let Response::Status(info) = call_raw(&mut conn, &Request::Status) else {
+            panic!("Status must answer Status")
+        };
+        assert_eq!((info.recorded, info.replicated), (0, 0), "nothing may be folded");
+
+        drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1756,13 +1730,7 @@ mod tests {
         // the client numbers its frames from 1 again and so must the server,
         // and acks count the new stream's ratings only
         for part in [first, second] {
-            let mut stream = client.open_insert_stream(addr, 4).expect("open stream");
-            for chunk in part.chunks(7) {
-                stream.send(chunk).expect("stream frame");
-            }
-            let stats = client.close_insert_stream(stream).expect("close stream");
-            assert_eq!(stats.frames_acked, stats.frames_sent);
-            assert_eq!(stats.ratings_acked, part.len() as u64);
+            stream(&mut client, addr, part);
         }
 
         let resp = client.call(addr, &Request::Status).expect("status");
@@ -1782,7 +1750,7 @@ mod tests {
         let node = &nodes[0];
         let mut client = RpcClient::new(RpcConfig::lan());
         let mut publish = |batch: Vec<Rating>| {
-            client.call(node.addr(), &Request::InsertBatch(batch)).expect("insert");
+            stream(&mut client, node.addr(), &batch);
             client.call(node.addr(), &Request::CloseEpoch).expect("close epoch");
             node.view_reader().get().clone()
         };

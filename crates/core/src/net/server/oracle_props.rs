@@ -3,7 +3,7 @@
 //! manager used to keep: an [`InteractionHistory`] mirror of the primary
 //! slice, a one-shard [`ShardedSnapshot`] built from it for every publication and
 //! every `Freeze`, and the publication schedule (`PUBLISH_EVERY` ratings
-//! absorbed from the intake or inserted, every `CloseEpoch`, every rejoin).
+//! waiting in the intake, every `CloseEpoch`, every rejoin).
 //! After every step the manager's published view, its `Query` answers, its
 //! `Status` counters and — after a `Freeze` — every row of its frozen
 //! snapshot must equal the oracle's.
@@ -32,8 +32,6 @@ const QUERIED_IDS: u64 = 20;
 enum Op {
     /// Frames of one anonymous `InsertStream` on the pooled connection.
     Stream(Vec<Vec<Rating>>),
-    Insert(Rating),
-    InsertBatch(Vec<Rating>),
     CloseEpoch,
     Freeze,
     KillRejoin,
@@ -61,8 +59,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => prop::collection::vec(prop::collection::vec(rating(), 0..500), 1..4)
             .prop_map(Op::Stream),
-        1 => rating().prop_map(Op::Insert),
-        2 => prop::collection::vec(rating(), 0..1200).prop_map(Op::InsertBatch),
         2 => Just(Op::CloseEpoch),
         2 => Just(Op::Freeze),
         1 => Just(Op::KillRejoin),
@@ -80,7 +76,6 @@ struct Oracle {
     absorbed: InteractionHistory,
     /// Stream ratings folded into the intake, not absorbed yet.
     intake: u64,
-    since_publish: u64,
     engine: EpochEngine,
     /// `(nodes, signed, report)` of the last publication.
     published: (Vec<NodeId>, Vec<i64>, Vec<SuspectPair>),
@@ -100,24 +95,12 @@ impl Oracle {
         }
     }
 
-    fn insert(&mut self, batch: &[Rating]) {
-        for &r in batch {
-            self.engine.record(r);
-            self.history.record(r);
-            self.absorbed.record(r);
-        }
-        self.since_publish += batch.len() as u64;
-        if self.since_publish >= PUBLISH_EVERY {
-            self.publish();
-        }
-    }
-
     /// What `absorb_intake` did: the intake's ratings reach the mirror. The
     /// mirror only ever lags `history` by exactly the intake, so absorbing
     /// is catching up with it.
     fn absorb(&mut self) {
         self.absorbed = self.history.clone();
-        self.since_publish += std::mem::take(&mut self.intake);
+        self.intake = 0;
     }
 
     /// What `publish_view` did: a full snapshot of the mirror.
@@ -125,7 +108,6 @@ impl Oracle {
         let snap = ShardedSnapshot::build(&self.absorbed, &self.responsible, 1);
         let signed = (0..snap.n() as u32).map(|i| snap.signed(i)).collect();
         self.published = (snap.nodes().to_vec(), signed, self.engine.report().pairs);
-        self.since_publish = 0;
     }
 
     fn reputation(&self, id: NodeId) -> Option<i64> {
@@ -198,9 +180,9 @@ proptest! {
         let dir = scratch_dir("net-oracle");
         let cfg = config(&dir, pair_watermark);
         let mut node = ManagerNode::spawn(cfg.clone()).expect("spawn manager");
-        // patient and never retrying: `Insert`/`InsertBatch` are not
-        // idempotent, and on a busy disk one batch's `EveryK` fsyncs outlast
-        // `lan()`'s 400 ms attempt, so a retry would fold the batch twice
+        // patient and never retrying: `CloseEpoch` and `Replicate` are not
+        // idempotent, and on a busy disk one close's fsyncs can outlast
+        // `lan()`'s 400 ms attempt, so a retry would close a second epoch
         let mut client = RpcClient::new(RpcConfig {
             attempt_timeout_ms: 30_000,
             total_deadline_ms: 30_000,
@@ -221,7 +203,6 @@ proptest! {
             history: InteractionHistory::new(),
             absorbed: InteractionHistory::new(),
             intake: 0,
-            since_publish: 0,
             engine,
             published: (Vec::new(), Vec::new(), Vec::new()),
         };
@@ -230,8 +211,6 @@ proptest! {
         for (k, op) in ops.iter().enumerate() {
             let step = format!("step {k} {}", match op {
                 Op::Stream(_) => "Stream",
-                Op::Insert(_) => "Insert",
-                Op::InsertBatch(_) => "InsertBatch",
                 Op::CloseEpoch => "CloseEpoch",
                 Op::Freeze => "Freeze",
                 Op::KillRejoin => "KillRejoin",
@@ -246,18 +225,6 @@ proptest! {
                     let stats = client.close_insert_stream(stream).expect("close stream");
                     let offered: usize = frames.iter().map(Vec::len).sum();
                     prop_assert_eq!(stats.ratings_acked, offered as u64, "{}", step);
-                }
-                Op::Insert(r) => {
-                    let resp = call(&mut client, &node, &Request::Insert(*r));
-                    prop_assert!(matches!(resp, Response::Ack { accepted: 1, .. }));
-                    oracle.insert(&[*r]);
-                }
-                Op::InsertBatch(batch) => {
-                    let resp = call(&mut client, &node, &Request::InsertBatch(batch.clone()));
-                    prop_assert!(
-                        matches!(resp, Response::Ack { accepted, .. } if accepted == batch.len() as u64)
-                    );
-                    oracle.insert(batch);
                 }
                 Op::CloseEpoch => {
                     let resp = call(&mut client, &node, &Request::CloseEpoch);

@@ -206,17 +206,14 @@ pub struct StatusInfo {
     pub sessions_resumed: u64,
 }
 
-/// Client → server RPCs. `Insert` is the paper's `Insert(j, msg)` primitive
-/// — store one rating at the manager responsible for ratee `j`.
+/// Client → server RPCs. [`Request::InsertStream`] is the paper's
+/// `Insert(j, msg)` primitive — store ratings at the manager responsible
+/// for ratee `j`. Tags 1 and 2 (the retired one-ack request/response
+/// inserts) are never reused and decode to [`CodecError::InvalidTag`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Store one rating at the responsible manager (the paper's
-    /// `Insert(j, msg)`).
-    Insert(Rating),
-    /// Batched inserts: one frame, one durable append window, one ack.
-    InsertBatch(Vec<Rating>),
     /// Replica push: ratings about nodes this manager backs up for their
     /// owner. Held in memory (the owner's WAL is the durable copy).
     Replicate(Vec<Rating>),
@@ -300,7 +297,7 @@ pub enum Response {
         /// Responding manager.
         manager: NodeId,
     },
-    /// Inserts (or replicas, or peer updates) accepted.
+    /// Replicas, an epoch close or a peer update accepted.
     Ack {
         /// Next WAL sequence after the append (0 for non-durable acks).
         seq: u64,
@@ -571,14 +568,6 @@ impl Request {
         let mut w = ByteWriter::new();
         match self {
             Request::Ping => header(&mut w, 0),
-            Request::Insert(r) => {
-                header(&mut w, 1);
-                put_rating(&mut w, r);
-            }
-            Request::InsertBatch(rs) => {
-                header(&mut w, 2);
-                put_ratings(&mut w, rs);
-            }
             Request::Replicate(rs) => {
                 header(&mut w, 3);
                 put_ratings(&mut w, rs);
@@ -649,8 +638,6 @@ impl Request {
         let mut r = ByteReader::new(bytes);
         let req = match read_header(&mut r)? {
             0 => Request::Ping,
-            1 => Request::Insert(get_rating(&mut r)?),
-            2 => Request::InsertBatch(get_ratings(&mut r)?),
             3 => Request::Replicate(get_ratings(&mut r)?),
             4 => Request::Query(NodeId(r.get_u64()?)),
             5 => Request::CloseEpoch,
@@ -885,11 +872,6 @@ mod tests {
     fn request_round_trips() {
         let reqs = [
             Request::Ping,
-            Request::Insert(Rating::positive(NodeId(3), NodeId(9), SimTime(77))),
-            Request::InsertBatch(vec![
-                Rating::positive(NodeId(1), NodeId(2), SimTime(1)),
-                Rating::negative(NodeId(2), NodeId(1), SimTime(2)),
-            ]),
             Request::Replicate(vec![Rating::negative(NodeId(5), NodeId(6), SimTime(3))]),
             Request::Query(NodeId(42)),
             Request::CloseEpoch,
@@ -1001,6 +983,21 @@ mod tests {
     }
 
     #[test]
+    fn retired_insert_tags_are_rejected() {
+        // tag 1 carried one rating, tag 2 a counted batch; both are retired
+        let mut one = vec![PROTOCOL_VERSION, 1];
+        let mut w = ByteWriter::new();
+        put_rating(&mut w, &Rating::positive(NodeId(3), NodeId(9), SimTime(77)));
+        one.extend_from_slice(w.as_bytes());
+        assert_eq!(Request::decode(&one), Err(CodecError::InvalidTag(1)));
+        let mut batch = vec![PROTOCOL_VERSION, 2];
+        let mut w = ByteWriter::new();
+        put_ratings(&mut w, &[Rating::negative(NodeId(2), NodeId(1), SimTime(2))]);
+        batch.extend_from_slice(w.as_bytes());
+        assert_eq!(Request::decode(&batch), Err(CodecError::InvalidTag(2)));
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
         let mut bytes = Request::Query(NodeId(1)).encode();
         bytes.push(0);
@@ -1009,10 +1006,10 @@ mod tests {
 
     #[test]
     fn hostile_counts_cannot_allocate() {
-        // an InsertBatch header claiming u64::MAX ratings with 3 bytes behind
+        // a Replicate header claiming u64::MAX ratings with 3 bytes behind
         let mut w = ByteWriter::new();
         w.put_u8(PROTOCOL_VERSION);
-        w.put_u8(2);
+        w.put_u8(3);
         w.put_u64(u64::MAX);
         w.put_bytes(&[1, 2, 3]);
         assert_eq!(Request::decode(w.as_bytes()), Err(CodecError::BadLength));

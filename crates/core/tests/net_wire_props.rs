@@ -96,8 +96,6 @@ fn error_code() -> impl Strategy<Value = ErrorCode> {
 fn request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Ping),
-        rating().prop_map(Request::Insert),
-        prop::collection::vec(rating(), 0..20).prop_map(Request::InsertBatch),
         prop::collection::vec(rating(), 0..20).prop_map(Request::Replicate),
         any::<u64>().prop_map(|n| Request::Query(NodeId(n))),
         Just(Request::CloseEpoch),

@@ -13,7 +13,7 @@
 //! ratee in the history (detector row scans include raters outside the
 //! manager's view). The interned index space is cut into `target_shards`
 //! contiguous ranges of ratee rows — one shard for a paper-scale matrix, 64
-//! at 100k nodes — and each [`Shard`] owns the forward CSR (per ratee, the
+//! at 100k nodes — and each `Shard` owns the forward CSR (per ratee, the
 //! rater indices ascending with their packed [`PairCounters`]), the
 //! per-ratee totals (`N_i` and the signed reputation `R_i` of Formula 2),
 //! the patch overlay and the optional frequent aggregates (per-ratee
@@ -114,6 +114,25 @@ fn rows_per_shard_for(n: usize, target: usize) -> usize {
     }
 }
 
+/// Frequent aggregate `(count, signed sum)` of one row's cells over the
+/// cells with `total ≥ t_n`. The sums are exact, then clamped to the
+/// result types: a restored image can hold cells whose sum overflows.
+fn freq_of(cells: &[PairCounters], t_n: u64) -> (u64, i64) {
+    let (mut count, mut signed) = (0i128, 0i128);
+    for c in cells.iter().filter(|c| c.total >= t_n) {
+        count += i128::from(c.total);
+        signed += i128::from(c.signed());
+    }
+    clamp_freq(count, signed)
+}
+
+/// Clamp an exact frequent aggregate to `(u64, i64)`, saturating.
+fn clamp_freq(count: i128, signed: i128) -> (u64, i64) {
+    let count = u64::try_from(count.max(0)).unwrap_or(u64::MAX);
+    let signed = i64::try_from(signed).unwrap_or(if signed < 0 { i64::MIN } else { i64::MAX });
+    (count, signed)
+}
+
 /// Merge the ascending ratee indices of one rater's `(rater, ratee)` edge
 /// run into the rater's ascending frequent-ratee list, in place, with one
 /// backward two-pointer pass — every element moves at most once, against
@@ -207,7 +226,8 @@ struct Shard {
     row_patch: Vec<Option<(Vec<u32>, Vec<PairCounters>)>>,
     /// Number of rows currently overlaid.
     patched_rows: usize,
-    /// Per-ratee frequent aggregates, present iff the snapshot keeps them.
+    /// Per-ratee frequent aggregates ([`freq_of`] of each row), present
+    /// iff the snapshot keeps them.
     freq: Option<Vec<(u64, i64)>>,
     /// Cell count with overlays resolved.
     nnz: usize,
@@ -271,16 +291,7 @@ impl Shard {
 
     /// Frequent aggregate of one row computed directly.
     fn row_freq(&self, local: usize, t_n: u64) -> (u64, i64) {
-        let (_, cells) = self.row(local);
-        let mut count = 0u64;
-        let mut signed = 0i64;
-        for c in cells {
-            if c.total >= t_n {
-                count += c.total;
-                signed += c.signed();
-            }
-        }
-        (count, signed)
+        freq_of(self.row(local).1, t_n)
     }
 
     /// Rater indices of the row's frequent cells (`total ≥ t_n`), ascending.
@@ -390,7 +401,7 @@ impl Shard {
             // change their contribution, so track the exact integer diff
             // instead of rescanning the merged row (bit-identical — the
             // aggregate is a sum of integer contributions).
-            let (mut dfreq_count, mut dfreq_signed) = (0i64, 0i64);
+            let (mut dfreq_count, mut dfreq_signed) = (0i128, 0i128);
             // Merge by segment: groups are tiny relative to rows, so copy
             // the untouched run before each insertion point with one
             // `extend_from_slice` instead of per-cell pushes.
@@ -407,12 +418,12 @@ impl Shard {
                     c.merge(&d);
                     let was_frequent = old.total >= freq_min;
                     if was_frequent {
-                        dfreq_count -= old.total as i64;
-                        dfreq_signed -= old.signed();
+                        dfreq_count -= i128::from(old.total);
+                        dfreq_signed -= i128::from(old.signed());
                     }
                     if c.total >= freq_min {
-                        dfreq_count += c.total as i64;
-                        dfreq_signed += c.signed();
+                        dfreq_count += i128::from(c.total);
+                        dfreq_signed += i128::from(c.signed());
                         if !was_frequent {
                             self.scratch.new_frequent.push((r, g));
                         }
@@ -421,8 +432,8 @@ impl Shard {
                     a += 1;
                 } else {
                     if d.total >= freq_min {
-                        dfreq_count += d.total as i64;
-                        dfreq_signed += d.signed();
+                        dfreq_count += i128::from(d.total);
+                        dfreq_signed += i128::from(d.signed());
                         self.scratch.new_frequent.push((r, g));
                     }
                     cells.push(d);
@@ -433,14 +444,23 @@ impl Shard {
             offs.push(cols.len() as u32);
 
             for &(_, _, c) in group {
-                self.tot_total[local] += c.total;
-                self.tot_pos[local] += c.positive;
-                self.tot_neg[local] += c.negative;
+                self.tot_total[local] = self.tot_total[local].saturating_add(c.total);
+                self.tot_pos[local] = self.tot_pos[local].saturating_add(c.positive);
+                self.tot_neg[local] = self.tot_neg[local].saturating_add(c.negative);
             }
             if dfreq_count != 0 || dfreq_signed != 0 {
                 if let Some(f) = self.freq.as_mut() {
                     let (count, signed) = f[local];
-                    f[local] = ((count as i64 + dfreq_count) as u64, signed + dfreq_signed);
+                    f[local] = if count == u64::MAX || signed == i64::MAX || signed == i64::MIN {
+                        // a clamped aggregate is not the exact sum the
+                        // delta applies to: rescan the merged row
+                        freq_of(&cells[offs[offs.len() - 2] as usize..], freq_min)
+                    } else {
+                        clamp_freq(
+                            i128::from(count) + dfreq_count,
+                            i128::from(signed) + dfreq_signed,
+                        )
+                    };
                 }
             }
 

@@ -615,7 +615,7 @@ impl DurableWaiter {
 /// An append-only write-ahead log file.
 ///
 /// Appends encode into an internal buffer that is written to the OS in
-/// [`WRITE_BUF_FLUSH`]-sized chunks; [`Wal::sync`] flushes and makes
+/// `WRITE_BUF_FLUSH`-sized chunks; [`Wal::sync`] flushes and makes
 /// everything durable. Callers schedule syncs via [`SyncPolicy`] (per
 /// record, every k records, or group commit at epoch closes) and always
 /// sync before a checkpoint. [`Wal::enable_group_commit`] additionally
@@ -835,7 +835,7 @@ impl Wal {
     /// identical to looping [`Wal::append`] — replay cannot tell the
     /// difference — but the whole batch shares the encode buffer's flush
     /// cadence, so a batch costs at most one `write(2)` per
-    /// [`WRITE_BUF_FLUSH`] bytes.
+    /// `WRITE_BUF_FLUSH` bytes.
     pub fn append_ratings(&mut self, ratings: &[Rating]) -> Result<(u64, u64), WalError> {
         let start = self.next_seq;
         for &r in ratings {

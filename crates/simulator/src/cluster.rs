@@ -6,8 +6,8 @@
 //! primary slice, then:
 //!
 //! 1. replays the simulated workload's rating stream over the wire —
-//!    batched `InsertBatch` RPCs routed to each rating's owner, with
-//!    `Replicate` pushes to the owner's ring successors;
+//!    one windowed `InsertStream` session per rating owner (acked once
+//!    durable), with `Replicate` pushes to the owner's ring successors;
 //! 2. applies churn as real **process kills**: the victim manager is shut
 //!    down (WAL synced — the crash-after-fsync instant), then respawned on
 //!    its durability directory, recovering its engine from checkpoint +
@@ -49,7 +49,7 @@ use collusion_core::fault::{FaultPlan, FaultStats, NetStats};
 use collusion_core::net::proxy::{FaultProxy, NetFaultPlan};
 use collusion_core::net::server::{Backpressure, ManagerConfig, ManagerNode};
 use collusion_core::net::wire::{Request, Response};
-use collusion_core::net::{RpcClient, RpcConfig};
+use collusion_core::net::{InsertStream, RpcClient, RpcConfig, StreamStats};
 use collusion_core::policy::DetectionPolicy;
 use collusion_dht::hash::consistent_hash;
 use collusion_dht::ring::ChordRing;
@@ -78,7 +78,7 @@ pub struct ClusterConfig {
     pub thresholds: Thresholds,
     /// Client policy for every harness and inter-manager RPC.
     pub rpc: RpcConfig,
-    /// Ratings per insert frame (stream frames and legacy batches alike).
+    /// Ratings per insert stream frame and per `Replicate` push.
     pub batch: usize,
     /// Un-acked `InsertStream` frames kept in flight per connection.
     pub window: usize,
@@ -406,7 +406,7 @@ fn rating_stream(cfg: &ClusterConfig) -> Vec<Rating> {
 
 /// Route the rating stream over the wire: one windowed `InsertStream`
 /// session per owner (acks gated on the owner's WAL durable watermark)
-/// plus legacy batched `Replicate` pushes to the ring successors. Returns
+/// plus batched `Replicate` pushes to the ring successors. Returns
 /// primary ratings acked durable.
 fn ingest(cluster: &Cluster, client: &mut RpcClient, ratings: &[Rating]) -> u64 {
     let mut by_owner: HashMap<NodeId, Vec<Rating>> = HashMap::new();
@@ -417,9 +417,11 @@ fn ingest(cluster: &Cluster, client: &mut RpcClient, ratings: &[Rating]) -> u64 
     owners.sort_unstable_by_key(|(m, _)| *m);
     let mut accepted = 0u64;
     for (owner, rs) in owners {
-        accepted += stream_to_owner(cluster, client, owner, &rs).0;
-        // replica pushes stay on the one-ack-per-batch path: they are not
-        // durability-critical and keep the legacy wire path exercised
+        if let Some(addr) = cluster.addr_of(owner) {
+            accepted += stream_to(client, &[(addr, &rs)], cluster.cfg.batch, cluster.cfg.window).0;
+        }
+        // replica pushes are one-ack-per-batch: the owner's WAL is the
+        // durable copy, a replica only backs it up in memory
         for b in cluster.ring.backups_of(owner, cluster.cfg.replication) {
             if let Some(addr) = cluster.addr_of(b) {
                 for chunk in rs.chunks(cluster.cfg.batch.max(1)) {
@@ -431,157 +433,57 @@ fn ingest(cluster: &Cluster, client: &mut RpcClient, ratings: &[Rating]) -> u64 
     accepted
 }
 
-/// Stream one owner's ratings through a windowed insert session; returns
-/// `(ratings acked, frames sent, bytes sent)`. On a stream failure the
-/// acked prefix is durable by contract; the un-acked tail is replayed
-/// through legacy `InsertBatch` calls (best-effort, like the old harness —
-/// a frame that was applied but died before its ack can double-fold on
-/// this abnormal path, which fault-free runs never hit).
-fn stream_to_owner(
-    cluster: &Cluster,
+/// Stream each target's ratings to its address, `batch` ratings a frame,
+/// with one windowed insert session per target and the sessions
+/// interleaved: open every session, send frames round-robin, push each
+/// session's barrier as soon as its data is out, then drain them — so the
+/// managers' durability barriers overlap instead of serializing one close
+/// at a time. Returns `(ratings acked, frames sent, bytes sent)`. A failed
+/// session counts only its acked prefix: that prefix is durable by
+/// contract, and every caller compares what was acked with its baseline.
+fn stream_to(
     client: &mut RpcClient,
-    owner: NodeId,
-    rs: &[Rating],
+    targets: &[(SocketAddr, &[Rating])],
+    batch: usize,
+    window: usize,
 ) -> (u64, u64, u64) {
-    let Some(addr) = cluster.addr_of(owner) else { return (0, 0, 0) };
-    let batch = cluster.cfg.batch.max(1);
-    let mut session = match client.open_insert_stream(addr, cluster.cfg.window) {
-        Ok(s) => s,
-        Err(_) => return (legacy_ingest(client, addr, rs, batch), 0, 0),
-    };
-    for chunk in rs.chunks(batch) {
-        if session.send(chunk).is_err() {
-            let stats = session.stats();
-            let acked = stats.ratings_acked;
-            drop(session);
-            client.forget(addr);
-            let replayed = legacy_ingest(client, addr, &rs[acked as usize..], batch);
-            return (acked + replayed, stats.frames_sent, stats.bytes_sent);
-        }
-    }
-    let before = session.stats();
-    match client.close_insert_stream(session) {
-        Ok(stats) => (stats.ratings_acked, stats.frames_sent, stats.bytes_sent),
-        Err(_) => {
-            client.forget(addr);
-            let acked = before.ratings_acked;
-            let replayed = legacy_ingest(client, addr, &rs[acked as usize..], batch);
-            (acked + replayed, before.frames_sent, before.bytes_sent)
-        }
-    }
-}
-
-/// Stream one lane's per-owner slices with the sessions interleaved: open
-/// every owner session, send chunks round-robin, push every window out,
-/// then drain them — so the managers' durability barriers overlap instead
-/// of serializing one session close at a time. Any session error falls
-/// back to the legacy path for that owner's unacked tail (same caveat as
-/// [`stream_to_owner`]). Returns `(acked, frames_sent, bytes_sent)`.
-fn stream_lane(
-    cluster: &Cluster,
-    client: &mut RpcClient,
-    owners: &[(NodeId, Vec<Rating>)],
-) -> (u64, u64, u64) {
-    use collusion_core::net::InsertStream;
-
-    struct OwnerStream<'a> {
-        addr: SocketAddr,
-        rs: &'a [Rating],
-        session: Option<InsertStream>,
-        next: usize,
-    }
-
-    /// Tear a failed session down: discard its connection and replay the
-    /// unacked tail over the legacy path. Returns the session's totals.
-    fn abort(
-        client: &mut RpcClient,
-        os: &mut OwnerStream<'_>,
-        stats: collusion_core::net::StreamStats,
-        batch: usize,
-    ) -> (u64, u64, u64) {
-        os.session = None;
-        client.forget(os.addr);
-        let replayed =
-            legacy_ingest(client, os.addr, &os.rs[stats.ratings_acked as usize..], batch);
-        (stats.ratings_acked + replayed, stats.frames_sent, stats.bytes_sent)
-    }
-
-    let batch = cluster.cfg.batch.max(1);
-    let (mut acked, mut frames, mut bytes) = (0u64, 0u64, 0u64);
-    let mut streams: Vec<OwnerStream> = Vec::with_capacity(owners.len());
-    for (owner, rs) in owners {
-        let Some(addr) = cluster.addr_of(*owner) else { continue };
-        match client.open_insert_stream(addr, cluster.cfg.window) {
-            Ok(s) => streams.push(OwnerStream { addr, rs, session: Some(s), next: 0 }),
-            Err(_) => acked += legacy_ingest(client, addr, rs, batch),
-        }
-    }
-    loop {
-        let mut progressed = false;
-        for os in &mut streams {
-            let Some(session) = os.session.as_mut() else { continue };
-            if os.next >= os.rs.len() {
-                continue;
-            }
+    let mut streams: Vec<(SocketAddr, std::slice::Chunks<Rating>, Option<InsertStream>)> = targets
+        .iter()
+        .filter_map(|&(addr, rs)| {
+            let session = client.open_insert_stream(addr, window).ok()?;
+            Some((addr, rs.chunks(batch.max(1)), Some(session)))
+        })
+        .collect();
+    let mut ended: Vec<StreamStats> = Vec::with_capacity(streams.len());
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
+        for (addr, frames, slot) in &mut streams {
+            let (Some(session), Some(frame)) = (slot.as_mut(), frames.next()) else { continue };
             progressed = true;
-            let end = (os.next + batch).min(os.rs.len());
-            if session.send(&os.rs[os.next..end]).is_ok() {
-                os.next = end;
-                // this session's data is done: push its barrier now so the
-                // manager's fsync overlaps the other sessions' sends
-                if os.next >= os.rs.len() && session.flush().is_err() {
-                    let stats = session.stats();
-                    let (a, f, b) = abort(client, os, stats, batch);
-                    acked += a;
-                    frames += f;
-                    bytes += b;
-                }
-            } else {
-                let stats = session.stats();
-                let (a, f, b) = abort(client, os, stats, batch);
-                acked += a;
-                frames += f;
-                bytes += b;
+            let last = frames.len() == 0;
+            if session
+                .send(frame)
+                .and_then(|()| if last { session.flush() } else { Ok(()) })
+                .is_err()
+            {
+                ended.push(session.stats());
+                *slot = None;
+                client.forget(*addr);
             }
         }
-        if !progressed {
-            break;
-        }
     }
-    for os in &mut streams {
-        let Some(session) = os.session.take() else { continue };
+    for (addr, _, slot) in streams {
+        let Some(session) = slot else { continue };
         let before = session.stats();
-        match client.close_insert_stream(session) {
-            Ok(stats) => {
-                acked += stats.ratings_acked;
-                frames += stats.frames_sent;
-                bytes += stats.bytes_sent;
-            }
-            Err(_) => {
-                client.forget(os.addr);
-                let (a, f, b) = abort(client, os, before, batch);
-                acked += a;
-                frames += f;
-                bytes += b;
-            }
-        }
+        ended.push(client.close_insert_stream(session).unwrap_or_else(|_| {
+            client.forget(addr);
+            before
+        }));
     }
-    (acked, frames, bytes)
-}
-
-/// The pre-streaming wire path: one `InsertBatch` RPC (and one ack) per
-/// batch. Kept as the fallback tail replay and the bench's comparison
-/// baseline.
-fn legacy_ingest(client: &mut RpcClient, addr: SocketAddr, rs: &[Rating], batch: usize) -> u64 {
-    let mut got = 0u64;
-    for chunk in rs.chunks(batch.max(1)) {
-        if let Ok(Response::Ack { accepted, .. }) =
-            client.call(addr, &Request::InsertBatch(chunk.to_vec()))
-        {
-            got += accepted;
-        }
-    }
-    got
+    ended
+        .iter()
+        .fold((0, 0, 0), |(a, f, b), s| (a + s.ratings_acked, f + s.frames_sent, b + s.bytes_sent))
 }
 
 /// Run one TCP-cluster robustness experiment (see the module docs for the
@@ -709,14 +611,14 @@ pub fn run_cluster_queries(cfg: &ClusterConfig, window_ms: u64) -> QueryLoadOutc
     let cluster = Cluster::spawn(&faultless);
     let node_ids: Vec<NodeId> = (1..=faultless.sim.n_nodes).map(NodeId).collect();
 
-    // producer: loop the rating stream through owner-routed batches until
-    // the measurement window closes
+    // producer: loop the rating stream through owner-routed insert streams
+    // until the measurement window closes
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let producer_stop = std::sync::Arc::clone(&stop);
     let producer_targets: Vec<(NodeId, SocketAddr)> =
         cluster.manager_ids.iter().filter_map(|&m| cluster.addr_of(m).map(|a| (m, a))).collect();
     let producer_ring = Ring::new(&cluster.manager_ids);
-    let producer_cfg = faultless.rpc;
+    let (producer_cfg, window) = (faultless.rpc, faultless.window);
     let producer = std::thread::spawn(move || {
         let addr_of: HashMap<NodeId, SocketAddr> = producer_targets.into_iter().collect();
         let mut client = RpcClient::new(producer_cfg.with_jitter_seed(0x1A5E_2700));
@@ -730,14 +632,11 @@ pub fn run_cluster_queries(cfg: &ClusterConfig, window_ms: u64) -> QueryLoadOutc
                 for &r in chunk {
                     batches.entry(producer_ring.owner_of(r.ratee)).or_default().push(r);
                 }
-                for (owner, batch) in batches {
-                    let n = batch.len() as u64;
-                    if let Some(&addr) = addr_of.get(&owner) {
-                        if client.call(addr, &Request::InsertBatch(batch)).is_ok() {
-                            inserts += n;
-                        }
-                    }
-                }
+                let targets: Vec<(SocketAddr, &[Rating])> = batches
+                    .iter()
+                    .filter_map(|(owner, rs)| Some((*addr_of.get(owner)?, rs.as_slice())))
+                    .collect();
+                inserts += stream_to(&mut client, &targets, chunk.len(), window).0;
             }
         }
         inserts
@@ -778,9 +677,6 @@ pub struct WireIngestConfig {
     /// Concurrent producer threads, each streaming its slice of the
     /// workload over its own connections.
     pub connections: usize,
-    /// Use the pre-streaming one-ack-per-batch `InsertBatch` path instead
-    /// of `InsertStream` (the comparison baseline).
-    pub legacy: bool,
 }
 
 /// One manager's data-plane counters after a wire-ingest run (from the
@@ -808,15 +704,15 @@ pub struct ManagerWireStatus {
 pub struct WireIngestOutcome {
     /// Ratings offered to the cluster.
     pub ratings: u64,
-    /// Primary ratings acked (streaming: acked durable).
+    /// Primary ratings acked durable.
     pub acked: u64,
     /// Ingest wall-clock, milliseconds.
     pub elapsed_ms: u64,
     /// Acked ratings per second of ingest wall-clock.
     pub ratings_per_sec: f64,
-    /// Stream frames handed to the transport (0 on the legacy path).
+    /// Stream frames handed to the transport.
     pub frames_sent: u64,
-    /// Stream bytes handed to the transport (0 on the legacy path).
+    /// Stream bytes handed to the transport.
     pub bytes_sent: u64,
     /// Suspect pairs the cluster confirmed after the ingest.
     pub confirmed_pairs: Vec<(NodeId, NodeId)>,
@@ -827,10 +723,9 @@ pub struct WireIngestOutcome {
 }
 
 /// Measure wire-ingest throughput: `connections` producer threads split
-/// the workload round-robin and push it into a faultless cluster —
-/// windowed `InsertStream` sessions per owner, or legacy `InsertBatch`
-/// RPCs when `legacy` is set — then a detection round verifies the
-/// streamed state against the in-process baseline.
+/// the workload round-robin and push it into a faultless cluster through
+/// windowed `InsertStream` sessions per owner, then a detection round
+/// verifies the streamed state against the in-process baseline.
 pub fn run_wire_ingest(cfg: &WireIngestConfig) -> WireIngestOutcome {
     let faultless = ClusterConfig { plan: FaultPlan::none(), ..cfg.cluster.clone() };
     let ratings = rating_stream(&faultless);
@@ -865,17 +760,12 @@ pub fn run_wire_ingest(cfg: &WireIngestConfig) -> WireIngestOutcome {
                     }
                     let mut owners: Vec<(NodeId, Vec<Rating>)> = by_owner.into_iter().collect();
                     owners.sort_unstable_by_key(|(m, _)| *m);
-                    if cfg.legacy {
-                        let mut acked = 0u64;
-                        for (owner, rs) in owners {
-                            if let Some(addr) = cluster.addr_of(owner) {
-                                acked += legacy_ingest(&mut client, addr, &rs, cluster.cfg.batch);
-                            }
-                        }
-                        (acked, 0, 0)
-                    } else {
-                        stream_lane(cluster, &mut client, &owners)
-                    }
+                    let targets: Vec<(SocketAddr, &[Rating])> = owners
+                        .iter()
+                        .filter_map(|(owner, rs)| Some((cluster.addr_of(*owner)?, rs.as_slice())))
+                        .collect();
+                    let (batch, window) = (cluster.cfg.batch, cluster.cfg.window);
+                    stream_to(&mut client, &targets, batch, window)
                 })
             })
             .collect();
@@ -941,9 +831,10 @@ pub fn run_wire_ingest(cfg: &WireIngestConfig) -> WireIngestOutcome {
 }
 
 /// Serial in-process reference for the wire-ingest grid: the same rating
-/// stream recorded through one [`DurableEngine`] (same async WAL policy as
-/// the cluster managers) plus one counter fold per rating (an
-/// `InteractionHistory`, standing in for a manager's intake and view
+/// stream recorded through one
+/// [`DurableEngine`](collusion_core::durability::DurableEngine) (same async
+/// WAL policy as the cluster managers) plus one counter fold per rating
+/// (an `InteractionHistory`, standing in for a manager's intake and view
 /// totals) — the work one manager does per rating, minus every socket.
 /// Returns `(ratings, ratings/sec)`.
 pub fn inprocess_serial_rate(cfg: &ClusterConfig) -> (u64, f64) {
@@ -1037,27 +928,18 @@ mod tests {
         cluster.teardown();
     }
 
-    /// Streamed and legacy wire ingest land in the same detection state:
-    /// the wire-grid equality check in miniature.
+    /// Streamed wire ingest lands in the baseline's detection state: the
+    /// wire-grid equality check in miniature.
     #[test]
     fn wire_ingest_modes_agree_with_the_baseline() {
         let mut cluster = ClusterConfig::quick(7);
         cluster.sim.n_nodes = 60;
         cluster.replication = 1;
-        let streamed = run_wire_ingest(&WireIngestConfig {
-            cluster: cluster.clone(),
-            connections: 2,
-            legacy: false,
-        });
+        let streamed = run_wire_ingest(&WireIngestConfig { cluster, connections: 2 });
         assert_eq!(
             streamed.confirmed_pairs, streamed.baseline_pairs,
             "streamed ingest diverged from the in-process baseline"
         );
         assert_eq!(streamed.acked, streamed.ratings, "every rating must be acked durable");
-        let legacy = run_wire_ingest(&WireIngestConfig { cluster, connections: 2, legacy: true });
-        assert_eq!(
-            legacy.confirmed_pairs, streamed.confirmed_pairs,
-            "legacy and streamed wire paths diverged"
-        );
     }
 }

@@ -17,6 +17,10 @@ echo "== cargo clippy (dht/core non-test code: no unwrap) =="
 # hot paths that must heal around faults instead of panicking
 cargo clippy -p collusion-dht -p collusion-core -- -D warnings -W clippy::unwrap_used
 
+echo "== cargo doc (workspace, rustdoc warnings are errors) =="
+# a doc link left pointing at a deleted or private name fails here
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
