@@ -16,9 +16,7 @@
 //! seeds; re-running the binary reproduces the grid bit for bit (the
 //! `"nemesis"` section's rates and latencies are wall-clock measurements
 //! and vary by machine — its invariant columns are still pinned). The
-//! report shares its schema with the networked grid (`net_json` →
-//! `BENCH_net.json`) via [`collusion_bench::grid`], so the two transports
-//! diff field by field.
+//! schema lives in [`collusion_bench::grid`].
 //!
 //! After the drop×churn sweep, every nemesis (crash / partition /
 //! reconnect / overload, plus the fault-free reference) runs against a

@@ -1,13 +1,10 @@
-//! Shared emitter for robustness-grid JSON reports.
+//! Emitter for the robustness-grid JSON report (`robustness_json` →
+//! `BENCH_robustness.json`).
 //!
-//! The in-process grid (`robustness_json` → `BENCH_robustness.json`) and
-//! the networked grid (`net_json` → `BENCH_net.json`) measure the same
-//! drop×churn sweep through different transports. This module pins one
-//! schema for both: a header naming the transport and topology, and one
-//! row per grid point with identical core field names — so downstream
-//! tooling can diff the two files field by field. Transport-specific
-//! counters ride along as extra key/value pairs appended to the header or
-//! row.
+//! The schema is a header naming the transport and topology, then one row
+//! per drop×churn grid point. Counters specific to a run ride along as
+//! extra key/value pairs appended to the header or row (the nemesis
+//! section is one such header field).
 //!
 //! All JSON is hand-rolled: the workspace deliberately carries no JSON
 //! dependency.

@@ -10,10 +10,9 @@
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 
 /// One frequent pair's observed fractions.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PairObservation {
     /// The rater.
     pub rater: NodeId,
@@ -28,7 +27,7 @@ pub struct PairObservation {
 }
 
 /// Summary statistics of a sample.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SampleSummary {
     /// Sample size.
     pub n: usize,
@@ -70,7 +69,7 @@ impl SampleSummary {
 
 /// A calibration result: the observations, their summaries, and a proposed
 /// threshold set.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Calibration {
     /// Frequency threshold used to select pairs.
     pub t_n: u64,

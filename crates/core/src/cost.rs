@@ -12,7 +12,6 @@
 //! meter from many threads without locks; `Relaxed` suffices because the
 //! counters are statistics, not synchronization.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Thread-safe operation counters.
@@ -78,7 +77,7 @@ impl CostMeter {
 }
 
 /// An immutable view of a [`CostMeter`] at one point in time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostSnapshot {
     /// Matrix-element inspections.
     pub element_checks: u64,

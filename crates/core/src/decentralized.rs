@@ -28,11 +28,10 @@ use collusion_dht::routing::Router;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which direction-test the managers run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
     /// Row-scanning fraction test (§IV.B).
     Basic,

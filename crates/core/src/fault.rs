@@ -13,8 +13,6 @@
 //! fault-free run bit-identical (pairs, meter, messages, hops) to the
 //! fault-oblivious code path — enforced by `tests/detection_equivalence.rs`.
 
-use serde::{Deserialize, Serialize};
-
 // One seeded implementation for the whole workspace: the DHT crate owns the
 // SplitMix64 stream, the message-fault spec, and the injector; this module
 // re-exports them so core-level code (and the TCP layer's proxies and retry
@@ -27,7 +25,7 @@ const CHURN_SALT: u64 = 0x6368_7572_6e21_7631;
 
 /// Per-detection-period manager churn: how many managers crash abruptly and
 /// how many fresh ones join between consecutive detection rounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChurnSchedule {
     /// Managers crashed (abruptly, data lost unless replicated) per period.
     pub crashes_per_period: usize,
@@ -141,7 +139,7 @@ impl Default for FaultPlan {
 }
 
 /// Accounting for one faulty detection run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Cross-manager exchanges attempted (one per suspect pair that needed
     /// a remote confirmation).

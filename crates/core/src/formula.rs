@@ -27,8 +27,6 @@
 //! trigger is *suspicion*, and the simulator only ever emits ±1 (as do eBay
 //! and EigenTrust).
 
-use serde::{Deserialize, Serialize};
-
 /// Formula (1): the signed reputation implied by `(a, b, n_i, n_ji)`.
 ///
 /// Exact for ±1 ratings; fractional inputs return the expected value.
@@ -39,7 +37,7 @@ pub fn formula_reputation(a: f64, b: f64, n_i: u64, n_ji: u64) -> f64 {
 
 /// The Formula (2) reputation band for a pair with totals `n_i`, `n_ji`
 /// under thresholds `t_a`, `t_b`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReputationBand {
     /// Inclusive lower bound `2·T_a·N(j,i) − N_i`.
     pub lower: f64,
@@ -75,7 +73,7 @@ pub fn formula_band(t_a: f64, t_b: f64, n_i: u64, n_ji: u64) -> ReputationBand {
 
 /// A sampled rendering of Figure 4: for each grid point `(N_i, N(j,i))`
 /// with `N(j,i) ≤ N_i`, the suspicion band of reputations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4Surface {
     /// Threshold `T_a` used.
     pub t_a: f64,

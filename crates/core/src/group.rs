@@ -27,11 +27,10 @@ use crate::cost::CostMeter;
 use crate::input::DetectionInput;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A detected colluding collective.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SuspectGroup {
     /// Members, ascending. Always ≥ 2.
     pub members: Vec<NodeId>,
@@ -58,7 +57,7 @@ impl SuspectGroup {
 }
 
 /// Configuration of the group detector.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GroupDetectorConfig {
     /// Pair thresholds; `t_a`/`t_b`/`t_r` are reused at group level.
     pub thresholds: Thresholds,
@@ -84,7 +83,7 @@ pub struct GroupDetector {
 }
 
 /// Result of a group detection pass.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GroupReport {
     /// Suspect collectives, ordered by smallest member.
     pub groups: Vec<SuspectGroup>,

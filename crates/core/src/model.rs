@@ -9,11 +9,10 @@
 //! of node ids with the per-direction evidence that triggered the detection.
 
 use collusion_reputation::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five collusion characteristics the paper derives from real traces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Characteristic {
     /// C1 — collusion leads to high reputation of the colluders.
     C1HighReputation,
@@ -59,7 +58,7 @@ impl fmt::Display for Characteristic {
 
 /// Evidence gathered for one direction of a suspected pair: rater `j`
 /// boosting ratee `i`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DirectionEvidence {
     /// `N(j,i)`: how often `j` rated `i` in the period.
     pub pair_ratings: u64,
@@ -79,7 +78,7 @@ pub struct DirectionEvidence {
 /// regardless of detection order. Under the strict §IV policy both
 /// directions carry evidence; under the extended one-directional policy
 /// (see `policy`), the unconfirmed direction is `None`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuspectPair {
     /// The smaller node id.
     pub low: NodeId,

@@ -1338,6 +1338,7 @@ mod tests {
             session.send(chunk).expect("stream frame");
         }
         let stats = client.close_insert_stream(session).expect("close stream");
+        assert_eq!(stats.frames_sent, rs.chunks(7).len() as u64, "one frame per chunk");
         assert_eq!(stats.frames_acked, stats.frames_sent, "close must drain the window");
         assert_eq!(stats.ratings_acked, rs.len() as u64, "every rating must be acked durable");
         assert!(rs.is_empty() || stats.durable_len > 0, "acks must carry the durable watermark");

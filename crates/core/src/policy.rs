@@ -28,10 +28,8 @@
 //! Defaults are the strict §IV readings; the simulator's scenarios use
 //! [`DetectionPolicy::EXTENDED`].
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration switches for the detection procedure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DetectionPolicy {
     /// Require evidence in both directions before flagging a pair
     /// (strict §IV). When `false`, a confirmed boosting direction

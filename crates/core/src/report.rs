@@ -3,11 +3,10 @@
 use crate::cost::CostSnapshot;
 use crate::model::SuspectPair;
 use collusion_reputation::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The outcome of one detection pass.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DetectionReport {
     /// Suspected pairs, deduplicated, ordered by `(low, high)`.
     pub pairs: Vec<SuspectPair>,
@@ -72,7 +71,7 @@ impl DetectionReport {
 }
 
 /// Pair-level confusion matrix for a detection pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Colluding pairs correctly flagged.
     pub true_positives: u64,

@@ -14,10 +14,9 @@ use crate::report::ConfusionMatrix;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One evaluated grid point.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepPoint {
     /// Thresholds evaluated.
     pub t_a: f64,

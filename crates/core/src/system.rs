@@ -41,13 +41,12 @@ use collusion_reputation::rating::Rating;
 use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
 use collusion_reputation::wal::{replay_bytes, SyncPolicy, Wal, WalRecord};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Cumulative network-cost counters of a running system.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SystemStats {
     /// `Insert` operations (one per submitted rating).
     pub inserts: u64,

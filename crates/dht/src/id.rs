@@ -4,14 +4,13 @@
 //! All interval tests are clockwise: `in_interval_oo(a, b)` is the open arc
 //! `(a, b)` walking clockwise from `a`, wrapping past zero when `b ≤ a`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point in the `2^m`-sized circular identifier space.
 ///
 /// The bit width is carried alongside the value so mixed-width arithmetic is
 /// caught at runtime instead of silently wrapping incorrectly.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Key {
     value: u64,
     bits: u8,

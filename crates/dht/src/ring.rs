@@ -9,11 +9,10 @@
 
 use crate::hash::hash_address;
 use crate::id::Key;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A stabilized Chord ring.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChordRing {
     bits: u8,
     members: BTreeSet<u64>,

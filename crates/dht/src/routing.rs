@@ -10,10 +10,9 @@
 use crate::error::DhtError;
 use crate::id::Key;
 use crate::ring::ChordRing;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one lookup.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LookupResult {
     /// The node owning the key.
     pub owner: Key,

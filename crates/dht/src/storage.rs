@@ -25,11 +25,10 @@
 use crate::id::Key;
 use crate::ring::ChordRing;
 use crate::routing::Router;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Cumulative message accounting for a storage instance.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// `Insert` operations executed.
     pub inserts: u64,

@@ -19,7 +19,6 @@
 
 use crate::history::InteractionHistory;
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// First-hand-only (personalized) reputation.
 ///
@@ -51,7 +50,7 @@ impl FirstHandEngine {
 }
 
 /// Configuration of the TrustGuard-style dampened estimator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DampenedConfig {
     /// Weight of the current period vs the historical average (TrustGuard's
     /// fading factor).

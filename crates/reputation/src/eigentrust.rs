@@ -20,10 +20,9 @@
 use crate::history::InteractionHistory;
 use crate::id::NodeId;
 use crate::trust_matrix::TrustMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the canonical EigenTrust power iteration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EigenTrustConfig {
     /// Damping factor `α` (probability of teleporting to pretrusted nodes).
     pub alpha: f64,
@@ -40,7 +39,7 @@ impl Default for EigenTrustConfig {
 }
 
 /// Result of one EigenTrust computation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EigenTrustResult {
     /// Global trust vector, indexed by dense node id; sums to 1.
     pub trust: Vec<f64>,
@@ -150,7 +149,7 @@ impl EigenTrust {
 }
 
 /// Configuration of the paper's weighted-sum reputation (§V).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WeightedSumConfig {
     /// Weight `w_l` of ratings from ordinary nodes (paper: 0.2).
     pub w_l: f64,
@@ -293,7 +292,7 @@ impl NormalizedWeightedEngine {
 }
 
 /// Result of a weighted-sum computation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WeightedSumResult {
     /// Non-negative (optionally normalized) reputation per node.
     pub reputation: Vec<f64>,

@@ -21,11 +21,10 @@
 
 use crate::id::NodeId;
 use crate::rating::{Rating, RatingValue};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Counters for one ordered (rater → ratee) pair.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PairCounters {
     /// Total ratings from the rater for the ratee (`N(j,i)`).
     pub total: u64,
@@ -96,7 +95,7 @@ impl PairCounters {
 }
 
 /// Aggregate counters for one ratee across all raters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeTotals {
     /// Total ratings received (`N_i`).
     pub total: u64,
@@ -126,7 +125,7 @@ impl NodeTotals {
 }
 
 /// Incremental interaction history for one reputation-update period `T`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct InteractionHistory {
     /// (rater, ratee) → counters.
     pairs: HashMap<(NodeId, NodeId), PairCounters>,
@@ -138,7 +137,6 @@ pub struct InteractionHistory {
     recorded: u64,
     /// Ratees whose rows changed since the last [`InteractionHistory::take_dirty`];
     /// drives incremental `ShardedSnapshot::refresh`.
-    #[serde(default)]
     dirty: BTreeSet<NodeId>,
 }
 

@@ -6,7 +6,6 @@
 //! query cycle. The paper's period `T` ("the time period for updating global
 //! reputations", Table I) is a half-open interval of ticks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (peer, buyer, seller or manager).
@@ -14,7 +13,7 @@ use std::fmt;
 /// The paper indexes nodes `n_1 … n_n`; we keep the same convention and use
 /// small consecutive integers in simulations so that figures such as
 /// "pretrusted node IDs 1–3, colluder IDs 4–11" read identically.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 
 impl NodeId {
@@ -44,7 +43,7 @@ impl From<u64> for NodeId {
 }
 
 /// Abstract simulation timestamp (monotonically non-decreasing tick).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -78,7 +77,7 @@ impl fmt::Display for SimTime {
 
 /// Half-open time window `[start, end)` used to select the ratings of one
 /// reputation-update period `T`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimeWindow {
     /// First tick included.
     pub start: SimTime,

@@ -11,7 +11,6 @@
 
 use crate::history::InteractionHistory;
 use crate::id::{NodeId, SimTime, TimeWindow};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An externally supplied rating value that fails validation at the API
@@ -41,7 +40,7 @@ impl fmt::Display for RatingValueError {
 impl std::error::Error for RatingValueError {}
 
 /// The tri-valued local reputation rating of one interaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RatingValue {
     /// Poor service (scores 1–2 on Amazon's 5-point scale).
     Negative,
@@ -136,7 +135,7 @@ impl fmt::Display for RatingValue {
 }
 
 /// One rating event: `rater` evaluates a transaction served by `ratee`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Rating {
     /// The node issuing the rating (buyer / client).
     pub rater: NodeId,
@@ -181,7 +180,7 @@ impl Rating {
 ///
 /// The log is the ground truth from which period-scoped
 /// [`InteractionHistory`] views are derived (the paper's period `T`).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RatingLog {
     ratings: Vec<Rating>,
 }

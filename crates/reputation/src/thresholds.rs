@@ -13,10 +13,8 @@
 //! `T_a` and increase `T_b`" — [`Thresholds::relax`] / [`Thresholds::tighten`]
 //! implement that knob.
 
-use serde::{Deserialize, Serialize};
-
 /// The four detection thresholds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Thresholds {
     /// `T_R`: minimum global reputation for a node to count as high-reputed.
     pub t_r: f64,

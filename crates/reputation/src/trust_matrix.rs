@@ -14,10 +14,9 @@
 
 use crate::history::InteractionHistory;
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Row-major sparse matrix of normalized local trust values.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrustMatrix {
     /// Number of nodes (rows == cols == n); node ids are dense `0..n`.
     n: usize,

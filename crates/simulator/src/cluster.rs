@@ -78,10 +78,6 @@ pub struct ClusterConfig {
     pub thresholds: Thresholds,
     /// Client policy for every harness and inter-manager RPC.
     pub rpc: RpcConfig,
-    /// Ratings per insert stream frame and per `Replicate` push.
-    pub batch: usize,
-    /// Un-acked `InsertStream` frames kept in flight per connection.
-    pub window: usize,
     /// Server-side intake bounds (throttle hints, load shedding). The
     /// defaults are generous; the overload nemesis shrinks them.
     pub backpressure: Backpressure,
@@ -103,8 +99,6 @@ impl ClusterConfig {
             churn_periods: 2,
             thresholds: Thresholds::new(1.0, 100, 0.95, 0.7),
             rpc: RpcConfig::lan(),
-            batch: 256,
-            window: 32,
             backpressure: Backpressure::default(),
         }
     }
@@ -139,8 +133,7 @@ impl ClusterConfig {
 }
 
 /// Result of one TCP-cluster robustness experiment. Field semantics match
-/// [`crate::robustness::RobustnessOutcome`] so both grids can share one
-/// report schema.
+/// [`crate::robustness::RobustnessOutcome`].
 #[derive(Clone, Debug)]
 pub struct ClusterOutcome {
     /// Suspect pairs of the in-process fault-free baseline.
@@ -158,20 +151,12 @@ pub struct ClusterOutcome {
     pub fault: FaultStats,
     /// Frames offered/dropped/delayed by the fault proxies.
     pub net: NetStats,
-    /// Confirmation requests the cluster offered to the network.
-    pub detection_messages: u64,
-    /// Confirmation messages of the in-process baseline round.
-    pub baseline_messages: u64,
-    /// `detection_messages / baseline_messages` (1.0 when baseline is 0).
-    pub message_overhead: f64,
     /// Managers killed by churn.
     pub killed: usize,
     /// Managers that rejoined from their WAL.
     pub rejoined: usize,
     /// Ratings accepted over the wire (primary copies).
     pub ingested: u64,
-    /// Wall-clock of the detection round, in milliseconds.
-    pub round_ms: u64,
 }
 
 /// Ring geometry for routing: node → owner manager, owner → backups.
@@ -327,14 +312,18 @@ impl Cluster {
     }
 }
 
-/// WAL commit policy for cluster managers (and the serial in-process
-/// reference, so the wire-vs-serial comparison is policy-matched): async
-/// group commit with a *wide* background window. Stream-ack barriers
-/// (`StreamFlush`) request targeted commits exactly where acks are
-/// needed; a tight background cadence like `ASYNC_DEFAULT`'s 2 ms only
-/// queues the target the final ack needs behind in-flight fsyncs — and
-/// with several managers' WALs on one filesystem journal, concurrent
-/// fsync streams serialize each other.
+/// Ratings per insert stream frame and per `Replicate` push.
+const STREAM_BATCH: usize = 256;
+
+/// Un-acked `InsertStream` frames kept in flight per connection.
+const STREAM_WINDOW: usize = 32;
+
+/// WAL commit policy for cluster managers: async group commit with a
+/// *wide* background window. Stream-ack barriers (`StreamFlush`) request
+/// targeted commits exactly where acks are needed; a tight background
+/// cadence like `ASYNC_DEFAULT`'s 2 ms only queues the target the final ack
+/// needs behind in-flight fsyncs — and with several managers' WALs on one
+/// filesystem journal, concurrent fsync streams serialize each other.
 const MANAGER_SYNC_POLICY: SyncPolicy =
     SyncPolicy::Async { max_bytes: 1 << 20, max_delay_micros: 20_000 };
 
@@ -418,13 +407,13 @@ fn ingest(cluster: &Cluster, client: &mut RpcClient, ratings: &[Rating]) -> u64 
     let mut accepted = 0u64;
     for (owner, rs) in owners {
         if let Some(addr) = cluster.addr_of(owner) {
-            accepted += stream_to(client, &[(addr, &rs)], cluster.cfg.batch, cluster.cfg.window).0;
+            accepted += stream_to(client, &[(addr, &rs)], STREAM_BATCH);
         }
         // replica pushes are one-ack-per-batch: the owner's WAL is the
         // durable copy, a replica only backs it up in memory
         for b in cluster.ring.backups_of(owner, cluster.cfg.replication) {
             if let Some(addr) = cluster.addr_of(b) {
-                for chunk in rs.chunks(cluster.cfg.batch.max(1)) {
+                for chunk in rs.chunks(STREAM_BATCH) {
                     client.call(addr, &Request::Replicate(chunk.to_vec())).ok();
                 }
             }
@@ -438,19 +427,14 @@ fn ingest(cluster: &Cluster, client: &mut RpcClient, ratings: &[Rating]) -> u64 
 /// interleaved: open every session, send frames round-robin, push each
 /// session's barrier as soon as its data is out, then drain them — so the
 /// managers' durability barriers overlap instead of serializing one close
-/// at a time. Returns `(ratings acked, frames sent, bytes sent)`. A failed
-/// session counts only its acked prefix: that prefix is durable by
-/// contract, and every caller compares what was acked with its baseline.
-fn stream_to(
-    client: &mut RpcClient,
-    targets: &[(SocketAddr, &[Rating])],
-    batch: usize,
-    window: usize,
-) -> (u64, u64, u64) {
+/// at a time. Returns the ratings acked. A failed session counts only its
+/// acked prefix: that prefix is durable by contract, and every caller
+/// compares what was acked with its baseline.
+fn stream_to(client: &mut RpcClient, targets: &[(SocketAddr, &[Rating])], batch: usize) -> u64 {
     let mut streams: Vec<(SocketAddr, std::slice::Chunks<Rating>, Option<InsertStream>)> = targets
         .iter()
         .filter_map(|&(addr, rs)| {
-            let session = client.open_insert_stream(addr, window).ok()?;
+            let session = client.open_insert_stream(addr, STREAM_WINDOW).ok()?;
             Some((addr, rs.chunks(batch.max(1)), Some(session)))
         })
         .collect();
@@ -481,9 +465,7 @@ fn stream_to(
             before
         }));
     }
-    ended
-        .iter()
-        .fold((0, 0, 0), |(a, f, b), s| (a + s.ratings_acked, f + s.frames_sent, b + s.bytes_sent))
+    ended.iter().map(|s| s.ratings_acked).sum()
 }
 
 /// Run one TCP-cluster robustness experiment (see the module docs for the
@@ -496,9 +478,7 @@ pub fn run_cluster_robustness(cfg: &ClusterConfig) -> ClusterOutcome {
     let entries = sorted_pairs(&history);
     let rob = cfg.as_robustness();
     let mut baseline = build_system(&rob, 1, &entries, None);
-    let baseline_report = baseline.detect();
-    let baseline_pairs = baseline_report.pair_ids();
-    let baseline_messages = baseline.stats().detection_messages;
+    let baseline_pairs = baseline.detect().pair_ids();
     drop(baseline);
 
     let ratings = rating_stream(cfg);
@@ -533,7 +513,6 @@ pub fn run_cluster_robustness(cfg: &ClusterConfig) -> ClusterOutcome {
     };
     let mut control = RpcClient::new(control_cfg.with_jitter_seed(cfg.sim.seed ^ 1));
     let round = 1u64;
-    let round_start = Instant::now();
     for &m in &cluster.manager_ids {
         let addr = cluster.addr_of(m).expect("all managers alive");
         let resp = control.call(addr, &Request::Freeze { round }).expect("freeze RPC");
@@ -554,7 +533,6 @@ pub fn run_cluster_robustness(cfg: &ClusterConfig) -> ClusterOutcome {
         }
         fault = sum_fault(fault, report.fault);
     }
-    let round_ms = round_start.elapsed().as_millis() as u64;
     // a pair one side confirmed and the other could not reach is confirmed
     let unconfirmed: Vec<(NodeId, NodeId)> =
         unconfirmed.into_iter().filter(|p| !confirmed.contains(p)).collect();
@@ -570,22 +548,14 @@ pub fn run_cluster_robustness(cfg: &ClusterConfig) -> ClusterOutcome {
     ClusterOutcome {
         recall: frac(recalled),
         reported_fraction: frac(reported),
-        message_overhead: if baseline_messages == 0 {
-            1.0
-        } else {
-            fault.messages_sent as f64 / baseline_messages as f64
-        },
         baseline_pairs,
         confirmed_pairs: confirmed,
         unconfirmed_pairs: unconfirmed,
-        detection_messages: fault.messages_sent,
         fault,
         net,
-        baseline_messages,
         killed,
         rejoined,
         ingested,
-        round_ms,
     }
 }
 
@@ -618,7 +588,7 @@ pub fn run_cluster_queries(cfg: &ClusterConfig, window_ms: u64) -> QueryLoadOutc
     let producer_targets: Vec<(NodeId, SocketAddr)> =
         cluster.manager_ids.iter().filter_map(|&m| cluster.addr_of(m).map(|a| (m, a))).collect();
     let producer_ring = Ring::new(&cluster.manager_ids);
-    let (producer_cfg, window) = (faultless.rpc, faultless.window);
+    let producer_cfg = faultless.rpc;
     let producer = std::thread::spawn(move || {
         let addr_of: HashMap<NodeId, SocketAddr> = producer_targets.into_iter().collect();
         let mut client = RpcClient::new(producer_cfg.with_jitter_seed(0x1A5E_2700));
@@ -636,7 +606,7 @@ pub fn run_cluster_queries(cfg: &ClusterConfig, window_ms: u64) -> QueryLoadOutc
                     .iter()
                     .filter_map(|(owner, rs)| Some((*addr_of.get(owner)?, rs.as_slice())))
                     .collect();
-                inserts += stream_to(&mut client, &targets, chunk.len(), window).0;
+                inserts += stream_to(&mut client, &targets, chunk.len());
             }
         }
         inserts
@@ -667,207 +637,6 @@ pub fn run_cluster_queries(cfg: &ClusterConfig, window_ms: u64) -> QueryLoadOutc
         qps: if elapsed_ms == 0 { 0.0 } else { queries as f64 * 1000.0 / elapsed_ms as f64 },
         inserts,
     }
-}
-
-/// Configuration of one wire-ingest throughput measurement.
-#[derive(Clone, Debug)]
-pub struct WireIngestConfig {
-    /// Cluster, workload, per-frame batch size, and stream window.
-    pub cluster: ClusterConfig,
-    /// Concurrent producer threads, each streaming its slice of the
-    /// workload over its own connections.
-    pub connections: usize,
-}
-
-/// One manager's data-plane counters after a wire-ingest run (from the
-/// extended `Status` RPC).
-#[derive(Clone, Copy, Debug)]
-pub struct ManagerWireStatus {
-    /// Manager id.
-    pub manager: NodeId,
-    /// Ratings folded into the primary slice and absorbed into the read view.
-    pub recorded: u64,
-    /// WAL durable watermark, bytes.
-    pub durable_len: u64,
-    /// WAL logical length, bytes.
-    pub wal_len: u64,
-    /// Stream ratings still buffered in the sharded intake.
-    pub intake_pending: u64,
-    /// Stream frames accepted since spawn.
-    pub stream_frames: u64,
-    /// Stream ratings accepted since spawn.
-    pub stream_ratings: u64,
-}
-
-/// Result of one wire-ingest throughput measurement.
-#[derive(Clone, Debug)]
-pub struct WireIngestOutcome {
-    /// Ratings offered to the cluster.
-    pub ratings: u64,
-    /// Primary ratings acked durable.
-    pub acked: u64,
-    /// Ingest wall-clock, milliseconds.
-    pub elapsed_ms: u64,
-    /// Acked ratings per second of ingest wall-clock.
-    pub ratings_per_sec: f64,
-    /// Stream frames handed to the transport.
-    pub frames_sent: u64,
-    /// Stream bytes handed to the transport.
-    pub bytes_sent: u64,
-    /// Suspect pairs the cluster confirmed after the ingest.
-    pub confirmed_pairs: Vec<(NodeId, NodeId)>,
-    /// Suspect pairs of the in-process fault-free baseline.
-    pub baseline_pairs: Vec<(NodeId, NodeId)>,
-    /// Per-manager data-plane counters after the round.
-    pub managers: Vec<ManagerWireStatus>,
-}
-
-/// Measure wire-ingest throughput: `connections` producer threads split
-/// the workload round-robin and push it into a faultless cluster through
-/// windowed `InsertStream` sessions per owner, then a detection round
-/// verifies the streamed state against the in-process baseline.
-pub fn run_wire_ingest(cfg: &WireIngestConfig) -> WireIngestOutcome {
-    let faultless = ClusterConfig { plan: FaultPlan::none(), ..cfg.cluster.clone() };
-    let ratings = rating_stream(&faultless);
-
-    // in-process fault-free baseline over the same workload and managers
-    let (_, history) = Simulation::new(faultless.sim.clone()).run_with_history();
-    let entries = sorted_pairs(&history);
-    let rob = faultless.as_robustness();
-    let mut baseline = build_system(&rob, 1, &entries, None);
-    let baseline_pairs = baseline.detect().pair_ids();
-    drop(baseline);
-
-    let cluster = Cluster::spawn(&faultless);
-    let lanes = cfg.connections.max(1);
-    let mut slices: Vec<Vec<Rating>> = vec![Vec::new(); lanes];
-    for (i, &r) in ratings.iter().enumerate() {
-        slices[i % lanes].push(r);
-    }
-    let start = Instant::now();
-    let lane_results: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
-        let cluster = &cluster;
-        let handles: Vec<_> = slices
-            .iter()
-            .enumerate()
-            .map(|(k, slice)| {
-                scope.spawn(move || {
-                    let seed = cluster.cfg.sim.seed ^ 0xC0CC ^ k as u64;
-                    let mut client = RpcClient::new(cluster.cfg.rpc.with_jitter_seed(seed));
-                    let mut by_owner: HashMap<NodeId, Vec<Rating>> = HashMap::new();
-                    for &r in slice {
-                        by_owner.entry(cluster.ring.owner_of(r.ratee)).or_default().push(r);
-                    }
-                    let mut owners: Vec<(NodeId, Vec<Rating>)> = by_owner.into_iter().collect();
-                    owners.sort_unstable_by_key(|(m, _)| *m);
-                    let targets: Vec<(SocketAddr, &[Rating])> = owners
-                        .iter()
-                        .filter_map(|(owner, rs)| Some((cluster.addr_of(*owner)?, rs.as_slice())))
-                        .collect();
-                    let (batch, window) = (cluster.cfg.batch, cluster.cfg.window);
-                    stream_to(&mut client, &targets, batch, window)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("ingest thread")).collect()
-    });
-    let elapsed_ms = start.elapsed().as_millis().max(1) as u64;
-    let acked: u64 = lane_results.iter().map(|r| r.0).sum();
-    let frames_sent: u64 = lane_results.iter().map(|r| r.1).sum();
-    let bytes_sent: u64 = lane_results.iter().map(|r| r.2).sum();
-
-    // one detection round over the wire, merged like the robustness run
-    let control_cfg = RpcConfig {
-        attempt_timeout_ms: 120_000,
-        total_deadline_ms: 120_000,
-        max_retries: 0,
-        ..faultless.rpc
-    };
-    let mut control = RpcClient::new(control_cfg.with_jitter_seed(faultless.sim.seed ^ 3));
-    let round = 1u64;
-    for &m in &cluster.manager_ids {
-        let addr = cluster.addr_of(m).expect("all managers alive");
-        let resp = control.call(addr, &Request::Freeze { round }).expect("freeze RPC");
-        assert!(matches!(resp, Response::Frozen { .. }), "freeze refused: {resp:?}");
-    }
-    let mut confirmed: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-    for &m in &cluster.manager_ids {
-        let addr = cluster.addr_of(m).expect("all managers alive");
-        let resp = control.call(addr, &Request::DetectRound { round }).expect("detect RPC");
-        let Response::Round(report) = resp else { panic!("DetectRound refused: {resp:?}") };
-        for p in &report.confirmed {
-            confirmed.insert(p.ids());
-        }
-    }
-
-    // per-manager data-plane counters via the extended Status RPC
-    let mut managers = Vec::new();
-    for &m in &cluster.manager_ids {
-        let addr = cluster.addr_of(m).expect("all managers alive");
-        let resp = control.call(addr, &Request::Status).expect("status RPC");
-        let Response::Status(info) = resp else { panic!("Status refused: {resp:?}") };
-        managers.push(ManagerWireStatus {
-            manager: info.manager,
-            recorded: info.recorded,
-            durable_len: info.durable_len,
-            wal_len: info.wal_len,
-            intake_pending: info.intake_pending,
-            stream_frames: info.stream_frames,
-            stream_ratings: info.stream_ratings,
-        });
-    }
-    cluster.teardown();
-    WireIngestOutcome {
-        ratings: ratings.len() as u64,
-        acked,
-        elapsed_ms,
-        ratings_per_sec: acked as f64 * 1000.0 / elapsed_ms as f64,
-        frames_sent,
-        bytes_sent,
-        confirmed_pairs: confirmed.into_iter().collect(),
-        baseline_pairs,
-        managers,
-    }
-}
-
-/// Serial in-process reference for the wire-ingest grid: the same rating
-/// stream recorded through one
-/// [`DurableEngine`](collusion_core::durability::DurableEngine) (same async
-/// WAL policy as the cluster managers) plus one counter fold per rating
-/// (an `InteractionHistory`, standing in for a manager's intake and view
-/// totals) — the work one manager does per rating, minus every socket.
-/// Returns `(ratings, ratings/sec)`.
-pub fn inprocess_serial_rate(cfg: &ClusterConfig) -> (u64, f64) {
-    use collusion_core::durability::{DurableEngine, EngineSetup};
-    use collusion_core::epoch::EpochMethod;
-    use collusion_reputation::history::InteractionHistory;
-
-    let ratings = rating_stream(cfg);
-    let dir = scratch_dir("wire-serial");
-    let node_ids: Vec<NodeId> = (1..=cfg.sim.n_nodes).map(NodeId).collect();
-    let setup = EngineSetup {
-        target_shards: 4,
-        method: EpochMethod::Optimized,
-        thresholds: cfg.thresholds,
-        policy: DetectionPolicy::STRICT,
-        prune: false,
-        close_threads: 0,
-    };
-    let durability =
-        DurabilityConfig { sync_policy: MANAGER_SYNC_POLICY, ..DurabilityConfig::default() };
-    let mut eng =
-        DurableEngine::create(&dir, &node_ids, setup, durability).expect("create serial engine");
-    let mut history = InteractionHistory::new();
-    let start = Instant::now();
-    for &r in &ratings {
-        eng.record(r).expect("serial record");
-        history.record(r);
-    }
-    eng.sync().expect("final sync");
-    let elapsed_ms = start.elapsed().as_millis().max(1) as u64;
-    drop(eng);
-    std::fs::remove_dir_all(&dir).ok();
-    (ratings.len() as u64, ratings.len() as f64 * 1000.0 / elapsed_ms as f64)
 }
 
 #[cfg(test)]
@@ -926,20 +695,5 @@ mod tests {
         assert!(info.recorded >= acked, "rejoin lost acked ratings: {} < {acked}", info.recorded);
         drop(reborn);
         cluster.teardown();
-    }
-
-    /// Streamed wire ingest lands in the baseline's detection state: the
-    /// wire-grid equality check in miniature.
-    #[test]
-    fn wire_ingest_modes_agree_with_the_baseline() {
-        let mut cluster = ClusterConfig::quick(7);
-        cluster.sim.n_nodes = 60;
-        cluster.replication = 1;
-        let streamed = run_wire_ingest(&WireIngestConfig { cluster, connections: 2 });
-        assert_eq!(
-            streamed.confirmed_pairs, streamed.baseline_pairs,
-            "streamed ingest diverged from the in-process baseline"
-        );
-        assert_eq!(streamed.acked, streamed.ratings, "every rating must be acked durable");
     }
 }

@@ -52,7 +52,7 @@ use collusion_reputation::id::NodeId;
 use collusion_reputation::rating::Rating;
 use collusion_reputation::wal::{replay_bytes, WalRecord};
 
-use super::{rating_stream, Cluster, ClusterConfig};
+use super::{rating_stream, Cluster, ClusterConfig, STREAM_BATCH, STREAM_WINDOW};
 use crate::engine::Simulation;
 use crate::robustness::{build_system, sorted_pairs};
 
@@ -271,8 +271,7 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
             .collect(),
     ));
 
-    let batch = cluster_cfg.batch.max(1);
-    let total_chunks: u64 = lanes.iter().map(|l| l.ratings.chunks(batch).len() as u64).sum();
+    let total_chunks: u64 = lanes.iter().map(|l| l.ratings.chunks(STREAM_BATCH).len() as u64).sum();
     let progress = AtomicU64::new(0);
     // schedule thresholds in streamed chunks; the gate holds the next
     // pending threshold — lanes pause there until its action has fired
@@ -293,7 +292,6 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
                 let owner = lane.owner;
                 let (progress, gate) = (&progress, &gate);
                 let rpc = cluster_cfg.rpc;
-                let window = cluster_cfg.window;
                 let session = lane.session;
                 let rs = &lane.ratings;
                 scope.spawn(move || {
@@ -305,8 +303,8 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
                             .into_iter()
                             .collect()
                     };
-                    let mut stream = ResumableStream::open(session, window, rpc, resolver);
-                    for chunk in rs.chunks(batch) {
+                    let mut stream = ResumableStream::open(session, STREAM_WINDOW, rpc, resolver);
+                    for chunk in rs.chunks(STREAM_BATCH) {
                         // hold at the next pending fault threshold so the
                         // stream can never outrun the nemesis schedule
                         while progress.load(Ordering::Relaxed) >= gate.load(Ordering::Relaxed) {
@@ -402,7 +400,7 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
     let failed_recoveries: u64 = lane_stats.iter().map(|s| s.failed_recoveries).sum();
     let recovery_ms: u64 = lane_stats.iter().map(|s| s.recovery_ms).max().unwrap_or(0);
 
-    // detection round over the healed cluster, merged like the wire grid
+    // detection round over the healed cluster, merged like the robustness run
     let control_cfg = RpcConfig {
         attempt_timeout_ms: 120_000,
         total_deadline_ms: 120_000,

@@ -3,10 +3,9 @@
 use collusion_reputation::eigentrust::{EigenTrustConfig, WeightedSumConfig};
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 
 /// Which collusion detector (if any) runs after each reputation update.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DetectorKind {
     /// No detection — plain reputation system (Figures 5–7).
     None,
@@ -21,7 +20,7 @@ pub enum DetectorKind {
 }
 
 /// Global reputation engine choice.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum ReputationEngine {
     /// The paper's §V weighted sum (`w_l = 0.2`, `w_s = 0.5`) over raw
     /// signed rating sums, normalized.
@@ -41,7 +40,7 @@ pub enum ReputationEngine {
 }
 
 /// Full simulation configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Number of peers; ids are `1..=n_nodes`.
     pub n_nodes: u64,

@@ -2,11 +2,10 @@
 
 use collusion_core::cost::CostSnapshot;
 use collusion_reputation::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Metrics of a single simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimMetrics {
     /// Final global reputation per node, indexed by raw id (index 0 unused).
     pub reputation: Vec<f64>,
@@ -58,7 +57,7 @@ impl SimMetrics {
 }
 
 /// Metrics averaged over several runs (the paper averages 5).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AveragedMetrics {
     /// Number of runs averaged.
     pub runs: usize,

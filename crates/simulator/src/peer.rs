@@ -4,10 +4,9 @@ use crate::config::SimConfig;
 use collusion_reputation::id::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The three node types of the paper's node model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// Always provides authentic files; its ratings may carry extra weight.
     Pretrusted,
@@ -18,7 +17,7 @@ pub enum NodeKind {
 }
 
 /// One peer's static attributes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Peer {
     /// Node id (1-based).
     pub id: NodeId,

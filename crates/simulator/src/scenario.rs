@@ -16,7 +16,6 @@ use crate::runner::run_averaged;
 use collusion_reputation::eigentrust::EigenTrustConfig;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
-use serde::{Deserialize, Serialize};
 
 /// Figure 5: plain EigenTrust, colluders' good-behaviour probability 0.6.
 pub fn fig5(seed: u64) -> SimConfig {
@@ -93,7 +92,7 @@ pub fn sweep_config(seed: u64, k: u64, detector: DetectorKind) -> SimConfig {
 }
 
 /// One point of the Figure 12 series.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig12Point {
     /// Number of colluders in the system.
     pub colluders: u64,
@@ -125,7 +124,7 @@ pub fn fig12(seed: u64, runs: usize) -> Vec<Fig12Point> {
 }
 
 /// One point of the Figure 13 series.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig13Point {
     /// Number of colluders in the system.
     pub colluders: u64,

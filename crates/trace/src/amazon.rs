@@ -20,10 +20,9 @@ use collusion_reputation::id::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One seller's generation parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SellerSpec {
     /// Probability that an *organic* (non-collusive) rating is positive.
     /// Colluding sellers' published reputation ends up slightly above this
@@ -36,7 +35,7 @@ pub struct SellerSpec {
 }
 
 /// Generator configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AmazonConfig {
     /// Sellers, in id order (seller id = index).
     pub sellers: Vec<SellerSpec>,
@@ -118,7 +117,7 @@ impl AmazonConfig {
 }
 
 /// A generated trace plus its ground truth.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AmazonTrace {
     /// The rating records.
     pub trace: Trace,

@@ -15,11 +15,10 @@
 
 use crate::model::Trace;
 use collusion_reputation::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Shape of one connected component.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ComponentKind {
     /// Exactly two nodes joined by one edge — the canonical colluding pair.
     Pair,
@@ -31,7 +30,7 @@ pub enum ComponentKind {
 }
 
 /// One connected component of the interaction graph.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Component {
     /// Member nodes, ascending.
     pub nodes: Vec<NodeId>,

@@ -7,10 +7,9 @@
 
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::{Rating, RatingLog, RatingValue};
-use serde::{Deserialize, Serialize};
 
 /// One crawled rating row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// The buyer submitting the rating.
     pub rater: NodeId,
@@ -35,7 +34,7 @@ impl TraceRecord {
 }
 
 /// A complete crawl: records plus the covered day span.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// All records, in generation order.
     pub records: Vec<TraceRecord>,

@@ -13,10 +13,9 @@ use crate::model::{Trace, TraceRecord};
 use collusion_reputation::id::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Generator configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverstockConfig {
     /// Number of users (paper: ~100,000).
     pub users: u64,
@@ -56,7 +55,7 @@ impl OverstockConfig {
 }
 
 /// A generated trace plus ground truth.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverstockTrace {
     /// The rating records (both directions).
     pub trace: Trace,

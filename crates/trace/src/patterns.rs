@@ -15,10 +15,9 @@
 
 use crate::model::Trace;
 use collusion_reputation::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Behaviour archetype of a (rater, seller) relationship.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RaterPattern {
     /// Frequent and uniformly high (4–5 stars): suspected collusion partner.
     Booster,

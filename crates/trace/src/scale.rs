@@ -17,9 +17,9 @@
 //! * background ratings never target a colluder, so the planted statistics
 //!   stay exact at every scale.
 //!
-//! Used by the `scale_json` benchmark to measure build/refresh/detect
-//! throughput of the full-pass and epoch-incremental kernels on identical
-//! inputs.
+//! Every workload of the repository's benchmark (`benchmark/`) runs on
+//! this trace, and `tests/scale_props.rs` pins the prune and epoch
+//! counters it yields at n = 2 000.
 
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::{Rating, RatingValue};

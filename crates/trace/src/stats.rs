@@ -9,11 +9,10 @@
 use crate::model::Trace;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::rating::RatingValue;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Aggregate counters for one seller.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SellerStats {
     /// Seller id.
     pub seller: NodeId,
@@ -39,7 +38,7 @@ impl SellerStats {
 }
 
 /// Per-rater frequency statistics for the raters of one seller (Figure 1c).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RaterFrequency {
     /// The rater.
     pub rater: NodeId,

@@ -17,11 +17,10 @@ use crate::model::Trace;
 use crate::stats::TraceStats;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::rating::RatingValue;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// One high-frequency rater→seller pair.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuspiciousPair {
     /// The frequent rater.
     pub rater: NodeId,
@@ -41,7 +40,7 @@ impl SuspiciousPair {
 }
 
 /// Outcome of the suspicious filter over a trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SuspiciousReport {
     /// The frequency threshold used (paper: 20/year).
     pub threshold: u64,

@@ -54,47 +54,6 @@ timeout 300 cargo run --release -q -p collusion-bench --bin reproduce -- \
   fig8 fig9 fig10 fig11 fig12 fig13 --csv "$figs_out" > /dev/null
 diff -r scripts/figures_expected "$figs_out"
 
-echo "== scale smoke (n=2k sharded/pruned/epoch kernels, fixed shape) =="
-# the smoke run asserts bit-identical suspect sets across all kernel
-# variants internally; the diff pins the deterministic counters
-smoke_out="$(mktemp)"
-recovery_out="$(mktemp)"
-net_out="$(mktemp)"
-trap 'rm -rf "$figs_out" "$smoke_out" "$recovery_out" "$net_out"' EXIT
-timeout 120 cargo run --release -q -p collusion-bench --bin scale_json -- \
-  --smoke --out "$smoke_out"
-diff scripts/BENCH_scale_smoke_expected.json "$smoke_out"
-
-echo "== recovery smoke (n=2k WAL/checkpoint cadences, fixed replay volumes) =="
-# every cadence asserts the recovered engine equals the crashed image
-# byte for byte; the diff pins replay/skip counts per checkpoint cadence
-timeout 120 cargo run --release -q -p collusion-bench --bin recovery_json -- \
-  --smoke --out "$recovery_out"
-diff scripts/BENCH_recovery_smoke_expected.json "$recovery_out"
-
-echo "== wire-ingest smoke (streamed inserts over TCP, durable acks, fixed frame counts) =="
-# real localhost cluster, streamed ingest at three (connections, batch,
-# window) points; the binary itself asserts suspect-set equality with the
-# in-process baseline and full durable acking at every point. The diff
-# pins the deterministic projection of the grid (rating/ack/frame counts);
-# bytes and rates are wall-clock- or timing-dependent and stay unpinned.
-timeout 180 cargo run --release -q -p collusion-bench --bin net_json -- \
-  --smoke "$net_out"
-diff scripts/BENCH_net_wire_smoke_expected.txt \
-     <(grep -o '"connections": [0-9]*, "batch": [0-9]*, "window": [0-9]*, "ratings": [0-9]*, "acked": [0-9]*, "frames_sent": [0-9]*' "$net_out")
-
-echo "== wire-ingest perf smoke (streamed path vs paired in-process serial, loose floor) =="
-# wire_over_inprocess is the best paired wire/serial ratio of the smoke
-# grid. Full runs gate it at 0.5; the smoke floor is looser (0.1) because
-# the smoke workload is ~3x smaller and one slow fsync dominates it.
-ratio="$(grep -o '"wire_over_inprocess": [0-9.]*' "$net_out" | grep -o '[0-9.]*$')"
-awk -v ratio="$ratio" 'BEGIN {
-  if (ratio < 0.1) {
-    printf "smoke wire ingest fell to %sx of paired in-process serial (floor 0.1)\n", ratio
-    exit 1
-  }
-}'
-
 echo "== cluster smoke (3 managers over TCP: drop point + kill/rejoin, baseline equality) =="
 # spawns real localhost manager processes behind fault proxies; the gate
 # test asserts the merged suspect sets equal the in-process baseline and
@@ -109,7 +68,7 @@ echo "== nemesis smoke (crash + partition + overload against live resumable stre
 # equality with the in-process baseline; the diff pins the deterministic
 # projection (counts and invariant flags — rates stay unpinned).
 nemesis_out="$(mktemp)"
-trap 'rm -rf "$figs_out" "$smoke_out" "$recovery_out" "$net_out" "$nemesis_out"' EXIT
+trap 'rm -rf "$figs_out" "$nemesis_out"' EXIT
 timeout 240 cargo test --release -q -p collusion-sim --test net_cluster nemesis_smoke_gate \
   -- --nocapture > "$nemesis_out"
 diff scripts/BENCH_nemesis_smoke_expected.txt <(grep '^NEMESIS ' "$nemesis_out")

@@ -2,7 +2,8 @@
 //! the WAL and checkpoint codecs (decoding hostile bytes must never panic
 //! and never yield a record that failed validation), and crash-point
 //! recovery (for every kill-point, recover + resume is bit-identical to an
-//! uncrashed engine over the same stream).
+//! uncrashed engine over the same stream), and the replay volume of each
+//! checkpoint cadence on one seeded scale trace.
 
 use collusion::core::durability::{scratch_dir, DurabilityError};
 use collusion::core::epoch::{EpochEngine, EpochMethod};
@@ -10,6 +11,7 @@ use collusion::prelude::*;
 use collusion::reputation::checkpoint::{decode_checkpoint, encode_checkpoint};
 use collusion::reputation::codec::{fnv64, wordsum64};
 use collusion::reputation::wal::{replay_bytes, scan_bytes, Wal, WalRecord, WalReplay};
+use collusion::trace::scale::ScaleConfig;
 use proptest::prelude::*;
 
 /// Strategy: a list of ratings among `n` nodes (self-ratings included —
@@ -676,4 +678,60 @@ fn back_to_back_checkpoints_land_in_cursor_order() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(report.checkpoint_cursor, Some(cursors[2]));
     assert_eq!(report.replayed_records, 0);
+}
+
+/// The seeded n = 2 000 scale trace in 20 epochs at three checkpoint
+/// cadences — none, every close, every third close — pins how many images
+/// are written and how much of the 41 620-record log recovery replays or
+/// skips, and at every cadence the recovered engine persists the crashed
+/// engine's image byte for byte.
+#[test]
+fn checkpoint_cadence_pins_replay_volume_on_the_scale_trace() {
+    let cfg = ScaleConfig::at_scale(2_000, 42);
+    let ratings = cfg.generate();
+    let nodes = cfg.node_ids();
+    let setup = EngineSetup {
+        target_shards: 2,
+        method: EpochMethod::Optimized,
+        thresholds: Thresholds::new(1.0, 20, 0.8, 0.2),
+        policy: DetectionPolicy::STRICT,
+        prune: true,
+        close_threads: 0,
+    };
+    let epoch_len = ratings.len().div_ceil(20);
+    for (interval, expected) in [(0, (0, 41_620, 0)), (1, (20, 0, 41_620)), (3, (6, 4_162, 37_458))]
+    {
+        let dcfg = DurabilityConfig {
+            sync_policy: SyncPolicy::ASYNC_DEFAULT,
+            checkpoint_interval: interval,
+            ..DurabilityConfig::default()
+        };
+        let dir = scratch_dir(&format!("props-cadence-{interval}"));
+        let mut durable = DurableEngine::create(&dir, &nodes, setup, dcfg).expect("create");
+        for epoch in ratings.chunks(epoch_len) {
+            for &r in epoch {
+                durable.record(r).expect("record");
+            }
+            durable.close_epoch().expect("close");
+        }
+        durable.sync().expect("sync");
+        durable.wait_checkpoint().expect("last checkpoint on disk");
+        assert_eq!(durable.wal().next_seq(), 41_620);
+        let written = durable.stats().checkpoints;
+        let image = durable.engine().persist_bytes(0);
+        drop(durable);
+
+        let (recovered, report) =
+            DurableEngine::recover(&dir, &nodes, setup, dcfg).expect("recover");
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            (written, report.replayed_records, report.skipped_records),
+            expected,
+            "checkpoint every {interval} close(s)"
+        );
+        assert!(
+            recovered.engine().persist_bytes(0) == image,
+            "interval {interval}: image diverged"
+        );
+    }
 }

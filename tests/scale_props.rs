@@ -1,15 +1,18 @@
 //! Property-based guarantees for the scale path: sharded CSR snapshots,
 //! Formula (2) band pruning, and the epoch-incremental engine are all
 //! *bit-identical* to a full pass of the raw-history detectors — the
-//! correctness contract that lets `BENCH_scale.json` compare their costs
-//! honestly. The batch band kernel and the fork-join close are checked
-//! against their serial oracles here too.
+//! correctness contract that lets the benchmark's `audit-batch` and
+//! `engine-churn` workloads compare their costs honestly. The batch band
+//! kernel and the fork-join close are checked against their serial oracles
+//! here too, and one seeded n = 2 000 trace pins the prune and epoch
+//! counters exactly.
 
 use collusion::core::epoch::{EpochEngine, EpochMethod};
 use collusion::core::policy::DetectionPolicy;
 use collusion::prelude::*;
 use collusion::reputation::history::NodeTotals;
 use collusion::reputation::sharded::TotalsColumns;
+use collusion::trace::scale::ScaleConfig;
 use proptest::prelude::*;
 
 const N: u64 = 24;
@@ -194,6 +197,48 @@ proptest! {
             }
         }
     }
+}
+
+/// The seeded n = 2 000 scale trace (20 planted pairs) through the pruned
+/// full pass, the plain full pass and a 20-epoch incremental engine: all
+/// three find exactly the planted pairs, and the prune and epoch counters
+/// are pinned, so a change in how much work either path does shows here.
+#[test]
+fn scale_trace_counters_are_pinned() {
+    let cfg = ScaleConfig::at_scale(2_000, 42);
+    let ratings = cfg.generate();
+    assert_eq!(ratings.len(), 41_600);
+    let nodes = cfg.node_ids();
+    let t = Thresholds::new(1.0, 20, 0.8, 0.2);
+    let det = OptimizedDetector::with_policy(t, DetectionPolicy::STRICT);
+
+    let mut h = InteractionHistory::new();
+    for &r in &ratings {
+        h.record(r);
+    }
+    let shard = ShardedSnapshot::build(&h, &nodes, 2);
+    let input = SnapshotInput::from_signed(&shard, &nodes);
+    let (pruned, stats) = det.detect_pruned(&input);
+    let ids: Vec<(NodeId, NodeId)> = pruned.pairs.iter().map(|p| p.ids()).collect();
+    assert_eq!(ids, cfg.planted_pairs());
+    assert_eq!(
+        stats,
+        PruneStats { rows_pruned: 1_405, pairs_pruned: 33_605, pairs_examined: 5_979 }
+    );
+    assert_eq!(det.detect_snapshot(&input).pairs, pruned.pairs);
+
+    let mut engine =
+        EpochEngine::new(&nodes, 2, EpochMethod::Optimized, t, DetectionPolicy::STRICT, true);
+    let mut report = None;
+    for epoch in ratings.chunks(ratings.len().div_ceil(20)) {
+        for &r in epoch {
+            engine.record(r);
+        }
+        report = Some(engine.close_epoch());
+    }
+    assert_eq!(report.expect("20 epochs closed").pairs, pruned.pairs);
+    let stats = engine.stats();
+    assert_eq!((stats.epochs, stats.candidates, stats.checked, stats.pruned), (20, 20, 20, 0));
 }
 
 /// Probe-level equality of two sharded snapshots: interning, every forward
