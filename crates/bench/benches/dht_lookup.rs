@@ -5,7 +5,6 @@ use collusion_dht::hash::consistent_hash;
 use collusion_dht::id::Key;
 use collusion_dht::ring::ChordRing;
 use collusion_dht::routing::Router;
-use collusion_dht::storage::DhtStorage;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -31,15 +30,6 @@ fn bench_lookup(c: &mut Criterion) {
                     hops += router.lookup(start, k).hops as u64;
                 }
                 black_box(hops)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("insert_100", n), &ring, |bench, ring| {
-            bench.iter(|| {
-                let mut store: DhtStorage<u64> = DhtStorage::new(ring.clone());
-                for (i, &k) in keys.iter().enumerate() {
-                    store.insert(start, k, i as u64);
-                }
-                black_box(store.stats())
             });
         });
     }

@@ -1015,7 +1015,8 @@ impl EpochEngine {
     /// them holds them. Evidence `f64`s travel as bit patterns, and
     /// high-reputed flags are recomputed from the restored snapshot (they
     /// are a pure function of it at epoch boundaries). Malformed payloads —
-    /// including a row whose columns are not strictly ascending, which the
+    /// including a row whose columns are not strictly ascending, or a cell
+    /// whose positive and negative counts exceed its total, which the
     /// writer never produces — yield `Err`, never a panic.
     pub fn recover_from_bytes(
         bytes: &[u8],
@@ -1055,6 +1056,13 @@ impl EpochEngine {
                     negative: r.get_u64()?,
                 };
                 if col >= n || col == i || counters.total == 0 || prev >= Some(col) {
+                    return Err(CodecError::BadLength);
+                }
+                // neutral ratings count only in `total`, so the split never
+                // exceeds it
+                if counters.positive > counters.total
+                    || counters.negative > counters.total - counters.positive
+                {
                     return Err(CodecError::BadLength);
                 }
                 prev = Some(col);
@@ -1537,6 +1545,16 @@ mod tests {
         let mut descending = good.clone();
         descending[cells..cells + 2 * CELL_BYTES].rotate_left(CELL_BYTES);
         assert!(recover(&descending).is_err(), "descending columns accepted");
+        // a cell claiming more positives, or more positives plus negatives,
+        // than ratings: the writer never emits either
+        let total = u64::from_le_bytes(good[cells + 4..cells + 12].try_into().unwrap());
+        let mut positive_over = good.clone();
+        positive_over[cells + 12..cells + 20].copy_from_slice(&(total + 4).to_le_bytes());
+        assert!(recover(&positive_over).is_err(), "positive > total accepted");
+        let mut split_over = good.clone();
+        split_over[cells + 12..cells + 20].copy_from_slice(&total.to_le_bytes());
+        split_over[cells + 20..cells + 28].copy_from_slice(&1u64.to_le_bytes());
+        assert!(recover(&split_over).is_err(), "positive + negative > total accepted");
     }
 
     /// Index of the first persisted row holding at least two cells, and the

@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod basic;
-pub mod calibrate;
 pub mod cost;
 pub mod decentralized;
 pub mod durability;
@@ -74,7 +73,6 @@ pub mod system;
 /// Re-exports of the commonly used types.
 pub mod prelude {
     pub use crate::basic::BasicDetector;
-    pub use crate::calibrate::{calibrate, Calibration};
     pub use crate::cost::{CostMeter, CostSnapshot};
     pub use crate::decentralized::{DecentralizedDetector, DecentralizedOutcome};
     pub use crate::durability::{
@@ -85,7 +83,7 @@ pub mod prelude {
     pub use crate::formula::{formula_band, formula_reputation, Fig4Surface};
     pub use crate::group::{GroupDetector, GroupDetectorConfig, GroupReport, SuspectGroup};
     pub use crate::input::{DetectionInput, SnapshotInput};
-    pub use crate::mitigation::{apply_conservative_mitigation, apply_mitigation};
+    pub use crate::mitigation::apply_mitigation;
     pub use crate::model::{Characteristic, SuspectPair};
     pub use crate::net::view::{PublishedView, ViewCell, ViewReader};
     pub use crate::optimized::{OptimizedDetector, PruneStats};

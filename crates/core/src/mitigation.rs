@@ -4,16 +4,7 @@
 //! to 0." With zero reputation a colluder is never selected as a server
 //! (clients pick the highest-reputed neighbor), so the pair's business model
 //! collapses — the deterrence argument of §III.
-//!
-//! Under fault injection a detection round also yields *unconfirmed*
-//! suspect pairs — the forward test fired but the cross-manager
-//! confirmation never completed. Zeroing those would punish on one-sided
-//! evidence; ignoring them would let likely colluders keep trading on a
-//! lossy network. [`apply_conservative_mitigation`] takes the middle road:
-//! confirmed colluders are zeroed, unconfirmed suspects are *damped* by a
-//! configurable factor until a later round settles the question.
 
-use crate::model::SuspectPair;
 use crate::report::DetectionReport;
 use collusion_reputation::id::NodeId;
 use std::collections::HashMap;
@@ -34,47 +25,6 @@ pub fn apply_mitigation(
         }
     }
     zeroed
-}
-
-/// Same, over a dense reputation vector indexed by node id.
-pub fn apply_mitigation_vec(report: &DetectionReport, reputations: &mut [f64]) -> Vec<NodeId> {
-    let mut zeroed = Vec::new();
-    for node in report.colluders() {
-        let idx = node.raw() as usize;
-        if idx < reputations.len() {
-            reputations[idx] = 0.0;
-            zeroed.push(node);
-        }
-    }
-    zeroed
-}
-
-/// Graceful-degradation mitigation: zero every confirmed colluder, and
-/// multiply each merely *unconfirmed* suspect's reputation by `damping`
-/// (in `[0, 1]`) instead of zeroing it. Nodes in both sets are zeroed.
-/// Returns `(zeroed, damped)` node-id lists.
-pub fn apply_conservative_mitigation(
-    confirmed: &DetectionReport,
-    unconfirmed: &[SuspectPair],
-    reputations: &mut HashMap<NodeId, f64>,
-    damping: f64,
-) -> (Vec<NodeId>, Vec<NodeId>) {
-    assert!((0.0..=1.0).contains(&damping), "damping {damping} out of [0, 1]");
-    let zeroed = apply_mitigation(confirmed, reputations);
-    let mut damped = Vec::new();
-    for pair in unconfirmed {
-        let (a, b) = pair.ids();
-        for node in [a, b] {
-            if zeroed.contains(&node) || damped.contains(&node) {
-                continue; // already zeroed (or damped once) this round
-            }
-            if let Some(r) = reputations.get_mut(&node) {
-                *r *= damping;
-                damped.push(node);
-            }
-        }
-    }
-    (zeroed, damped)
 }
 
 #[cfg(test)]
@@ -118,74 +68,11 @@ mod tests {
     }
 
     #[test]
-    fn vec_mitigation_bounds_checked() {
-        let mut reps = vec![0.1, 0.2, 0.3];
-        let zeroed = apply_mitigation_vec(&report(&[(1, 7)]), &mut reps);
-        assert_eq!(zeroed, vec![NodeId(1)]);
-        assert_eq!(reps, vec![0.1, 0.0, 0.3]);
-    }
-
-    #[test]
     fn empty_report_is_noop() {
-        let mut reps = vec![0.5; 4];
-        let zeroed = apply_mitigation_vec(&DetectionReport::default(), &mut reps);
+        let mut reps: HashMap<NodeId, f64> = (1..=4).map(|i| (NodeId(i), 0.5)).collect();
+        let before = reps.clone();
+        let zeroed = apply_mitigation(&DetectionReport::default(), &mut reps);
         assert!(zeroed.is_empty());
-        assert_eq!(reps, vec![0.5; 4]);
-    }
-
-    fn unconfirmed(pairs: &[(u64, u64)]) -> Vec<SuspectPair> {
-        let ev = DirectionEvidence {
-            pair_ratings: 30,
-            fraction_a: None,
-            fraction_b: None,
-            signed_reputation: 10,
-        };
-        pairs.iter().map(|&(a, b)| SuspectPair::new(NodeId(a), NodeId(b), Some(ev), None)).collect()
-    }
-
-    #[test]
-    fn conservative_mitigation_damps_unconfirmed_only() {
-        let mut reps: HashMap<NodeId, f64> = (1..=6).map(|i| (NodeId(i), 1.0)).collect();
-        let (zeroed, damped) = apply_conservative_mitigation(
-            &report(&[(1, 2)]),
-            &unconfirmed(&[(3, 4)]),
-            &mut reps,
-            0.5,
-        );
-        assert_eq!(zeroed, vec![NodeId(1), NodeId(2)]);
-        assert_eq!(damped, vec![NodeId(3), NodeId(4)]);
-        assert_eq!(reps[&NodeId(1)], 0.0);
-        assert_eq!(reps[&NodeId(3)], 0.5);
-        assert_eq!(reps[&NodeId(5)], 1.0, "untouched bystander");
-    }
-
-    #[test]
-    fn conservative_mitigation_zero_takes_precedence() {
-        // node 2 is both confirmed (with 1) and unconfirmed (with 3):
-        // zeroing wins, and node 3 is damped exactly once
-        let mut reps: HashMap<NodeId, f64> = (1..=3).map(|i| (NodeId(i), 1.0)).collect();
-        let (zeroed, damped) = apply_conservative_mitigation(
-            &report(&[(1, 2)]),
-            &unconfirmed(&[(2, 3), (2, 3)]),
-            &mut reps,
-            0.25,
-        );
-        assert_eq!(zeroed, vec![NodeId(1), NodeId(2)]);
-        assert_eq!(damped, vec![NodeId(3)]);
-        assert_eq!(reps[&NodeId(2)], 0.0);
-        assert_eq!(reps[&NodeId(3)], 0.25);
-    }
-
-    #[test]
-    fn zero_damping_equals_full_mitigation_for_suspects() {
-        let mut reps: HashMap<NodeId, f64> = (1..=2).map(|i| (NodeId(i), 1.0)).collect();
-        let (_, damped) = apply_conservative_mitigation(
-            &DetectionReport::default(),
-            &unconfirmed(&[(1, 2)]),
-            &mut reps,
-            0.0,
-        );
-        assert_eq!(damped, vec![NodeId(1), NodeId(2)]);
-        assert_eq!(reps[&NodeId(1)], 0.0);
+        assert_eq!(reps, before);
     }
 }

@@ -44,6 +44,11 @@ use crate::net::wire::{ErrorCode, Request, Response};
 /// Domain salt of the retry-jitter stream.
 const JITTER_SALT: u64 = 0x6a69_7474_6572_2121;
 
+/// Milliseconds a single fault may take to heal before a
+/// [`ResumableStream`] gives up (covers kill → respawn → WAL replay of a
+/// whole manager).
+const RECOVER_DEADLINE_MS: u64 = 30_000;
+
 /// Client timing and retry policy. All durations in milliseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RpcConfig {
@@ -77,18 +82,6 @@ impl RpcConfig {
             jitter_seed: 0,
             max_frame: MAX_FRAME_PAYLOAD,
         }
-    }
-
-    /// Replace the total deadline.
-    pub fn with_deadline_ms(mut self, ms: u64) -> Self {
-        self.total_deadline_ms = ms;
-        self
-    }
-
-    /// Replace the retry budget.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
     }
 
     /// Replace the jitter seed.
@@ -564,9 +557,6 @@ pub struct ResumableStream {
     session: u64,
     window: u64,
     cfg: RpcConfig,
-    /// Milliseconds a single fault may take to heal before the stream
-    /// gives up (covers kill → respawn → WAL replay of a whole manager).
-    recover_deadline_ms: u64,
     resolver: Box<dyn FnMut() -> Vec<SocketAddr> + Send>,
     conn: Option<TcpStream>,
     next_seq: u64,
@@ -608,7 +598,6 @@ impl ResumableStream {
             session,
             window: window.max(1) as u64,
             cfg,
-            recover_deadline_ms: 30_000,
             resolver: Box::new(resolver),
             conn: None,
             next_seq: 1,
@@ -620,12 +609,6 @@ impl ResumableStream {
             jitter: FaultRng::for_stream(cfg.jitter_seed, session, JITTER_SALT),
             stats: ResumeStats::default(),
         }
-    }
-
-    /// Replace the per-fault recovery deadline (milliseconds).
-    pub fn with_recover_deadline_ms(mut self, ms: u64) -> Self {
-        self.recover_deadline_ms = ms.max(1);
-        self
     }
 
     /// Stats so far (acked counters trail until [`ResumableStream::finish`]).
@@ -662,7 +645,7 @@ impl ResumableStream {
                     self.conn = None;
                     self.staged.clear();
                     let fault_at = Instant::now();
-                    let deadline = fault_at + Duration::from_millis(self.recover_deadline_ms);
+                    let deadline = fault_at + Duration::from_millis(RECOVER_DEADLINE_MS);
                     if self.overloads > 0 {
                         // a shedding server is alive — reconnecting would
                         // succeed instantly, so the relief has to come from

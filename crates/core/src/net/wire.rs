@@ -44,17 +44,6 @@ impl PeerAddr {
     pub fn socket_addr(&self) -> std::net::SocketAddr {
         std::net::SocketAddr::from((self.ip, self.port))
     }
-
-    /// From a manager id and socket address (IPv6 peers are rejected — the
-    /// cluster harness only spawns loopback IPv4 listeners).
-    pub fn from_socket_addr(manager: NodeId, addr: std::net::SocketAddr) -> Option<Self> {
-        match addr {
-            std::net::SocketAddr::V4(v4) => {
-                Some(PeerAddr { manager, ip: v4.ip().octets(), port: v4.port() })
-            }
-            std::net::SocketAddr::V6(_) => None,
-        }
-    }
 }
 
 /// Why a server refused a request.

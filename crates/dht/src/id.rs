@@ -45,11 +45,6 @@ impl Key {
         self.bits
     }
 
-    /// The size of the identifier space as `f64` (exact for `bits < 53`).
-    pub fn space_size(self) -> f64 {
-        2f64.powi(self.bits as i32)
-    }
-
     /// `self + 2^i (mod 2^m)` — the start of the `i`-th finger interval.
     pub fn finger_start(self, i: u8) -> Key {
         assert!(i < self.bits, "finger index {i} out of range for {}-bit space", self.bits);

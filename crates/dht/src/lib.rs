@@ -18,8 +18,6 @@
 //!   tables, join/leave churn,
 //! * [`routing`] — iterative `find_successor` lookups with hop and message
 //!   accounting,
-//! * [`storage`] — the `Insert`/`Lookup` key-value API used by reputation
-//!   managers, with successor-list replication and crash failover,
 //! * [`fault`] — seeded, deterministic message-fault injection (drop
 //!   probability, delay distribution) for robustness experiments,
 //! * [`error`] — the [`error::DhtError`] returned by fallible lookups
@@ -52,8 +50,6 @@ pub mod hash;
 pub mod id;
 pub mod ring;
 pub mod routing;
-pub mod stabilize;
-pub mod storage;
 
 /// Re-exports of the commonly used types.
 pub mod prelude {
@@ -63,6 +59,4 @@ pub mod prelude {
     pub use crate::id::Key;
     pub use crate::ring::ChordRing;
     pub use crate::routing::{LookupResult, Router};
-    pub use crate::stabilize::{ProtocolNode, ProtocolSim, SUCC_LIST_LEN};
-    pub use crate::storage::{DhtStorage, StorageStats};
 }

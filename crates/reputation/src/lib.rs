@@ -9,13 +9,9 @@
 //! * the interaction-history bookkeeping of the paper's Table I
 //!   ([`history::InteractionHistory`]): per-pair rating counts `N(j,i)`,
 //!   positive/negative splits, and the derived fractions `a` and `b`,
-//! * local reputation aggregation ([`local`]): eBay-style signed sums and
-//!   positive-fraction scores,
 //! * global reputation engines ([`eigentrust`]): canonical EigenTrust power
 //!   iteration with a pretrusted distribution, and the weighted-sum variant
-//!   the paper's evaluation section uses (`w_l = 0.2`, `w_s = 0.5`),
-//! * reputation managers ([`manager`]): the centralized single-manager model
-//!   (Amazon) and the assignment of nodes to decentralized managers.
+//!   the paper's evaluation section uses (`w_l = 0.2`, `w_s = 0.5`).
 //!
 //! The collusion detectors themselves live in the `collusion-core` crate and
 //! consume the types defined here.
@@ -45,8 +41,6 @@ pub mod fxhash;
 pub mod history;
 pub mod id;
 pub mod ingest;
-pub mod local;
-pub mod manager;
 pub mod par;
 pub mod rating;
 pub mod sharded;
@@ -67,8 +61,6 @@ pub mod prelude {
     pub use crate::history::{InteractionHistory, PairCounters};
     pub use crate::id::{NodeId, SimTime};
     pub use crate::ingest::ShardedIntake;
-    pub use crate::local::{EBaySum, LocalAggregator, PositiveFraction};
-    pub use crate::manager::CentralizedManager;
     pub use crate::rating::{Rating, RatingLog, RatingValue};
     pub use crate::sharded::{RefreshOutcome, ShardedSnapshot};
     pub use crate::thresholds::Thresholds;

@@ -124,24 +124,4 @@ proptest! {
         prop_assert!(sum.abs() < 1e-9 || (sum - 1.0).abs() < 1e-9, "sum {sum}");
         prop_assert!(res.reputation.iter().all(|&v| v >= 0.0));
     }
-
-    /// Centralized manager and a manager partition agree on every counter
-    /// for any ownership function.
-    #[test]
-    fn partition_equals_centralized(ratings in ratings_strategy(6, 300), managers in 1u64..5) {
-        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
-        let mut part = ManagerPartition::from_fn(&nodes, |n| NodeId(100 + n.raw() % managers));
-        let mut central = CentralizedManager::new();
-        for r in &ratings {
-            part.submit(*r);
-            central.submit(*r);
-        }
-        let merged = part.merged_history();
-        for i in &nodes {
-            prop_assert_eq!(merged.ratings_for(*i), central.history().ratings_for(*i));
-            prop_assert_eq!(merged.signed_reputation(*i), central.history().signed_reputation(*i));
-        }
-    }
 }
-
-use collusion_reputation::manager::ManagerPartition;

@@ -85,4 +85,7 @@ echo "== benchmark unit tests (BENCHMARK.json == spec.rs, stats, JSON, compare) 
 # sees its tests; shares the smoke run's build. < 1 s warm, offline.
 cargo test --release -q --manifest-path benchmark/Cargo.toml --target-dir target
 
+echo "== line count (non-vendored, non-benchmark Rust; reported, not gated) =="
+git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs wc -l | tail -1
+
 echo "All checks passed."

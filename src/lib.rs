@@ -3,8 +3,7 @@
 //! Re-exports the five subsystem crates under one roof so applications can
 //! depend on a single crate:
 //!
-//! * [`reputation`] — ratings, interaction history, EigenTrust engines,
-//!   reputation managers;
+//! * [`reputation`] — ratings, interaction history, EigenTrust engines;
 //! * [`dht`] — the Chord DHT simulator backing decentralized managers;
 //! * [`core`] — the paper's contribution: the Basic (`O(m·n²)`) and
 //!   Optimized (`O(m·n)`) collusion detectors, centralized and

@@ -48,40 +48,6 @@ proptest! {
         }
     }
 
-    /// Storage placement invariant survives arbitrary churn sequences.
-    #[test]
-    fn storage_survives_churn(
-        initial in prop::collection::btree_set(0u64..1000, 4..16),
-        churn in prop::collection::vec((prop::bool::ANY, 0u64..1000), 0..20),
-        keys in prop::collection::btree_set(10_000u64..20_000, 1..40),
-    ) {
-        let mut ring = ChordRing::with_bits(32);
-        for s in &initial {
-            ring.join_with_key(consistent_hash(*s, 32));
-        }
-        let mut store: DhtStorage<u64> = DhtStorage::new(ring);
-        let origin = store.ring().members().next().unwrap();
-        for (i, &k) in keys.iter().enumerate() {
-            store.insert(origin, consistent_hash(k, 32), i as u64);
-        }
-        for (join, seed) in churn {
-            let key = consistent_hash(seed, 32);
-            if join {
-                store.node_join(key);
-            } else if store.ring().len() > 1 {
-                store.node_leave(key);
-            }
-        }
-        prop_assert_eq!(store.misplaced_keys(), 0);
-        // every stored value still reachable
-        let origin = store.ring().members().next().unwrap();
-        let mut found = 0;
-        for &k in &keys {
-            found += store.lookup(origin, consistent_hash(k, 32)).len();
-        }
-        prop_assert_eq!(found, keys.len());
-    }
-
     /// Finger tables always point at live members and respect the Chord
     /// definition.
     #[test]

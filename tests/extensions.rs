@@ -1,6 +1,6 @@
 //! Cross-crate integration tests for the beyond-the-paper extensions:
-//! the partitioned decentralized system, Chord protocol convergence,
-//! group detection fed from trace data, and baseline engines.
+//! the partitioned decentralized system, group detection fed from trace
+//! data, and baseline engines.
 
 use collusion::core::decentralized::Method;
 use collusion::core::group::{GroupDetector, GroupDetectorConfig};
@@ -8,8 +8,6 @@ use collusion::core::policy::DetectionPolicy;
 use collusion::core::system::DecentralizedSystem;
 use collusion::prelude::*;
 use collusion::trace::overstock::{self, OverstockConfig};
-use collusion_dht::hash::consistent_hash;
-use collusion_dht::stabilize::ProtocolSim;
 
 /// Feed a synthetic Overstock trace through the partitioned decentralized
 /// system and verify the injected colluding pairs are detected with the
@@ -58,25 +56,6 @@ fn overstock_trace_through_decentralized_system() {
     }
     assert!(sys.stats().inserts > 0);
     assert!(sys.stats().hops > 0, "DHT routing should cost hops at 16 managers");
-}
-
-/// The protocol-level Chord ring converges to the stabilized model that the
-/// reputation managers assume, for a burst of joins.
-#[test]
-fn protocol_ring_converges_to_manager_assumption() {
-    let mut sim = ProtocolSim::bootstrap(64, consistent_hash(10_000, 64));
-    for i in 1..20u64 {
-        sim.join(consistent_hash(10_000 + i, 64), consistent_hash(10_000, 64));
-    }
-    sim.run_until_converged(64);
-    let reference = sim.reference_ring();
-    // every key a reputation system would assign resolves identically under
-    // the protocol state and the converged-state model
-    for node_id in 0..50u64 {
-        let key = consistent_hash(node_id, 64);
-        let (owner, _) = sim.find_successor(consistent_hash(10_000, 64), key);
-        assert_eq!(owner, reference.owner(key));
-    }
 }
 
 /// Group detection works directly off trace-crate output: injected
