@@ -27,7 +27,8 @@
 //! never refused).
 
 use collusion_bench::grid::{
-    render_grid, render_nemesis_rows, standard_sweep, sweep_plan, GridHeader, GridRow, NemesisRow,
+    render_grid, render_nemesis_rows, robustness_row, standard_sweep, sweep_plan, GridHeader,
+    GridRow, NemesisRow,
 };
 use collusion_sim::cluster::nemesis::{run_nemesis, NemesisConfig, NemesisKind};
 use collusion_sim::robustness::{run_robustness, RobustnessConfig};
@@ -51,28 +52,7 @@ fn main() {
             o.unconfirmed_pairs.len(),
             o.lost_nodes
         );
-        rows.push(GridRow {
-            drop,
-            crashes_per_period: crashes,
-            joins_per_period: crashes,
-            recall: o.recall,
-            reported_fraction: o.reported_fraction,
-            message_overhead: o.message_overhead,
-            baseline_pairs: o.baseline_pairs.len(),
-            confirmed_pairs: o.confirmed_pairs.len(),
-            unconfirmed_pairs: o.unconfirmed_pairs.len(),
-            detection_messages: o.detection_messages,
-            baseline_messages: o.baseline_messages,
-            retries: o.fault.retries,
-            messages_dropped: o.fault.messages_dropped,
-            completeness: o.fault.completeness(),
-            crashed: o.crashed,
-            joined: o.joined,
-            extra: vec![
-                ("recovered_nodes", o.recovered_nodes.to_string()),
-                ("lost_nodes", o.lost_nodes.to_string()),
-            ],
-        });
+        rows.push(robustness_row(drop, crashes, &o));
     }
 
     // nemesis grid: composed fault schedules against a live TCP cluster,

@@ -9,6 +9,8 @@
 //! All JSON is hand-rolled: the workspace deliberately carries no JSON
 //! dependency.
 
+use collusion_sim::robustness::RobustnessOutcome;
+
 /// Grid-report header: topology plus transport tag.
 #[derive(Clone, Debug)]
 pub struct GridHeader {
@@ -82,36 +84,69 @@ pub fn render_grid(header: &GridHeader, rows: &[GridRow]) -> String {
     json.push_str("  \"grid\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"drop\": {:.2}, \"crashes_per_period\": {}, \"joins_per_period\": {}, \
+        json.push_str(&format!("    {}{sep}\n", render_row(r)));
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// One grid row as a single-line JSON object (no indent, no separator).
+pub fn render_row(r: &GridRow) -> String {
+    let mut json = format!(
+        "{{\"drop\": {:.2}, \"crashes_per_period\": {}, \"joins_per_period\": {}, \
              \"recall\": {:.4}, \"reported_fraction\": {:.4}, \"message_overhead\": {:.4}, \
              \"baseline_pairs\": {}, \"confirmed_pairs\": {}, \"unconfirmed_pairs\": {}, \
              \"detection_messages\": {}, \"baseline_messages\": {}, \"retries\": {}, \
              \"messages_dropped\": {}, \"completeness\": {:.4}, \"crashed\": {}, \"joined\": {}",
-            r.drop,
-            r.crashes_per_period,
-            r.joins_per_period,
-            r.recall,
-            r.reported_fraction,
-            r.message_overhead,
-            r.baseline_pairs,
-            r.confirmed_pairs,
-            r.unconfirmed_pairs,
-            r.detection_messages,
-            r.baseline_messages,
-            r.retries,
-            r.messages_dropped,
-            r.completeness,
-            r.crashed,
-            r.joined,
-        ));
-        for (k, v) in &r.extra {
-            json.push_str(&format!(", \"{k}\": {v}"));
-        }
-        json.push_str(&format!("}}{sep}\n"));
+        r.drop,
+        r.crashes_per_period,
+        r.joins_per_period,
+        r.recall,
+        r.reported_fraction,
+        r.message_overhead,
+        r.baseline_pairs,
+        r.confirmed_pairs,
+        r.unconfirmed_pairs,
+        r.detection_messages,
+        r.baseline_messages,
+        r.retries,
+        r.messages_dropped,
+        r.completeness,
+        r.crashed,
+        r.joined,
+    );
+    for (k, v) in &r.extra {
+        json.push_str(&format!(", \"{k}\": {v}"));
     }
-    json.push_str("  ]\n}\n");
+    json.push('}');
     json
+}
+
+/// The grid row of one in-process sweep point: `o` is the outcome of
+/// `run_robustness` at `(drop, crashes)`, with as many joins as crashes.
+pub fn robustness_row(drop: f64, crashes: usize, o: &RobustnessOutcome) -> GridRow {
+    GridRow {
+        drop,
+        crashes_per_period: crashes,
+        joins_per_period: crashes,
+        recall: o.recall,
+        reported_fraction: o.reported_fraction,
+        message_overhead: o.message_overhead,
+        baseline_pairs: o.baseline_pairs.len(),
+        confirmed_pairs: o.confirmed_pairs.len(),
+        unconfirmed_pairs: o.unconfirmed_pairs.len(),
+        detection_messages: o.detection_messages,
+        baseline_messages: o.baseline_messages,
+        retries: o.fault.retries,
+        messages_dropped: o.fault.messages_dropped,
+        completeness: o.fault.completeness(),
+        crashed: o.crashed,
+        joined: o.joined,
+        extra: vec![
+            ("recovered_nodes", o.recovered_nodes.to_string()),
+            ("lost_nodes", o.lost_nodes.to_string()),
+        ],
+    }
 }
 
 /// One nemesis experiment in the robustness report's `"nemesis"` section:
@@ -292,6 +327,33 @@ mod tests {
         assert!(json.contains("\"suspects_match\": true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The committed `BENCH_robustness.json` `"grid"` still reproduces:
+    /// the nine standard sweep points at n = 200, row for row. Slow in a
+    /// debug build, so it runs from `scripts/check.sh` in release:
+    /// `cargo test --release -q -p collusion-bench -- --ignored`.
+    #[test]
+    #[ignore]
+    fn committed_robustness_grid_reproduces() {
+        use collusion_sim::robustness::{run_robustness, RobustnessConfig};
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robustness.json");
+        let committed = std::fs::read_to_string(path).expect("read BENCH_robustness.json");
+        let grid: Vec<&str> = committed
+            .lines()
+            .skip_while(|l| l.trim() != "\"grid\": [")
+            .skip(1)
+            .take_while(|l| l.trim() != "]")
+            .map(|l| l.trim().trim_end_matches(','))
+            .collect();
+        let sweep = standard_sweep();
+        assert_eq!(grid.len(), sweep.len(), "committed grid has one row per sweep point");
+        for ((drop, crashes), want) in sweep.into_iter().zip(grid) {
+            let mut cfg = RobustnessConfig::standard(42).with_plan(sweep_plan(drop, crashes));
+            cfg.sim.n_nodes = 200;
+            let row = robustness_row(drop, crashes, &run_robustness(&cfg));
+            assert_eq!(render_row(&row), want, "drop {drop}, crashes {crashes}");
+        }
     }
 
     #[test]

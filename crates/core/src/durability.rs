@@ -114,7 +114,7 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            sync_policy: SyncPolicy::DEFAULT,
+            sync_policy: SyncPolicy::ASYNC_DEFAULT,
             checkpoint_interval: 1,
             keep_checkpoints: 2,
             pair_watermark: None,
@@ -314,7 +314,6 @@ pub struct DurableEngine {
     writer: CheckpointWriter,
     cfg: DurabilityConfig,
     setup: EngineSetup,
-    appends_since_sync: u64,
     closes_since_ckpt: u64,
     stats: DurabilityStats,
 }
@@ -352,7 +351,6 @@ impl DurableEngine {
             writer: CheckpointWriter::default(),
             cfg,
             setup,
-            appends_since_sync: 0,
             closes_since_ckpt: 0,
             stats: DurabilityStats::default(),
         })
@@ -486,7 +484,6 @@ impl DurableEngine {
                 writer: CheckpointWriter::default(),
                 cfg,
                 setup,
-                appends_since_sync: 0,
                 closes_since_ckpt: 0,
                 stats: DurabilityStats::default(),
             },
@@ -499,11 +496,9 @@ impl DurableEngine {
     pub fn record(&mut self, rating: Rating) -> Result<u64, DurabilityError> {
         let seq = self.wal.append(&WalRecord::Rating(rating))?;
         self.stats.wal_appends += 1;
-        self.appends_since_sync += 1;
-        if self.cfg.sync_policy.due(self.appends_since_sync) {
+        if self.cfg.sync_policy == SyncPolicy::PerRecord {
             self.wal.sync()?;
             self.stats.wal_syncs += 1;
-            self.appends_since_sync = 0;
         }
         let epochs_before = self.engine.stats().epochs;
         self.engine.record(rating);
@@ -549,11 +544,9 @@ impl DurableEngine {
         }
         self.wal.append(&WalRecord::StreamSession { session, frame_seq, accepted })?;
         self.stats.wal_appends += 1;
-        self.appends_since_sync += 1;
-        if self.cfg.sync_policy.due(self.appends_since_sync) {
+        if self.cfg.sync_policy == SyncPolicy::PerRecord {
             self.wal.sync()?;
             self.stats.wal_syncs += 1;
-            self.appends_since_sync = 0;
         }
         Ok(self.wal.len_bytes())
     }
@@ -585,7 +578,6 @@ impl DurableEngine {
         self.stats.wal_appends += 1;
         self.wal.sync()?;
         self.stats.wal_syncs += 1;
-        self.appends_since_sync = 0;
         self.closes_since_ckpt += 1;
         if self.cfg.checkpoint_interval > 0
             && self.closes_since_ckpt >= self.cfg.checkpoint_interval
@@ -694,7 +686,6 @@ impl DurableEngine {
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
         self.wal.sync()?;
         self.stats.wal_syncs += 1;
-        self.appends_since_sync = 0;
         Ok(())
     }
 

@@ -77,14 +77,10 @@ use crate::pairset::PairSet;
 use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 
-/// Which detection kernel the engine runs on candidate pairs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EpochMethod {
-    /// The §IV.B row-scan detector ([`BasicDetector`]).
-    Basic,
-    /// The §IV.C Formula (2) band detector ([`OptimizedDetector`]).
-    Optimized,
-}
+/// Which detection kernel the engine runs on candidate pairs: the
+/// §IV.B row-scan detector ([`BasicDetector`]) or the §IV.C Formula (2)
+/// band detector ([`OptimizedDetector`]).
+pub use crate::decentralized::Method as EpochMethod;
 
 /// Cumulative counters across all closed epochs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

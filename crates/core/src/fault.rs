@@ -11,7 +11,8 @@
 //! confirmed/unconfirmed partition and the same message counts. The
 //! [`FaultPlan::none`] plan draws **zero** random values, which keeps a
 //! fault-free run bit-identical (pairs, meter, messages, hops) to the
-//! fault-oblivious code path — enforced by `tests/detection_equivalence.rs`.
+//! fault-oblivious code path — enforced by `system.rs`'s
+//! `detect_robust_none_plan_matches_detect_exactly`.
 
 // One seeded implementation for the whole workspace: the DHT crate owns the
 // SplitMix64 stream, the message-fault spec, and the injector; this module
@@ -65,13 +66,6 @@ pub struct FaultPlan {
     pub max_retries: u32,
     /// Backoff before the first retry, in abstract ticks; doubles per retry.
     pub backoff_base: u64,
-    /// Total time budget of one confirmation exchange, in abstract ticks
-    /// (in-flight delays plus backoff waits); `0` = unbounded, retry count
-    /// alone limits the exchange. A slow-but-alive partner whose replies
-    /// keep arriving late therefore cannot stall a detection round: once
-    /// the budget is spent the exchange fails with
-    /// [`FaultStats::deadline_exceeded`] accounting.
-    pub deadline_ticks: u64,
     /// Manager churn applied between detection periods.
     pub churn: ChurnSchedule,
 }
@@ -84,7 +78,6 @@ impl FaultPlan {
             message: MessageFaults::none(),
             max_retries: 0,
             backoff_base: 0,
-            deadline_ticks: 0,
             churn: ChurnSchedule::none(),
         }
     }
@@ -96,7 +89,6 @@ impl FaultPlan {
             message: MessageFaults::with_drop(p, seed),
             max_retries: 3,
             backoff_base: 4,
-            deadline_ticks: 0,
             churn: ChurnSchedule::none(),
         }
     }
@@ -110,13 +102,6 @@ impl FaultPlan {
     /// Add a uniform per-message delay distribution (inclusive tick bounds).
     pub fn with_delay(mut self, min: u64, max: u64) -> Self {
         self.message = self.message.with_delay(min, max);
-        self
-    }
-
-    /// Bound the total time budget (delay + backoff ticks) of each
-    /// exchange; `0` removes the bound.
-    pub fn with_deadline(mut self, ticks: u64) -> Self {
-        self.deadline_ticks = ticks;
         self
     }
 
@@ -156,8 +141,10 @@ pub struct FaultStats {
     pub backoff_ticks: u64,
     /// Total in-flight delay experienced by delivered messages, in ticks.
     pub delay_ticks: u64,
-    /// Exchanges abandoned because their total-deadline budget ran out
-    /// (counted inside `failed_exchanges` too).
+    /// Exchanges abandoned because their total deadline ran out (counted
+    /// inside `failed_exchanges` too). Only the TCP layer's
+    /// [`crate::net::client::RpcClient`] has a deadline, so an in-process
+    /// [`FaultSession`] always leaves this 0.
     pub deadline_exceeded: u64,
 }
 
@@ -190,7 +177,6 @@ pub struct FaultSession {
     net: FaultyNet,
     max_retries: u32,
     backoff_base: u64,
-    deadline_ticks: u64,
     stats: FaultStats,
 }
 
@@ -201,7 +187,6 @@ impl FaultSession {
             net: FaultyNet::new(plan.message),
             max_retries: plan.max_retries,
             backoff_base: plan.backoff_base,
-            deadline_ticks: plan.deadline_ticks,
             stats: FaultStats::default(),
         }
     }
@@ -212,21 +197,8 @@ impl FaultSession {
     ///
     /// With a fault-free plan this is exactly one attempt, two messages,
     /// and zero random draws.
-    ///
-    /// When the plan carries a nonzero total deadline
-    /// ([`FaultPlan::deadline_ticks`]), the exchange tracks its own
-    /// elapsed ticks — in-flight delays
-    /// plus backoff waits — and gives up once the budget is spent, even if
-    /// retries remain. A round-trip whose *response* lands after the budget
-    /// counts as failed too (the caller has already moved on), which is what
-    /// keeps a slow-but-alive partner from stalling a close forever. The
-    /// deadline adds only comparisons, never draws: a plan with
-    /// `deadline_ticks == 0` behaves bit-identically to one predating the
-    /// field.
     pub fn exchange(&mut self) -> ExchangeOutcome {
         self.stats.exchanges += 1;
-        let deadline = self.deadline_ticks;
-        let mut elapsed = 0u64;
         let mut attempts = 0u32;
         let mut messages = 0u64;
         let delivered = loop {
@@ -234,47 +206,26 @@ impl FaultSession {
             messages += 1; // request
             let request_ok = self.net.send();
             let response_ok = if request_ok {
-                let d = self.net.sample_delay();
-                self.stats.delay_ticks += d;
-                elapsed += d;
+                self.stats.delay_ticks += self.net.sample_delay();
                 messages += 1; // response
                 let ok = self.net.send();
                 if ok {
-                    let d = self.net.sample_delay();
-                    self.stats.delay_ticks += d;
-                    elapsed += d;
+                    self.stats.delay_ticks += self.net.sample_delay();
                 }
                 ok
             } else {
                 false
             };
             if request_ok && response_ok {
-                if deadline != 0 && elapsed > deadline {
-                    // delivered, but after the caller's total budget: a
-                    // late answer is a failed confirmation
-                    self.stats.deadline_exceeded += 1;
-                    break false;
-                }
                 break true;
             }
             if attempts > self.max_retries {
-                break false;
-            }
-            if deadline != 0 && elapsed >= deadline {
-                // budget already spent — retrying cannot finish in time
-                self.stats.deadline_exceeded += 1;
                 break false;
             }
             self.stats.retries += 1;
             // exponential backoff, capped to keep the shift in range
             let wait = self.backoff_base << (attempts - 1).min(32);
             self.stats.backoff_ticks += wait;
-            elapsed += wait;
-            if deadline != 0 && elapsed >= deadline {
-                // the backoff wait itself consumed the rest of the budget
-                self.stats.deadline_exceeded += 1;
-                break false;
-            }
         };
         if !delivered {
             self.stats.failed_exchanges += 1;
@@ -399,63 +350,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn deadline_bounds_a_slow_but_alive_exchange() {
-        // Delays of 50–80 ticks per message leg, 10 retries allowed, but a
-        // total budget of 60 ticks: the retry count never saves the
-        // exchange — the budget does the limiting.
-        let plan = FaultPlan {
-            message: MessageFaults::with_drop(0.0, 5).with_delay(50, 80),
-            max_retries: 10,
-            backoff_base: 4,
-            deadline_ticks: 60,
-            churn: ChurnSchedule::none(),
-        };
-        let mut session = FaultSession::new(&plan);
-        for _ in 0..50 {
-            let out = session.exchange();
-            assert!(!out.delivered, "a 100+ tick round trip cannot meet a 60-tick budget");
-            assert_eq!(out.attempts, 1, "the deadline, not the retry budget, must stop it");
-        }
-        let stats = session.stats();
-        assert_eq!(stats.deadline_exceeded, 50);
-        assert_eq!(stats.failed_exchanges, 50);
-        assert_eq!(stats.retries, 0);
-    }
-
-    #[test]
-    fn deadline_cuts_retries_short_under_drops() {
-        let lossy = FaultPlan::with_drop(0.9, 11).retries(30);
-        let bounded = lossy.with_deadline(64);
-        let mut unbounded_session = FaultSession::new(&lossy);
-        let mut bounded_session = FaultSession::new(&bounded);
-        for _ in 0..200 {
-            unbounded_session.exchange();
-            bounded_session.exchange();
-        }
-        let unbounded = unbounded_session.stats();
-        let bounded = bounded_session.stats();
-        assert!(bounded.deadline_exceeded > 0, "90% drop must hit the 64-tick budget");
-        assert!(
-            bounded.backoff_ticks < unbounded.backoff_ticks,
-            "the budget must cut backoff waits short ({} vs {})",
-            bounded.backoff_ticks,
-            unbounded.backoff_ticks
-        );
-        assert!(bounded.deadline_exceeded <= bounded.failed_exchanges);
-    }
-
-    #[test]
-    fn zero_deadline_is_bit_identical_to_the_unbounded_plan() {
-        let plan = FaultPlan::with_drop(0.3, 42).with_delay(2, 9);
-        let mut a = FaultSession::new(&plan);
-        let mut b = FaultSession::new(&plan.with_deadline(0));
-        for _ in 0..500 {
-            assert_eq!(a.exchange(), b.exchange());
-        }
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   only `R_i`, `N_i` and `N(j,i)`. Complexity `O(m·n)` (Proposition 4.2).
 //!
 //! Both run centralized (one manager sees everything) or decentralized
-//! ([`decentralized`]): reputation managers on a Chord ring each scan their
-//! responsible nodes and exchange confirmation messages for cross-manager
-//! pairs.
+//! ([`system`] in process, [`net`] over TCP): reputation managers on a
+//! Chord ring each scan their responsible nodes and exchange confirmation
+//! messages for cross-manager pairs ([`decentralized::Method`] names the
+//! kernel they run).
 //!
 //! Detection costs are metered ([`cost`]) to reproduce the paper's Figure 13
 //! cost comparison, and [`sweep`] provides the threshold-tuning machinery the
@@ -74,7 +75,6 @@ pub mod system;
 pub mod prelude {
     pub use crate::basic::BasicDetector;
     pub use crate::cost::{CostMeter, CostSnapshot};
-    pub use crate::decentralized::{DecentralizedDetector, DecentralizedOutcome};
     pub use crate::durability::{
         DurabilityConfig, DurableEngine, EngineSetup, KillPoint, RecoveryReport,
     };

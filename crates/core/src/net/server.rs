@@ -55,11 +55,9 @@ use collusion_reputation::rating::Rating;
 use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
 
-use crate::basic::BasicDetector;
 use crate::cost::CostMeter;
 use crate::decentralized::Method;
 use crate::durability::{DurabilityConfig, DurableEngine, EngineSetup};
-use crate::epoch::EpochMethod;
 use crate::input::SnapshotInput;
 use crate::model::{DirectionEvidence, SuspectPair};
 use crate::net::client::{RpcClient, RpcConfig};
@@ -67,7 +65,6 @@ use crate::net::view::{PublishedView, ViewCell, ViewReader};
 use crate::net::wire::{
     ConfirmVerdict, ErrorCode, Request, Response, RoundReport, StatusInfo, WirePair,
 };
-use crate::optimized::OptimizedDetector;
 use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 
@@ -138,10 +135,7 @@ impl ManagerConfig {
     fn setup(&self) -> EngineSetup {
         EngineSetup {
             target_shards: self.shards,
-            method: match self.method {
-                Method::Basic => EpochMethod::Basic,
-                Method::Optimized => EpochMethod::Optimized,
-            },
+            method: self.method,
             thresholds: self.thresholds,
             policy: self.policy,
             prune: false,
@@ -1062,24 +1056,16 @@ fn handle(shared: &Shared, req: Request) -> Response {
     }
 }
 
-/// Direction probe on a frozen snapshot — the networked twin of
-/// `DecentralizedSystem::direction_snap`.
+/// Direction probe on a frozen snapshot with this manager's kernel.
 fn direction(
     shared: &Shared,
     snap: &ShardedSnapshot,
-    ratee: u32,
-    rater: Option<u32>,
+    probe: (u32, Option<u32>),
     meter: &CostMeter,
     cache: &mut [Option<(u64, i64)>],
 ) -> Option<DirectionEvidence> {
-    match shared.cfg.method {
-        Method::Basic => BasicDetector::with_policy(shared.cfg.thresholds, shared.cfg.policy)
-            .check_direction_snap(snap, ratee, rater, meter),
-        Method::Optimized => {
-            OptimizedDetector::with_policy(shared.cfg.thresholds, shared.cfg.policy)
-                .direction_cached(snap, ratee, rater, meter, cache)
-        }
-    }
+    let cfg = &shared.cfg;
+    cfg.method.direction(cfg.thresholds, cfg.policy, snap, probe, meter, cache)
 }
 
 /// Partner-side `Confirm` handler: answer from the frozen primary slice if
@@ -1128,7 +1114,7 @@ fn confirm_on(
     }
     let meter = CostMeter::new();
     let mut cache = vec![None; snap.n()];
-    let reverse = direction(shared, snap, r_idx, snap.index(rater), &meter, &mut cache);
+    let reverse = direction(shared, snap, (r_idx, snap.index(rater)), &meter, &mut cache);
     Some(ConfirmVerdict { known: true, high_reputed, reverse })
 }
 
@@ -1173,7 +1159,7 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
             if checked.contains(&key) {
                 continue;
             }
-            let Some(ev_fwd) = direction(shared, snap, i_idx, Some(j_idx), &meter, &mut cache)
+            let Some(ev_fwd) = direction(shared, snap, (i_idx, Some(j_idx)), &meter, &mut cache)
             else {
                 continue;
             };
@@ -1186,7 +1172,7 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
                 if !shared.cfg.thresholds.is_high_reputed(input.reputation_of_idx(p_j)) {
                     continue;
                 }
-                let ev_rev = direction(shared, snap, p_j, snap.index(i), &meter, &mut cache);
+                let ev_rev = direction(shared, snap, (p_j, snap.index(i)), &meter, &mut cache);
                 if shared.cfg.policy.require_mutual {
                     let Some(rev) = ev_rev else { continue };
                     confirmed.push(SuspectPair::new(j, i, Some(ev_fwd), Some(rev)));

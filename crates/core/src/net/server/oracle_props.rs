@@ -192,7 +192,7 @@ proptest! {
         let mut engine = EpochEngine::new(
             &cfg.nodes,
             cfg.shards,
-            EpochMethod::Optimized,
+            Method::Optimized,
             cfg.thresholds,
             cfg.policy,
             false,

@@ -1,10 +1,8 @@
 //! A complete decentralized reputation system with collusion detection —
 //! §IV.A's architecture end to end.
 //!
-//! Unlike [`crate::decentralized::DecentralizedDetector`], which evaluates
-//! the protocol against a shared view (useful for equivalence proofs), a
-//! [`DecentralizedSystem`] keeps the managers' data **physically
-//! partitioned**:
+//! The in-process model of the protocol: a [`DecentralizedSystem`] keeps
+//! the managers' data **physically partitioned**:
 //!
 //! * managers (the "power nodes") form a Chord ring;
 //! * a rating about `n_i` is routed with `Insert(ID_i, rating)` from the
@@ -19,16 +17,15 @@
 //!   — exactly the paper's message flow.
 //!
 //! The end-to-end tests assert the partitioned system reaches the same
-//! verdicts as a centralized manager fed the identical rating stream.
+//! verdicts as a centralized manager fed the identical rating stream. A
+//! crashed manager's slices come back from replicas only; recovery from
+//! disk belongs to [`crate::durability::DurableEngine`].
 
-use crate::basic::BasicDetector;
 use crate::cost::CostMeter;
 use crate::decentralized::Method;
-use crate::durability::DurabilityError;
 use crate::fault::{ChurnSchedule, FaultPlan, FaultSession, FaultStats};
 use crate::input::SnapshotInput;
 use crate::model::{DirectionEvidence, SuspectPair};
-use crate::optimized::OptimizedDetector;
 use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 use collusion_dht::hash::consistent_hash;
@@ -40,10 +37,7 @@ use collusion_reputation::id::NodeId;
 use collusion_reputation::rating::Rating;
 use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
-use collusion_reputation::wal::{replay_bytes, SyncPolicy, Wal, WalRecord};
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Cumulative network-cost counters of a running system.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,21 +57,6 @@ pub struct SystemStats {
     pub recovered_nodes: u64,
     /// Node histories irrecoverably lost to a crash (no surviving replica).
     pub lost_nodes: u64,
-    /// Node histories rebuilt by replaying the system WAL after a manager
-    /// crash — the preferred path whenever the disk copy is at least as
-    /// complete as the best surviving replica.
-    pub disk_recovered_nodes: u64,
-}
-
-/// The system-wide write-ahead log: every accepted submit is appended
-/// *before* it is applied, fsync'd per the attached [`SyncPolicy`].
-/// Shared behind a mutex so a cloned system keeps appending to the same
-/// durable stream (clones model restarted processes over one disk).
-#[derive(Clone, Debug)]
-struct SystemWal {
-    wal: Arc<Mutex<Wal>>,
-    sync_policy: SyncPolicy,
-    appends_since_sync: u64,
 }
 
 /// Result of a detection round run under a [`FaultPlan`].
@@ -113,8 +92,6 @@ pub struct DecentralizedSystem {
     replicas: HashMap<NodeId, InteractionHistory>,
     /// id source for managers spawned by churn joins
     next_spawned_manager: u64,
-    /// optional durability: the global WAL of every accepted submit
-    wal: Option<SystemWal>,
 }
 
 impl DecentralizedSystem {
@@ -165,103 +142,7 @@ impl DecentralizedSystem {
             replication,
             replicas: HashMap::new(),
             next_spawned_manager: 0x5000_0000,
-            wal: None,
         }
-    }
-
-    /// Attach a write-ahead log at `path`: from now on every accepted
-    /// [`DecentralizedSystem::submit`] is appended to it before it is
-    /// applied, fsync'd whenever [`SyncPolicy::due`] says so; a policy that
-    /// never comes due inline leaves the commit points to the caller's
-    /// [`DecentralizedSystem::wal_sync`]. A crashed manager is then
-    /// recovered by replaying the log
-    /// ([`DecentralizedSystem::manager_crash`] prefers the disk copy over
-    /// replicas whenever it is at least as complete), and a cold restart
-    /// can rebuild everything via
-    /// [`DecentralizedSystem::recover_from_wal`].
-    ///
-    /// An existing file at `path` is opened and appended to (its torn tail,
-    /// if any, is truncated); otherwise a fresh log is created.
-    pub fn enable_durability(
-        &mut self,
-        path: impl AsRef<Path>,
-        sync_policy: SyncPolicy,
-    ) -> Result<(), DurabilityError> {
-        let path = path.as_ref();
-        let wal = if path.exists() { Wal::open_existing(path)?.0 } else { Wal::create(path, 0)? };
-        self.wal =
-            Some(SystemWal { wal: Arc::new(Mutex::new(wal)), sync_policy, appends_since_sync: 0 });
-        Ok(())
-    }
-
-    /// Whether a system WAL is attached.
-    pub fn durability_enabled(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Force any buffered WAL appends to stable storage.
-    pub fn wal_sync(&mut self) -> Result<(), DurabilityError> {
-        if let Some(d) = self.wal.as_mut() {
-            d.wal.lock().expect("system WAL lock poisoned").sync()?;
-            d.appends_since_sync = 0;
-        }
-        Ok(())
-    }
-
-    /// Cold-restart recovery: open the WAL at `path` (truncating any torn
-    /// tail), re-apply every logged rating through the normal ownership
-    /// routing, rebuild the replicas, and keep the log attached for further
-    /// appends. Participant nodes must be registered first — the log stores
-    /// ratings, not memberships. Returns the number of ratings re-applied.
-    ///
-    /// Recovery counters are bit-identical to the uncrashed run because the
-    /// log *is* the accepted rating stream and counters are a pure fold
-    /// over it; only the network-cost stats differ (replay pays no hops).
-    pub fn recover_from_wal(
-        &mut self,
-        path: impl AsRef<Path>,
-        sync_policy: SyncPolicy,
-    ) -> Result<u64, DurabilityError> {
-        let (wal, replay) = Wal::open_existing(path.as_ref())?;
-        let mut applied = 0u64;
-        for (_, record) in &replay.records {
-            let WalRecord::Rating(rating) = record else { continue };
-            if rating.is_self_rating() {
-                continue;
-            }
-            let Some(&owner_key) = self.manager_of.get(&rating.ratee) else {
-                continue;
-            };
-            let manager = self.key_to_manager[&owner_key.raw()];
-            self.histories.entry(manager).or_default().record(*rating);
-            applied += 1;
-        }
-        self.rebuild_replicas();
-        self.wal =
-            Some(SystemWal { wal: Arc::new(Mutex::new(wal)), sync_policy, appends_since_sync: 0 });
-        Ok(applied)
-    }
-
-    /// Replay the attached WAL into a standalone history of every logged
-    /// rating — the disk image a crashed manager's slices are carved from.
-    /// `None` when durability is off or the log cannot be read back.
-    fn replay_wal_history(&self) -> Option<InteractionHistory> {
-        let d = self.wal.as_ref()?;
-        let bytes = {
-            let mut guard = d.wal.lock().expect("system WAL lock poisoned");
-            // surface appends still in the writer's encode buffer to the
-            // file before reading it back
-            guard.flush().ok()?;
-            std::fs::read(guard.path()).ok()?
-        };
-        let replay = replay_bytes(&bytes).ok()?;
-        let mut history = InteractionHistory::new();
-        for (_, record) in replay.records {
-            if let WalRecord::Rating(rating) = record {
-                history.record(rating);
-            }
-        }
-        Some(history)
     }
 
     /// The backup managers for histories owned by the manager at
@@ -341,17 +222,6 @@ impl DecentralizedSystem {
         let Some(&owner_key) = self.manager_of.get(&rating.ratee) else {
             return false;
         };
-        // write-ahead: the rating is logged before any state changes, so a
-        // crash between here and the history update loses nothing
-        if let Some(d) = self.wal.as_mut() {
-            let mut wal = d.wal.lock().expect("system WAL lock poisoned");
-            wal.append(&WalRecord::Rating(rating)).expect("system WAL append failed");
-            d.appends_since_sync += 1;
-            if d.sync_policy.due(d.appends_since_sync) {
-                wal.sync().expect("system WAL fsync failed");
-                d.appends_since_sync = 0;
-            }
-        }
         // route from the gateway to the owner, paying hops
         let gateway = self.ring.members().next().expect("ring non-empty");
         let route =
@@ -453,12 +323,7 @@ impl DecentralizedSystem {
         // Reassign ownership; slices between survivors move as usual, the
         // crashed manager's are skipped (its data no longer exists).
         let migrated = self.rebalance();
-        // Recover each orphaned node's slice, disk first: replaying the
-        // system WAL reconstructs the full accepted rating stream, so the
-        // disk copy is bit-identical to the uncrashed counters. Replicas
-        // are the degraded fallback — used only when the disk copy is
-        // absent or less complete (e.g. the WAL was attached late).
-        let mut disk = self.replay_wal_history();
+        // Recover each orphaned node's slice from the best surviving backup.
         let mut backup_managers: Vec<NodeId> = self.replicas.keys().copied().collect();
         backup_managers.sort_unstable();
         for node in orphaned {
@@ -467,14 +332,6 @@ impl DecentralizedSystem {
                 .map(|&m| (self.replicas[&m].ratings_for(node), m))
                 .filter(|&(count, _)| count > 0)
                 .max_by_key(|&(count, m)| (count, std::cmp::Reverse(m)));
-            let disk_count = disk.as_ref().map_or(0, |h| h.ratings_for(node));
-            if disk_count > 0 && disk_count >= best.map_or(0, |(count, _)| count) {
-                let slice = disk.as_mut().expect("disk history present").split_off_ratee(node);
-                let new_owner = self.key_to_manager[&self.manager_of[&node].raw()];
-                self.histories.entry(new_owner).or_default().merge(&slice);
-                self.stats.disk_recovered_nodes += 1;
-                continue;
-            }
             let Some((_, source)) = best else {
                 self.stats.lost_nodes += 1;
                 continue;
@@ -639,7 +496,7 @@ impl DecentralizedSystem {
                         continue;
                     }
                     let Some(ev_fwd) =
-                        self.direction_snap(snap, i_idx, Some(j_idx), &meter, &mut caches[k])
+                        self.direction_snap(snap, (i_idx, Some(j_idx)), &meter, &mut caches[k])
                     else {
                         continue;
                     };
@@ -672,8 +529,7 @@ impl DecentralizedSystem {
                     }
                     let ev_rev = self.direction_snap(
                         p_snap,
-                        p_j,
-                        p_snap.index(i),
+                        (p_j, p_snap.index(i)),
                         &meter,
                         &mut caches[p_pos],
                     );
@@ -696,17 +552,11 @@ impl DecentralizedSystem {
     fn direction_snap(
         &self,
         snap: &ShardedSnapshot,
-        ratee: u32,
-        rater: Option<u32>,
+        probe: (u32, Option<u32>),
         meter: &CostMeter,
         cache: &mut [Option<(u64, i64)>],
     ) -> Option<DirectionEvidence> {
-        match self.method {
-            Method::Basic => BasicDetector::with_policy(self.thresholds, self.policy)
-                .check_direction_snap(snap, ratee, rater, meter),
-            Method::Optimized => OptimizedDetector::with_policy(self.thresholds, self.policy)
-                .direction_cached(snap, ratee, rater, meter, cache),
-        }
+        self.method.direction(self.thresholds, self.policy, snap, probe, meter, cache)
     }
 }
 
@@ -714,6 +564,7 @@ impl DecentralizedSystem {
 mod tests {
     use super::*;
     use crate::input::DetectionInput;
+    use crate::optimized::OptimizedDetector;
     use collusion_reputation::id::SimTime;
 
     fn thresholds() -> Thresholds {
@@ -748,12 +599,21 @@ mod tests {
     }
 
     fn build_system(managers: u64) -> DecentralizedSystem {
+        build_replicated_system(managers, 1)
+    }
+
+    fn build_replicated_system(managers: u64, replication: usize) -> DecentralizedSystem {
         let manager_ids: Vec<NodeId> = (1000..1000 + managers).map(NodeId).collect();
-        let mut sys = DecentralizedSystem::new(
-            &manager_ids,
+        build_on(&manager_ids, replication)
+    }
+
+    fn build_on(manager_ids: &[NodeId], replication: usize) -> DecentralizedSystem {
+        let mut sys = DecentralizedSystem::with_replication(
+            manager_ids,
             thresholds(),
             Method::Optimized,
             DetectionPolicy::STRICT,
+            replication,
         );
         for id in (1..=2).chain(20..=21).chain(40..45) {
             sys.register(NodeId(id));
@@ -782,6 +642,10 @@ mod tests {
                 "{managers} managers diverged from centralized"
             );
         }
+        // duplicate manager ids are tolerated: the ring holds each id once
+        let mut dup = build_on(&[NodeId(1000), NodeId(1000), NodeId(1001)], 1);
+        assert_eq!(dup.key_to_manager.len(), 2);
+        assert_eq!(dup.detect().pair_ids(), central.pair_ids());
     }
 
     #[test]
@@ -806,6 +670,11 @@ mod tests {
     #[test]
     fn cross_manager_detection_costs_messages() {
         let mut sys = build_system(64);
+        // every registered node has exactly one manager, and it is on the ring
+        for &node in &sys.nodes {
+            let manager = sys.manager_of(node).expect("registered");
+            assert!(sys.key_to_manager.values().any(|&m| m == manager), "{node} unmanaged");
+        }
         let report = sys.detect();
         assert_eq!(report.pairs.len(), 2);
         let stats = sys.stats();
@@ -836,6 +705,9 @@ mod tests {
         assert_eq!(sys.nodes, vec![NodeId(2), NodeId(5)]);
         assert_eq!(sys.manager_of(NodeId(5)), Some(NodeId(1000)));
         assert_eq!(sys.manager_of(NodeId(9)), None);
+        // an empty manager set is rejected
+        let empty = std::panic::catch_unwind(|| build_on(&[], 1));
+        assert!(empty.is_err(), "a system needs at least one reputation manager");
     }
 
     #[test]
@@ -891,24 +763,6 @@ mod tests {
         let mut basic = build_system(8);
         basic.method = Method::Basic;
         assert_eq!(basic.detect().pair_ids(), opt.detect().pair_ids());
-    }
-
-    fn build_replicated_system(managers: u64, replication: usize) -> DecentralizedSystem {
-        let manager_ids: Vec<NodeId> = (1000..1000 + managers).map(NodeId).collect();
-        let mut sys = DecentralizedSystem::with_replication(
-            &manager_ids,
-            thresholds(),
-            Method::Optimized,
-            DetectionPolicy::STRICT,
-            replication,
-        );
-        for id in (1..=2).chain(20..=21).chain(40..45) {
-            sys.register(NodeId(id));
-        }
-        for r in ratings() {
-            sys.submit(r);
-        }
-        sys
     }
 
     #[test]
@@ -975,116 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn unreplicated_crash_recovers_from_wal() {
-        let baseline = build_system(8).detect().pair_ids();
-        let dir = crate::durability::scratch_dir("sys-unreplicated");
-        // unreplicated system, but with a WAL attached before any submit
-        let manager_ids: Vec<NodeId> = (1000..1008u64).map(NodeId).collect();
-        let mut logged = DecentralizedSystem::new(
-            &manager_ids,
-            thresholds(),
-            Method::Optimized,
-            DetectionPolicy::STRICT,
-        );
-        logged.enable_durability(dir.join("logged.wal"), SyncPolicy::EveryK(16)).unwrap();
-        for id in (1..=2).chain(20..=21).chain(40..45) {
-            logged.register(NodeId(id));
-        }
-        for r in ratings() {
-            logged.submit(r);
-        }
-        // crash every data-bearing manager except the survivor; without the
-        // WAL this loses slices (see unreplicated_crash_loses_data test)
-        for id in 1000..1007u64 {
-            logged.manager_crash(NodeId(id));
-        }
-        assert_eq!(logged.stats().lost_nodes, 0, "WAL must cover every orphaned slice");
-        assert!(logged.stats().disk_recovered_nodes > 0);
-        assert_eq!(logged.stats().recovered_nodes, 0, "no replicas to recover from");
-        assert_eq!(logged.lookup_reputation(NodeId(1)), 25);
-        assert_eq!(logged.lookup_reputation(NodeId(40)), 4);
-        assert_eq!(logged.detect().pair_ids(), baseline);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disk_recovery_preferred_over_replicas_and_identical() {
-        let baseline = build_system(8).detect().pair_ids();
-        let dir = crate::durability::scratch_dir("sys-disk-first");
-        // replicated AND logged: the disk copy is always at least as
-        // complete as any replica, so it must win every recovery
-        let manager_ids: Vec<NodeId> = (1000..1008u64).map(NodeId).collect();
-        let mut sys = DecentralizedSystem::with_replication(
-            &manager_ids,
-            thresholds(),
-            Method::Optimized,
-            DetectionPolicy::STRICT,
-            3,
-        );
-        sys.enable_durability(dir.join("system.wal"), SyncPolicy::EveryK(16)).unwrap();
-        for id in (1..=2).chain(20..=21).chain(40..45) {
-            sys.register(NodeId(id));
-        }
-        for r in ratings() {
-            sys.submit(r);
-        }
-        let mut replica_only = build_replicated_system(8, 3);
-        for id in [1000u64, 1003, 1006] {
-            assert!(sys.manager_crash(NodeId(id)).is_some());
-            assert!(replica_only.manager_crash(NodeId(id)).is_some());
-        }
-        let stats = sys.stats();
-        assert!(stats.disk_recovered_nodes > 0);
-        assert_eq!(stats.recovered_nodes, 0, "disk must preempt every replica recovery");
-        assert_eq!(stats.lost_nodes, 0);
-        // identical verdicts to both the replica-rebuilt world and baseline
-        assert_eq!(sys.detect().pair_ids(), baseline);
-        assert_eq!(replica_only.detect().pair_ids(), baseline);
-        // and bit-identical counters: every reputation matches
-        for id in (1..=2).chain(20..=21).chain(40..45) {
-            assert_eq!(
-                sys.lookup_reputation(NodeId(id)),
-                replica_only.lookup_reputation(NodeId(id)),
-                "node {id} counters diverged between disk and replica recovery"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cold_restart_replays_the_wal_bit_identically() {
-        let dir = crate::durability::scratch_dir("sys-cold-restart");
-        let wal_path = dir.join("system.wal");
-        let baseline = {
-            let mut sys = build_replicated_system(8, 1);
-            sys.enable_durability(&wal_path, SyncPolicy::EveryK(16)).unwrap();
-            for r in ratings() {
-                sys.submit(r);
-            }
-            sys.wal_sync().unwrap();
-            sys.detect().pair_ids()
-        }; // process "dies" here; only the WAL file survives
-        let manager_ids: Vec<NodeId> = (1000..1008u64).map(NodeId).collect();
-        let mut restarted = DecentralizedSystem::new(
-            &manager_ids,
-            thresholds(),
-            Method::Optimized,
-            DetectionPolicy::STRICT,
-        );
-        for id in (1..=2).chain(20..=21).chain(40..45) {
-            restarted.register(NodeId(id));
-        }
-        let replayed = restarted.recover_from_wal(&wal_path, SyncPolicy::EveryK(16)).unwrap();
-        assert_eq!(replayed, ratings().len() as u64);
-        assert!(restarted.durability_enabled(), "log stays attached after recovery");
-        assert_eq!(restarted.lookup_reputation(NodeId(1)), 25);
-        assert_eq!(restarted.detect().pair_ids(), baseline);
-        // the reopened log keeps accepting submits where it left off
-        assert!(restarted.submit(Rating::positive(NodeId(40), NodeId(1), SimTime(99_999))));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn detect_robust_none_plan_matches_detect_exactly() {
         let mut plain = build_system(16);
         let mut robust = build_system(16);
@@ -1095,6 +839,9 @@ mod tests {
         assert!(out.unconfirmed.is_empty());
         assert_eq!(out.fault.completeness(), 1.0);
         assert_eq!(plain.stats(), robust.stats(), "hops/messages must match");
+        // exchanges happened, so the accounting is live, not vacuous
+        assert!(out.fault.exchanges > 0);
+        assert_eq!(out.fault.messages_sent, robust.stats().detection_messages);
     }
 
     #[test]
@@ -1131,6 +878,7 @@ mod tests {
                     "seed {seed}: fault-free pair {pair:?} vanished instead of degrading"
                 );
             }
+            assert!(out.fault.failed_exchanges as usize >= out.unconfirmed.len());
             saw_unconfirmed |= !out.unconfirmed.is_empty();
         }
         assert!(saw_unconfirmed, "60% drop without retries must strand some pairs");

@@ -1,12 +1,14 @@
 //! Property-based tests for the collusion detectors.
 
 use collusion_core::basic::BasicDetector;
-use collusion_core::decentralized::{DecentralizedDetector, Method};
+use collusion_core::decentralized::Method;
 use collusion_core::group::{GroupDetector, GroupDetectorConfig};
 use collusion_core::input::DetectionInput;
 use collusion_core::mitigation::apply_mitigation;
 use collusion_core::optimized::OptimizedDetector;
+use collusion_core::policy::DetectionPolicy;
 use collusion_core::prelude::Thresholds;
+use collusion_core::system::DecentralizedSystem;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::{Rating, RatingValue};
@@ -98,9 +100,16 @@ proptest! {
         let th = Thresholds::new(1.0, 8, 0.8, 0.3);
         let central = OptimizedDetector::new(th).detect(&input);
         let manager_ids: Vec<NodeId> = (500..500 + managers as u64).map(NodeId).collect();
-        let dec = DecentralizedDetector::new(th, Method::Optimized).detect(&input, &manager_ids);
-        prop_assert_eq!(dec.report.pair_ids(), central.pair_ids());
-        prop_assert_eq!(dec.messages % 2, 0);
+        let mut sys =
+            DecentralizedSystem::new(&manager_ids, th, Method::Optimized, DetectionPolicy::STRICT);
+        for &node in &nodes {
+            sys.register(node);
+        }
+        for &r in &ratings {
+            sys.submit(r);
+        }
+        prop_assert_eq!(sys.detect().pair_ids(), central.pair_ids());
+        prop_assert_eq!(sys.stats().detection_messages % 2, 0);
     }
 
     /// Detection reports are insensitive to rating order.

@@ -101,10 +101,6 @@ const WRITE_BUF_FLUSH: usize = 256 * 1024;
 pub enum SyncPolicy {
     /// Sync after every record: zero loss window, one fsync per append.
     PerRecord,
-    /// Sync once at least `k` records are pending (`k ≥ 1`; 0 behaves as
-    /// 1). Batched appends count whole batches, so a batch larger than `k`
-    /// still costs a single fsync — the group-commit case.
-    EveryK(u64),
     /// Asynchronous group commit: a dedicated committer thread fsyncs in
     /// the background whenever `max_bytes` of encoded records accumulate
     /// or `max_delay_micros` pass since the oldest uncommitted append,
@@ -124,32 +120,10 @@ pub enum SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// The historical default: group-fsync every 64 appends.
-    pub const DEFAULT: SyncPolicy = SyncPolicy::EveryK(64);
-
     /// Default asynchronous group commit: flush at 256 KiB of encoded
     /// records or 2 ms of latency, whichever first.
     pub const ASYNC_DEFAULT: SyncPolicy =
         SyncPolicy::Async { max_bytes: WRITE_BUF_FLUSH as u32, max_delay_micros: 2_000 };
-
-    /// Whether `pending` un-synced appends require a sync now.
-    ///
-    /// `Async` never comes due: the committer thread owns the fsync
-    /// schedule, callers only issue barriers via [`Wal::sync`].
-    #[inline]
-    pub fn due(self, pending: u64) -> bool {
-        match self {
-            SyncPolicy::PerRecord => pending > 0,
-            SyncPolicy::EveryK(k) => pending >= k.max(1),
-            SyncPolicy::Async { .. } => false,
-        }
-    }
-}
-
-impl Default for SyncPolicy {
-    fn default() -> Self {
-        SyncPolicy::DEFAULT
-    }
 }
 
 /// One logical WAL entry, decoded.
@@ -617,7 +591,7 @@ impl DurableWaiter {
 /// Appends encode into an internal buffer that is written to the OS in
 /// `WRITE_BUF_FLUSH`-sized chunks; [`Wal::sync`] flushes and makes
 /// everything durable. Callers schedule syncs via [`SyncPolicy`] (per
-/// record, every k records, or group commit at epoch closes) and always
+/// record, or group commit with barriers at epoch closes) and always
 /// sync before a checkpoint. [`Wal::enable_group_commit`] additionally
 /// moves fsyncs to a background committer thread with bounded-latency
 /// batching — the [`SyncPolicy::Async`] mode.
@@ -1089,18 +1063,6 @@ mod tests {
         assert_eq!(batched.append_ratings(&[]).unwrap(), (end, end));
         assert_eq!(batched.next_seq(), end);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sync_policy_due_semantics() {
-        assert!(SyncPolicy::PerRecord.due(1));
-        assert!(!SyncPolicy::PerRecord.due(0));
-        assert!(!SyncPolicy::EveryK(64).due(63));
-        assert!(SyncPolicy::EveryK(64).due(64));
-        assert!(SyncPolicy::EveryK(64).due(200));
-        assert!(SyncPolicy::EveryK(0).due(1), "k=0 behaves as k=1");
-        assert!(!SyncPolicy::ASYNC_DEFAULT.due(u64::MAX), "async never comes due inline");
-        assert_eq!(SyncPolicy::default(), SyncPolicy::EveryK(64));
     }
 
     #[test]

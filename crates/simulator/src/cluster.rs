@@ -127,7 +127,6 @@ impl ClusterConfig {
         cfg.plan = FaultPlan::none();
         cfg.churn_periods = 0;
         cfg.thresholds = self.thresholds;
-        cfg.durable = false;
         cfg
     }
 }
@@ -477,7 +476,7 @@ pub fn run_cluster_robustness(cfg: &ClusterConfig) -> ClusterOutcome {
     let (_, history) = Simulation::new(cfg.sim.clone()).run_with_history();
     let entries = sorted_pairs(&history);
     let rob = cfg.as_robustness();
-    let mut baseline = build_system(&rob, 1, &entries, None);
+    let mut baseline = build_system(&rob, 1, &entries);
     let baseline_pairs = baseline.detect().pair_ids();
     drop(baseline);
 

@@ -218,7 +218,7 @@ pub fn run_nemesis(cfg: &NemesisConfig) -> NemesisOutcome {
     let (_, history) = Simulation::new(cluster_cfg.sim.clone()).run_with_history();
     let entries = sorted_pairs(&history);
     let rob = cluster_cfg.as_robustness();
-    let mut baseline = build_system(&rob, 1, &entries, None);
+    let mut baseline = build_system(&rob, 1, &entries);
     let baseline_pairs = baseline.detect().pair_ids();
     drop(baseline);
 

@@ -53,10 +53,6 @@ pub struct RobustnessConfig {
     /// `T_R = 1` accepts any positively reputed node — the pair-rate and
     /// fraction thresholds do the discriminating on this workload.
     pub thresholds: Thresholds,
-    /// Write-ahead-log every accepted submit of the *faulty* system into a
-    /// scratch directory, so crashed managers recover orphaned histories
-    /// from disk before falling back to replicas.
-    pub durable: bool,
 }
 
 impl RobustnessConfig {
@@ -75,7 +71,6 @@ impl RobustnessConfig {
             plan: FaultPlan::none(),
             churn_periods: 4,
             thresholds: Thresholds::new(1.0, 100, 0.95, 0.7),
-            durable: false,
         }
     }
 
@@ -88,12 +83,6 @@ impl RobustnessConfig {
     /// Replace the replication factor.
     pub fn with_replication(mut self, replication: usize) -> Self {
         self.replication = replication;
-        self
-    }
-
-    /// Enable the system write-ahead log on the faulty run.
-    pub fn with_durability(mut self) -> Self {
-        self.durable = true;
         self
     }
 }
@@ -126,9 +115,6 @@ pub struct RobustnessOutcome {
     pub joined: usize,
     /// Node histories recovered from replicas after crashes.
     pub recovered_nodes: u64,
-    /// Node histories recovered by replaying the system write-ahead log
-    /// (the preferred path when [`RobustnessConfig::durable`] is on).
-    pub disk_recovered_nodes: u64,
     /// Node histories lost to crashes (no surviving replica).
     pub lost_nodes: u64,
 }
@@ -149,7 +135,6 @@ pub(crate) fn build_system(
     cfg: &RobustnessConfig,
     replication: usize,
     entries: &[(NodeId, NodeId, PairCounters)],
-    wal_path: Option<&std::path::Path>,
 ) -> DecentralizedSystem {
     let manager_ids: Vec<NodeId> = (0..cfg.managers).map(|k| NodeId(0x4000_0000 + k)).collect();
     let mut sys = DecentralizedSystem::with_replication(
@@ -159,9 +144,6 @@ pub(crate) fn build_system(
         DetectionPolicy::STRICT,
         replication,
     );
-    if let Some(path) = wal_path {
-        sys.enable_durability(path, SyncPolicy::EveryK(64)).expect("enable system WAL");
-    }
     for id in 1..=cfg.sim.n_nodes {
         sys.register(NodeId(id));
     }
@@ -185,15 +167,13 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessOutcome {
     let entries = sorted_pairs(&history);
 
     // fault-free baseline: unreplicated, no churn, no message faults
-    let mut baseline = build_system(cfg, 1, &entries, None);
+    let mut baseline = build_system(cfg, 1, &entries);
     let baseline_report = baseline.detect();
     let baseline_pairs = baseline_report.pair_ids();
     let baseline_messages = baseline.stats().detection_messages;
 
     // faulty run: churn between periods, then the detection round
-    let wal_dir = cfg.durable.then(|| scratch_dir("robustness-syswal"));
-    let wal_path = wal_dir.as_ref().map(|d| d.join("system.wal"));
-    let mut sys = build_system(cfg, cfg.replication, &entries, wal_path.as_deref());
+    let mut sys = build_system(cfg, cfg.replication, &entries);
     let (mut crashed, mut joined) = (0, 0);
     for period in 0..cfg.churn_periods {
         let (c, j) = sys.apply_churn(&cfg.plan.churn, period);
@@ -214,10 +194,6 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessOutcome {
     let frac = |k: usize| if denom == 0 { 1.0 } else { k as f64 / denom as f64 };
     let fault = out.fault;
     let stats = sys.stats();
-    drop(sys);
-    if let Some(dir) = wal_dir {
-        std::fs::remove_dir_all(&dir).ok();
-    }
     RobustnessOutcome {
         recall: frac(recalled),
         reported_fraction: frac(reported),
@@ -235,7 +211,6 @@ pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessOutcome {
         crashed,
         joined,
         recovered_nodes: stats.recovered_nodes,
-        disk_recovered_nodes: stats.disk_recovered_nodes,
         lost_nodes: stats.lost_nodes,
     }
 }
@@ -281,7 +256,7 @@ impl CrashRecoveryConfig {
             epoch_len: 500,
             crash_after: 0, // 0 = auto: 60% of the stream
             durability: DurabilityConfig {
-                sync_policy: SyncPolicy::EveryK(32),
+                sync_policy: SyncPolicy::ASYNC_DEFAULT,
                 checkpoint_interval: 2,
                 keep_checkpoints: 2,
                 pair_watermark: None,

@@ -5,16 +5,19 @@
 //! cargo run --release --example decentralized_dht -- [managers] [seed]
 //! ```
 //!
-//! Builds a rating history with three colluding pairs, then runs detection
-//! with an increasing number of reputation managers (power nodes) on a
-//! Chord ring, showing that the detected pairs never change while the
-//! cross-manager confirmation messages and DHT routing hops grow.
+//! Builds a rating stream with three colluding pairs, submits it to a
+//! partitioned system with an increasing number of reputation managers
+//! (power nodes) on a Chord ring, and runs detection, showing that the
+//! detected pairs never change while the cross-manager confirmation
+//! messages and DHT routing hops grow.
 
-use collusion::core::decentralized::{DecentralizedDetector, Method};
+use collusion::core::decentralized::Method;
+use collusion::core::policy::DetectionPolicy;
 use collusion::prelude::*;
+use std::collections::HashMap;
 
-fn build_history() -> (InteractionHistory, Vec<NodeId>) {
-    let mut h = InteractionHistory::new();
+fn build_ratings() -> (Vec<Rating>, Vec<NodeId>) {
+    let mut ratings = Vec::new();
     let mut t = 0u64;
     let mut tick = || {
         t += 1;
@@ -22,23 +25,23 @@ fn build_history() -> (InteractionHistory, Vec<NodeId>) {
     };
     for (a, b) in [(1u64, 2u64), (20, 21), (40, 41)] {
         for _ in 0..30 {
-            h.record(Rating::positive(NodeId(a), NodeId(b), tick()));
-            h.record(Rating::positive(NodeId(b), NodeId(a), tick()));
+            ratings.push(Rating::positive(NodeId(a), NodeId(b), tick()));
+            ratings.push(Rating::positive(NodeId(b), NodeId(a), tick()));
         }
         for k in 0..6 {
-            h.record(Rating::negative(NodeId(60 + k), NodeId(a), tick()));
-            h.record(Rating::negative(NodeId(60 + k), NodeId(b), tick()));
+            ratings.push(Rating::negative(NodeId(60 + k), NodeId(a), tick()));
+            ratings.push(Rating::negative(NodeId(60 + k), NodeId(b), tick()));
         }
     }
     // honest cross-traffic among the community
     for k in 0..10u64 {
         for l in 0..10u64 {
             if k != l {
-                h.record(Rating::positive(NodeId(60 + k), NodeId(60 + l), tick()));
+                ratings.push(Rating::positive(NodeId(60 + k), NodeId(60 + l), tick()));
             }
         }
     }
-    (h, (1..=70).map(NodeId).collect())
+    (ratings, (1..=70).map(NodeId).collect())
 }
 
 fn main() {
@@ -46,7 +49,11 @@ fn main() {
     let max_managers: u64 = args.next().map(|s| s.parse().expect("managers")).unwrap_or(32);
     let _seed: u64 = args.next().map(|s| s.parse().expect("seed")).unwrap_or(2012);
 
-    let (history, nodes) = build_history();
+    let (ratings, nodes) = build_ratings();
+    let mut history = InteractionHistory::new();
+    for &r in &ratings {
+        history.record(r);
+    }
     let input = DetectionInput::from_signed_history(&history, &nodes);
     let thresholds = Thresholds::new(1.0, 20, 0.8, 0.2);
 
@@ -58,19 +65,37 @@ fn main() {
     let mut m = 1u64;
     while m <= max_managers {
         let managers: Vec<NodeId> = (1000..1000 + m).map(NodeId).collect();
-        let outcome =
-            DecentralizedDetector::new(thresholds, Method::Optimized).detect(&input, &managers);
+        let mut sys = DecentralizedSystem::new(
+            &managers,
+            thresholds,
+            Method::Optimized,
+            DetectionPolicy::STRICT,
+        );
+        for &node in &nodes {
+            sys.register(node);
+        }
+        for &r in &ratings {
+            sys.submit(r);
+        }
+        // the detection round's share of the network cost
+        let before = sys.stats();
+        let report = sys.detect();
+        let after = sys.stats();
         assert_eq!(
-            outcome.report.pair_ids(),
+            report.pair_ids(),
             central.pair_ids(),
             "decentralized result must match centralized"
         );
-        let max_load = outcome.load.values().copied().max().unwrap_or(0);
+        let mut load: HashMap<NodeId, usize> = HashMap::new();
+        for &node in &nodes {
+            *load.entry(sys.manager_of(node).expect("registered")).or_default() += 1;
+        }
+        let max_load = load.values().copied().max().unwrap_or(0);
         println!(
             "{m:>8}  {:>5}  {:>8}  {:>8}  {max_load:>8}",
-            outcome.report.pairs.len(),
-            outcome.messages,
-            outcome.dht_hops
+            report.pairs.len(),
+            after.detection_messages - before.detection_messages,
+            after.hops - before.hops
         );
         m *= 2;
     }

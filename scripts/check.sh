@@ -35,6 +35,11 @@ done
 echo "== fault matrix (drop ∈ {0, 0.1, 0.3}) =="
 cargo test --release --test fault_tolerance -q
 
+echo "== in-process robustness grid (the committed BENCH_robustness.json \"grid\", row for row) =="
+# the nine drop×churn sweep points at n=200 through DecentralizedSystem;
+# ≈ 25 s in a debug build, so the test is #[ignore]d and runs here
+cargo test --release -q -p collusion-bench -- --ignored
+
 echo "== crash matrix (every kill-point, fixed seed, bit-identical recovery) =="
 cargo test --release -q -p collusion-sim crash -- --nocapture
 

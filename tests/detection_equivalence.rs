@@ -1,7 +1,7 @@
 //! Cross-crate equivalence tests: the four detector deployments (Basic /
 //! Optimized × centralized / decentralized) agree on randomized workloads.
 
-use collusion::core::decentralized::{DecentralizedDetector, Method};
+use collusion::core::decentralized::Method;
 use collusion::core::policy::DetectionPolicy;
 use collusion::prelude::*;
 use rand::rngs::SmallRng;
@@ -9,8 +9,17 @@ use rand::{Rng, SeedableRng};
 
 /// Random marketplace history with `pairs` injected colluding pairs.
 fn random_history(seed: u64, n_nodes: u64, pairs: u64) -> (InteractionHistory, Vec<NodeId>) {
-    let mut rng = SmallRng::seed_from_u64(seed);
     let mut h = InteractionHistory::new();
+    for r in random_ratings(seed, n_nodes, pairs) {
+        h.record(r);
+    }
+    (h, (1..=n_nodes).map(NodeId).collect())
+}
+
+/// The rating stream behind [`random_history`], in recording order.
+fn random_ratings(seed: u64, n_nodes: u64, pairs: u64) -> Vec<Rating> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut ratings = Vec::new();
     let mut t = 0u64;
     let mut tick = || {
         t += 1;
@@ -25,12 +34,11 @@ fn random_history(seed: u64, n_nodes: u64, pairs: u64) -> (InteractionHistory, V
             b = 1 + b % n_nodes;
         }
         let positive = if b <= 2 * pairs { rng.random_bool(0.1) } else { rng.random_bool(0.8) };
-        let r = if positive {
+        ratings.push(if positive {
             Rating::positive(NodeId(a), NodeId(b), tick())
         } else {
             Rating::negative(NodeId(a), NodeId(b), tick())
-        };
-        h.record(r);
+        });
     }
     // colluding pairs on the low ids: mutual boost + community disdain
     for p in 0..pairs {
@@ -38,16 +46,36 @@ fn random_history(seed: u64, n_nodes: u64, pairs: u64) -> (InteractionHistory, V
         let b = NodeId(2 + 2 * p);
         let boost = rng.random_range(45..70);
         for _ in 0..boost {
-            h.record(Rating::positive(a, b, tick()));
-            h.record(Rating::positive(b, a, tick()));
+            ratings.push(Rating::positive(a, b, tick()));
+            ratings.push(Rating::positive(b, a, tick()));
         }
         for _ in 0..rng.random_range(5..15) {
             let rater = NodeId(rng.random_range(2 * pairs + 1..=n_nodes));
-            h.record(Rating::negative(rater, a, tick()));
-            h.record(Rating::negative(rater, b, tick()));
+            ratings.push(Rating::negative(rater, a, tick()));
+            ratings.push(Rating::negative(rater, b, tick()));
         }
     }
-    (h, (1..=n_nodes).map(NodeId).collect())
+    ratings
+}
+
+/// Feed `ratings` through a partitioned [`DecentralizedSystem`] on
+/// `managers` and run one detection round: its report and the system's
+/// cumulative stats.
+fn system_detect(
+    ratings: &[Rating],
+    n_nodes: u64,
+    managers: &[NodeId],
+    method: Method,
+) -> (DetectionReport, SystemStats) {
+    let mut sys = DecentralizedSystem::new(managers, thresholds(), method, DetectionPolicy::STRICT);
+    for id in 1..=n_nodes {
+        sys.register(NodeId(id));
+    }
+    for &r in ratings {
+        sys.submit(r);
+    }
+    let report = sys.detect();
+    (report, sys.stats())
 }
 
 fn thresholds() -> Thresholds {
@@ -58,17 +86,16 @@ fn thresholds() -> Thresholds {
 fn all_four_deployments_agree_across_seeds() {
     for seed in 0..10u64 {
         let (h, nodes) = random_history(seed, 40, 3);
+        let ratings = random_ratings(seed, 40, 3);
         let input = DetectionInput::from_signed_history(&h, &nodes);
         let basic = BasicDetector::new(thresholds()).detect(&input);
         let optimized = OptimizedDetector::new(thresholds()).detect(&input);
         let managers: Vec<NodeId> = (1000..1008).map(NodeId).collect();
-        let dec_basic =
-            DecentralizedDetector::new(thresholds(), Method::Basic).detect(&input, &managers);
-        let dec_opt =
-            DecentralizedDetector::new(thresholds(), Method::Optimized).detect(&input, &managers);
+        let (dec_basic, _) = system_detect(&ratings, 40, &managers, Method::Basic);
+        let (dec_opt, _) = system_detect(&ratings, 40, &managers, Method::Optimized);
         assert_eq!(basic.pair_ids(), optimized.pair_ids(), "seed {seed}: basic vs optimized");
-        assert_eq!(basic.pair_ids(), dec_basic.report.pair_ids(), "seed {seed}: dec basic");
-        assert_eq!(optimized.pair_ids(), dec_opt.report.pair_ids(), "seed {seed}: dec optimized");
+        assert_eq!(basic.pair_ids(), dec_basic.pair_ids(), "seed {seed}: dec basic");
+        assert_eq!(optimized.pair_ids(), dec_opt.pair_ids(), "seed {seed}: dec optimized");
     }
 }
 
@@ -218,45 +245,13 @@ fn incremental_refresh_matches_fresh_build_detection() {
 
 #[test]
 fn decentralized_message_count_scales_with_manager_dispersion() {
-    let (h, nodes) = random_history(11, 60, 4);
-    let input = DetectionInput::from_signed_history(&h, &nodes);
-    let one =
-        DecentralizedDetector::new(thresholds(), Method::Optimized).detect(&input, &[NodeId(1000)]);
+    let ratings = random_ratings(11, 60, 4);
+    let (one, one_stats) = system_detect(&ratings, 60, &[NodeId(1000)], Method::Optimized);
     let many_managers: Vec<NodeId> = (1000..1128).map(NodeId).collect();
-    let many =
-        DecentralizedDetector::new(thresholds(), Method::Optimized).detect(&input, &many_managers);
-    assert_eq!(one.messages, 0);
-    assert!(many.messages >= one.messages);
-    assert_eq!(one.report.pair_ids(), many.report.pair_ids());
-}
-
-#[test]
-fn fault_free_plan_is_bit_identical_to_fault_oblivious_run() {
-    // satellite (c): a `FaultPlan::none()` decentralized run must be
-    // bit-identical — pairs, metered cost, messages, hops — to the plain
-    // `detect` path, and its pair set must match the centralized CSR
-    // snapshot path. The none-plan draws zero random values by contract,
-    // so the equality is exact, not statistical.
-    use collusion::core::fault::FaultPlan;
-    for seed in 0..10u64 {
-        let (h, nodes) = random_history(800 + seed, 40, 3);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let managers: Vec<NodeId> = (1000..1008).map(NodeId).collect();
-        let det = DecentralizedDetector::new(thresholds(), Method::Optimized);
-        let plain = det.detect(&input, &managers);
-        let none_plan = det.detect_with_faults(&input, &managers, &FaultPlan::none());
-        assert_eq!(plain.report.pairs, none_plan.report.pairs, "seed {seed}: pairs");
-        assert_eq!(plain.report.cost, none_plan.report.cost, "seed {seed}: metered cost");
-        assert_eq!(plain.messages, none_plan.messages, "seed {seed}: messages");
-        assert_eq!(plain.dht_hops, none_plan.dht_hops, "seed {seed}: hops");
-        assert!(none_plan.unconfirmed.is_empty(), "seed {seed}");
-        assert_eq!(none_plan.fault.completeness(), 1.0, "seed {seed}");
-        // centralized CSR snapshot path reaches the same verdicts
-        let snap = ShardedSnapshot::build(&h, &nodes, 1);
-        let sinput = SnapshotInput::from_signed(&snap, &nodes);
-        let central = OptimizedDetector::new(thresholds()).detect_snapshot(&sinput);
-        assert_eq!(none_plan.report.pair_ids(), central.pair_ids(), "seed {seed}: centralized");
-    }
+    let (many, many_stats) = system_detect(&ratings, 60, &many_managers, Method::Optimized);
+    assert_eq!(one_stats.detection_messages, 0);
+    assert!(many_stats.detection_messages >= one_stats.detection_messages);
+    assert_eq!(one.pair_ids(), many.pair_ids());
 }
 
 #[test]

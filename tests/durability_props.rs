@@ -303,7 +303,7 @@ proptest! {
             close_threads: 0,
         };
         let cfg = DurabilityConfig {
-            sync_policy: SyncPolicy::EveryK(8),
+            sync_policy: SyncPolicy::PerRecord,
             checkpoint_interval,
             keep_checkpoints: 2,
             pair_watermark: watermark,

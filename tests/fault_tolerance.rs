@@ -9,10 +9,11 @@
 //!   to the fault-free set;
 //! * at 30% drop the system degrades gracefully: any pair it cannot
 //!   confirm is *reported* as unconfirmed, never silently dropped;
-//! * with the system write-ahead log enabled, a crashed manager's orphans
-//!   are rebuilt from disk — preferred over (and identical to) the replica
-//!   rebuild, and sufficient even with no replicas at all;
 //! * the whole fault pipeline is deterministic in its seeds.
+//!
+//! A crashed in-process manager's orphans come back from replicas only;
+//! recovery from disk is `DurableEngine`'s, tested by the crash matrix,
+//! `tests/durability_props.rs` and the TCP cluster's kill/rejoin.
 
 use collusion::core::fault::FaultPlan;
 use collusion::sim::robustness::{run_robustness, RobustnessConfig};
@@ -34,6 +35,7 @@ fn drop_and_churn_with_replication_preserve_the_confirmed_set() {
     assert_eq!(out.baseline_pairs.len(), 4, "baseline must find the 4 ground-truth pairs");
     assert!(out.crashed >= 4, "churn must actually crash managers (got {})", out.crashed);
     assert_eq!(out.lost_nodes, 0, "replication 3 must cover every crash");
+    assert!(out.recovered_nodes > 0, "crashes must exercise the replica rebuild");
     assert_eq!(
         out.confirmed_pairs, out.baseline_pairs,
         "confirmed set must equal the fault-free set (unconfirmed: {:?})",
@@ -82,48 +84,6 @@ fn fault_matrix_reports_every_baseline_pair() {
             assert!(out.message_overhead >= 1.0);
         }
     }
-}
-
-#[test]
-fn disk_recovery_is_preferred_over_replicas_and_identical() {
-    // same workload, same churn; one run rebuilds crashed managers from
-    // replicas, the other from the system WAL — the disk path must take
-    // every recovery and confirm the identical suspect set
-    let plan = FaultPlan::with_drop(0.1, 21).with_churn(1, 1, 77);
-    let replicated = run_robustness(&standard(1).with_plan(plan));
-    let durable = run_robustness(&standard(1).with_plan(plan).with_durability());
-
-    assert!(replicated.recovered_nodes > 0, "replica run must exercise replica rebuild");
-    assert_eq!(replicated.disk_recovered_nodes, 0, "no WAL, no disk recoveries");
-    assert!(durable.disk_recovered_nodes > 0, "WAL intact: disk must take the recoveries");
-    assert_eq!(durable.recovered_nodes, 0, "disk must be preferred over replicas");
-    assert_eq!(durable.lost_nodes, 0);
-    assert_eq!(
-        durable.confirmed_pairs, replicated.confirmed_pairs,
-        "disk and replica rebuilds must confirm the identical suspect set"
-    );
-    assert_eq!(durable.confirmed_pairs, durable.baseline_pairs);
-}
-
-#[test]
-fn wal_substitutes_for_replication_entirely() {
-    // replication 1 (no replicas at all) + churn: without the WAL histories
-    // are lost; with it every orphan is rebuilt from disk and detection
-    // still matches the fault-free baseline
-    let plan = FaultPlan::with_drop(0.0, 3).with_churn(1, 0, 13);
-    let bare = run_robustness(&standard(5).with_plan(plan).with_replication(1));
-    assert!(bare.lost_nodes > 0, "unreplicated churn must lose histories");
-
-    let durable =
-        run_robustness(&standard(5).with_plan(plan).with_replication(1).with_durability());
-    assert_eq!(durable.lost_nodes, 0, "the WAL must cover every crash");
-    assert!(durable.disk_recovered_nodes > 0);
-    assert_eq!(
-        durable.confirmed_pairs, durable.baseline_pairs,
-        "disk-only recovery must preserve the confirmed set (unconfirmed: {:?})",
-        durable.unconfirmed_pairs
-    );
-    assert_eq!(durable.recall, 1.0);
 }
 
 #[test]
