@@ -22,7 +22,7 @@
 //! reconnect / overload, plus the fault-free reference) runs against a
 //! live 3-manager TCP cluster ingesting through resumable stream
 //! sessions. The binary itself asserts the invariants — zero acked-rating
-//! loss, zero duplicates, suspect sets equal to the in-process baseline,
+//! loss, zero duplicates, suspect sets equal to the centralised baseline,
 //! and ≥0.5× fault-free throughput under the overload nemesis (throttled,
 //! never refused).
 

@@ -997,7 +997,7 @@ mod tests {
         };
         let mut client = RpcClient::new(cfg);
         let start = Instant::now();
-        let err = client.call(addr, &Request::Ping);
+        let err = client.call(addr, &Request::Heartbeat);
         assert!(err.is_err(), "a dead port must not answer");
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -1038,7 +1038,7 @@ mod tests {
         };
         let mut client = RpcClient::new(cfg);
         let start = Instant::now();
-        let err = client.call(addr, &Request::Ping);
+        let err = client.call(addr, &Request::Heartbeat);
         let elapsed = start.elapsed();
         assert!(err.is_err());
         assert!(
@@ -1064,22 +1064,26 @@ mod tests {
         let (stall_tx, stall_rx) = mpsc::channel::<()>();
         let server = std::thread::spawn(move || {
             let mut accepted = 0u32;
-            // conn 1: answer one Ping, then stall (stop reading) until the
+            // conn 1: answer one Heartbeat, then stall (stop reading) until the
             // client's big request has timed out mid-transfer
             let (mut s1, _) = listener.accept().expect("accept 1");
             accepted += 1;
-            let payload = read_frame(&mut s1, MAX_FRAME_PAYLOAD).expect("read ping");
-            assert!(matches!(Request::decode(&payload), Ok(Request::Ping)));
-            let pong = Response::Pong { manager: collusion_reputation::id::NodeId(1) };
-            write_frame(&mut s1, &pong.encode()).expect("write pong");
+            let payload = read_frame(&mut s1, MAX_FRAME_PAYLOAD).expect("read heartbeat");
+            assert!(matches!(Request::decode(&payload), Ok(Request::Heartbeat)));
+            let beat = Response::Beat {
+                manager: collusion_reputation::id::NodeId(1),
+                intake_pending: 0,
+                shedding: false,
+            };
+            write_frame(&mut s1, &beat.encode()).expect("write beat");
             stall_rx.recv().expect("client failed its stalled call");
             drop(s1); // never read the half-sent frame
                       // conn 2: a healthy client reconnects and gets served
             let (mut s2, _) = listener.accept().expect("accept 2");
             accepted += 1;
             let payload = read_frame(&mut s2, MAX_FRAME_PAYLOAD).expect("read retry");
-            assert!(matches!(Request::decode(&payload), Ok(Request::Ping)));
-            write_frame(&mut s2, &pong.encode()).expect("write pong 2");
+            assert!(matches!(Request::decode(&payload), Ok(Request::Heartbeat)));
+            write_frame(&mut s2, &beat.encode()).expect("write beat 2");
             accepted
         });
 
@@ -1093,7 +1097,7 @@ mod tests {
             max_frame: MAX_FRAME_PAYLOAD,
         };
         let mut client = RpcClient::new(cfg);
-        assert!(client.call(addr, &Request::Ping).is_ok(), "first call pools the connection");
+        assert!(client.call(addr, &Request::Heartbeat).is_ok(), "first call pools the connection");
 
         // a batch large enough to overrun the socket buffers of a stalled
         // server: the write (or the response read) hits the deadline
@@ -1113,8 +1117,8 @@ mod tests {
         stall_tx.send(()).expect("server thread alive");
 
         // the poisoned connection must be gone: this call reconnects
-        let resp = client.call(addr, &Request::Ping).expect("post-failure call");
-        assert!(matches!(resp, Response::Pong { .. }));
+        let resp = client.call(addr, &Request::Heartbeat).expect("post-failure call");
+        assert!(matches!(resp, Response::Beat { .. }));
         let accepted = server.join().expect("server thread");
         assert_eq!(accepted, 2, "the failed call's connection must not be reused");
     }
@@ -1133,12 +1137,16 @@ mod tests {
             let (mut s, _) = listener.accept().expect("accept");
             let payload = read_frame(&mut s, MAX_FRAME_PAYLOAD).expect("read");
             assert!(Request::decode(&payload).is_ok());
-            let resp = Response::Pong { manager: collusion_reputation::id::NodeId(7) };
+            let resp = Response::Beat {
+                manager: collusion_reputation::id::NodeId(7),
+                intake_pending: 0,
+                shedding: false,
+            };
             write_frame(&mut s, &resp.encode()).expect("write");
         });
         let mut client = RpcClient::new(RpcConfig::lan().with_jitter_seed(3));
-        let resp = client.call_failover(&[dead, alive], &Request::Ping).expect("failover");
-        assert!(matches!(resp, Response::Pong { .. }));
+        let resp = client.call_failover(&[dead, alive], &Request::Heartbeat).expect("failover");
+        assert!(matches!(resp, Response::Beat { .. }));
         assert!(client.stats().retries >= 1, "the dead owner must cost a retry");
         server.join().expect("server thread");
     }

@@ -1,5 +1,4 @@
-//! Fault-injecting TCP proxy: re-expresses a [`crate::fault::FaultPlan`]'s
-//! message faults as real network behavior.
+//! Fault-injecting TCP proxy: message faults as real network behavior.
 //!
 //! A [`FaultProxy`] sits between an [`RpcClient`](crate::net::client::RpcClient)
 //! and a manager's real listening socket. It is frame-aware: it pumps whole
@@ -7,8 +6,7 @@
 //! frame draws from a seeded [`FaultRng`] to decide whether to
 //!
 //! * **drop** the frame — swallow it silently, so the peer's read timeout
-//!   fires exactly as an in-process dropped message would surface as a
-//!   failed delivery;
+//!   fires and the client retries or fails over;
 //! * **delay** the frame — sleep a uniform number of milliseconds before
 //!   forwarding, which pushes slow-but-alive exchanges into the client's
 //!   per-attempt or total-deadline budget;
@@ -17,12 +15,13 @@
 //!
 //! The proxy accepts any number of inbound connections; each gets its own
 //! upstream connection and a pair of pump threads. All connections share
-//! one RNG stream and one [`NetStats`] counter so a run's observed
-//! drop/delay totals can be reported next to the in-process grid's.
+//! one RNG stream and one [`NetStats`] counter, so a run can assert how
+//! many frames were carried and dropped.
 //!
-//! Only inter-manager confirmation traffic is routed through proxies by the
-//! cluster harness — ingest and control RPCs go direct — mirroring the
-//! in-process simulator, where faults apply to detection exchanges only.
+//! Two kinds of link are proxied. `ManagerNode`'s drop test puts a proxy
+//! in front of each manager's confirmation traffic, and the nemesis harness
+//! partitions the ingest links of live resumable streams at runtime
+//! ([`FaultProxy::set_partition`]).
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -33,7 +32,7 @@ use std::time::Duration;
 
 use collusion_reputation::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 
-use crate::fault::{FaultPlan, FaultRng, NetStats};
+use crate::fault::{FaultRng, NetStats};
 
 /// Domain salt of a proxy's fault stream (distinct per proxy via `stream`).
 const PROXY_SALT: u64 = 0x7072_6f78_7921_7631;
@@ -50,8 +49,8 @@ pub enum Partition {
     ToClient,
 }
 
-/// Network-level fault plan: the wire re-expression of
-/// [`crate::fault::FaultPlan`]'s message faults, with tick = millisecond.
+/// Network-level fault plan: per-frame drop and delay, plus a one-way
+/// partition.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetFaultPlan {
     /// Probability each forwarded frame is silently dropped.
@@ -75,32 +74,10 @@ impl NetFaultPlan {
         }
     }
 
-    /// Re-express an in-process plan's message faults on the wire,
-    /// mapping abstract delay ticks 1:1 to milliseconds.
-    pub fn from_plan(plan: &FaultPlan) -> Self {
-        NetFaultPlan {
-            drop_probability: plan.message.drop_probability,
-            delay_ms: plan.message.delay_ticks,
-            partition: Partition::None,
-            seed: plan.message.seed,
-        }
-    }
-
     /// Add a one-way partition.
     pub fn with_partition(mut self, p: Partition) -> Self {
         self.partition = p;
         self
-    }
-
-    /// Whether this plan forwards everything untouched.
-    pub fn is_none(&self) -> bool {
-        self.drop_probability == 0.0 && self.delay_ms == (0, 0) && self.partition == Partition::None
-    }
-}
-
-impl Default for NetFaultPlan {
-    fn default() -> Self {
-        NetFaultPlan::none()
     }
 }
 
@@ -309,8 +286,8 @@ mod tests {
     use crate::net::wire::{Request, Response};
     use collusion_reputation::id::NodeId;
 
-    /// Minimal upstream: answers every request with `Pong`.
-    fn spawn_pong_server() -> (SocketAddr, JoinHandle<()>, Arc<AtomicBool>) {
+    /// Minimal upstream: answers every request with `Beat`.
+    fn spawn_beat_server() -> (SocketAddr, JoinHandle<()>, Arc<AtomicBool>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         listener.set_nonblocking(true).expect("nonblocking");
@@ -329,7 +306,11 @@ mod tests {
                                         if Request::decode(&p).is_err() {
                                             break;
                                         }
-                                        let resp = Response::Pong { manager: NodeId(1) };
+                                        let resp = Response::Beat {
+                                            manager: NodeId(1),
+                                            intake_pending: 0,
+                                            shedding: false,
+                                        };
                                         if write_frame(&mut s, &resp.encode()).is_err() {
                                             break;
                                         }
@@ -356,12 +337,12 @@ mod tests {
 
     #[test]
     fn fault_free_proxy_is_transparent() {
-        let (upstream, server, stop) = spawn_pong_server();
+        let (upstream, server, stop) = spawn_beat_server();
         let mut proxy = FaultProxy::spawn(upstream, NetFaultPlan::none(), 0).expect("proxy");
         let mut client = RpcClient::new(RpcConfig::lan());
         for _ in 0..5 {
-            let resp = client.call(proxy.addr(), &Request::Ping).expect("ping via proxy");
-            assert!(matches!(resp, Response::Pong { .. }));
+            let resp = client.call(proxy.addr(), &Request::Heartbeat).expect("heartbeat via proxy");
+            assert!(matches!(resp, Response::Beat { .. }));
         }
         assert_eq!(client.stats().failed_exchanges, 0);
         let pstats = proxy.stats();
@@ -374,7 +355,7 @@ mod tests {
 
     #[test]
     fn full_drop_forces_deadline_failures_not_hangs() {
-        let (upstream, server, stop) = spawn_pong_server();
+        let (upstream, server, stop) = spawn_beat_server();
         let plan = NetFaultPlan {
             drop_probability: 1.0,
             delay_ms: (0, 0),
@@ -393,7 +374,7 @@ mod tests {
         };
         let mut client = RpcClient::new(cfg);
         let start = std::time::Instant::now();
-        let err = client.call(proxy.addr(), &Request::Ping);
+        let err = client.call(proxy.addr(), &Request::Heartbeat);
         assert!(err.is_err(), "a fully partitioned path must fail");
         assert!(
             start.elapsed() < Duration::from_millis(1500),
@@ -409,7 +390,7 @@ mod tests {
 
     #[test]
     fn one_way_partition_drops_only_responses() {
-        let (upstream, server, stop) = spawn_pong_server();
+        let (upstream, server, stop) = spawn_beat_server();
         let plan = NetFaultPlan::none().with_partition(Partition::ToClient);
         let mut proxy = FaultProxy::spawn(upstream, plan, 0).expect("proxy");
         let cfg = RpcConfig {
@@ -422,7 +403,7 @@ mod tests {
             max_frame: MAX_FRAME_PAYLOAD,
         };
         let mut client = RpcClient::new(cfg);
-        assert!(client.call(proxy.addr(), &Request::Ping).is_err());
+        assert!(client.call(proxy.addr(), &Request::Heartbeat).is_err());
         let pstats = proxy.stats();
         // requests traversed (sent, not dropped); responses were severed
         assert!(pstats.sent > pstats.dropped, "requests must flow toward the server");
@@ -434,7 +415,7 @@ mod tests {
 
     #[test]
     fn partition_flips_at_runtime_without_reconnecting() {
-        let (upstream, server, stop) = spawn_pong_server();
+        let (upstream, server, stop) = spawn_beat_server();
         let mut proxy = FaultProxy::spawn(upstream, NetFaultPlan::none(), 0).expect("proxy");
         let cfg = RpcConfig {
             connect_timeout_ms: 100,
@@ -446,11 +427,11 @@ mod tests {
             max_frame: MAX_FRAME_PAYLOAD,
         };
         let mut client = RpcClient::new(cfg);
-        assert!(client.call(proxy.addr(), &Request::Ping).is_ok(), "healthy before the cut");
+        assert!(client.call(proxy.addr(), &Request::Heartbeat).is_ok(), "healthy before the cut");
         proxy.set_partition(Partition::ToClient);
-        assert!(client.call(proxy.addr(), &Request::Ping).is_err(), "severed responses");
+        assert!(client.call(proxy.addr(), &Request::Heartbeat).is_err(), "severed responses");
         proxy.set_partition(Partition::None);
-        assert!(client.call(proxy.addr(), &Request::Ping).is_ok(), "healed without respawn");
+        assert!(client.call(proxy.addr(), &Request::Heartbeat).is_ok(), "healed without respawn");
         proxy.shutdown();
         stop.store(true, Ordering::Release);
         server.join().expect("server");
@@ -458,7 +439,7 @@ mod tests {
 
     #[test]
     fn delay_pushes_latency_but_not_failure() {
-        let (upstream, server, stop) = spawn_pong_server();
+        let (upstream, server, stop) = spawn_beat_server();
         let plan = NetFaultPlan {
             drop_probability: 0.0,
             delay_ms: (20, 30),
@@ -468,8 +449,8 @@ mod tests {
         let mut proxy = FaultProxy::spawn(upstream, plan, 0).expect("proxy");
         let mut client = RpcClient::new(RpcConfig::lan());
         let start = std::time::Instant::now();
-        let resp = client.call(proxy.addr(), &Request::Ping).expect("delayed ping");
-        assert!(matches!(resp, Response::Pong { .. }));
+        let resp = client.call(proxy.addr(), &Request::Heartbeat).expect("delayed heartbeat");
+        assert!(matches!(resp, Response::Beat { .. }));
         // request + response each delayed ≥ 20ms
         assert!(
             start.elapsed() >= Duration::from_millis(40),

@@ -51,14 +51,10 @@ impl PeerAddr {
 pub enum ErrorCode {
     /// The request could not be decoded or carried an unknown version.
     Malformed,
-    /// This manager neither owns nor replicates the addressed node.
-    NotResponsible,
     /// A detection RPC arrived before `Freeze` for that round.
     NotFrozen,
     /// The round number does not match the frozen round.
     BadRound,
-    /// The manager cannot answer (e.g. no replica data for a probe).
-    Unavailable,
     /// An internal invariant failed; the connection stays usable.
     Internal,
     /// The manager's intake is past its hard limit; the frame was *not*
@@ -71,10 +67,8 @@ impl ErrorCode {
     fn tag(self) -> u8 {
         match self {
             ErrorCode::Malformed => 0,
-            ErrorCode::NotResponsible => 1,
             ErrorCode::NotFrozen => 2,
             ErrorCode::BadRound => 3,
-            ErrorCode::Unavailable => 4,
             ErrorCode::Internal => 5,
             ErrorCode::Overloaded => 6,
         }
@@ -83,10 +77,8 @@ impl ErrorCode {
     fn from_tag(t: u8) -> Result<Self, CodecError> {
         Ok(match t {
             0 => ErrorCode::Malformed,
-            1 => ErrorCode::NotResponsible,
             2 => ErrorCode::NotFrozen,
             3 => ErrorCode::BadRound,
-            4 => ErrorCode::Unavailable,
             5 => ErrorCode::Internal,
             6 => ErrorCode::Overloaded,
             other => return Err(CodecError::InvalidTag(other)),
@@ -197,12 +189,12 @@ pub struct StatusInfo {
 
 /// Client → server RPCs. [`Request::InsertStream`] is the paper's
 /// `Insert(j, msg)` primitive — store ratings at the manager responsible
-/// for ratee `j`. Tags 1 and 2 (the retired one-ack request/response
-/// inserts) are never reused and decode to [`CodecError::InvalidTag`].
+/// for ratee `j`. Retired tags are never reused and decode to
+/// [`CodecError::InvalidTag`]: 0 (a liveness probe; [`Request::Heartbeat`]
+/// is the probe), 1 and 2 (the one-ack request/response inserts) and 9 (a
+/// fetch of the last round's verdicts; [`Response::Round`] carries them).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Liveness probe.
-    Ping,
     /// Replica push: ratings about nodes this manager backs up for their
     /// owner. Held in memory (the owner's WAL is the durable copy).
     Replicate(Vec<Rating>),
@@ -233,8 +225,6 @@ pub enum Request {
         /// The probing high-reputed partner.
         rater: NodeId,
     },
-    /// Fetch the last completed round's verdicts.
-    FetchVerdicts,
     /// Replace the peer address map (sent at cluster start and after a
     /// rejoined manager comes back on a new port).
     SetPeers(Vec<PeerAddr>),
@@ -278,14 +268,11 @@ pub enum Request {
     Heartbeat,
 }
 
-/// Server → client replies.
+/// Server → client replies. Tags 0 and 6 (the replies to the retired
+/// request tags 0 and 9) are never reused, and neither are error codes 1
+/// and 4, which no server path produced.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
-    /// Reply to [`Request::Ping`].
-    Pong {
-        /// Responding manager.
-        manager: NodeId,
-    },
     /// Replicas, an epoch close or a peer update accepted.
     Ack {
         /// Next WAL sequence after the append (0 for non-durable acks).
@@ -313,16 +300,6 @@ pub enum Response {
     Round(RoundReport),
     /// Reply to [`Request::Confirm`].
     Verdict(ConfirmVerdict),
-    /// Reply to [`Request::FetchVerdicts`] (empty vectors when no round has
-    /// completed yet).
-    Verdicts {
-        /// Round the verdicts belong to (0 = none yet).
-        round: u64,
-        /// Confirmed pairs of that round.
-        confirmed: Vec<WirePair>,
-        /// Degraded (unconfirmed) pairs of that round.
-        unconfirmed: Vec<WirePair>,
-    },
     /// Reply to [`Request::Status`].
     Status(StatusInfo),
     /// The request was understood but refused.
@@ -556,7 +533,6 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
-            Request::Ping => header(&mut w, 0),
             Request::Replicate(rs) => {
                 header(&mut w, 3);
                 put_ratings(&mut w, rs);
@@ -580,7 +556,6 @@ impl Request {
                 w.put_u64(ratee.0);
                 w.put_u64(rater.0);
             }
-            Request::FetchVerdicts => header(&mut w, 9),
             Request::SetPeers(peers) => {
                 header(&mut w, 10);
                 w.put_u64(peers.len() as u64);
@@ -626,7 +601,6 @@ impl Request {
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
         let req = match read_header(&mut r)? {
-            0 => Request::Ping,
             3 => Request::Replicate(get_ratings(&mut r)?),
             4 => Request::Query(NodeId(r.get_u64()?)),
             5 => Request::CloseEpoch,
@@ -637,7 +611,6 @@ impl Request {
                 ratee: NodeId(r.get_u64()?),
                 rater: NodeId(r.get_u64()?),
             },
-            9 => Request::FetchVerdicts,
             10 => {
                 let count = r.get_u64()?;
                 let count = r.checked_count(count, 8 + 4 + 2)?;
@@ -680,10 +653,6 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
-            Response::Pong { manager } => {
-                header(&mut w, 0);
-                w.put_u64(manager.0);
-            }
             Response::Ack { seq, accepted } => {
                 header(&mut w, 1);
                 w.put_u64(*seq);
@@ -712,12 +681,6 @@ impl Response {
                 w.put_u8(u8::from(v.known));
                 w.put_u8(u8::from(v.high_reputed));
                 put_opt_evidence(&mut w, &v.reverse);
-            }
-            Response::Verdicts { round, confirmed, unconfirmed } => {
-                header(&mut w, 6);
-                w.put_u64(*round);
-                put_pairs(&mut w, confirmed);
-                put_pairs(&mut w, unconfirmed);
             }
             Response::Status(s) => {
                 header(&mut w, 7);
@@ -770,7 +733,6 @@ impl Response {
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
         let resp = match read_header(&mut r)? {
-            0 => Response::Pong { manager: NodeId(r.get_u64()?) },
             1 => Response::Ack { seq: r.get_u64()?, accepted: r.get_u64()? },
             2 => Response::Reputation {
                 known: match r.get_u8()? {
@@ -801,11 +763,6 @@ impl Response {
                 },
                 reverse: get_opt_evidence(&mut r)?,
             }),
-            6 => Response::Verdicts {
-                round: r.get_u64()?,
-                confirmed: get_pairs(&mut r)?,
-                unconfirmed: get_pairs(&mut r)?,
-            },
             7 => Response::Status(StatusInfo {
                 manager: NodeId(r.get_u64()?),
                 recorded: r.get_u64()?,
@@ -860,14 +817,12 @@ mod tests {
     #[test]
     fn request_round_trips() {
         let reqs = [
-            Request::Ping,
             Request::Replicate(vec![Rating::negative(NodeId(5), NodeId(6), SimTime(3))]),
             Request::Query(NodeId(42)),
             Request::CloseEpoch,
             Request::Freeze { round: 7 },
             Request::DetectRound { round: 7 },
             Request::Confirm { round: 7, ratee: NodeId(11), rater: NodeId(13) },
-            Request::FetchVerdicts,
             Request::SetPeers(vec![PeerAddr {
                 manager: NodeId(0x4000_0001),
                 ip: [127, 0, 0, 1],
@@ -908,7 +863,6 @@ mod tests {
             high_boosts_low: None,
         };
         let resps = [
-            Response::Pong { manager: NodeId(0x4000_0000) },
             Response::Ack { seq: 1234, accepted: 256 },
             Response::Reputation { known: true, signed: -5, view_version: 9 },
             Response::Frozen { round: 1, nodes: 13 },
@@ -923,7 +877,6 @@ mod tests {
                 high_reputed: true,
                 reverse: Some(ev),
             }),
-            Response::Verdicts { round: 1, confirmed: vec![pair, pair], unconfirmed: vec![pair] },
             Response::Status(StatusInfo {
                 manager: NodeId(7),
                 recorded: 100,
@@ -966,13 +919,13 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut bytes = Request::Ping.encode();
+        let mut bytes = Request::Heartbeat.encode();
         bytes[0] = PROTOCOL_VERSION + 1;
         assert_eq!(Request::decode(&bytes), Err(CodecError::BadMagic));
     }
 
     #[test]
-    fn retired_insert_tags_are_rejected() {
+    fn retired_tags_are_rejected() {
         // tag 1 carried one rating, tag 2 a counted batch; both are retired
         let mut one = vec![PROTOCOL_VERSION, 1];
         let mut w = ByteWriter::new();
@@ -984,6 +937,22 @@ mod tests {
         put_ratings(&mut w, &[Rating::negative(NodeId(2), NodeId(1), SimTime(2))]);
         batch.extend_from_slice(w.as_bytes());
         assert_eq!(Request::decode(&batch), Err(CodecError::InvalidTag(2)));
+        // the bare probe and verdict fetch, their replies, and error codes
+        // 1 and 4
+        for tag in [0, 9] {
+            assert_eq!(Request::decode(&[PROTOCOL_VERSION, tag]), Err(CodecError::InvalidTag(tag)));
+        }
+        for tag in [0, 6] {
+            let mut reply = vec![PROTOCOL_VERSION, tag];
+            reply.extend_from_slice(&[0; 8]);
+            assert_eq!(Response::decode(&reply), Err(CodecError::InvalidTag(tag)));
+        }
+        for code in [1, 4] {
+            assert_eq!(
+                Response::decode(&[PROTOCOL_VERSION, 8, code]),
+                Err(CodecError::InvalidTag(code))
+            );
+        }
     }
 
     #[test]

@@ -84,10 +84,8 @@ fn peer_addr() -> impl Strategy<Value = PeerAddr> {
 fn error_code() -> impl Strategy<Value = ErrorCode> {
     prop::sample::select(vec![
         ErrorCode::Malformed,
-        ErrorCode::NotResponsible,
         ErrorCode::NotFrozen,
         ErrorCode::BadRound,
-        ErrorCode::Unavailable,
         ErrorCode::Internal,
         ErrorCode::Overloaded,
     ])
@@ -95,7 +93,6 @@ fn error_code() -> impl Strategy<Value = ErrorCode> {
 
 fn request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        Just(Request::Ping),
         prop::collection::vec(rating(), 0..20).prop_map(Request::Replicate),
         any::<u64>().prop_map(|n| Request::Query(NodeId(n))),
         Just(Request::CloseEpoch),
@@ -104,7 +101,6 @@ fn request() -> impl Strategy<Value = Request> {
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(round, ratee, rater)| {
             Request::Confirm { round, ratee: NodeId(ratee), rater: NodeId(rater) }
         }),
-        Just(Request::FetchVerdicts),
         prop::collection::vec(peer_addr(), 0..8).prop_map(Request::SetPeers),
         Just(Request::Status),
         (any::<u64>(), any::<u64>(), prop::collection::vec(rating(), 0..20)).prop_map(
@@ -117,7 +113,6 @@ fn request() -> impl Strategy<Value = Request> {
 
 fn response() -> impl Strategy<Value = Response> {
     prop_oneof![
-        any::<u64>().prop_map(|m| Response::Pong { manager: NodeId(m) }),
         (any::<u64>(), any::<u64>()).prop_map(|(seq, accepted)| Response::Ack { seq, accepted }),
         (any::<bool>(), any::<i64>(), any::<u64>()).prop_map(|(known, signed, view_version)| {
             Response::Reputation { known, signed, view_version }
@@ -133,16 +128,6 @@ fn response() -> impl Strategy<Value = Response> {
                 Response::Round(RoundReport { round, confirmed, unconfirmed, fault })
             }),
         verdict().prop_map(Response::Verdict),
-        (
-            any::<u64>(),
-            prop::collection::vec(wire_pair(), 0..6),
-            prop::collection::vec(wire_pair(), 0..6),
-        )
-            .prop_map(|(round, confirmed, unconfirmed)| Response::Verdicts {
-                round,
-                confirmed,
-                unconfirmed,
-            }),
         prop::collection::vec(any::<u64>(), 14..15).prop_map(|f| {
             Response::Status(StatusInfo {
                 manager: NodeId(f[0]),
@@ -308,15 +293,15 @@ fn malformed_mid_stream_closes_the_connection_and_spares_the_server() {
     .expect("spawn manager");
     let addr = node.addr();
 
-    let ping_pong = |s: &mut TcpStream| {
-        write_frame(s, &Request::Ping.encode()).expect("write ping");
-        let payload = read_frame(s, MAX_FRAME_PAYLOAD).expect("read pong");
-        assert!(matches!(Response::decode(&payload), Ok(Response::Pong { .. })));
+    let heartbeat = |s: &mut TcpStream| {
+        write_frame(s, &Request::Heartbeat.encode()).expect("write heartbeat");
+        let payload = read_frame(s, MAX_FRAME_PAYLOAD).expect("read beat");
+        assert!(matches!(Response::decode(&payload), Ok(Response::Beat { .. })));
     };
 
     // three ways a stream can desynchronize after perfectly valid traffic
     let corrupt = {
-        let mut f = encode_frame(&Request::Ping.encode());
+        let mut f = encode_frame(&Request::Heartbeat.encode());
         let last = f.len() - 1;
         f[last] ^= 0xFF; // checksum mismatch on a full frame
         f
@@ -330,7 +315,7 @@ fn malformed_mid_stream_closes_the_connection_and_spares_the_server() {
     for (tag, hostile) in [("corrupt", corrupt), ("oversized", oversized), ("garbage", garbage)] {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_nodelay(true).ok();
-        ping_pong(&mut s);
+        heartbeat(&mut s);
         // a valid stream frame first: the hostile bytes arrive mid-session
         let frame = Request::InsertStream {
             session: 0,
@@ -366,7 +351,7 @@ fn malformed_mid_stream_closes_the_connection_and_spares_the_server() {
         // the server must keep serving fresh connections afterwards
         let mut fresh = TcpStream::connect(addr).expect("reconnect");
         fresh.set_nodelay(true).ok();
-        ping_pong(&mut fresh);
+        heartbeat(&mut fresh);
     }
 
     drop(node);

@@ -39,10 +39,7 @@ pub mod scenario;
 /// Re-exports of the commonly used types.
 pub mod prelude {
     pub use crate::cluster::nemesis::{run_nemesis, NemesisConfig, NemesisKind, NemesisOutcome};
-    pub use crate::cluster::{
-        run_cluster_queries, run_cluster_robustness, ClusterConfig, ClusterOutcome,
-        QueryLoadOutcome,
-    };
+    pub use crate::cluster::ClusterConfig;
     pub use crate::config::{DetectorKind, ReputationEngine, SimConfig};
     pub use crate::engine::Simulation;
     pub use crate::metrics::{AveragedMetrics, SimMetrics};

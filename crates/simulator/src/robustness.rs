@@ -119,22 +119,35 @@ pub struct RobustnessOutcome {
     pub lost_nodes: u64,
 }
 
-/// Deterministic replay order of a history's pair counters: ascending
-/// `(ratee, rater)` — `iter_pairs` itself is hash-map ordered.
-pub(crate) fn sorted_pairs(
-    history: &collusion_reputation::history::InteractionHistory,
-) -> Vec<(NodeId, NodeId, PairCounters)> {
+/// The workload's rating stream in deterministic replay order: pair
+/// counters in ascending `(ratee, rater)` order (`iter_pairs` itself is
+/// hash-map ordered), each pair's positives then its negatives, one
+/// rating a tick. Neutral ratings are not replayed (the simulator never
+/// produces them).
+pub(crate) fn replay_stream(sim: &SimConfig) -> Vec<Rating> {
+    let (_, history) = Simulation::new(sim.clone()).run_with_history();
     let mut entries: Vec<(NodeId, NodeId, PairCounters)> = history.iter_pairs().collect();
     entries.sort_unstable_by_key(|&(rater, ratee, _)| (ratee, rater));
-    entries
+    let mut out = Vec::new();
+    let mut t = 0u64;
+    for (rater, ratee, c) in entries {
+        for _ in 0..c.positive {
+            t += 1;
+            out.push(Rating::positive(rater, ratee, SimTime(t)));
+        }
+        for _ in 0..c.negative {
+            t += 1;
+            out.push(Rating::negative(rater, ratee, SimTime(t)));
+        }
+    }
+    out
 }
 
-/// Build a partitioned system and replay the workload into it. Neutral
-/// ratings are not replayed (the simulator never produces them).
-pub(crate) fn build_system(
+/// Build a partitioned system and replay `ratings` into it.
+fn build_system(
     cfg: &RobustnessConfig,
     replication: usize,
-    entries: &[(NodeId, NodeId, PairCounters)],
+    ratings: &[Rating],
 ) -> DecentralizedSystem {
     let manager_ids: Vec<NodeId> = (0..cfg.managers).map(|k| NodeId(0x4000_0000 + k)).collect();
     let mut sys = DecentralizedSystem::with_replication(
@@ -147,33 +160,24 @@ pub(crate) fn build_system(
     for id in 1..=cfg.sim.n_nodes {
         sys.register(NodeId(id));
     }
-    let mut t = 0u64;
-    for &(rater, ratee, c) in entries {
-        for _ in 0..c.positive {
-            t += 1;
-            sys.submit(Rating::positive(rater, ratee, SimTime(t)));
-        }
-        for _ in 0..c.negative {
-            t += 1;
-            sys.submit(Rating::negative(rater, ratee, SimTime(t)));
-        }
+    for &r in ratings {
+        sys.submit(r);
     }
     sys
 }
 
 /// Run one robustness experiment (see the module docs for the protocol).
 pub fn run_robustness(cfg: &RobustnessConfig) -> RobustnessOutcome {
-    let (_, history) = Simulation::new(cfg.sim.clone()).run_with_history();
-    let entries = sorted_pairs(&history);
+    let ratings = replay_stream(&cfg.sim);
 
     // fault-free baseline: unreplicated, no churn, no message faults
-    let mut baseline = build_system(cfg, 1, &entries);
+    let mut baseline = build_system(cfg, 1, &ratings);
     let baseline_report = baseline.detect();
     let baseline_pairs = baseline_report.pair_ids();
     let baseline_messages = baseline.stats().detection_messages;
 
     // faulty run: churn between periods, then the detection round
-    let mut sys = build_system(cfg, cfg.replication, &entries);
+    let mut sys = build_system(cfg, cfg.replication, &ratings);
     let (mut crashed, mut joined) = (0, 0);
     for period in 0..cfg.churn_periods {
         let (c, j) = sys.apply_churn(&cfg.plan.churn, period);
@@ -301,24 +305,14 @@ pub struct CrashRecoveryOutcome {
 /// deterministic order with a scheduled close every `epoch_len`, and a
 /// final close sealing the tail epoch.
 fn stream_actions(cfg: &CrashRecoveryConfig) -> Vec<StreamAction> {
-    let (_, history) = Simulation::new(cfg.sim.clone()).run_with_history();
     let mut actions = Vec::new();
     let mut in_epoch = 0usize;
-    let mut t = 0u64;
-    for (rater, ratee, c) in sorted_pairs(&history) {
-        for k in 0..c.positive + c.negative {
-            t += 1;
-            let rating = if k < c.positive {
-                Rating::positive(rater, ratee, SimTime(t))
-            } else {
-                Rating::negative(rater, ratee, SimTime(t))
-            };
-            actions.push(StreamAction::Record(rating));
-            in_epoch += 1;
-            if in_epoch == cfg.epoch_len {
-                actions.push(StreamAction::Close);
-                in_epoch = 0;
-            }
+    for rating in replay_stream(&cfg.sim) {
+        actions.push(StreamAction::Record(rating));
+        in_epoch += 1;
+        if in_epoch == cfg.epoch_len {
+            actions.push(StreamAction::Close);
+            in_epoch = 0;
         }
     }
     if in_epoch > 0 {

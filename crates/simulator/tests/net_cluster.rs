@@ -1,98 +1,13 @@
-//! Integration tests of the TCP detection cluster: baseline equality at
-//! fault-free grid points, graceful degradation under drops, and process
-//! kill + disk rejoin. Also the `scripts/check.sh` cluster smoke gate
-//! (`cluster_smoke_gate`).
+//! The `scripts/check.sh` nemesis smoke gate: the live TCP cluster under
+//! composed fault schedules, scored against the centralised baseline.
 
-use collusion_core::fault::FaultPlan;
 use collusion_sim::cluster::nemesis::{run_nemesis, NemesisConfig, NemesisKind};
-use collusion_sim::cluster::{run_cluster_queries, run_cluster_robustness, ClusterConfig};
-
-#[test]
-fn fault_free_cluster_equals_in_process_baseline() {
-    let out = run_cluster_robustness(&ClusterConfig::quick(1));
-    assert!(!out.baseline_pairs.is_empty(), "workload must produce suspect pairs");
-    assert_eq!(
-        out.confirmed_pairs, out.baseline_pairs,
-        "TCP round diverged from the in-process round"
-    );
-    assert!(out.unconfirmed_pairs.is_empty());
-    assert_eq!(out.recall, 1.0);
-    assert_eq!(out.reported_fraction, 1.0);
-    assert_eq!(out.fault.failed_exchanges, 0);
-    assert!(out.ingested > 0);
-}
-
-#[test]
-fn drops_degrade_gracefully_never_silently() {
-    let cfg = ClusterConfig::quick(2).with_plan(FaultPlan::with_drop(0.3, 0xD3));
-    let out = run_cluster_robustness(&cfg);
-    // forward evidence is local, so every baseline pair is at least reported
-    assert_eq!(out.reported_fraction, 1.0, "pairs must degrade, not vanish");
-    // everything confirmed must be real (⊆ baseline)
-    for p in &out.confirmed_pairs {
-        assert!(out.baseline_pairs.contains(p), "false confirmation {p:?}");
-    }
-    assert!(out.net.dropped > 0, "the proxy must actually drop frames");
-    assert!(
-        out.fault.retries > 0 || out.fault.failed_exchanges == 0,
-        "drops without retries can only mean clean delivery"
-    );
-}
-
-#[test]
-fn kill_and_rejoin_preserves_the_verdict_set() {
-    let cfg = ClusterConfig::quick(3).with_plan(FaultPlan::none().with_churn(1, 0, 5));
-    let out = run_cluster_robustness(&cfg);
-    assert_eq!(out.killed, 2, "two churn periods × one crash each");
-    assert_eq!(out.rejoined, 2);
-    // rejoined managers answer from their replayed WALs: full equality
-    assert_eq!(
-        out.confirmed_pairs, out.baseline_pairs,
-        "rejoined cluster diverged from the in-process round"
-    );
-    assert_eq!(out.recall, 1.0);
-}
-
-#[test]
-fn queries_flow_against_live_ingest() {
-    let mut cfg = ClusterConfig::quick(4);
-    cfg.managers = 3;
-    let out = run_cluster_queries(&cfg, 500);
-    assert!(out.queries > 0, "the read path must answer under live ingest");
-    assert!(out.inserts > 0, "the producer must make progress concurrently");
-    assert!(out.qps > 0.0);
-}
-
-/// The `scripts/check.sh` smoke gate: 3 managers over localhost, one
-/// drop-grid point plus one kill/rejoin, asserting suspect-set equality
-/// with the in-process baseline. Kept in one test so the gate is a single
-/// `cargo test` invocation.
-#[test]
-fn cluster_smoke_gate() {
-    let mut cfg = ClusterConfig::quick(42);
-    cfg.managers = 3;
-
-    // drop-grid point: degraded, never silent
-    let dropped = run_cluster_robustness(&cfg.clone().with_plan(FaultPlan::with_drop(0.1, 0xD0)));
-    assert_eq!(dropped.reported_fraction, 1.0);
-    for p in &dropped.confirmed_pairs {
-        assert!(dropped.baseline_pairs.contains(p));
-    }
-
-    // kill/rejoin point: full equality with detect_robust's baseline
-    let churned = run_cluster_robustness(&cfg.with_plan(FaultPlan::none().with_churn(1, 0, 7)));
-    assert_eq!(churned.killed, 2);
-    assert_eq!(
-        churned.confirmed_pairs, churned.baseline_pairs,
-        "smoke gate: suspect sets must match the in-process baseline"
-    );
-}
 
 /// The `scripts/check.sh` nemesis smoke gate: crash (two detector-gated
 /// kills), partition (one ack-direction sever + heal), and overload
 /// (shrunk intake watermark) nemeses against a live 3-manager cluster.
 /// Every run must end with zero acked-rating loss, zero duplicates, and a
-/// suspect set equal to the in-process fault-free baseline. Run with
+/// suspect set equal to the centralised baseline. Run with
 /// `--nocapture`: the `NEMESIS` lines are the deterministic projection
 /// `check.sh` diffs against `scripts/BENCH_nemesis_smoke_expected.txt`.
 #[test]
@@ -104,7 +19,7 @@ fn nemesis_smoke_gate() {
         assert_eq!(out.acked, out.ratings, "{}: every offered rating must be acked", kind.label());
         assert!(
             out.suspects_match,
-            "{}: healed cluster diverged from the in-process baseline\n  cluster:  {:?}\n  baseline: {:?}",
+            "{}: healed cluster diverged from the centralised baseline\n  cluster:  {:?}\n  baseline: {:?}",
             kind.label(),
             out.confirmed_pairs,
             out.baseline_pairs
