@@ -106,7 +106,8 @@ pub struct DurabilityConfig {
     pub checkpoint_interval: u64,
     /// How many completed checkpoints to retain.
     pub keep_checkpoints: usize,
-    /// Epoch-buffer max-pairs memory watermark (see
+    /// Epoch-buffer memory watermark, in buffered ratings: the open epoch
+    /// closes when it holds this many (see
     /// [`EpochEngine::set_pair_watermark`]).
     pub pair_watermark: Option<usize>,
 }

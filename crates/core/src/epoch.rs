@@ -6,14 +6,14 @@
 //!
 //! * a [`ShardedSnapshot`] advanced in place by
 //!   [`ShardedSnapshot::apply_epoch`],
-//! * an [`EpochBuffer`] absorbing ratings at O(1) each between closes,
+//! * an [`EpochBuffer`] appending each rating to a log between closes,
 //! * a verdict map: the standing suspect set keyed by node-id pair.
 //!
-//! At [`EpochEngine::close_epoch`] the buffer drains into a sorted
-//! [`EpochDelta`] — the dirty-pair work queue — and the engine re-examines
-//! only the *candidate pairs* whose verdict could have changed. A node is
-//! *active* when it is a dirty ratee (its row, totals or frequent aggregate
-//! changed) or its high-reputed flag flipped. Then:
+//! At [`EpochEngine::close_epoch`] the buffer's log is sorted and folded
+//! into an [`EpochDelta`] — the dirty-pair work queue — and the engine
+//! re-examines only the *candidate pairs* whose verdict could have
+//! changed. A node is *active* when it is a dirty ratee (its row, totals
+//! or frequent aggregate changed) or its high-reputed flag flipped. Then:
 //!
 //! * every standing verdict with an active endpoint is re-checked (it may
 //!   need retraction);
@@ -103,7 +103,7 @@ pub struct EpochStats {
     /// benchmark: 0 of the 2 000 post-gate emissions (1 000 pairs) on both
     /// `engine-churn` and `engine-bulk`, seed 42.
     pub pruned: u64,
-    /// Epoch closes forced by the [`EpochBuffer`] max-pairs memory
+    /// Epoch closes forced by the [`EpochBuffer`] buffered-ratings memory
     /// watermark rather than the caller's schedule (a subset of `epochs`).
     pub forced_closes: u64,
 }
@@ -210,18 +210,18 @@ pub struct EpochEngine {
 }
 
 /// What [`EpochEngine::frozen_snapshot`] is made of: a clone of the
-/// standing snapshot and a sorted copy of the open epoch, not merged yet.
+/// standing snapshot and a copy of the open epoch's unsorted log.
 #[derive(Debug)]
 pub struct FrozenParts {
     snap: ShardedSnapshot,
-    open: EpochDelta,
+    open: EpochBuffer,
     threads: usize,
 }
 
 impl FrozenParts {
-    /// Merge the open epoch into the snapshot copy.
+    /// Sort and fold the copied log, and merge it into the snapshot copy.
     pub fn merge(mut self) -> ShardedSnapshot {
-        self.snap.apply_epoch(&self.open, self.threads);
+        self.snap.apply_epoch(&self.open.drain(), self.threads);
         self.snap
     }
 }
@@ -376,10 +376,11 @@ fn fan_rows(
 }
 
 /// Step 3 of an epoch close: enumerate the candidate pairs whose verdict
-/// could have changed, into `scratch.cands`. `verdict_keys` must iterate
-/// the standing verdict keys in ascending order (the [`BTreeMap`] key
-/// order) so the candidate list is reproduced exactly regardless of who
-/// owns the verdict map.
+/// could have changed, into `scratch.cands`. `snap` has just applied the
+/// close's delta, so its [`ShardedSnapshot::applied_rows`] are the dirty
+/// rows. `verdict_keys` must iterate the standing verdict keys in
+/// ascending order (the [`BTreeMap`] key order) so the candidate list is
+/// reproduced exactly regardless of who owns the verdict map.
 ///
 /// `threads` bounds the fork-join width of the row fan. The forked path
 /// gives each worker a contiguous run of shard row ranges and a private
@@ -387,12 +388,10 @@ fn fan_rows(
 /// through the global dedup set: a pair's first surviving emission in the
 /// concatenated sequence is its first emission in the serial scan, so
 /// `scratch.cands` is byte-identical to the single-thread pass.
-#[allow(clippy::too_many_arguments)]
 fn enumerate_candidates<I: IntoIterator<Item = (NodeId, NodeId)>>(
     snap: &ShardedSnapshot,
     high: &[bool],
     params: &CandidateParams<'_>,
-    delta: &EpochDelta,
     flips: &[u32],
     verdict_keys: I,
     scratch: &mut CloseScratch,
@@ -414,9 +413,8 @@ fn enumerate_candidates<I: IntoIterator<Item = (NodeId, NodeId)>>(
     }
     {
         let active = &mut scratch.active;
-        for id in delta.dirty_ratees() {
-            let d = snap.index(id).expect("dirty ratee interned by apply_epoch");
-            active[d as usize] = true;
+        for row in snap.applied_rows() {
+            active[row as usize] = true;
         }
         for &f in flips {
             active[f as usize] = true;
@@ -769,11 +767,11 @@ impl EpochEngine {
         self.last_close
     }
 
-    /// Fold one rating into the open epoch (O(1); self-ratings ignored).
-    /// If the buffer's max-pairs watermark is armed and this rating pushes
-    /// the buffered delta to the limit, the epoch closes early (the
-    /// standing verdict map absorbs the results; `forced_closes` counts
-    /// it). Returns whether the rating was accepted.
+    /// Append one rating to the open epoch's log (one push; self-ratings
+    /// ignored). If the watermark is armed and this rating brings the
+    /// buffered ratings to the limit, the epoch closes early (the standing
+    /// verdict map absorbs the results; `forced_closes` counts it).
+    /// Returns whether the rating was accepted.
     #[inline]
     pub fn record(&mut self, rating: Rating) -> bool {
         let accepted = self.buffer.record(rating);
@@ -784,20 +782,22 @@ impl EpochEngine {
         accepted
     }
 
-    /// Arm or disarm the epoch-buffer max-pairs memory watermark (see
-    /// [`EpochBuffer::with_max_pairs`]). `None` (the default) never forces
-    /// a close.
-    pub fn set_pair_watermark(&mut self, max_pairs: Option<usize>) {
-        self.buffer.set_max_pairs(max_pairs);
+    /// Arm or disarm the epoch-buffer memory watermark: the number of
+    /// buffered ratings that forces a close (see
+    /// [`EpochBuffer::with_max_ratings`]). `None` (the default) never
+    /// forces a close.
+    pub fn set_pair_watermark(&mut self, max_ratings: Option<usize>) {
+        self.buffer.set_max_ratings(max_ratings);
     }
 
-    /// The configured epoch-buffer watermark, if any.
+    /// The configured watermark in buffered ratings, if any.
     #[inline]
     pub fn pair_watermark(&self) -> Option<usize> {
-        self.buffer.max_pairs()
+        self.buffer.max_ratings()
     }
 
-    /// Whether the open buffer has reached an armed watermark. Recovery
+    /// Whether the open buffer holds at least as many ratings as an armed
+    /// watermark — a pure function of the ratings replayed into it. Recovery
     /// uses this to re-trigger a forced close whose marker was lost to a
     /// torn WAL tail while the triggering rating stayed durable.
     #[inline]
@@ -826,7 +826,7 @@ impl EpochEngine {
     pub fn frozen_parts(&self) -> FrozenParts {
         FrozenParts {
             snap: self.snap.clone(),
-            open: self.buffer.peek(),
+            open: self.buffer.clone(),
             threads: self.close_threads,
         }
     }
@@ -897,7 +897,6 @@ impl EpochEngine {
             &self.snap,
             &self.high,
             &params,
-            &delta,
             &flips,
             self.verdicts.keys().copied(),
             &mut self.scratch,
@@ -1663,6 +1662,34 @@ mod tests {
             DetectionPolicy::STRICT,
         );
         assert_eq!(rb.pairs, expect);
+    }
+
+    #[test]
+    fn forced_closes_count_buffered_ratings_not_pairs() {
+        let nodes: Vec<NodeId> = (1..=4).map(NodeId).collect();
+        let mut engine = EpochEngine::new(
+            &nodes,
+            2,
+            EpochMethod::Optimized,
+            Thresholds::new(1.0, 3, 0.8, 0.4),
+            DetectionPolicy::STRICT,
+            true,
+        );
+        const W: u64 = 7;
+        engine.set_pair_watermark(Some(W as usize));
+        // three pairs rated over and over, with a self-rating in every five
+        let mut accepted = 0u64;
+        for k in 0..100u64 {
+            let (rater, ratee) = if k % 5 == 0 { (2, 2) } else { (1 + k % 3, 4) };
+            accepted += u64::from(engine.record(Rating::positive(
+                NodeId(rater),
+                NodeId(ratee),
+                SimTime(k),
+            )));
+        }
+        assert_eq!(accepted, 80);
+        assert_eq!(engine.stats().forced_closes, accepted / W);
+        assert_eq!(engine.pending_ratings(), accepted % W);
     }
 
     #[test]

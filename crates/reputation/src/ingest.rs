@@ -29,9 +29,8 @@ use std::sync::Mutex;
 /// One intake shard: a slice of the epoch delta map plus its rating count.
 #[derive(Debug, Default)]
 struct IntakeShard {
-    /// (ratee, rater) → counter delta for this epoch. Fx-hashed like
-    /// [`crate::epoch::EpochBuffer`]; the drain sort erases any hasher
-    /// dependence.
+    /// (ratee, rater) → counter delta for this epoch. Fx-hashed; the drain
+    /// sort erases any hasher dependence.
     delta: FxHashMap<(NodeId, NodeId), PairCounters>,
     ratings: u64,
 }
@@ -126,12 +125,6 @@ impl ShardedIntake {
         self.ratings.load(Ordering::Relaxed)
     }
 
-    /// Distinct (ratee, rater) pairs currently buffered (sums shard sizes;
-    /// exact only after producers quiesce).
-    pub fn pairs_touched(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("intake shard poisoned").delta.len()).sum()
-    }
-
     /// Whether no ratings are buffered.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.lock().expect("intake shard poisoned").delta.is_empty())
@@ -202,7 +195,6 @@ mod tests {
                 assert_eq!(intake.record(r), buffer.record(r));
             }
             assert_eq!(intake.ratings(), buffer.ratings());
-            assert_eq!(intake.pairs_touched(), buffer.pairs_touched());
             let a = intake.drain();
             let b = buffer.drain();
             assert_eq!(a.entries, b.entries, "shards={shards}");

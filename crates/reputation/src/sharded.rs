@@ -974,6 +974,7 @@ impl ShardedSnapshot {
     /// against, `0` is resolved by the caller — pass an explicit count).
     pub fn apply_epoch(&mut self, delta: &EpochDelta, threads: usize) -> Option<Vec<u32>> {
         if delta.is_empty() {
+            self.apply_idx.clear();
             return None;
         }
         // Resolve optimistically: the steady state has no fresh ids, so
@@ -1035,6 +1036,13 @@ impl ShardedSnapshot {
 
         self.apply_idx = idx;
         remap
+    }
+
+    /// The rows the most recent [`ShardedSnapshot::apply_epoch`] merged a
+    /// delta entry into, ascending, once per entry — the close's dirty
+    /// rows, read from the resolution that merge already made.
+    pub fn applied_rows(&self) -> impl Iterator<Item = u32> + '_ {
+        self.apply_idx.iter().map(|&(row, _, _)| row)
     }
 
     /// Resolve `delta`'s ids to dense `(row, rater index, counters)`

@@ -1,5 +1,10 @@
-//! Allocation budgets of a steady-state epoch close and of a checkpoint
-//! restore.
+//! Allocation budgets of a warm record loop, of a steady-state epoch close
+//! and of a checkpoint restore.
+//!
+//! A rating is one WAL append and one push onto the open epoch's log, and
+//! both keep their buffers across epochs, so once the first epoch has
+//! grown them the record loop allocates nothing: the last epoch's loop is
+//! held to zero allocations.
 //!
 //! The close reuses its detection scratch (candidate dedup set, prunability
 //! flags, re-check caches) across epochs, so once warm it should allocate
@@ -83,10 +88,13 @@ fn steady_state_close_stays_inside_its_allocation_budget() {
     let dir = scratch_dir("close-allocs");
     let mut engine = DurableEngine::create(&dir, &nodes, setup, dcfg).expect("create");
     let mut costs = Vec::with_capacity(EPOCHS);
+    let mut record_costs = Vec::with_capacity(EPOCHS);
     for chunk in ratings.chunks(ratings.len().div_ceil(EPOCHS)) {
+        let before = ALLOCS.load(Ordering::Relaxed);
         for &r in chunk {
             engine.record(r).expect("record");
         }
+        record_costs.push(ALLOCS.load(Ordering::Relaxed) - before);
         let before = ALLOCS.load(Ordering::Relaxed);
         engine.close_epoch().expect("close");
         costs.push(ALLOCS.load(Ordering::Relaxed) - before);
@@ -110,6 +118,11 @@ fn steady_state_close_stays_inside_its_allocation_budget() {
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(costs.len(), EPOCHS);
+    let warm_records = *record_costs.last().expect("epochs ran");
+    assert_eq!(
+        warm_records, 0,
+        "the last epoch's record loop allocated; per epoch: {record_costs:?}"
+    );
     assert!(suspects > 0, "the stream plants colluders; none were found");
     let steady = *costs.last().expect("closes ran");
     assert!(
