@@ -97,7 +97,7 @@ fn bench_snapshot_refresh(c: &mut Criterion) {
     let thresholds = Thresholds::new(1.0, 20, 0.8, 0.2);
     let n = 2000u64;
     let (mut h, nodes) = build_history(n, 58, 42);
-    h.clear_dirty();
+    h.take_dirty();
     let base = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds.t_n);
     // dirty ~2% of the ratees with one extra rating each
     let mut rng = SmallRng::seed_from_u64(7);
@@ -109,7 +109,7 @@ fn bench_snapshot_refresh(c: &mut Criterion) {
         }
         h.record(Rating::positive(i, j, SimTime(t)));
     }
-    let dirty: Vec<NodeId> = h.dirty_ratees().collect();
+    let dirty: Vec<NodeId> = h.take_dirty();
 
     let mut group = c.benchmark_group("snapshot_refresh");
     group.bench_function(BenchmarkId::new("full_build", n), |bench| {

@@ -7,10 +7,10 @@
 //! * Every accepted rating is appended to the WAL
 //!   ([`collusion_reputation::wal`]) before it is folded into the engine;
 //!   fsync scheduling follows [`DurabilityConfig::sync_policy`] — per
-//!   record, every k records (the default, k = 64), or asynchronous group
-//!   commit on a background committer thread ([`SyncPolicy::Async`]: the
-//!   record path never blocks on fsync; closes barrier on the
-//!   committer's durable watermark).
+//!   record ([`SyncPolicy::PerRecord`]), or asynchronous group commit on
+//!   a background committer thread ([`SyncPolicy::Async`]; the default is
+//!   [`SyncPolicy::ASYNC_DEFAULT`]): the record path never blocks on
+//!   fsync, and closes barrier on the committer's durable watermark.
 //! * Every epoch close — scheduled or forced by the epoch-buffer memory
 //!   watermark — appends an epoch-close marker and fsyncs, so epoch
 //!   boundaries are always durable.

@@ -15,8 +15,10 @@
 //! 1. `Freeze{round}` — every manager freezes its primary slice as the
 //!    engine holds it (standing [`ShardedSnapshot`] + the open epoch, see
 //!    [`EpochEngine::frozen_snapshot`](crate::epoch::EpochEngine::frozen_snapshot))
-//!    and builds one of its replica slice, so every `Confirm` of the round
-//!    is answered from the same frozen data;
+//!    and folds the replica ratings logged since the last freeze into its
+//!    standing replica snapshot, the same way, and freezes a copy of it,
+//!    so every `Confirm` of the round is answered from the same frozen
+//!    data;
 //! 2. `DetectRound{round}` — every manager walks its own responsible
 //!    nodes and, for each suspicious direction found, either verifies the
 //!    partner side locally (same-manager pair) or sends `Confirm` to the
@@ -46,6 +48,7 @@ use std::time::Duration;
 
 use collusion_dht::hash::consistent_hash;
 use collusion_dht::ring::ChordRing;
+use collusion_reputation::epoch::EpochBuffer;
 use collusion_reputation::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use collusion_reputation::fxhash::FxHashMap;
 use collusion_reputation::history::{InteractionHistory, NodeTotals, PairCounters};
@@ -328,8 +331,13 @@ struct State {
     /// refreshed at `CloseEpoch` and rejoin, and by the next publication
     /// after a watermark-forced close ([`DataPlane::report_stale`]).
     report: DetectionReport,
-    /// Replica slices held for other managers' nodes.
-    replica: InteractionHistory,
+    /// Replica ratings (replicated for other managers' nodes, or
+    /// misrouted here) since the last `Freeze`, which folds them into
+    /// `replica` the way an epoch close folds the primary's open epoch.
+    replica_log: EpochBuffer,
+    /// Standing snapshot of the replica slices as of the last `Freeze`,
+    /// interned over [`Shared::backed_up`] plus every id folded so far.
+    replica: ShardedSnapshot,
     frozen: Option<Arc<Frozen>>,
     /// Ratings folded into the primary slice and absorbed into `view`
     /// (self-ratings are logged but never folded, so never counted).
@@ -470,7 +478,8 @@ impl ManagerNode {
         let state = State {
             view: totals,
             report: durable.report(),
-            replica: InteractionHistory::new(),
+            replica_log: EpochBuffer::new(),
+            replica: ShardedSnapshot::build(&InteractionHistory::new(), &backed_up, cfg.shards),
             frozen: None,
             recorded,
             replicated: 0,
@@ -813,7 +822,7 @@ fn apply_stream_frame(
     if !misrouted.is_empty() {
         let mut st = shared.state.lock().expect("manager state lock");
         for r in misrouted {
-            if st.replica.record(r) {
+            if st.replica_log.record(r) {
                 st.replicated += 1;
                 frame_accepted += 1;
             }
@@ -959,7 +968,7 @@ fn handle(shared: &Shared, req: Request) -> Response {
             let mut st = shared.state.lock().expect("manager state lock");
             let mut accepted = 0;
             for r in rs {
-                if st.replica.record(r) {
+                if st.replica_log.record(r) {
                     accepted += 1;
                 }
             }
@@ -1014,8 +1023,9 @@ fn handle(shared: &Shared, req: Request) -> Response {
             let parts =
                 shared.data.durable.lock().expect("durable engine lock").engine().frozen_parts();
             let snap = parts.merge();
-            let rep_snap = (!shared.backed_up.is_empty())
-                .then(|| ShardedSnapshot::build(&st.replica, &shared.backed_up, shared.cfg.shards));
+            let delta = st.replica_log.drain();
+            st.replica.apply_epoch(&delta, 1);
+            let rep_snap = (!shared.backed_up.is_empty()).then(|| st.replica.clone());
             st.frozen = Some(Arc::new(Frozen { round, snap, rep_snap }));
             Response::Frozen { round, nodes: shared.responsible.len() as u64 }
         }
@@ -1907,6 +1917,62 @@ mod tests {
         assert_eq!(info.recorded + info.intake_pending, all.len() as u64);
 
         drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_replica_slice_frozen_twice_equals_a_build_of_its_ratings() {
+        let dir = scratch_dir("net-replica-freeze");
+        let managers = manager_ids(3);
+        let mut cfg = config(managers[0], &dir, &managers);
+        cfg.replication = 2;
+        let node = ManagerNode::spawn(cfg).expect("spawn manager");
+        let backed_up = node.shared.backed_up.clone();
+        assert!(!backed_up.is_empty(), "the manager must back some node up");
+        let mut client = RpcClient::new(RpcConfig::lan());
+        // backed-up ratees, ids nobody interned yet (77, 78), a node this
+        // manager neither owns nor backs up, repeats and a self-rating
+        let ratee = backed_up[0];
+        let waves = [
+            vec![
+                Rating::positive(NodeId(40), ratee, SimTime(1)),
+                Rating::negative(NodeId(77), ratee, SimTime(2)),
+                Rating::positive(NodeId(40), ratee, SimTime(3)),
+                Rating::positive(ratee, ratee, SimTime(4)),
+            ],
+            vec![
+                Rating::neutral(NodeId(78), ratee, SimTime(5)),
+                Rating::negative(NodeId(40), ratee, SimTime(6)),
+                Rating::positive(ratee, NodeId(41), SimTime(7)),
+                Rating::positive(NodeId(42), *backed_up.last().expect("non-empty"), SimTime(8)),
+            ],
+        ];
+        let mut history = InteractionHistory::new();
+        let mut rep_snap = None;
+        for (round, wave) in (1..).zip(&waves) {
+            let resp = client.call(node.addr(), &Request::Replicate(wave.clone())).expect("rep");
+            let accepted = wave.iter().filter(|r| !r.is_self_rating()).count() as u64;
+            assert!(matches!(resp, Response::Ack { accepted: a, .. } if a == accepted));
+            for &r in wave {
+                history.record(r);
+            }
+            let resp = client.call(node.addr(), &Request::Freeze { round }).expect("freeze");
+            assert!(matches!(resp, Response::Frozen { .. }));
+            let st = node.shared.state.lock().expect("manager state lock");
+            let frozen = st.frozen.as_ref().expect("frozen");
+            rep_snap = frozen.rep_snap.clone();
+        }
+        let got = rep_snap.expect("a backing manager freezes a replica slice");
+        let want = ShardedSnapshot::build(&history, &backed_up, node.shared.cfg.shards);
+        assert_eq!(got.nodes(), want.nodes());
+        assert_eq!(got.n_shards(), want.n_shards());
+        assert_eq!(got.nnz(), want.nnz());
+        for idx in 0..want.n() as u32 {
+            assert_eq!(got.row(idx), want.row(idx), "row {idx}");
+            assert_eq!(got.totals_of(idx), want.totals_of(idx), "totals {idx}");
+        }
+
+        drop(node);
         std::fs::remove_dir_all(&dir).ok();
     }
 

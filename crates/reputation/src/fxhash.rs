@@ -3,10 +3,21 @@
 //! The std `HashMap` defaults to SipHash-1-3, which is DoS-resistant but
 //! costs ~1ns/byte plus finalization — measurable when the epoch pipeline
 //! performs one map probe per rating and tens of thousands per close. The
-//! keys hashed here are [`crate::id::NodeId`]s (and pairs of them): small,
-//! fixed-width integers that the process itself interns, not
-//! attacker-chosen strings, so the multiply-xor mix of the rustc/Firefox
-//! "FxHash" family is sufficient and ~5× faster.
+//! keys hashed here are fixed-width integers — [`crate::id::NodeId`]s,
+//! pairs of them, and stream session ids — for which the multiply-xor
+//! mix of the rustc/Firefox "FxHash" family is ~5× faster.
+//!
+//! **Exposure.** Fx is unkeyed: anyone who chooses the keys can choose
+//! colliding ones and turn each probe into a linear scan. Some maps keyed
+//! through it are fed from the wire, so their keys *are* client-chosen:
+//! a manager connection's per-frame fold (`StreamConn::local`, rater and
+//! ratee ids from `InsertStream`), the session table (`sessions`, keyed
+//! by the client's session id), the [`crate::ingest::ShardedIntake`]
+//! stripes, and the [`crate::sharded::ShardedSnapshot`] index, which
+//! interns every id a rating names. These are not DoS-resistant today;
+//! keyed hashing for them is an open ROADMAP item.
+//! [`crate::history::InteractionHistory`] is fed only from offline input
+//! (audits, simulations, traces).
 //!
 //! Determinism note: none of the detection outputs depend on map iteration
 //! order (deltas are sorted before use, verdicts live in a `BTreeMap`), so

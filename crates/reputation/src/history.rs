@@ -15,13 +15,24 @@
 //! | `a`            | fraction of positives among ratings from `n_j` for `n_i` | [`InteractionHistory::fraction_a`] |
 //! | `b`            | fraction of positives among ratings from others for `n_i`| [`InteractionHistory::fraction_b`] |
 //!
-//! The structure is incremental ([`InteractionHistory::record`]) so reputation
-//! managers can fold ratings in as they arrive; period scoping is handled by
-//! building one history per window (see `RatingLog::history_in`).
+//! The structure is incremental ([`InteractionHistory::record`]): a whole
+//! update period is folded in rating by rating, and period scoping is
+//! handled by building one history per window (see
+//! `RatingLog::history_in`). It is the offline form of Table I — the
+//! centralised audit, the simulator and test traces feed it; a running
+//! manager keeps its counters in an epoch log and a sharded snapshot
+//! instead.
+//!
+//! Two Fx maps hold the table: `(rater, ratee) → N(j,i), N⁺, N⁻`, and
+//! `ratee → N_i` with the ratee's distinct raters and its dirty mark, so a
+//! rating costs two probes. The dirty list [`InteractionHistory::take_dirty`]
+//! drains gets a ratee pushed only when its row's mark flips. Fx is
+//! unkeyed (see [`crate::fxhash`]); iteration order reaches no result,
+//! because every order-sensitive reader sorts.
 
+use crate::fxhash::FxHashMap;
 use crate::id::NodeId;
 use crate::rating::{Rating, RatingValue};
-use std::collections::{BTreeSet, HashMap};
 
 /// Counters for one ordered (rater → ratee) pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -106,6 +117,21 @@ pub struct NodeTotals {
 }
 
 impl NodeTotals {
+    fn add(&mut self, value: RatingValue) {
+        self.total = self.total.saturating_add(1);
+        match value {
+            RatingValue::Positive => self.positive = self.positive.saturating_add(1),
+            RatingValue::Negative => self.negative = self.negative.saturating_add(1),
+            RatingValue::Neutral => {}
+        }
+    }
+
+    fn merge(&mut self, other: &NodeTotals) {
+        self.total = self.total.saturating_add(other.total);
+        self.positive = self.positive.saturating_add(other.positive);
+        self.negative = self.negative.saturating_add(other.negative);
+    }
+
     /// Signed (eBay-style) reputation `#pos − #neg`, saturating at the
     /// `i64` limits.
     #[inline]
@@ -124,20 +150,33 @@ impl NodeTotals {
     }
 }
 
+/// One ratee's row: its aggregate counters, its distinct raters and its
+/// dirty mark, all behind the one probe [`InteractionHistory::record`]
+/// makes per ratee.
+#[derive(Clone, Debug, Default)]
+struct RateeRow {
+    /// Aggregate counters over all raters (`N_i` and its sign split).
+    totals: NodeTotals,
+    /// Distinct raters, in first-seen order, for detector row scans.
+    raters: Vec<NodeId>,
+    /// Whether the ratee is listed in `InteractionHistory::dirty`.
+    dirty: bool,
+}
+
 /// Incremental interaction history for one reputation-update period `T`.
 #[derive(Clone, Debug, Default)]
 pub struct InteractionHistory {
     /// (rater, ratee) → counters.
-    pairs: HashMap<(NodeId, NodeId), PairCounters>,
-    /// ratee → aggregate counters.
-    totals: HashMap<NodeId, NodeTotals>,
-    /// ratee → list of distinct raters, for detector row scans.
-    raters_of: HashMap<NodeId, Vec<NodeId>>,
+    pairs: FxHashMap<(NodeId, NodeId), PairCounters>,
+    /// ratee → totals, raters and dirty mark.
+    ratees: FxHashMap<NodeId, RateeRow>,
     /// Number of ratings folded in.
     recorded: u64,
-    /// Ratees whose rows changed since the last [`InteractionHistory::take_dirty`];
-    /// drives incremental `ShardedSnapshot::refresh`.
-    dirty: BTreeSet<NodeId>,
+    /// Ratees whose rows changed since the last [`InteractionHistory::take_dirty`],
+    /// unsorted (a ratee is pushed when its row's mark flips; a split-off
+    /// ratee, which has no row, may repeat); drives incremental
+    /// `ShardedSnapshot::refresh`.
+    dirty: Vec<NodeId>,
 }
 
 impl InteractionHistory {
@@ -152,19 +191,17 @@ impl InteractionHistory {
             return false;
         }
         let pair = self.pairs.entry((rating.rater, rating.ratee)).or_default();
+        let row = self.ratees.entry(rating.ratee).or_default();
         if pair.total == 0 {
-            self.raters_of.entry(rating.ratee).or_default().push(rating.rater);
+            row.raters.push(rating.rater);
         }
         pair.add(rating.value);
-        let tot = self.totals.entry(rating.ratee).or_default();
-        tot.total = tot.total.saturating_add(1);
-        match rating.value {
-            RatingValue::Positive => tot.positive = tot.positive.saturating_add(1),
-            RatingValue::Negative => tot.negative = tot.negative.saturating_add(1),
-            RatingValue::Neutral => {}
+        row.totals.add(rating.value);
+        if !row.dirty {
+            row.dirty = true;
+            self.dirty.push(rating.ratee);
         }
         self.recorded = self.recorded.saturating_add(1);
-        self.dirty.insert(rating.ratee);
         true
     }
 
@@ -172,17 +209,15 @@ impl InteractionHistory {
     /// ascending. Feed the result to `ShardedSnapshot::refresh` to bring a
     /// snapshot up to date in O(changed rows).
     pub fn take_dirty(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
-    }
-
-    /// The ratees currently marked dirty, without draining them.
-    pub fn dirty_ratees(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.dirty.iter().copied()
-    }
-
-    /// Forget all dirty marks (e.g. after a full snapshot rebuild).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for id in &dirty {
+            if let Some(row) = self.ratees.get_mut(id) {
+                row.dirty = false;
+            }
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
     }
 
     /// Number of ratings folded in (excluding rejected self-ratings).
@@ -193,12 +228,12 @@ impl InteractionHistory {
 
     /// All ratees that received at least one rating.
     pub fn ratees(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.totals.keys().copied()
+        self.ratees.keys().copied()
     }
 
     /// Distinct raters that rated `ratee`, in first-seen order.
     pub fn raters_of(&self, ratee: NodeId) -> &[NodeId] {
-        self.raters_of.get(&ratee).map(Vec::as_slice).unwrap_or(&[])
+        self.ratees.get(&ratee).map_or(&[], |row| &row.raters)
     }
 
     /// Counters for the ordered pair (rater → ratee), zero if absent.
@@ -210,7 +245,7 @@ impl InteractionHistory {
     /// Aggregate counters for `ratee`, zero if absent.
     #[inline]
     pub fn totals(&self, ratee: NodeId) -> NodeTotals {
-        self.totals.get(&ratee).copied().unwrap_or_default()
+        self.ratees.get(&ratee).map(|row| row.totals).unwrap_or_default()
     }
 
     // ----- Table I accessors -------------------------------------------------
@@ -297,45 +332,47 @@ impl InteractionHistory {
 
     /// Remove and return everything recorded *about* `ratee` — the ratings
     /// a departing reputation manager hands to the node's next owner.
-    /// Ratings `ratee` issued about others stay behind.
+    /// Ratings `ratee` issued about others stay behind. The ratee is left
+    /// dirty on both sides.
     pub fn split_off_ratee(&mut self, ratee: NodeId) -> InteractionHistory {
         let mut out = InteractionHistory::new();
-        let Some(raters) = self.raters_of.remove(&ratee) else {
+        let Some(row) = self.ratees.remove(&ratee) else {
             return out;
         };
-        for rater in &raters {
-            if let Some(c) = self.pairs.remove(&(*rater, ratee)) {
-                out.pairs.insert((*rater, ratee), c);
+        for &rater in &row.raters {
+            if let Some(c) = self.pairs.remove(&(rater, ratee)) {
+                out.pairs.insert((rater, ratee), c);
             }
         }
-        if let Some(totals) = self.totals.remove(&ratee) {
-            self.recorded = self.recorded.saturating_sub(totals.total);
-            out.recorded = totals.total;
-            out.totals.insert(ratee, totals);
+        self.recorded = self.recorded.saturating_sub(row.totals.total);
+        out.recorded = row.totals.total;
+        if !row.dirty {
+            self.dirty.push(ratee);
         }
-        out.raters_of.insert(ratee, raters);
-        self.dirty.insert(ratee);
-        out.dirty.insert(ratee);
+        out.dirty.push(ratee);
+        out.ratees.insert(ratee, RateeRow { dirty: true, ..row });
         out
     }
 
     /// Merge another history into this one (used to combine the views of
-    /// several decentralized managers).
+    /// several decentralized managers). Raters new to a ratee's row are
+    /// appended in `other`'s first-seen order.
     pub fn merge(&mut self, other: &InteractionHistory) {
-        for (&(rater, ratee), c) in &other.pairs {
-            let pair = self.pairs.entry((rater, ratee)).or_default();
-            if pair.total == 0 && c.total > 0 {
-                self.raters_of.entry(ratee).or_default().push(rater);
+        for (&ratee, other_row) in &other.ratees {
+            let row = self.ratees.entry(ratee).or_default();
+            for &rater in &other_row.raters {
+                let c = other.pair(rater, ratee);
+                let pair = self.pairs.entry((rater, ratee)).or_default();
+                if pair.total == 0 && c.total > 0 {
+                    row.raters.push(rater);
+                }
+                pair.merge(&c);
             }
-            pair.merge(c);
-            self.dirty.insert(ratee);
-        }
-        for (&ratee, t) in &other.totals {
-            let tot = self.totals.entry(ratee).or_default();
-            tot.total = tot.total.saturating_add(t.total);
-            tot.positive = tot.positive.saturating_add(t.positive);
-            tot.negative = tot.negative.saturating_add(t.negative);
-            self.dirty.insert(ratee);
+            row.totals.merge(&other_row.totals);
+            if !row.dirty {
+                row.dirty = true;
+                self.dirty.push(ratee);
+            }
         }
         self.recorded = self.recorded.saturating_add(other.recorded);
     }
@@ -467,17 +504,21 @@ mod tests {
         assert_eq!(h.take_dirty(), vec![NodeId(2), NodeId(4)]);
         assert_eq!(h.take_dirty(), Vec::<NodeId>::new());
         h.record(Rating::positive(NodeId(5), NodeId(2), SimTime(10)));
-        assert_eq!(h.dirty_ratees().collect::<Vec<_>>(), vec![NodeId(2)]);
-        // merge marks the merged-in ratees dirty
+        assert_eq!(h.take_dirty(), vec![NodeId(2)]);
+        // merge marks the merged-in ratees dirty, beside a recorded one
+        h.record(Rating::positive(NodeId(6), NodeId(2), SimTime(11)));
         let other = hist(&[(1, 4, 1)]);
         h.merge(&other);
         assert_eq!(h.take_dirty(), vec![NodeId(2), NodeId(4)]);
-        // split_off_ratee marks the departing ratee dirty on both sides
-        let slice = h.split_off_ratee(NodeId(2));
-        assert_eq!(h.dirty_ratees().collect::<Vec<_>>(), vec![NodeId(2)]);
-        assert_eq!(slice.dirty_ratees().collect::<Vec<_>>(), vec![NodeId(2)]);
-        h.clear_dirty();
-        assert_eq!(h.dirty_ratees().count(), 0);
+        // split_off_ratee marks the departing ratee dirty on both sides,
+        // once, without leaving an empty row behind
+        h.record(Rating::positive(NodeId(7), NodeId(2), SimTime(12)));
+        let mut slice = h.split_off_ratee(NodeId(2));
+        assert!(!h.ratees().any(|id| id == NodeId(2)));
+        assert_eq!(h.take_dirty(), vec![NodeId(2)]);
+        assert_eq!(slice.take_dirty(), vec![NodeId(2)]);
+        assert_eq!(h.take_dirty(), Vec::<NodeId>::new());
+        assert_eq!(slice.take_dirty(), Vec::<NodeId>::new());
     }
 
     #[test]

@@ -489,8 +489,9 @@ impl Shard {
 pub struct ShardedSnapshot {
     /// Interned node ids, ascending; `nodes[idx]` is the id of dense `idx`.
     nodes: Vec<NodeId>,
-    /// id → dense index. Fx-hashed: ids are interned by this process, not
-    /// attacker-chosen, and probe cost is on the per-rating hot path.
+    /// id → dense index. Fx-hashed for probe cost on the per-rating hot
+    /// path; the ids come from ratings, so on a manager they are
+    /// client-chosen (see [`crate::fxhash`] on exposure).
     index: FxHashMap<NodeId, u32>,
     /// Rows per shard (last shard may be short).
     rows_per_shard: usize,

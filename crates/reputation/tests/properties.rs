@@ -1,9 +1,11 @@
 //! Property-based tests for the reputation substrate.
 
+use collusion_reputation::history::NodeTotals;
 use collusion_reputation::id::TimeWindow;
 use collusion_reputation::prelude::*;
 use collusion_reputation::trust_matrix::TrustMatrix;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn ratings_strategy(n: u64, max_len: usize) -> impl Strategy<Value = Vec<Rating>> {
     prop::collection::vec(
@@ -17,6 +19,102 @@ fn ratings_strategy(n: u64, max_len: usize) -> impl Strategy<Value = Vec<Rating>
         }),
         0..max_len,
     )
+}
+
+/// The naive reference for [`InteractionHistory`]: ordered maps, Table I
+/// counted the obvious way.
+#[derive(Clone, Debug, Default)]
+struct HistoryModel {
+    pairs: BTreeMap<(NodeId, NodeId), PairCounters>,
+    /// ratee → (totals, distinct raters in first-seen order).
+    rows: BTreeMap<NodeId, (NodeTotals, Vec<NodeId>)>,
+    recorded: u64,
+    dirty: BTreeSet<NodeId>,
+}
+
+fn add_totals(t: &mut NodeTotals, (total, positive, negative): (u64, u64, u64)) {
+    t.total += total;
+    t.positive += positive;
+    t.negative += negative;
+}
+
+impl HistoryModel {
+    fn record(&mut self, r: Rating) -> bool {
+        if r.rater == r.ratee {
+            return false;
+        }
+        let mut one = PairCounters::default();
+        one.accumulate(r.value);
+        let pair = self.pairs.entry((r.rater, r.ratee)).or_default();
+        let row = self.rows.entry(r.ratee).or_default();
+        if pair.total == 0 {
+            row.1.push(r.rater);
+        }
+        pair.merge(&one);
+        add_totals(&mut row.0, (one.total, one.positive, one.negative));
+        self.recorded += 1;
+        self.dirty.insert(r.ratee);
+        true
+    }
+
+    fn take_dirty(&mut self) -> Vec<NodeId> {
+        std::mem::take(&mut self.dirty).into_iter().collect()
+    }
+
+    /// Raters new to a row are appended in `other`'s first-seen order.
+    fn merge(&mut self, other: &HistoryModel) {
+        for (&ratee, (totals, raters)) in &other.rows {
+            let row = self.rows.entry(ratee).or_default();
+            for &rater in raters {
+                let c = other.pairs[&(rater, ratee)];
+                let pair = self.pairs.entry((rater, ratee)).or_default();
+                if pair.total == 0 && c.total > 0 {
+                    row.1.push(rater);
+                }
+                pair.merge(&c);
+            }
+            add_totals(&mut row.0, (totals.total, totals.positive, totals.negative));
+            self.dirty.insert(ratee);
+        }
+        self.recorded += other.recorded;
+    }
+
+    fn split_off_ratee(&mut self, ratee: NodeId) -> HistoryModel {
+        let mut out = HistoryModel::default();
+        let Some(row) = self.rows.remove(&ratee) else {
+            return out;
+        };
+        for rater in &row.1 {
+            let c = self.pairs.remove(&(*rater, ratee)).expect("a listed rater has a cell");
+            out.pairs.insert((*rater, ratee), c);
+        }
+        self.recorded -= row.0.total;
+        out.recorded = row.0.total;
+        out.rows.insert(ratee, row);
+        self.dirty.insert(ratee);
+        out.dirty.insert(ratee);
+        out
+    }
+}
+
+/// Every read of `h` equals the model's, over the ids `0..n`.
+fn assert_history_is_model(h: &InteractionHistory, m: &HistoryModel, n: u64) {
+    prop_assert_eq!(h.recorded(), m.recorded);
+    for a in (0..n).map(NodeId) {
+        let (totals, raters) = m.rows.get(&a).cloned().unwrap_or_default();
+        prop_assert_eq!(h.totals(a), totals, "totals of {:?}", a);
+        prop_assert_eq!(h.raters_of(a), &raters[..], "raters of {:?}", a);
+        for b in (0..n).map(NodeId) {
+            let want = m.pairs.get(&(a, b)).copied().unwrap_or_default();
+            prop_assert_eq!(h.pair(a, b), want, "pair {:?} -> {:?}", a, b);
+        }
+    }
+    let ratees: BTreeSet<NodeId> = h.ratees().collect();
+    prop_assert_eq!(ratees, m.rows.keys().copied().collect::<BTreeSet<_>>());
+    let cells: BTreeMap<(NodeId, NodeId), PairCounters> =
+        h.iter_pairs().map(|(rater, ratee, c)| ((rater, ratee), c)).collect();
+    prop_assert_eq!(h.iter_pairs().len(), cells.len(), "iter_pairs repeats a cell");
+    prop_assert_eq!(&cells, &m.pairs);
 }
 
 proptest! {
@@ -123,5 +221,57 @@ proptest! {
         let sum: f64 = res.reputation.iter().sum();
         prop_assert!(sum.abs() < 1e-9 || (sum - 1.0).abs() < 1e-9, "sum {sum}");
         prop_assert!(res.reputation.iter().all(|&v| v >= 0.0));
+    }
+
+    /// [`InteractionHistory`] against [`HistoryModel`] over five ids:
+    /// records (repeats, self-ratings, every value) interleaved with
+    /// `take_dirty`, `merge` of a second stream, and `split_off_ratee`
+    /// (half the time merged straight back). Every read is compared after
+    /// every step; `take_dirty` must come back ascending, each ratee once.
+    #[test]
+    fn history_matches_a_naive_model(
+        ops in prop::collection::vec(
+            (0u8..16, 0u64..5, 0u64..5, 0u8..3, ratings_strategy(5, 8)),
+            0..120,
+        ),
+    ) {
+        const N: u64 = 5;
+        let mut h = InteractionHistory::new();
+        let mut m = HistoryModel::default();
+        for (t, (kind, rater, ratee, v, stream)) in ops.into_iter().enumerate() {
+            match kind {
+                0..=10 => {
+                    let value = [RatingValue::Negative, RatingValue::Neutral, RatingValue::Positive]
+                        [v as usize];
+                    let r = Rating::new(NodeId(rater), NodeId(ratee), value, SimTime(t as u64));
+                    prop_assert_eq!(h.record(r), m.record(r));
+                }
+                11 | 12 => {
+                    let dirty = h.take_dirty();
+                    prop_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{:?}", dirty);
+                    prop_assert_eq!(dirty, m.take_dirty());
+                }
+                13 => {
+                    let (mut other, mut other_m) = (InteractionHistory::new(), HistoryModel::default());
+                    for r in stream {
+                        prop_assert_eq!(other.record(r), other_m.record(r));
+                    }
+                    h.merge(&other);
+                    m.merge(&other_m);
+                }
+                _ => {
+                    let mut slice = h.split_off_ratee(NodeId(ratee));
+                    let mut slice_m = m.split_off_ratee(NodeId(ratee));
+                    assert_history_is_model(&slice, &slice_m, N);
+                    if kind == 15 {
+                        h.merge(&slice);
+                        m.merge(&slice_m);
+                    }
+                    prop_assert_eq!(slice.take_dirty(), slice_m.take_dirty());
+                }
+            }
+            assert_history_is_model(&h, &m, N);
+        }
+        prop_assert_eq!(h.take_dirty(), m.take_dirty());
     }
 }

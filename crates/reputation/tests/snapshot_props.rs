@@ -127,7 +127,7 @@ proptest! {
     ) {
         let nodes: Vec<NodeId> = (0..N).map(NodeId).collect();
         let mut h = history_of(&base);
-        h.clear_dirty();
+        h.take_dirty();
         let mut snaps = SHARD_COUNTS.map(|shards| ShardedSnapshot::build(&h, &nodes, shards));
         for r in &extra {
             h.record(*r);

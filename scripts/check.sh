@@ -13,9 +13,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy (dht/core non-test code: no unwrap) =="
-# hot paths that must heal around faults instead of panicking
-cargo clippy -p collusion-dht -p collusion-core -- -D warnings -W clippy::unwrap_used
+echo "== cargo clippy (dht/core/reputation non-test code: no unwrap) =="
+# hot paths that must heal around faults instead of panicking, and the
+# WAL, checkpoint, frame and codec decoders of untrusted bytes
+cargo clippy -p collusion-dht -p collusion-core -p collusion-reputation -- -D warnings -W clippy::unwrap_used
 
 echo "== cargo doc (workspace, rustdoc warnings are errors) =="
 # a doc link left pointing at a deleted or private name fails here

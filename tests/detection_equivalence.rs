@@ -209,7 +209,7 @@ fn incremental_refresh_matches_fresh_build_detection() {
     // a from-scratch rebuild.
     for seed in 0..5u64 {
         let (mut h, nodes) = random_history(700 + seed, 40, 2);
-        h.clear_dirty();
+        h.take_dirty();
         let mut snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
         // second wave of traffic, including a fresh colluding pair
         let mut rng = SmallRng::seed_from_u64(9000 + seed);

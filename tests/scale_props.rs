@@ -87,7 +87,7 @@ proptest! {
         let nodes = nodes();
         let mut h = InteractionHistory::new();
         let mut shard = ShardedSnapshot::build(&h, &nodes, shards);
-        h.clear_dirty();
+        h.take_dirty();
         let opt = OptimizedDetector::new(t);
         for wave in &waves {
             for r in wave {
@@ -296,7 +296,7 @@ proptest! {
         }
         // with a T_N, so the frequent reverse index has entries to compare
         let mut oracle = ShardedSnapshot::build_with_frequent(&h, &nodes, shards, 2);
-        h.clear_dirty();
+        h.take_dirty();
         for wave in &waves {
             for r in wave {
                 h.record(*r);
