@@ -1,12 +1,13 @@
 //! Figure 13 kernel: Basic (`O(m·n²)`) vs Optimized (`O(m·n)`) detection
 //! cost as the number of colluders grows — HashMap-backed inputs vs the
-//! CSR [`ShardedSnapshot`] kernels, plus full-rebuild vs incremental
-//! refresh.
+//! CSR [`ShardedSnapshot`] kernels, plus a full build vs one epoch
+//! applied to a standing snapshot.
 
 use collusion_core::basic::BasicDetector;
 use collusion_core::input::{DetectionInput, SnapshotInput};
 use collusion_core::optimized::OptimizedDetector;
 use collusion_core::prelude::Thresholds;
+use collusion_reputation::epoch::EpochBuffer;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::{Rating, RatingValue};
@@ -67,8 +68,8 @@ fn bench_detection(c: &mut Criterion) {
             bench.iter(|| black_box(det.detect(black_box(input))));
         });
         // snapshot variants: the CSR view is built once per detection pass,
-        // so it lives outside the timed loop (the refresh group below times
-        // the build itself)
+        // so it lives outside the timed loop (the snapshot_apply group below
+        // times the build itself)
         let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds.t_n);
         let sinput = SnapshotInput::from_signed(&snap, &nodes);
         group.bench_with_input(
@@ -91,15 +92,16 @@ fn bench_detection(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full CSR rebuild vs incremental refresh when only a small fraction of
-/// the ratees changed since the last detection period.
-fn bench_snapshot_refresh(c: &mut Criterion) {
+/// Full CSR build vs [`ShardedSnapshot::apply_epoch`] on a standing
+/// snapshot when only a small fraction of the ratees was rated since the
+/// last detection period.
+fn bench_snapshot_apply(c: &mut Criterion) {
     let thresholds = Thresholds::new(1.0, 20, 0.8, 0.2);
     let n = 2000u64;
     let (mut h, nodes) = build_history(n, 58, 42);
-    h.take_dirty();
     let base = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds.t_n);
-    // dirty ~2% of the ratees with one extra rating each
+    // re-rate ~2% of the ratees with one extra rating each
+    let mut epoch = EpochBuffer::new();
     let mut rng = SmallRng::seed_from_u64(7);
     for t in 10_000_000u64..10_000_000 + n / 50 {
         let i = NodeId(rng.random_range(1..=n));
@@ -107,11 +109,13 @@ fn bench_snapshot_refresh(c: &mut Criterion) {
         if i == j {
             j = NodeId(1 + j.raw() % n);
         }
-        h.record(Rating::positive(i, j, SimTime(t)));
+        let rating = Rating::positive(i, j, SimTime(t));
+        h.record(rating);
+        epoch.record(rating);
     }
-    let dirty: Vec<NodeId> = h.take_dirty();
+    let delta = epoch.drain();
 
-    let mut group = c.benchmark_group("snapshot_refresh");
+    let mut group = c.benchmark_group("snapshot_apply");
     group.bench_function(BenchmarkId::new("full_build", n), |bench| {
         bench.iter(|| {
             black_box(ShardedSnapshot::build_with_frequent(
@@ -122,14 +126,14 @@ fn bench_snapshot_refresh(c: &mut Criterion) {
             ))
         });
     });
-    group.bench_function(BenchmarkId::new("refresh_2pct", n), |bench| {
+    group.bench_function(BenchmarkId::new("apply_epoch_2pct", n), |bench| {
         bench.iter(|| {
             let mut snap = base.clone();
-            black_box(snap.refresh(black_box(&h), black_box(&dirty)))
+            black_box(snap.apply_epoch(black_box(&delta), 1))
         });
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_detection, bench_snapshot_refresh);
+criterion_group!(benches, bench_detection, bench_snapshot_apply);
 criterion_main!(benches);

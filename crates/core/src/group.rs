@@ -23,8 +23,7 @@
 //! output on pure pair workloads matches the pair detectors' (tested
 //! below); on clique workloads it finds what they structurally cannot.
 
-use crate::cost::CostMeter;
-use crate::input::DetectionInput;
+use crate::input::SnapshotInput;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
 use std::collections::{BTreeMap, BTreeSet};
@@ -109,23 +108,25 @@ impl GroupDetector {
         GroupDetector { config }
     }
 
-    /// Run group detection over the manager's view.
-    pub fn detect(&self, input: &DetectionInput<'_>) -> GroupReport {
-        let meter = CostMeter::new();
+    /// Run group detection over the manager's view. Members are found by
+    /// dense index and reported by id; interning preserves id order, and
+    /// every sum is an integer, so the report does not depend on the order
+    /// a row lists its raters in.
+    pub fn detect(&self, input: &SnapshotInput<'_>) -> GroupReport {
         let th = &self.config.thresholds;
-        let high = input.high_reputed(th);
-        let high_set: BTreeSet<NodeId> = high.iter().copied().collect();
+        let snap = input.snapshot;
+        let high = input.high_reputed_idx(th);
+        let high_set: BTreeSet<u32> = high.iter().copied().collect();
 
         // 1. mutual-boost edges among high-reputed nodes
-        let mut adjacency: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+        let mut adjacency: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         for &i in &high {
-            for &j in input.history.raters_of(i) {
+            for &j in snap.row(i).0 {
                 if j <= i || !high_set.contains(&j) {
                     continue;
                 }
-                meter.element_check();
-                let ij = input.history.pair(i, j);
-                let ji = input.history.pair(j, i);
+                let ij = snap.pair(i, j);
+                let ji = snap.pair(j, i);
                 if ij.total + ji.total < self.config.t_g {
                     continue;
                 }
@@ -139,7 +140,7 @@ impl GroupDetector {
         }
 
         // 2. connected components
-        let mut visited: BTreeSet<NodeId> = BTreeSet::new();
+        let mut visited: BTreeSet<u32> = BTreeSet::new();
         let mut groups = Vec::new();
         for &start in adjacency.keys() {
             if visited.contains(&start) {
@@ -162,10 +163,9 @@ impl GroupDetector {
             let mut outside_pos = 0u64;
             let mut internal_ratings = 0u64;
             for &m in &members {
-                meter.row_scan(input.history.raters_of(m).len() as u64);
-                for &rater in input.history.raters_of(m) {
-                    let c = input.history.pair(rater, m);
-                    if members.contains(&rater) {
+                let (raters, cells) = snap.row(m);
+                for (rater, c) in raters.iter().zip(cells) {
+                    if members.contains(rater) {
                         internal_ratings += c.total;
                     } else {
                         outside_total += c.total;
@@ -183,7 +183,7 @@ impl GroupDetector {
             let internal_edges =
                 members.iter().map(|m| adjacency.get(m).map_or(0, |s| s.len())).sum::<usize>() / 2;
             groups.push(SuspectGroup {
-                members: members.into_iter().collect(),
+                members: members.into_iter().map(|m| snap.node_id(m)).collect(),
                 internal_edges,
                 internal_ratings,
                 community_fraction,
@@ -201,9 +201,17 @@ mod tests {
     use collusion_reputation::history::InteractionHistory;
     use collusion_reputation::id::SimTime;
     use collusion_reputation::rating::Rating;
+    use collusion_reputation::sharded::ShardedSnapshot;
 
     fn thresholds() -> Thresholds {
         Thresholds::new(1.0, 20, 0.8, 0.2)
+    }
+
+    /// Group detection over a one-shard snapshot of `h`, signed reputations.
+    fn detect(h: &InteractionHistory, nodes: &[NodeId], t_g: u64) -> GroupReport {
+        let snap = ShardedSnapshot::build(h, nodes, 1);
+        let cfg = GroupDetectorConfig { thresholds: thresholds(), t_g };
+        GroupDetector::new(cfg).detect(&SnapshotInput::from_signed(&snap, nodes))
     }
 
     /// A clique of `k` colluders spreading boosts so each *pair* exchanges
@@ -247,10 +255,12 @@ mod tests {
         // 5 colluders, 12 mutual ratings per pair: each pair is below
         // T_N = 20, so the §IV pair detector is structurally blind…
         let (h, nodes) = clique_history(5, 12);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let pair_report = OptimizedDetector::new(thresholds()).detect(&input);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let input = SnapshotInput::from_signed(&snap, &nodes);
+        let pair_report = OptimizedDetector::new(thresholds()).detect_snapshot(&input);
         assert!(pair_report.pairs.is_empty(), "pair detector should miss the spread clique");
-        // …but the group detector with T_G = 20 (combined) sees the edges.
+        // …but the group detector with T_G = 20 (combined) sees the edges,
+        // with one report for every shard count.
         let cfg = GroupDetectorConfig { thresholds: thresholds(), t_g: 20 };
         let report = GroupDetector::new(cfg).detect(&input);
         assert_eq!(report.groups.len(), 1);
@@ -260,13 +270,21 @@ mod tests {
         assert!(!g.is_pair());
         assert!(g.community_fraction < 0.2);
         assert_eq!(g.internal_edges, 10); // C(5,2)
+        assert_eq!(g.internal_ratings, 20 * 12);
+        for shards in [3, 64] {
+            let snap = ShardedSnapshot::build(&h, &nodes, shards);
+            let sharded =
+                GroupDetector::new(cfg).detect(&SnapshotInput::from_signed(&snap, &nodes));
+            assert_eq!(sharded.groups, report.groups, "{shards} shards");
+        }
     }
 
     #[test]
     fn pair_collusion_is_the_k2_special_case() {
         let (h, nodes) = clique_history(2, 25);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let pair_report = OptimizedDetector::new(thresholds()).detect(&input);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let input = SnapshotInput::from_signed(&snap, &nodes);
+        let pair_report = OptimizedDetector::new(thresholds()).detect_snapshot(&input);
         assert_eq!(pair_report.pair_ids(), vec![(NodeId(1), NodeId(2))]);
         let cfg = GroupDetectorConfig::from_thresholds(thresholds());
         let report = GroupDetector::new(cfg).detect(&input);
@@ -300,9 +318,7 @@ mod tests {
         }
         let mut nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();
         nodes.extend((100..106).map(NodeId));
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let cfg = GroupDetectorConfig { thresholds: thresholds(), t_g: 20 };
-        let report = GroupDetector::new(cfg).detect(&input);
+        let report = detect(&h, &nodes, 20);
         assert!(report.groups.is_empty(), "community-loved cluster flagged: {report:?}");
     }
 
@@ -314,9 +330,7 @@ mod tests {
             h.record(Rating::positive(NodeId(2), NodeId(1), SimTime(t)));
         }
         let nodes = vec![NodeId(1), NodeId(2)];
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let cfg = GroupDetectorConfig::from_thresholds(thresholds());
-        let report = GroupDetector::new(cfg).detect(&input);
+        let report = detect(&h, &nodes, thresholds().t_n);
         assert!(report.groups.is_empty());
     }
 
@@ -331,18 +345,14 @@ mod tests {
                 t += 1;
             }
         }
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let cfg = GroupDetectorConfig { thresholds: thresholds(), t_g: 20 };
-        let report = GroupDetector::new(cfg).detect(&input);
+        let report = detect(&h, &nodes, 20);
         assert!(report.groups.is_empty());
     }
 
     #[test]
     fn collectives_filter_returns_only_big_groups() {
         let (h, nodes) = clique_history(4, 12);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let cfg = GroupDetectorConfig { thresholds: thresholds(), t_g: 20 };
-        let report = GroupDetector::new(cfg).detect(&input);
+        let report = detect(&h, &nodes, 20);
         assert_eq!(report.collectives().len(), 1);
         assert_eq!(report.collectives()[0].members.len(), 4);
     }

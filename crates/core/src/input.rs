@@ -46,21 +46,6 @@ impl<'a> DetectionInput<'a> {
         DetectionInput { history, nodes, reputation }
     }
 
-    /// Build an input from a node list the caller guarantees is already
-    /// strictly ascending (no clone, no sort — for hot paths that construct
-    /// inputs per manager or per sweep point).
-    pub fn from_sorted(
-        history: &'a InteractionHistory,
-        nodes: Vec<NodeId>,
-        reputation: HashMap<NodeId, f64>,
-    ) -> Self {
-        debug_assert!(
-            nodes.windows(2).all(|w| w[0] < w[1]),
-            "from_sorted requires strictly ascending node ids"
-        );
-        DetectionInput { history, nodes, reputation }
-    }
-
     /// Build an input whose reputations are the signed rating sums from the
     /// history itself (the paper's standalone-detector configuration,
     /// Figure 8).
@@ -248,14 +233,6 @@ mod tests {
         let input = DetectionInput::new(&h, &[NodeId(1), NodeId(2)], rep);
         assert_eq!(input.reputation_of(NodeId(1)), 0.9);
         assert_eq!(input.reputation_of(NodeId(2)), 0.0);
-    }
-
-    #[test]
-    fn from_sorted_skips_normalization() {
-        let h = InteractionHistory::new();
-        let input =
-            DetectionInput::from_sorted(&h, vec![NodeId(1), NodeId(2), NodeId(5)], HashMap::new());
-        assert_eq!(input.nodes, vec![NodeId(1), NodeId(2), NodeId(5)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use collusion_core::basic::BasicDetector;
 use collusion_core::decentralized::Method;
 use collusion_core::group::{GroupDetector, GroupDetectorConfig};
-use collusion_core::input::DetectionInput;
+use collusion_core::input::{DetectionInput, SnapshotInput};
 use collusion_core::mitigation::apply_mitigation;
 use collusion_core::optimized::OptimizedDetector;
 use collusion_core::policy::DetectionPolicy;
@@ -12,6 +12,7 @@ use collusion_core::system::DecentralizedSystem;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::{Rating, RatingValue};
+use collusion_reputation::sharded::ShardedSnapshot;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -151,8 +152,9 @@ proptest! {
         let input = DetectionInput::from_signed_history(&h, &nodes);
         let th = Thresholds::new(1.0, 8, 0.8, 0.3);
         let pairs = BasicDetector::new(th).detect(&input);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
         let groups = GroupDetector::new(GroupDetectorConfig { thresholds: th, t_g: 16 })
-            .detect(&input);
+            .detect(&SnapshotInput::from_signed(&snap, &nodes));
         for p in &pairs.pairs {
             // A mutually-boosting pair forms a mutual-boost edge, so both
             // ends live in the same boost-graph component. The group report

@@ -19,16 +19,15 @@
 //! update period is folded in rating by rating, and period scoping is
 //! handled by building one history per window (see
 //! `RatingLog::history_in`). It is the offline form of Table I — the
-//! centralised audit, the simulator and test traces feed it; a running
-//! manager keeps its counters in an epoch log and a sharded snapshot
-//! instead.
+//! centralised audit, the simulator's reputation engines and test traces
+//! feed it; a running manager (and the simulator's cumulative detection)
+//! keeps its counters in an epoch log and a sharded snapshot instead. A
+//! history never advances a snapshot: a snapshot is built from it whole.
 //!
 //! Two Fx maps hold the table: `(rater, ratee) → N(j,i), N⁺, N⁻`, and
-//! `ratee → N_i` with the ratee's distinct raters and its dirty mark, so a
-//! rating costs two probes. The dirty list [`InteractionHistory::take_dirty`]
-//! drains gets a ratee pushed only when its row's mark flips. Fx is
-//! unkeyed (see [`crate::fxhash`]); iteration order reaches no result,
-//! because every order-sensitive reader sorts.
+//! `ratee → N_i` with the ratee's distinct raters, so a rating costs two
+//! probes. Fx is unkeyed (see [`crate::fxhash`]); iteration order reaches
+//! no result, because every order-sensitive reader sorts.
 
 use crate::fxhash::FxHashMap;
 use crate::id::NodeId;
@@ -150,17 +149,14 @@ impl NodeTotals {
     }
 }
 
-/// One ratee's row: its aggregate counters, its distinct raters and its
-/// dirty mark, all behind the one probe [`InteractionHistory::record`]
-/// makes per ratee.
+/// One ratee's row: its aggregate counters and its distinct raters, both
+/// behind the one probe [`InteractionHistory::record`] makes per ratee.
 #[derive(Clone, Debug, Default)]
 struct RateeRow {
     /// Aggregate counters over all raters (`N_i` and its sign split).
     totals: NodeTotals,
     /// Distinct raters, in first-seen order, for detector row scans.
     raters: Vec<NodeId>,
-    /// Whether the ratee is listed in `InteractionHistory::dirty`.
-    dirty: bool,
 }
 
 /// Incremental interaction history for one reputation-update period `T`.
@@ -168,15 +164,10 @@ struct RateeRow {
 pub struct InteractionHistory {
     /// (rater, ratee) → counters.
     pairs: FxHashMap<(NodeId, NodeId), PairCounters>,
-    /// ratee → totals, raters and dirty mark.
+    /// ratee → totals and raters.
     ratees: FxHashMap<NodeId, RateeRow>,
     /// Number of ratings folded in.
     recorded: u64,
-    /// Ratees whose rows changed since the last [`InteractionHistory::take_dirty`],
-    /// unsorted (a ratee is pushed when its row's mark flips; a split-off
-    /// ratee, which has no row, may repeat); drives incremental
-    /// `ShardedSnapshot::refresh`.
-    dirty: Vec<NodeId>,
 }
 
 impl InteractionHistory {
@@ -197,27 +188,8 @@ impl InteractionHistory {
         }
         pair.add(rating.value);
         row.totals.add(rating.value);
-        if !row.dirty {
-            row.dirty = true;
-            self.dirty.push(rating.ratee);
-        }
         self.recorded = self.recorded.saturating_add(1);
         true
-    }
-
-    /// Drain the set of ratees whose rows changed since the last call,
-    /// ascending. Feed the result to `ShardedSnapshot::refresh` to bring a
-    /// snapshot up to date in O(changed rows).
-    pub fn take_dirty(&mut self) -> Vec<NodeId> {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        for id in &dirty {
-            if let Some(row) = self.ratees.get_mut(id) {
-                row.dirty = false;
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
     }
 
     /// Number of ratings folded in (excluding rejected self-ratings).
@@ -332,8 +304,8 @@ impl InteractionHistory {
 
     /// Remove and return everything recorded *about* `ratee` — the ratings
     /// a departing reputation manager hands to the node's next owner.
-    /// Ratings `ratee` issued about others stay behind. The ratee is left
-    /// dirty on both sides.
+    /// Ratings `ratee` issued about others stay behind, and the ratee
+    /// leaves [`InteractionHistory::ratees`].
     pub fn split_off_ratee(&mut self, ratee: NodeId) -> InteractionHistory {
         let mut out = InteractionHistory::new();
         let Some(row) = self.ratees.remove(&ratee) else {
@@ -346,11 +318,7 @@ impl InteractionHistory {
         }
         self.recorded = self.recorded.saturating_sub(row.totals.total);
         out.recorded = row.totals.total;
-        if !row.dirty {
-            self.dirty.push(ratee);
-        }
-        out.dirty.push(ratee);
-        out.ratees.insert(ratee, RateeRow { dirty: true, ..row });
+        out.ratees.insert(ratee, row);
         out
     }
 
@@ -369,10 +337,6 @@ impl InteractionHistory {
                 pair.merge(&c);
             }
             row.totals.merge(&other_row.totals);
-            if !row.dirty {
-                row.dirty = true;
-                self.dirty.push(ratee);
-            }
         }
         self.recorded = self.recorded.saturating_add(other.recorded);
     }
@@ -496,29 +460,6 @@ mod tests {
         h.merge(&about_2);
         assert_eq!(h.recorded(), before_recorded);
         assert_eq!(h.ratings_for(NodeId(2)), 3);
-    }
-
-    #[test]
-    fn dirty_tracking_follows_mutations() {
-        let mut h = hist(&[(1, 2, 1), (3, 4, -1)]);
-        assert_eq!(h.take_dirty(), vec![NodeId(2), NodeId(4)]);
-        assert_eq!(h.take_dirty(), Vec::<NodeId>::new());
-        h.record(Rating::positive(NodeId(5), NodeId(2), SimTime(10)));
-        assert_eq!(h.take_dirty(), vec![NodeId(2)]);
-        // merge marks the merged-in ratees dirty, beside a recorded one
-        h.record(Rating::positive(NodeId(6), NodeId(2), SimTime(11)));
-        let other = hist(&[(1, 4, 1)]);
-        h.merge(&other);
-        assert_eq!(h.take_dirty(), vec![NodeId(2), NodeId(4)]);
-        // split_off_ratee marks the departing ratee dirty on both sides,
-        // once, without leaving an empty row behind
-        h.record(Rating::positive(NodeId(7), NodeId(2), SimTime(12)));
-        let mut slice = h.split_off_ratee(NodeId(2));
-        assert!(!h.ratees().any(|id| id == NodeId(2)));
-        assert_eq!(h.take_dirty(), vec![NodeId(2)]);
-        assert_eq!(slice.take_dirty(), vec![NodeId(2)]);
-        assert_eq!(h.take_dirty(), Vec::<NodeId>::new());
-        assert_eq!(slice.take_dirty(), Vec::<NodeId>::new());
     }
 
     #[test]

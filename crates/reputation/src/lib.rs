@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::id::{NodeId, SimTime};
     pub use crate::ingest::ShardedIntake;
     pub use crate::rating::{Rating, RatingLog, RatingValue};
-    pub use crate::sharded::{RefreshOutcome, ShardedSnapshot};
+    pub use crate::sharded::ShardedSnapshot;
     pub use crate::thresholds::Thresholds;
     pub use crate::trust_matrix::TrustMatrix;
     pub use crate::wal::{SyncPolicy, Wal, WalRecord, WalReplay};

@@ -15,20 +15,11 @@
 //! contiguous ranges of ratee rows — one shard for a paper-scale matrix, 64
 //! at 100k nodes — and each `Shard` owns the forward CSR (per ratee, the
 //! rater indices ascending with their packed [`PairCounters`]), the
-//! per-ratee totals (`N_i` and the signed reputation `R_i` of Formula 2),
-//! the patch overlay and the optional frequent aggregates (per-ratee
-//! `(count, signed sum)` over raters with `N(j,i) ≥ T_N`, for the extended
-//! policy) of its range:
-//!
-//! * **refresh locality** — [`InteractionHistory`] tracks the ratees whose
-//!   rows changed since the last [`InteractionHistory::take_dirty`];
-//!   [`ShardedSnapshot::refresh`] rebuilds only those rows as overlay
-//!   patches, and a dirty ratee touches exactly one shard;
-//! * **parallel maintenance** — shards rebuild and refresh under
-//!   `rayon::par_iter_mut`, since their row ranges are disjoint;
-//! * **bounded compaction** — a shard whose overlay passes 25% of its rows
-//!   compacts, so compacting scattered updates costs O(shard), not
-//!   O(matrix).
+//! per-ratee totals (`N_i` and the signed reputation `R_i` of Formula 2)
+//! and the optional frequent aggregates (per-ratee `(count, signed sum)`
+//! over raters with `N(j,i) ≥ T_N`, for the extended policy) of its range.
+//! A closed epoch touches only the shards owning its rows, and shards
+//! merge in parallel, since their row ranges are disjoint.
 //!
 //! Every whole-matrix build goes through one row-order constructor,
 //! [`RowBuilder`]: rows arrive in ascending order, columns strictly
@@ -42,7 +33,7 @@
 //! persisted rows into it directly, with no history in between.
 //!
 //! There is no reverse CSR (it would interleave all shards and serialize
-//! refresh): pair probes binary-search the ratee's forward row inside its
+//! the merge): pair probes binary-search the ratee's forward row inside its
 //! shard. The one reverse question epoch-incremental
 //! detection still asks — "which rows hold a *frequent* cell from this
 //! rater", for a rater whose reputation just crossed `T_R` — is answered
@@ -56,32 +47,18 @@
 //! The snapshot also absorbs closed [`EpochDelta`]s directly
 //! ([`ShardedSnapshot::apply_epoch`]) — counters merge into rows in place,
 //! previously unseen nodes are re-interned with a monotone index remap —
-//! so a long-running engine never replays a full history. Every mutation
-//! path is bit-identical to a fresh build from an equivalent history; the
-//! crate tests check each probe against the history itself, and the
-//! workspace `detection_equivalence`/`scale_props` harnesses check the
-//! detectors' reports.
+//! so a long-running engine never replays a full history. A snapshot
+//! changes only by a fresh build or by `apply_epoch`, and both only add
+//! counts, so the frequent reverse index only ever gains edges. An advanced
+//! snapshot is bit-identical to a fresh build from a history that recorded
+//! the same ratings; the crate tests check each probe against the history
+//! itself, and the workspace `detection_equivalence`/`scale_props`
+//! harnesses check the detectors' reports.
 
 use crate::epoch::EpochDelta;
 use crate::fxhash::FxHashMap;
 use crate::history::{InteractionHistory, NodeTotals, PairCounters};
 use crate::id::NodeId;
-use rayon::prelude::*;
-
-/// How a [`ShardedSnapshot::refresh`] was carried out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RefreshOutcome {
-    /// No dirty rows — the snapshot was already current.
-    Unchanged,
-    /// Only the dirty rows were rebuilt (count given).
-    Patched(usize),
-    /// The whole snapshot was rebuilt (a previously unseen node appeared).
-    Rebuilt,
-}
-
-/// Per-row refresh diff: `(global row, old frequent raters, new frequent
-/// raters)`, both ascending.
-type RowDiff = (u32, Vec<u32>, Vec<u32>);
 
 /// One epoch-delta entry with ids resolved to dense indices:
 /// `(global ratee row, rater index, counter delta)`, sorted by row then
@@ -199,7 +176,7 @@ impl Clone for MergeScratch {
     }
 }
 
-/// One contiguous range of ratee rows with its own CSR arena and overlay.
+/// One contiguous range of ratee rows with its own CSR arena.
 ///
 /// Per-ratee totals are stored structure-of-arrays — three contiguous
 /// `u64` columns instead of an array of structs — so the batch band/high
@@ -222,15 +199,9 @@ struct Shard {
     tot_pos: Vec<u64>,
     /// Per-ratee negative counts (SoA column).
     tot_neg: Vec<u64>,
-    /// Dirty-row overlays; resolved by [`Shard::row`].
-    row_patch: Vec<Option<(Vec<u32>, Vec<PairCounters>)>>,
-    /// Number of rows currently overlaid.
-    patched_rows: usize,
     /// Per-ratee frequent aggregates ([`freq_of`] of each row), present
     /// iff the snapshot keeps them.
     freq: Option<Vec<(u64, i64)>>,
-    /// Cell count with overlays resolved.
-    nnz: usize,
     /// Double-buffer and newly frequent edges of the epoch merge.
     scratch: MergeScratch,
 }
@@ -246,10 +217,7 @@ impl Shard {
             tot_total: vec![0; rows],
             tot_pos: vec![0; rows],
             tot_neg: vec![0; rows],
-            row_patch: (0..rows).map(|_| None).collect(),
-            patched_rows: 0,
             freq: with_freq.then(|| vec![(0, 0); rows]),
-            nnz: 0,
             scratch: MergeScratch::default(),
         }
     }
@@ -272,21 +240,8 @@ impl Shard {
 
     #[inline]
     fn row(&self, local: usize) -> (&[u32], &[PairCounters]) {
-        if let Some((cols, cells)) = &self.row_patch[local] {
-            return (cols, cells);
-        }
         let (s, e) = (self.row_offsets[local] as usize, self.row_offsets[local + 1] as usize);
         (&self.row_cols[s..e], &self.row_cells[s..e])
-    }
-
-    /// Replace one row through the overlay, keeping `nnz` exact.
-    fn set_row(&mut self, local: usize, cols: Vec<u32>, cells: Vec<PairCounters>) {
-        let old_len = self.row(local).0.len();
-        self.nnz = self.nnz + cols.len() - old_len;
-        if self.row_patch[local].is_none() {
-            self.patched_rows += 1;
-        }
-        self.row_patch[local] = Some((cols, cells));
     }
 
     /// Frequent aggregate of one row computed directly.
@@ -304,36 +259,6 @@ impl Shard {
         cols.iter().zip(cells).filter(move |(_, c)| c.total >= min).map(|(&j, _)| j)
     }
 
-    /// Materialize overlays back into a packed arena.
-    fn compact(&mut self) {
-        if self.patched_rows == 0 {
-            return;
-        }
-        assert!(self.nnz <= u32::MAX as usize, "too many cells for u32 shard offsets");
-        let mut row_offsets = Vec::with_capacity(self.rows + 1);
-        row_offsets.push(0u32);
-        let mut row_cols = Vec::with_capacity(self.nnz);
-        let mut row_cells = Vec::with_capacity(self.nnz);
-        for local in 0..self.rows {
-            let (cols, cells) = self.row(local);
-            row_cols.extend_from_slice(cols);
-            row_cells.extend_from_slice(cells);
-            row_offsets.push(row_cols.len() as u32);
-        }
-        self.row_offsets = row_offsets;
-        self.row_cols = row_cols;
-        self.row_cells = row_cells;
-        self.row_patch = (0..self.rows).map(|_| None).collect();
-        self.patched_rows = 0;
-    }
-
-    /// Per-shard compaction threshold: >25% of rows overlaid.
-    fn maybe_compact(&mut self) {
-        if 4 * self.patched_rows > self.rows {
-            self.compact();
-        }
-    }
-
     /// Merge one epoch's resolved delta entries (all rows owned by this
     /// shard, sorted by row then rater index) by rebuilding the packed
     /// arena into the spare buffers and swapping.
@@ -345,9 +270,8 @@ impl Shard {
     /// recorded in [`MergeScratch::new_frequent`] for the caller's reverse
     /// index. Counters only grow, so no cell ever crosses back. After the
     /// first few epochs the spare arenas have grown to capacity and the
-    /// merge allocates nothing. Requires an empty overlay (`compact` first).
+    /// merge allocates nothing.
     fn rebuild_with(&mut self, entries: &[IdxEntry], freq_t_n: Option<u64>) {
-        debug_assert_eq!(self.patched_rows, 0, "rebuild_with requires a compacted shard");
         // `u64::MAX` sentinel keeps the merge loop branch-simple when the
         // snapshot tracks no frequent aggregates (no cell ever qualifies).
         let freq_min = freq_t_n.unwrap_or(u64::MAX);
@@ -476,15 +400,14 @@ impl Shard {
         self.scratch.offsets = offs;
         self.scratch.cols = cols;
         self.scratch.cells = cells;
-        self.nnz = self.row_cols.len();
     }
 }
 
 /// Frozen CSR view of the rating matrix, sharded by ratee-index range.
 ///
 /// Detectors read it through its probe methods and produce bit-identical
-/// reports for every shard count; refresh and epoch application touch only
-/// shards owning dirty rows, in parallel.
+/// reports for every shard count; [`ShardedSnapshot::apply_epoch`] touches
+/// only the shards owning the epoch's rows, in parallel.
 #[derive(Clone, Debug)]
 pub struct ShardedSnapshot {
     /// Interned node ids, ascending; `nodes[idx]` is the id of dense `idx`.
@@ -598,7 +521,6 @@ impl RowBuilder {
         let local = self.local;
         assert!(shard.row_cols.len() <= u32::MAX as usize, "too many cells for u32 shard offsets");
         shard.row_offsets[local + 1] = shard.row_cols.len() as u32;
-        shard.nnz = shard.row_cols.len();
         shard.set_totals(local, totals);
         if let Some(t_n) = freq_t_n {
             let agg = shard.row_freq(local, t_n);
@@ -806,11 +728,6 @@ impl ShardedSnapshot {
         self.rows_per_shard
     }
 
-    /// Total overlaid rows across all shards.
-    pub fn patched_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.patched_rows).sum()
-    }
-
     /// The `T_N` this snapshot keeps frequent aggregates and the frequent
     /// reverse index for, if it was built with one.
     #[inline]
@@ -853,102 +770,6 @@ impl ShardedSnapshot {
         &self.shards[idx as usize / self.rows_per_shard]
     }
 
-    // ----- Incremental refresh ----------------------------------------------
-
-    /// Bring the snapshot up to date with `history` by rebuilding only the
-    /// rows of the `dirty` ratees, shard-parallel. Shards without dirty
-    /// rows are untouched; a shard whose patch overlay passes 25% of its
-    /// rows compacts locally. Falls back to a full (parallel) rebuild when
-    /// a dirty ratee or one of its raters is not interned yet.
-    pub fn refresh(&mut self, history: &InteractionHistory, dirty: &[NodeId]) -> RefreshOutcome {
-        if dirty.is_empty() {
-            return RefreshOutcome::Unchanged;
-        }
-        let mut need_rebuild = false;
-        'scan: for &id in dirty {
-            if !self.index.contains_key(&id) {
-                need_rebuild = true;
-                break;
-            }
-            for &r in history.raters_of(id) {
-                if !self.index.contains_key(&r) {
-                    need_rebuild = true;
-                    break 'scan;
-                }
-            }
-        }
-        if need_rebuild {
-            let nodes = std::mem::take(&mut self.nodes);
-            *self = Self::from_history(history, nodes, self.target_shards, self.freq_t_n);
-            return RefreshOutcome::Rebuilt;
-        }
-
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-        for &id in dirty {
-            let g = self.index[&id];
-            by_shard[g as usize / self.rows_per_shard].push(g);
-        }
-
-        let nodes = &self.nodes;
-        let index = &self.index;
-        let freq_t_n = self.freq_t_n;
-        // Each shard rebuilds its dirty rows independently and reports the
-        // (row, old frequent raters, new frequent raters) diffs for the
-        // frequent reverse index.
-        let diffs: Vec<Vec<RowDiff>> = self
-            .shards
-            .par_iter_mut()
-            .zip(by_shard)
-            .map(|(shard, gs)| {
-                let mut out = Vec::with_capacity(gs.len());
-                for g in gs {
-                    let local = (g - shard.base) as usize;
-                    let id = nodes[g as usize];
-                    let old_freq: Vec<u32> = shard.frequent_raters(local, freq_t_n).collect();
-                    let mut new_row: Vec<(u32, PairCounters)> = history
-                        .raters_of(id)
-                        .iter()
-                        .map(|&r| (index[&r], history.pair(r, id)))
-                        .collect();
-                    new_row.sort_unstable_by_key(|e| e.0);
-                    let new_cols: Vec<u32> = new_row.iter().map(|e| e.0).collect();
-                    let new_cells: Vec<PairCounters> = new_row.iter().map(|e| e.1).collect();
-                    shard.set_row(local, new_cols, new_cells);
-                    shard.set_totals(local, history.totals(id));
-                    if let Some(t_n) = freq_t_n {
-                        let agg = shard.row_freq(local, t_n);
-                        if let Some(f) = shard.freq.as_mut() {
-                            f[local] = agg;
-                        }
-                    }
-                    out.push((g, old_freq, shard.frequent_raters(local, freq_t_n).collect()));
-                }
-                shard.maybe_compact();
-                out
-            })
-            .collect();
-
-        for (g, old_freq, new_freq) in diffs.into_iter().flatten() {
-            for &j in &new_freq {
-                if old_freq.binary_search(&j).is_err() {
-                    let list = &mut self.freq_rev[j as usize];
-                    if let Err(pos) = list.binary_search(&g) {
-                        list.insert(pos, g);
-                    }
-                }
-            }
-            for &j in &old_freq {
-                if new_freq.binary_search(&j).is_err() {
-                    let list = &mut self.freq_rev[j as usize];
-                    if let Ok(pos) = list.binary_search(&g) {
-                        list.remove(pos);
-                    }
-                }
-            }
-        }
-        RefreshOutcome::Patched(dirty.len())
-    }
-
     // ----- Epoch application ------------------------------------------------
 
     /// Merge one closed epoch's counter delta into the shards, without any
@@ -960,8 +781,7 @@ impl ShardedSnapshot {
     /// dense indices once (reusable scratch), each touched shard rewrites
     /// its packed CSR into a retained spare arena — untouched row ranges
     /// bulk-copy, touched rows two-pointer-merge — and the arenas swap.
-    /// Steady state (no fresh nodes, no overlays) allocates nothing and
-    /// never pays the old per-row `Vec` + overlay + compaction costs.
+    /// Steady state (no fresh nodes) allocates nothing.
     ///
     /// Previously unseen node ids are re-interned. Because interning is
     /// ascending by id, that *shifts dense indices*: the return value is
@@ -1006,9 +826,6 @@ impl ShardedSnapshot {
             if lo == hi {
                 return;
             }
-            // Overlays only exist after a `refresh`; the epoch engine path
-            // never patches, so this is a steady-state no-op.
-            shard.compact();
             shard.rebuild_with(&idx_ref[lo..hi], freq_t_n);
         });
 
@@ -1137,7 +954,6 @@ impl ShardedSnapshot {
                 }
                 row_offsets.push(row_cols.len() as u32);
             }
-            shard.nnz = row_cols.len();
             shard.row_offsets = row_offsets;
             shard.row_cols = row_cols;
             shard.row_cells = row_cells;
@@ -1186,9 +1002,9 @@ impl ShardedSnapshot {
         self.index.get(&id).copied()
     }
 
-    /// Number of stored (rater, ratee) cells, overlays resolved.
+    /// Number of stored (rater, ratee) cells.
     pub fn nnz(&self) -> usize {
-        self.shards.iter().map(|s| s.nnz).sum()
+        self.shards.iter().map(|s| s.row_cols.len()).sum()
     }
 
     /// The forward row of ratee `idx`: rater indices (ascending) and their
@@ -1402,109 +1218,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_handles_split_off_rows() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(11, 12, 300));
-        let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 3, 2);
-        h.take_dirty();
-        let _slice = h.split_off_ratee(NodeId(4));
-        let dirty = h.take_dirty();
-        assert!(dirty.contains(&NodeId(4)));
-        sharded.refresh(&h, &dirty);
-        let i4 = sharded.index(NodeId(4)).unwrap();
-        assert!(sharded.row(i4).0.is_empty());
-        assert_eq!(sharded.totals_of(i4), NodeTotals::default());
-        assert_matches_history(&sharded, &h, &nodes);
-    }
-
-    #[test]
-    fn frequent_aggregates_survive_refresh() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(13, 10, 300));
-        let nodes: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 3, 20);
-        h.take_dirty();
-        for t in 0..30 {
-            h.record(Rating::positive(NodeId(7), NodeId(8), SimTime(9000 + t)));
-        }
-        let dirty = h.take_dirty();
-        assert_eq!(sharded.refresh(&h, &dirty), RefreshOutcome::Patched(1));
-        let i8 = sharded.index(NodeId(8)).unwrap();
-        assert!(sharded.frequent_agg(20, i8).unwrap().0 >= 30);
-        assert_matches_history(&sharded, &h, &nodes);
-    }
-
-    #[test]
-    fn nnz_stays_exact_across_refreshes() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(23, 12, 250));
-        let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build(&h, &nodes, 3);
-        h.take_dirty();
-        for round in 0..6u64 {
-            // a brand-new cell or a repeat rating on an existing cell
-            h.record(Rating::positive(NodeId(round % 12), NodeId((round + 3) % 12), SimTime(9000)));
-            let dirty = h.take_dirty();
-            sharded.refresh(&h, &dirty);
-            let resolved: usize = (0..sharded.n() as u32).map(|i| sharded.row(i).0.len()).sum();
-            assert_eq!(sharded.nnz(), resolved, "nnz diverged from the rows at round {round}");
-            assert_eq!(sharded.nnz(), h.iter_pairs().count(), "nnz diverged at round {round}");
-        }
-    }
-
-    #[test]
-    fn refresh_matches_history() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(21, 24, 400));
-        let nodes: Vec<NodeId> = (0..24).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 5, 2);
-        h.take_dirty();
-        for round in 0..8u64 {
-            record_all(&mut h, &pseudo_ratings(100 + round, 24, 20));
-            let dirty = h.take_dirty();
-            let outcome = sharded.refresh(&h, &dirty);
-            assert_ne!(outcome, RefreshOutcome::Unchanged);
-            assert_matches_history(&sharded, &h, &nodes);
-        }
-    }
-
-    #[test]
-    fn refresh_with_new_node_rebuilds() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(3, 10, 150));
-        let nodes: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build(&h, &nodes, 4);
-        h.take_dirty();
-        h.record(Rating::positive(NodeId(500), NodeId(1), SimTime(900)));
-        let dirty = h.take_dirty();
-        assert_eq!(sharded.refresh(&h, &dirty), RefreshOutcome::Rebuilt);
-        assert!(sharded.index(NodeId(500)).is_some());
-        assert_matches_history(&sharded, &h, &nodes);
-    }
-
-    #[test]
-    fn shard_compaction_bounds_overlay() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(9, 40, 400));
-        let nodes: Vec<NodeId> = (0..40).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build(&h, &nodes, 4);
-        h.take_dirty();
-        for t in 0..200u64 {
-            h.record(Rating::positive(NodeId(t % 40), NodeId((t + 1) % 40), SimTime(5000 + t)));
-            let dirty = h.take_dirty();
-            sharded.refresh(&h, &dirty);
-            for shard in &sharded.shards {
-                assert!(
-                    4 * shard.patched_rows <= shard.rows + 4 * shard.rows.min(2),
-                    "shard overlay unbounded"
-                );
-            }
-        }
-        assert_matches_history(&sharded, &h, &nodes);
-    }
-
-    #[test]
     fn epoch_apply_matches_history_build() {
         let mut h = InteractionHistory::new();
         let base = pseudo_ratings(11, 20, 300);
@@ -1572,7 +1285,7 @@ mod tests {
         assert_eq!(sharded.frequent_agg(19, 0), None);
     }
 
-    /// Every way an edge enters or leaves the frequent reverse index, with
+    /// Every way an edge enters the frequent reverse index, with
     /// the expected lists spelled out (ids are dense indices here until the
     /// re-interning step) and the brute-force check after each step.
     #[test]
@@ -1636,21 +1349,6 @@ mod tests {
         assert_eq!(wide.frequent_ratees_of(index(&wide, 7)), &[index(&wide, 12)]);
         assert_eq!(wide.frequent_ratees_of(index(&wide, 12)), &[index(&wide, 7)]);
         assert_frequent_index_exact(&wide);
-
-        // refresh: row 4 loses rater 5 and gains rater 0 against a history
-        // that says so; row 2 is dirty but keeps its frequent rater
-        let mut other = InteractionHistory::new();
-        for (rater, ratee, times) in [(1u64, 4u64, 8u64), (0, 4, 4), (5, 4, 2), (1, 2, 4)] {
-            for _ in 0..times {
-                other.record(Rating::positive(NodeId(rater), NodeId(ratee), SimTime(0)));
-            }
-        }
-        let outcome = sharded.refresh(&other, &[NodeId(4), NodeId(2)]);
-        assert_eq!(outcome, RefreshOutcome::Patched(2));
-        assert_eq!(sharded.frequent_ratees_of(0), &[4]);
-        assert_eq!(sharded.frequent_ratees_of(1), &[2, 4]);
-        assert!(sharded.frequent_ratees_of(5).is_empty());
-        assert_frequent_index_exact(&sharded);
     }
 
     #[test]
@@ -1663,7 +1361,6 @@ mod tests {
         let i1 = sharded.index(NodeId(1)).unwrap();
         assert!(sharded.row(i1).0.is_empty());
         assert_eq!(sharded.signed(i1), 0);
-        assert_eq!(sharded.refresh(&h, &[]), RefreshOutcome::Unchanged);
         assert!(sharded.apply_epoch(&EpochDelta::default(), 2).is_none());
         assert_matches_history(&sharded, &h, &nodes);
     }

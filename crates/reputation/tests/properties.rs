@@ -29,7 +29,6 @@ struct HistoryModel {
     /// ratee → (totals, distinct raters in first-seen order).
     rows: BTreeMap<NodeId, (NodeTotals, Vec<NodeId>)>,
     recorded: u64,
-    dirty: BTreeSet<NodeId>,
 }
 
 fn add_totals(t: &mut NodeTotals, (total, positive, negative): (u64, u64, u64)) {
@@ -53,12 +52,7 @@ impl HistoryModel {
         pair.merge(&one);
         add_totals(&mut row.0, (one.total, one.positive, one.negative));
         self.recorded += 1;
-        self.dirty.insert(r.ratee);
         true
-    }
-
-    fn take_dirty(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
     }
 
     /// Raters new to a row are appended in `other`'s first-seen order.
@@ -74,7 +68,6 @@ impl HistoryModel {
                 pair.merge(&c);
             }
             add_totals(&mut row.0, (totals.total, totals.positive, totals.negative));
-            self.dirty.insert(ratee);
         }
         self.recorded += other.recorded;
     }
@@ -91,8 +84,6 @@ impl HistoryModel {
         self.recorded -= row.0.total;
         out.recorded = row.0.total;
         out.rows.insert(ratee, row);
-        self.dirty.insert(ratee);
-        out.dirty.insert(ratee);
         out
     }
 }
@@ -225,9 +216,8 @@ proptest! {
 
     /// [`InteractionHistory`] against [`HistoryModel`] over five ids:
     /// records (repeats, self-ratings, every value) interleaved with
-    /// `take_dirty`, `merge` of a second stream, and `split_off_ratee`
-    /// (half the time merged straight back). Every read is compared after
-    /// every step; `take_dirty` must come back ascending, each ratee once.
+    /// `merge` of a second stream and `split_off_ratee` (half the time
+    /// merged straight back). Every read is compared after every step.
     #[test]
     fn history_matches_a_naive_model(
         ops in prop::collection::vec(
@@ -240,16 +230,11 @@ proptest! {
         let mut m = HistoryModel::default();
         for (t, (kind, rater, ratee, v, stream)) in ops.into_iter().enumerate() {
             match kind {
-                0..=10 => {
+                0..=12 => {
                     let value = [RatingValue::Negative, RatingValue::Neutral, RatingValue::Positive]
                         [v as usize];
                     let r = Rating::new(NodeId(rater), NodeId(ratee), value, SimTime(t as u64));
                     prop_assert_eq!(h.record(r), m.record(r));
-                }
-                11 | 12 => {
-                    let dirty = h.take_dirty();
-                    prop_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{:?}", dirty);
-                    prop_assert_eq!(dirty, m.take_dirty());
                 }
                 13 => {
                     let (mut other, mut other_m) = (InteractionHistory::new(), HistoryModel::default());
@@ -260,18 +245,16 @@ proptest! {
                     m.merge(&other_m);
                 }
                 _ => {
-                    let mut slice = h.split_off_ratee(NodeId(ratee));
-                    let mut slice_m = m.split_off_ratee(NodeId(ratee));
+                    let slice = h.split_off_ratee(NodeId(ratee));
+                    let slice_m = m.split_off_ratee(NodeId(ratee));
                     assert_history_is_model(&slice, &slice_m, N);
                     if kind == 15 {
                         h.merge(&slice);
                         m.merge(&slice_m);
                     }
-                    prop_assert_eq!(slice.take_dirty(), slice_m.take_dirty());
                 }
             }
             assert_history_is_model(&h, &m, N);
         }
-        prop_assert_eq!(h.take_dirty(), m.take_dirty());
     }
 }

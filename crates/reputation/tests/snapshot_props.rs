@@ -3,8 +3,8 @@
 //! The snapshot is a frozen view of an [`InteractionHistory`]; these
 //! properties pin the two invariants the detectors lean on: the view is
 //! faithful under every history mutation path (`record`, `merge`,
-//! `split_off_ratee`, incremental `refresh`), and the rater lists that feed
-//! the CSR rows never contain duplicates.
+//! `split_off_ratee`) and under `apply_epoch`, and the rater lists that
+//! feed the CSR rows never contain duplicates.
 
 use collusion_reputation::prelude::*;
 use proptest::prelude::*;
@@ -39,8 +39,8 @@ const N: u64 = 6;
 const SHARD_COUNTS: [usize; 3] = [1, 3, 64];
 
 /// Logical equality of two frozen views: same interned nodes, same totals,
-/// same resolved rows — regardless of how much of either lives in refresh
-/// overlays or how the rows are sharded.
+/// same rows — regardless of how either was advanced or how the rows are
+/// sharded.
 fn assert_same_rows(a: &ShardedSnapshot, b: &ShardedSnapshot) {
     assert_eq!(a.nodes(), b.nodes());
     assert_eq!(a.nnz(), b.nnz());
@@ -51,16 +51,18 @@ fn assert_same_rows(a: &ShardedSnapshot, b: &ShardedSnapshot) {
 }
 
 /// An empty slice (a manager that owns nothing yet) snapshots to zero rows,
-/// and the refresh that interns its first node rebuilds.
+/// and the epoch that brings its first nodes interns them.
 #[test]
 fn empty_slice_then_first_node() {
     let mut h = InteractionHistory::new();
     let mut snap = ShardedSnapshot::build(&h, &[], 1);
     assert_eq!(snap.n(), 0);
     assert_eq!(snap.nnz(), 0);
-    h.record(Rating::positive(NodeId(1), NodeId(2), SimTime(0)));
-    let dirty = h.take_dirty();
-    assert_eq!(snap.refresh(&h, &dirty), RefreshOutcome::Rebuilt);
+    let first = Rating::positive(NodeId(1), NodeId(2), SimTime(0));
+    h.record(first);
+    let mut buf = EpochBuffer::new();
+    buf.record(first);
+    assert_eq!(snap.apply_epoch(&buf.drain(), 1), Some(Vec::new()));
     assert_same_rows(&snap, &ShardedSnapshot::build(&h, &[], 1));
     assert_eq!(snap.nodes(), &[NodeId(1), NodeId(2)]);
 }
@@ -117,24 +119,24 @@ proptest! {
         }
     }
 
-    /// Incremental `refresh` over the dirty-ratee set converges to the same
-    /// snapshot a full rebuild produces, no matter how the extra ratings
-    /// are spread.
+    /// `apply_epoch` of the extra ratings converges to the same snapshot a
+    /// full rebuild produces, no matter how the extra ratings are spread.
     #[test]
-    fn refresh_equals_rebuild(
+    fn apply_epoch_equals_rebuild(
         base in ratings_strategy(N, 200),
         extra in ratings_strategy(N, 60),
     ) {
         let nodes: Vec<NodeId> = (0..N).map(NodeId).collect();
         let mut h = history_of(&base);
-        h.take_dirty();
         let mut snaps = SHARD_COUNTS.map(|shards| ShardedSnapshot::build(&h, &nodes, shards));
+        let mut buf = EpochBuffer::new();
         for r in &extra {
             h.record(*r);
+            buf.record(*r);
         }
-        let dirty = h.take_dirty();
+        let delta = buf.drain();
         for (snap, shards) in snaps.iter_mut().zip(SHARD_COUNTS) {
-            snap.refresh(&h, &dirty);
+            snap.apply_epoch(&delta, 1);
             assert_same_rows(snap, &ShardedSnapshot::build(&h, &nodes, shards));
         }
     }

@@ -21,17 +21,18 @@ use crate::peer::{build_peers, NodeKind, Peer};
 use collusion_core::basic::BasicDetector;
 use collusion_core::cost::CostSnapshot;
 use collusion_core::group::{GroupDetector, GroupDetectorConfig};
-use collusion_core::input::{DetectionInput, SnapshotInput};
+use collusion_core::input::SnapshotInput;
 use collusion_core::optimized::OptimizedDetector;
 use collusion_core::policy::DetectionPolicy;
 use collusion_reputation::eigentrust::{EigenTrust, NormalizedWeightedEngine, WeightedSumEngine};
+use collusion_reputation::epoch::EpochBuffer;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::{NodeId, SimTime};
 use collusion_reputation::rating::Rating;
 use collusion_reputation::sharded::ShardedSnapshot;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// One simulation run in progress.
 pub struct Simulation {
@@ -47,10 +48,14 @@ pub struct Simulation {
     pending: Vec<Rating>,
     /// Per-cycle histories of the last `detection_window_cycles` cycles.
     recent: std::collections::VecDeque<InteractionHistory>,
-    /// CSR view of the cumulative history, refreshed incrementally from the
-    /// dirty-ratee set each detection period (cumulative mode only; windowed
-    /// runs rebuild a fresh snapshot of the merged window every period).
-    snapshot: Option<ShardedSnapshot>,
+    /// CSR view of the cumulative ratings, advanced by one
+    /// [`ShardedSnapshot::apply_epoch`] of `epoch` per detection period
+    /// (cumulative mode only; windowed runs rebuild a fresh snapshot of the
+    /// merged window every period).
+    snapshot: ShardedSnapshot,
+    /// Ratings folded since the last detection period, in cumulative
+    /// detection runs only.
+    epoch: EpochBuffer,
     /// Global reputation, indexed by raw node id (index 0 unused).
     reputation: Vec<f64>,
     detected: BTreeSet<NodeId>,
@@ -73,6 +78,13 @@ impl Simulation {
         const ENGINE_STREAM_SALT: u64 = 0x656e_6769_6e65_5f76; // "engine_v"
         let rng = SmallRng::seed_from_u64(config.seed ^ ENGINE_STREAM_SALT);
         let n = config.n_nodes as usize;
+        let nodes: Vec<NodeId> = (1..=config.n_nodes).map(NodeId).collect();
+        let snapshot = ShardedSnapshot::build_with_frequent(
+            &InteractionHistory::new(),
+            &nodes,
+            1,
+            config.thresholds.t_n,
+        );
         Simulation {
             peers,
             network,
@@ -80,7 +92,8 @@ impl Simulation {
             cycle_history: InteractionHistory::new(),
             pending: Vec::new(),
             recent: std::collections::VecDeque::new(),
-            snapshot: None,
+            snapshot,
+            epoch: EpochBuffer::new(),
             reputation: vec![0.0; n + 1],
             detected: BTreeSet::new(),
             rng,
@@ -256,7 +269,7 @@ impl Simulation {
     }
 
     /// Fold the query cycle's buffered ratings into the cumulative history
-    /// (and the cycle slice when windowed detection is on), grouped by
+    /// (and the cycle slice or the detection epoch log), grouped by
     /// ratee so consecutive inserts hit the same row. Counter arithmetic
     /// commutes, so the grouped order leaves every history byte-identical
     /// to immediate ingestion.
@@ -276,6 +289,8 @@ impl Simulation {
         self.history.record(rating);
         if self.config.detection_window_cycles.is_some() {
             self.cycle_history.record(rating);
+        } else if self.config.detector != DetectorKind::None {
+            self.epoch.record(rating);
         }
     }
 
@@ -338,9 +353,10 @@ impl Simulation {
     /// matrix … and detects collusion"). Server selection only ever sees
     /// the post-mitigation values.
     ///
-    /// The pair detectors run on a one-shard [`ShardedSnapshot`]: cumulative runs
-    /// keep one snapshot alive and patch only the ratees dirtied since the
-    /// previous period, windowed runs rebuild from the merged window.
+    /// Every detector runs on a one-shard [`ShardedSnapshot`]: cumulative
+    /// runs keep one snapshot alive and fold the period's ratings into it
+    /// with [`ShardedSnapshot::apply_epoch`], the close a manager runs;
+    /// windowed runs rebuild from the merged window.
     fn run_detection(&mut self) {
         if self.config.detector != DetectorKind::None {
             let nodes: Vec<NodeId> = (1..=self.config.n_nodes).map(NodeId).collect();
@@ -356,31 +372,15 @@ impl Simulation {
                 } else {
                     None
                 };
-            // drain the dirty set every period so cumulative runs can patch
-            // instead of rebuild (windowed runs discard it — their snapshot
-            // is rebuilt from the merged window anyway)
-            let dirty = self.history.take_dirty();
-            let fresh: Option<ShardedSnapshot>;
+            let fresh: ShardedSnapshot;
             let snap: &ShardedSnapshot = match &windowed {
                 Some(h) => {
-                    fresh = Some(ShardedSnapshot::build_with_frequent(h, &nodes, 1, t_n));
-                    fresh.as_ref().expect("just built")
+                    fresh = ShardedSnapshot::build_with_frequent(h, &nodes, 1, t_n);
+                    &fresh
                 }
                 None => {
-                    match self.snapshot.as_mut() {
-                        Some(s) => {
-                            s.refresh(&self.history, &dirty);
-                        }
-                        None => {
-                            self.snapshot = Some(ShardedSnapshot::build_with_frequent(
-                                &self.history,
-                                &nodes,
-                                1,
-                                t_n,
-                            ));
-                        }
-                    }
-                    self.snapshot.as_ref().expect("just built")
+                    self.snapshot.apply_epoch(&self.epoch.drain(), 1);
+                    &self.snapshot
                 }
             };
             let reputation = &self.reputation;
@@ -409,18 +409,10 @@ impl Simulation {
                         DetectionPolicy::EXTENDED,
                     )
                     .detect_snapshot(&input);
-                    // the group detector walks raw rating rows, so it keeps
-                    // the history-backed input
-                    let rep_map: HashMap<NodeId, f64> =
-                        nodes.iter().map(|&id| (id, self.reputation[id.raw() as usize])).collect();
-                    let detection_history: &InteractionHistory =
-                        windowed.as_ref().unwrap_or(&self.history);
-                    let legacy =
-                        DetectionInput::from_sorted(detection_history, nodes.clone(), rep_map);
                     let groups = GroupDetector::new(GroupDetectorConfig::from_thresholds(
                         self.config.thresholds,
                     ))
-                    .detect(&legacy);
+                    .detect(&input);
                     let mut implicated = report.colluders();
                     implicated.extend(groups.colluders());
                     (implicated, report.cost)
@@ -629,6 +621,31 @@ mod tests {
         let a = quick(cumulative);
         let b = quick(windowed);
         assert_eq!(a.detected, b.detected);
+    }
+
+    #[test]
+    fn a_window_covering_the_run_equals_cumulative_detection() {
+        // `quick` runs 5 cycles, so a 5-cycle window rebuilds a snapshot of
+        // every rating so far each period: the cumulative `apply_epoch`
+        // path must match it exactly, metered cost included
+        use crate::config::DetectorKind;
+        for seed in [15, 16] {
+            for detector in [DetectorKind::Basic, DetectorKind::Optimized, DetectorKind::GroupAware]
+            {
+                let mut cumulative = SimConfig::paper_baseline(seed);
+                cumulative.colluder_good_prob = 0.2;
+                cumulative.colluding_groups = vec![(12..=15).map(NodeId).collect()];
+                cumulative.detector = detector;
+                let mut windowed = cumulative.clone();
+                windowed.detection_window_cycles = Some(5);
+                let (a, b) = (quick(cumulative), quick(windowed));
+                let case = format!("seed {seed}, {detector:?}");
+                assert!(!a.detected.is_empty(), "{case}: nothing detected");
+                assert_eq!(a.detected, b.detected, "{case}: detected");
+                assert_eq!(a.detection_cost, b.detection_cost, "{case}: detection cost");
+                assert_eq!(a.reputation, b.reputation, "{case}: reputation");
+            }
+        }
     }
 
     #[test]

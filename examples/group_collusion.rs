@@ -61,11 +61,12 @@ fn main() {
     }
     let mut nodes: Vec<NodeId> = (1..=k).map(NodeId).collect();
     nodes.extend((100..106).map(NodeId));
-    let input = DetectionInput::from_signed_history(&h, &nodes);
+    let snap = ShardedSnapshot::build(&h, &nodes, 1);
+    let input = SnapshotInput::from_signed(&snap, &nodes);
     let thresholds = Thresholds::new(1.0, 20, 0.8, 0.2);
 
-    let pair_report =
-        OptimizedDetector::with_policy(thresholds, DetectionPolicy::EXTENDED).detect(&input);
+    let pair_report = OptimizedDetector::with_policy(thresholds, DetectionPolicy::EXTENDED)
+        .detect_snapshot(&input);
     println!(
         "pair detector (T_N = 20, per-pair count 12): {} pairs found — structurally blind",
         pair_report.pairs.len()

@@ -50,8 +50,8 @@ for i in 1 2 3; do
 done
 
 echo "== paper figures (reproduce fig8 … fig13 --csv, byte-identical) =="
-# the simulator detects through the same snapshot builds as every other
-# path; the CSVs are deterministic, so any byte of difference is a change
+# the simulator detects through the same snapshot builds and apply_epoch
+# closes as every other path; the CSVs are deterministic, so any byte of difference is a change
 # in behaviour, not noise. Regenerate the expected files (same command,
 # `--csv scripts/figures_expected`) only in a change meant to move a figure.
 figs_out="$(mktemp -d)"

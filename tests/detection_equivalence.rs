@@ -203,43 +203,47 @@ fn precomputed_frequent_aggregates_stay_bit_identical() {
 }
 
 #[test]
-fn incremental_refresh_matches_fresh_build_detection() {
-    // Grow a history, patch the live snapshot from the dirty set, and
-    // check both the snapshot and the detection it feeds are identical to
-    // a from-scratch rebuild.
+fn incremental_epoch_matches_fresh_build_detection() {
+    // Grow a history, fold the same second wave into the live snapshot
+    // through an epoch buffer, and check both the snapshot and the
+    // detection it feeds are identical to a from-scratch rebuild.
     for seed in 0..5u64 {
         let (mut h, nodes) = random_history(700 + seed, 40, 2);
-        h.take_dirty();
+        let mut buf = EpochBuffer::new();
         let mut snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
         // second wave of traffic, including a fresh colluding pair
         let mut rng = SmallRng::seed_from_u64(9000 + seed);
         let mut t = 1_000_000u64;
+        let mut wave = Vec::new();
         for _ in 0..60 {
             let a = rng.random_range(1..=40u64);
             let mut b = rng.random_range(1..=40u64);
             if a == b {
                 b = 1 + b % 40;
             }
-            h.record(Rating::negative(NodeId(a), NodeId(b), SimTime(t)));
+            wave.push(Rating::negative(NodeId(a), NodeId(b), SimTime(t)));
             t += 1;
         }
         for _ in 0..50 {
-            h.record(Rating::positive(NodeId(31), NodeId(32), SimTime(t)));
-            h.record(Rating::positive(NodeId(32), NodeId(31), SimTime(t)));
+            wave.push(Rating::positive(NodeId(31), NodeId(32), SimTime(t)));
+            wave.push(Rating::positive(NodeId(32), NodeId(31), SimTime(t)));
             t += 1;
         }
-        let dirty = h.take_dirty();
-        assert_eq!(snap.refresh(&h, &dirty), RefreshOutcome::Patched(dirty.len()));
+        for r in wave {
+            h.record(r);
+            buf.record(r);
+        }
+        assert!(snap.apply_epoch(&buf.drain(), 1).is_none(), "seed {seed}: no fresh node");
         let rebuilt = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
         for i in 0..rebuilt.n() as u32 {
-            assert_eq!(snap.row(i), rebuilt.row(i), "seed {seed}: refreshed row {i} diverged");
+            assert_eq!(snap.row(i), rebuilt.row(i), "seed {seed}: advanced row {i} diverged");
         }
         let det = OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED);
         let patched = det.detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
         let fresh = det.detect_snapshot(&SnapshotInput::from_signed(&rebuilt, &nodes));
         assert_eq!(patched.pairs, fresh.pairs, "seed {seed}: pairs");
         assert_eq!(patched.cost, fresh.cost, "seed {seed}: cost");
-        assert_snapshot_matches_raw(&snap, &h, &nodes, &format!("seed {seed}, refreshed"));
+        assert_snapshot_matches_raw(&snap, &h, &nodes, &format!("seed {seed}, advanced"));
     }
 }
 

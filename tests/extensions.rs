@@ -78,12 +78,12 @@ fn trace_cliques_flow_into_group_detector() {
     }
     let mut nodes: Vec<NodeId> = trace.colluders();
     nodes.extend((700..708).map(NodeId));
-    let input = DetectionInput::from_signed_history(&history, &nodes);
+    let snap = ShardedSnapshot::build(&history, &nodes, 1);
     let report = GroupDetector::new(GroupDetectorConfig {
         thresholds: Thresholds::new(1.0, 20, 0.8, 0.2),
         t_g: 40,
     })
-    .detect(&input);
+    .detect(&SnapshotInput::from_signed(&snap, &nodes));
     let collectives = report.collectives();
     assert_eq!(collectives.len(), 2, "both cliques should surface: {report:?}");
     let mut sizes: Vec<usize> = collectives.iter().map(|g| g.members.len()).collect();

@@ -75,11 +75,11 @@ proptest! {
         }
     }
 
-    /// Random refresh sequences: a sharded snapshot patched wave by wave
-    /// from the dirty set detects identically — pairs and cost — to the
+    /// Random epoch sequences: a sharded snapshot advanced wave by wave
+    /// through `apply_epoch` detects identically — pairs and cost — to the
     /// raw-history detector at every step.
     #[test]
-    fn sharded_refresh_sequences_bit_identical(
+    fn sharded_epoch_sequences_bit_identical(
         waves in prop::collection::vec(ratings_strategy(N, 120), 1..5),
         shards in 1usize..=8,
     ) {
@@ -87,14 +87,14 @@ proptest! {
         let nodes = nodes();
         let mut h = InteractionHistory::new();
         let mut shard = ShardedSnapshot::build(&h, &nodes, shards);
-        h.take_dirty();
+        let mut buf = EpochBuffer::new();
         let opt = OptimizedDetector::new(t);
         for wave in &waves {
             for r in wave {
                 h.record(*r);
+                buf.record(*r);
             }
-            let dirty: Vec<NodeId> = h.take_dirty().into_iter().collect();
-            shard.refresh(&h, &dirty);
+            shard.apply_epoch(&buf.drain(), 1);
             let a = opt.detect(&DetectionInput::from_signed_history(&h, &nodes));
             let b = opt.detect_snapshot(&SnapshotInput::from_signed(&shard, &nodes));
             prop_assert_eq!(a.pairs, b.pairs);
@@ -242,12 +242,11 @@ fn scale_trace_counters_are_pinned() {
 }
 
 /// Probe-level equality of two sharded snapshots: interning, every forward
-/// row, totals, frequent reverse index and patched-row count must all agree.
+/// row, totals and frequent reverse index must all agree.
 fn assert_sharded_eq(a: &ShardedSnapshot, b: &ShardedSnapshot) {
     prop_assert_eq!(a.n(), b.n());
     prop_assert_eq!(a.nodes(), b.nodes());
     prop_assert_eq!(a.nnz(), b.nnz());
-    prop_assert_eq!(a.patched_rows(), b.patched_rows());
     for idx in 0..a.n() as u32 {
         let (ac, av) = a.row(idx);
         let (bc, bv) = b.row(idx);
@@ -265,13 +264,11 @@ fn assert_sharded_eq(a: &ShardedSnapshot, b: &ShardedSnapshot) {
 
 proptest! {
     /// `apply_epoch` under fork-join is bit-identical to the serial merge
-    /// for any thread width — including snapshots carrying overlay-patched
-    /// rows from prior `refresh` waves (compacted inside the merge) and
-    /// deltas that intern fresh nodes (the re-interning remap path).
+    /// for any thread width — including deltas that intern fresh nodes (the
+    /// re-interning remap path).
     #[test]
     fn parallel_apply_epoch_matches_serial_across_widths(
         base in ratings_strategy(N, 200),
-        waves in prop::collection::vec(ratings_strategy(N, 60), 0..3),
         deltas in prop::collection::vec(
             prop::collection::vec(
                 (1..=N + 6, 1..=N + 6, 0..3u8, 0..1_000_000u64).prop_map(|(a, b, v, t)| {
@@ -289,21 +286,12 @@ proptest! {
         shards in 1usize..=8,
     ) {
         let nodes = nodes();
-        // seed a snapshot, then overlay-patch it with refresh waves
         let mut h = InteractionHistory::new();
         for r in &base {
             h.record(*r);
         }
         // with a T_N, so the frequent reverse index has entries to compare
         let mut oracle = ShardedSnapshot::build_with_frequent(&h, &nodes, shards, 2);
-        h.take_dirty();
-        for wave in &waves {
-            for r in wave {
-                h.record(*r);
-            }
-            let dirty: Vec<NodeId> = h.take_dirty().into_iter().collect();
-            oracle.refresh(&h, &dirty);
-        }
 
         let mut wides: Vec<ShardedSnapshot> =
             [2usize, 4, 8].iter().map(|_| oracle.clone()).collect();
