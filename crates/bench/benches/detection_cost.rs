@@ -1,7 +1,8 @@
 //! Figure 13 kernel: Basic (`O(m·n²)`) vs Optimized (`O(m·n)`) detection
 //! cost as the number of colluders grows — HashMap-backed inputs vs the
-//! CSR [`ShardedSnapshot`] kernels, plus a full build vs one epoch
-//! applied to a standing snapshot.
+//! CSR [`ShardedSnapshot`] kernels and the band-pruned walk
+//! (`optimized_pruned`, the audit's full scan), plus a full build vs one
+//! epoch applied to a standing snapshot.
 
 use collusion_core::basic::BasicDetector;
 use collusion_core::input::{DetectionInput, SnapshotInput};
@@ -86,6 +87,15 @@ fn bench_detection(c: &mut Criterion) {
             |bench, input| {
                 let det = OptimizedDetector::new(thresholds);
                 bench.iter(|| black_box(det.detect_snapshot(black_box(input))));
+            },
+        );
+        // the production full scan: the same walk behind the band pre-filter
+        group.bench_with_input(
+            BenchmarkId::new("optimized_pruned", colluders),
+            &sinput,
+            |bench, input| {
+                let det = OptimizedDetector::new(thresholds);
+                bench.iter(|| black_box(det.detect_pruned(black_box(input))));
             },
         );
     }

@@ -22,7 +22,6 @@
 use crate::cost::CostMeter;
 use crate::input::{DetectionInput, SnapshotInput};
 use crate::model::{DirectionEvidence, SuspectPair};
-use crate::pairset::PairSet;
 use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 use collusion_reputation::history::PairCounters;
@@ -94,9 +93,11 @@ impl BasicDetector {
 
     /// [`BasicDetector::detect`] on the frozen CSR snapshot: the identical
     /// dense row-by-row procedure and metering, with every matrix probe an
-    /// array access instead of a hash lookup. Produces a bit-identical
-    /// [`DetectionReport`] (pairs *and* cost) to the legacy path — enforced
-    /// by `tests/detection_equivalence.rs`.
+    /// array access instead of a hash lookup, and the pair marking read off
+    /// the walk order: a pair `{i, j}` was checked before iff `j < i` and
+    /// `j` is high, since every high row visits every view column. Produces
+    /// a bit-identical [`DetectionReport`] (pairs *and* cost) to the legacy
+    /// path — enforced by `tests/detection_equivalence.rs`.
     pub fn detect_snapshot(&self, input: &SnapshotInput<'_>) -> DetectionReport {
         let meter = CostMeter::new();
         let snap = input.snapshot;
@@ -105,9 +106,6 @@ impl BasicDetector {
         for &i in &high {
             is_high[i as usize] = true;
         }
-        // pre-size from the stored cell count: the dense walk marks every
-        // examined pair, and nnz bounds the pairs with any rating evidence
-        let mut checked = PairSet::with_capacity(snap.nnz().max(high.len() * 4));
         let mut pairs = Vec::new();
         for &i in &high {
             for &j in input.view() {
@@ -115,12 +113,12 @@ impl BasicDetector {
                     continue;
                 }
                 meter.element_check();
-                if checked.contains(i, j) {
+                // the dense walk visits every view column of every high row,
+                // so {i, j} was checked at row j iff j is high and came first
+                if j < i && is_high[j as usize] {
                     continue;
                 }
-                let flagged = self.check_pair_snap(snap, i, j, &meter);
-                checked.insert(i, j);
-                if let Some(pair) = flagged {
+                if let Some(pair) = self.check_pair_snap(snap, i, j, &meter) {
                     if is_high[j as usize] {
                         pairs.push(pair);
                     }

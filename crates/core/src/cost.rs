@@ -10,7 +10,9 @@
 //!
 //! [`CostMeter`] uses relaxed atomics so the forked epoch re-check can
 //! meter from many threads without locks; `Relaxed` suffices because the
-//! counters are statistics, not synchronization.
+//! counters are statistics, not synchronization. Only the sums matter, so a
+//! row walk adds its row's element inspections once per row
+//! ([`CostMeter::element_checks`]) rather than once per cell.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -35,6 +37,13 @@ impl CostMeter {
     #[inline]
     pub fn element_check(&self) {
         self.element_checks.fetch_add(1, Relaxed);
+    }
+
+    /// `n` matrix-element inspections at once — a row walk meters its whole
+    /// row with one add instead of one per cell.
+    #[inline]
+    pub fn element_checks(&self, n: u64) {
+        self.element_checks.fetch_add(n, Relaxed);
     }
 
     /// One full row scan of `elements` entries (the basic detector computing
@@ -140,13 +149,13 @@ mod tests {
     fn counters_accumulate() {
         let m = CostMeter::new();
         m.element_check();
-        m.element_check();
+        m.element_checks(2);
         m.row_scan(10);
         m.band_check();
         m.message();
         m.reputation_ops(5);
         let s = m.snapshot();
-        assert_eq!(s.element_checks, 2);
+        assert_eq!(s.element_checks, 3);
         assert_eq!(s.row_scans, 1);
         assert_eq!(s.scanned_elements, 10);
         assert_eq!(s.band_checks, 1);

@@ -24,7 +24,6 @@ use crate::cost::CostMeter;
 use crate::formula::{formula_band, formula_reputation};
 use crate::input::{DetectionInput, SnapshotInput};
 use crate::model::{DirectionEvidence, SuspectPair};
-use crate::pairset::PairSet;
 use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 use collusion_reputation::history::NodeTotals;
@@ -301,7 +300,11 @@ impl OptimizedDetector {
     }
 
     /// The one snapshot row walk: every high row's raters in row order,
-    /// first-wins pair marking, both direction checks. With `prune` the
+    /// each pair examined at its first visit, both direction checks. The
+    /// first visit needs no dedup set: `high` ascends and each high row is
+    /// walked in full, so at row `i` the pair `{i, j}` has already been met
+    /// exactly when `j < i` and `i` is a column of row `j` — one binary
+    /// search in a row that is already sorted. With `prune` the
     /// band pre-filter of [`OptimizedDetector::detect_pruned`] runs ahead of
     /// the direction checks and fills the returned [`PruneStats`]; without
     /// it they stay zero.
@@ -323,22 +326,22 @@ impl OptimizedDetector {
                 }
             }
         }
-        // pre-size from the stored cell count: every marked pair is an edge
-        let mut checked = PairSet::with_capacity(snap.nnz());
-        let mut cache: Vec<Option<(u64, i64)>> = vec![None; snap.n()];
+        // the frequent aggregates feed only the policy's community adjustment
+        let mut cache: Vec<Option<(u64, i64)>> =
+            if self.policy.community_excludes_frequent { vec![None; snap.n()] } else { Vec::new() };
         let mut pairs = Vec::new();
         for &i in &high {
             let row_dead = prunable[i as usize];
             let (cols, _) = snap.row(i);
+            meter.element_checks(cols.len() as u64);
             for &j in cols {
-                meter.element_check();
-                if checked.contains(i, j) {
-                    continue;
-                }
                 if !is_high[j as usize] {
                     continue;
                 }
-                checked.insert(i, j);
+                // met at row j already (the first-visit rule above)
+                if j < i && snap.row(j).0.binary_search(&i).is_ok() {
+                    continue;
+                }
                 if prune {
                     let skip = if self.policy.require_mutual {
                         row_dead || prunable[j as usize]

@@ -1,10 +1,12 @@
-//! A fast set of unordered dense-index pairs for the detectors' duplicate
-//! checks.
+//! A fast set of unordered dense-index pairs for the epoch close's candidate
+//! dedup.
 //!
-//! The legacy kernels deduplicate with `HashSet<(NodeId, NodeId)>` — a
-//! SipHash of sixteen bytes per membership test. On the snapshot path both
-//! indices fit in a `u32`, so the unordered pair packs into one `u64` and
-//! hashes with a single splitmix64 round.
+//! The close fans each touched cell out to candidate pairs, and one pair can
+//! arrive from several cells, so it needs a real set. Both indices fit in a
+//! `u32`, so the unordered pair packs into one `u64` and hashes with a single
+//! splitmix64 round instead of a SipHash of sixteen bytes. The detectors'
+//! full row walks need no set at all: they recognise a repeat pair from the
+//! CSR order (see `OptimizedDetector::detect_pruned`).
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -48,21 +50,10 @@ pub struct PairSet {
 }
 
 impl PairSet {
-    /// Empty set with room for `cap` pairs.
-    pub fn with_capacity(cap: usize) -> Self {
-        PairSet { set: HashSet::with_capacity_and_hasher(cap, PairHasher::default()) }
-    }
-
     #[inline]
     fn key(a: u32, b: u32) -> u64 {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         ((lo as u64) << 32) | hi as u64
-    }
-
-    /// Whether `{a, b}` is in the set.
-    #[inline]
-    pub fn contains(&self, a: u32, b: u32) -> bool {
-        self.set.contains(&Self::key(a, b))
     }
 
     /// Insert `{a, b}`; returns `true` if it was new.
@@ -98,10 +89,10 @@ mod tests {
 
     #[test]
     fn pair_is_unordered() {
-        let mut s = PairSet::with_capacity(4);
+        let mut s = PairSet::default();
         assert!(s.insert(3, 7));
-        assert!(s.contains(7, 3));
         assert!(!s.insert(7, 3));
+        assert!(!s.insert(3, 7));
         assert_eq!(s.len(), 1);
     }
 
@@ -115,6 +106,7 @@ mod tests {
             }
         }
         assert_eq!(s.len(), 190);
-        assert!(!s.contains(5, 21));
+        assert!(!s.insert(19, 5));
+        assert_eq!(s.len(), 190);
     }
 }

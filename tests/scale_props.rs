@@ -8,12 +8,14 @@
 //! counters exactly.
 
 use collusion::core::epoch::{EpochEngine, EpochMethod};
+use collusion::core::model::DirectionEvidence;
 use collusion::core::policy::DetectionPolicy;
 use collusion::prelude::*;
 use collusion::reputation::history::NodeTotals;
 use collusion::reputation::sharded::TotalsColumns;
 use collusion::trace::scale::ScaleConfig;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 const N: u64 = 24;
 
@@ -195,6 +197,159 @@ proptest! {
                 };
                 prop_assert_eq!(&report.pairs, &expect.pairs, "{:?} {:?}", policy, method);
             }
+        }
+    }
+}
+
+/// Strategy: rating bursts over nodes `1..=n` — a pair rated `1..6` times
+/// with one value, in one direction or in both — so frequent pairs, one-way
+/// pairs, mutual pairs and negative-reputation rows all form.
+fn bursts_strategy(n: u64) -> impl Strategy<Value = Vec<Rating>> {
+    let burst = (1..=n, 1..=n, 1..6usize, 0..4u8, any::<bool>());
+    prop::collection::vec(burst, 0..60).prop_map(|bursts| {
+        let mut out = Vec::new();
+        for (a, b, count, v, both) in bursts.into_iter().filter(|b| b.0 != b.1) {
+            let value = match v {
+                0 => RatingValue::Negative,
+                1 => RatingValue::Neutral,
+                _ => RatingValue::Positive,
+            };
+            for _ in 0..count {
+                out.push(Rating::new(NodeId(a), NodeId(b), value, SimTime(out.len() as u64)));
+                if both {
+                    out.push(Rating::new(NodeId(b), NodeId(a), value, SimTime(out.len() as u64)));
+                }
+            }
+        }
+        out
+    })
+}
+
+/// The Optimized row walk as specified: every high row ascending, a
+/// first-wins `HashSet` of unordered pairs, one element check per stored
+/// cell, the band pre-filter when `prune`, and the Formula (2) direction
+/// test written out and metered where the detector meters it.
+fn reference_walk(
+    opt: &OptimizedDetector,
+    input: &SnapshotInput<'_>,
+    prune: bool,
+) -> (DetectionReport, PruneStats) {
+    let (t, snap, meter) = (opt.thresholds, input.snapshot, CostMeter::new());
+    let high = input.high_reputed_idx(&t);
+    let dead = |x: u32| prune && opt.row_prunable(snap.totals_of(x));
+    let rows_pruned = high.iter().filter(|&&x| dead(x)).count() as u64;
+    let mut stats = PruneStats { rows_pruned, ..PruneStats::default() };
+    let mut scanned = HashSet::new();
+    let mut dir = |ratee: u32, rater: u32| {
+        meter.element_check();
+        let pair = snap.pair(rater, ratee);
+        if !t.is_frequent(pair.total) {
+            return None;
+        }
+        let totals = snap.totals_of(ratee);
+        let (mut n, mut r) = (totals.total, totals.signed());
+        if opt.policy.community_excludes_frequent {
+            if scanned.insert(ratee) {
+                meter.row_scan(snap.row(ratee).0.len() as u64);
+            }
+            let (freq_n, freq_signed) = snap.row_freq(ratee, t.t_n);
+            (n, r) = (n - freq_n + pair.total, r - freq_signed + pair.signed());
+        }
+        if n == pair.total {
+            return None;
+        }
+        meter.band_check();
+        let band = formula_band(t.t_a, t.t_b, n, pair.total);
+        band.contains(r as f64).then_some(DirectionEvidence {
+            pair_ratings: pair.total,
+            fraction_a: None,
+            fraction_b: None,
+            signed_reputation: r,
+        })
+    };
+    let (mut seen, mut pairs) = (HashSet::new(), Vec::new());
+    for &i in &high {
+        for &j in snap.row(i).0 {
+            meter.element_check();
+            if high.binary_search(&j).is_err() || !seen.insert((i.min(j), i.max(j))) {
+                continue;
+            }
+            // under `require_mutual` one prunable row or one failed direction
+            // rules the pair out; otherwise it takes both
+            let mutual = opt.policy.require_mutual;
+            if prune {
+                let skip = if mutual { dead(i) || dead(j) } else { dead(i) && dead(j) };
+                if skip {
+                    stats.pairs_pruned += 1;
+                    continue;
+                }
+                stats.pairs_examined += 1;
+            }
+            let fwd = dir(i, j);
+            if mutual && fwd.is_none() {
+                continue;
+            }
+            let rev = dir(j, i);
+            let flagged = if mutual { rev.is_some() } else { fwd.is_some() || rev.is_some() };
+            if flagged {
+                pairs.push(SuspectPair::new(snap.node_id(j), snap.node_id(i), fwd, rev));
+            }
+        }
+    }
+    (DetectionReport::new(pairs, meter.snapshot()), stats)
+}
+
+proptest! {
+    /// The detectors meet each pair once from the CSR order alone; this
+    /// pins that to first-wins `HashSet` walks. Optimized's
+    /// `detect_snapshot` and `detect_pruned` equal the reference walk above,
+    /// and Basic's `detect_snapshot` equals `BasicDetector::detect`, the
+    /// paper's procedure with its marking set, on the raw history — the
+    /// report's normalised pairs, metered cost and prune counters — under
+    /// every policy, at 1, 3 and 64 shards, over a view that leaves some
+    /// raters out, with `T_R` low enough that rows of negative reputation
+    /// are walked too.
+    #[test]
+    fn row_walks_match_a_first_wins_reference(
+        ratings in bursts_strategy(12),
+        outside in prop::collection::vec(1..=12u64, 1..5),
+        shards in prop::sample::select(vec![1usize, 3, 64]),
+        t_r in prop::sample::select(vec![-2.0, 0.0, 1.0]),
+        t_n in 0u64..5,
+    ) {
+        let all: Vec<NodeId> = (1..=12).map(NodeId).collect();
+        let view: Vec<NodeId> =
+            all.iter().copied().filter(|id| !outside.contains(&id.0)).collect();
+        let mut h = InteractionHistory::new();
+        for r in &ratings {
+            h.record(*r);
+        }
+        let t = Thresholds::new(t_r, t_n, 0.8, 0.4);
+        for (mutual, excl) in [(true, false), (false, false), (true, true), (false, true)] {
+            let policy =
+                DetectionPolicy { require_mutual: mutual, community_excludes_frequent: excl };
+            let snap = if excl {
+                ShardedSnapshot::build_with_frequent(&h, &all, shards, t_n)
+            } else {
+                ShardedSnapshot::build(&h, &all, shards)
+            };
+            let input = SnapshotInput::from_signed(&snap, &view);
+            let opt = OptimizedDetector::with_policy(t, policy);
+            let plain = (opt.detect_snapshot(&input), PruneStats::default());
+            let walks = [
+                (plain, reference_walk(&opt, &input, false)),
+                (opt.detect_pruned(&input), reference_walk(&opt, &input, !excl)),
+            ];
+            for ((got, got_stats), (expect, stats)) in walks {
+                prop_assert_eq!(&got.pairs, &expect.pairs, "optimized pairs, {:?}", policy);
+                prop_assert_eq!(got.cost, expect.cost, "optimized cost, {:?}", policy);
+                prop_assert_eq!(got_stats, stats, "prune stats, {:?}", policy);
+            }
+            let basic = BasicDetector::with_policy(t, policy);
+            let got = basic.detect_snapshot(&input);
+            let expect = basic.detect(&DetectionInput::from_signed_history(&h, &view));
+            prop_assert_eq!(&got.pairs, &expect.pairs, "basic pairs, {:?}", policy);
+            prop_assert_eq!(got.cost, expect.cost, "basic cost, {:?}", policy);
         }
     }
 }
