@@ -1,8 +1,8 @@
 //! Figure 13 kernel: Basic (`O(m·n²)`) vs Optimized (`O(m·n)`) detection
-//! cost as the number of colluders grows — HashMap-backed inputs vs the
-//! CSR [`ShardedSnapshot`] kernels and the band-pruned walk
-//! (`optimized_pruned`, the audit's full scan), plus a full build vs one
-//! epoch applied to a standing snapshot.
+//! cost as the number of colluders grows — the Basic oracle over the raw
+//! history (`basic`) vs the CSR [`ShardedSnapshot`] kernels and the
+//! band-pruned walk (`optimized_pruned`, the audit's full scan), plus a
+//! full build vs one epoch applied to a standing snapshot.
 
 use collusion_core::basic::BasicDetector;
 use collusion_core::input::{DetectionInput, SnapshotInput};
@@ -62,10 +62,6 @@ fn bench_detection(c: &mut Criterion) {
         let input = DetectionInput::from_signed_history(&h, &nodes);
         group.bench_with_input(BenchmarkId::new("basic", colluders), &input, |bench, input| {
             let det = BasicDetector::new(thresholds);
-            bench.iter(|| black_box(det.detect(black_box(input))));
-        });
-        group.bench_with_input(BenchmarkId::new("optimized", colluders), &input, |bench, input| {
-            let det = OptimizedDetector::new(thresholds);
             bench.iter(|| black_box(det.detect(black_box(input))));
         });
         // snapshot variants: the CSR view is built once per detection pass,

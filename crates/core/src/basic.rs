@@ -96,8 +96,8 @@ impl BasicDetector {
     /// array access instead of a hash lookup, and the pair marking read off
     /// the walk order: a pair `{i, j}` was checked before iff `j < i` and
     /// `j` is high, since every high row visits every view column. Produces
-    /// a bit-identical [`DetectionReport`] (pairs *and* cost) to the legacy
-    /// path — enforced by `tests/detection_equivalence.rs`.
+    /// a bit-identical [`DetectionReport`] (pairs *and* cost) to that
+    /// oracle — enforced by `tests/detection_equivalence.rs`.
     pub fn detect_snapshot(&self, input: &SnapshotInput<'_>) -> DetectionReport {
         let meter = CostMeter::new();
         let snap = input.snapshot;
@@ -154,11 +154,11 @@ impl BasicDetector {
     /// Snapshot analogue of [`BasicDetector::check_direction`]: one pass
     /// over the ratee's CSR row yields `N(j,i)` *and* the community sums —
     /// the pair's counters are picked up while scanning past them, so the
-    /// separate hash probe of the legacy path disappears entirely. Metering
+    /// separate hash probe of the oracle disappears entirely. Metering
     /// is placed identically (row scan, then one element check). `rater` is
     /// `None` when the rater is not interned in this snapshot (a partitioned
     /// manager probing an unknown partner) — the scan then sees zero pair
-    /// counters, exactly like the legacy hash lookup of an absent pair.
+    /// counters, exactly like the oracle's hash lookup of an absent pair.
     pub(crate) fn check_direction_snap(
         &self,
         snap: &ShardedSnapshot,

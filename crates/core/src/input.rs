@@ -4,63 +4,46 @@
 //! the reputation ratings for nodes whose R ≥ T_R. If node n_i's reputation
 //! value R_i ≥ T_R, matrix element a_ij = ⟨ID_i, R_i, N(j,i), N⁺(j,i)⟩."
 //!
-//! [`DetectionInput`] is that matrix in sparse form: the interaction history
-//! (which already stores `N(j,i)` and `N⁺(j,i)` per pair) plus a global
-//! reputation value per node for the `T_R` trust filter. Two reputation
-//! sources are supported:
+//! Two forms of that matrix:
 //!
-//! * the signed rating sum (eBay / EigenTrust local method, §IV.A) — used by
-//!   the standalone detectors and by Formula (2), which is *derived* from
-//!   the signed sum;
-//! * an externally supplied global reputation (e.g. the normalized
-//!   EigenTrust vector) — used when the detector runs on top of another
-//!   reputation system, as in the paper's `EigenTrust+Optimized` pipeline.
+//! * [`DetectionInput`] — the interaction history (which already stores
+//!   `N(j,i)` and `N⁺(j,i)` per pair) with the signed rating sum as the
+//!   `T_R` reputation (eBay / EigenTrust local method, §IV.A; Formula (2)
+//!   is derived from it). Only [`crate::basic::BasicDetector::detect`], the
+//!   paper's literal scan and the oracle the snapshot kernels are tested
+//!   against, reads it.
+//! * [`SnapshotInput`] — a frozen [`ShardedSnapshot`] with a reputation per
+//!   dense index, either the signed sum or an externally supplied global
+//!   reputation (e.g. the normalized EigenTrust vector, as in the paper's
+//!   `EigenTrust+Optimized` pipeline). Every other detection path reads it.
 
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
-use std::collections::HashMap;
 
-/// The manager's view handed to a detector.
+/// The manager's view handed to the Basic oracle.
 #[derive(Clone, Debug)]
 pub struct DetectionInput<'a> {
     /// Pairwise rating counters for the current period `T`.
     pub history: &'a InteractionHistory,
     /// All nodes under the manager's responsibility, ascending.
     pub nodes: Vec<NodeId>,
-    /// Global reputation per node, used for the `T_R` high-reputed filter.
-    pub reputation: HashMap<NodeId, f64>,
 }
 
 impl<'a> DetectionInput<'a> {
-    /// Build an input with an explicit reputation map.
-    pub fn new(
-        history: &'a InteractionHistory,
-        nodes: &[NodeId],
-        reputation: HashMap<NodeId, f64>,
-    ) -> Self {
-        let mut nodes = nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        DetectionInput { history, nodes, reputation }
-    }
-
     /// Build an input whose reputations are the signed rating sums from the
     /// history itself (the paper's standalone-detector configuration,
     /// Figure 8).
     pub fn from_signed_history(history: &'a InteractionHistory, nodes: &[NodeId]) -> Self {
-        let reputation = nodes.iter().map(|&n| (n, history.signed_reputation(n) as f64)).collect();
-        DetectionInput::new(history, nodes, reputation)
+        let mut nodes = nodes.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        DetectionInput { history, nodes }
     }
 
-    /// The global reputation of `node` (0 when unknown).
-    #[inline]
-    pub fn reputation_of(&self, node: NodeId) -> f64 {
-        self.reputation.get(&node).copied().unwrap_or(0.0)
-    }
-
-    /// The signed rating sum `R_i = N⁺_i − N⁻_i` used by Formula (2).
+    /// The signed rating sum `R_i = N⁺_i − N⁻_i`: the `T_R` reputation and
+    /// the `R_i` of Formula (2).
     #[inline]
     pub fn signed_reputation(&self, node: NodeId) -> i64 {
         self.history.signed_reputation(node)
@@ -72,14 +55,8 @@ impl<'a> DetectionInput<'a> {
         self.nodes
             .iter()
             .copied()
-            .filter(|&n| thresholds.is_high_reputed(self.reputation_of(n)))
+            .filter(|&n| thresholds.is_high_reputed(self.signed_reputation(n) as f64))
             .collect()
-    }
-
-    /// Number of nodes in the view (`n` in the complexity propositions).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.nodes.len()
     }
 }
 
@@ -100,31 +77,8 @@ pub struct SnapshotInput<'a> {
 }
 
 impl<'a> SnapshotInput<'a> {
-    /// Build a view over `nodes` with an explicit reputation map (the
-    /// snapshot analogue of [`DetectionInput::new`]). All map entries are
-    /// transferred, including nodes outside the view, mirroring the legacy
-    /// input's behaviour for partner-manager reputation lookups.
-    ///
-    /// # Panics
-    /// If a node in `nodes` is not interned in `snapshot` — build the
-    /// snapshot with these nodes in its base list.
-    pub fn new(
-        snapshot: &'a ShardedSnapshot,
-        nodes: &[NodeId],
-        reputation: &HashMap<NodeId, f64>,
-    ) -> Self {
-        let mut input = Self::with_reputation_fn(snapshot, nodes, |_| 0.0);
-        for (&id, &r) in reputation {
-            if let Some(idx) = snapshot.index(id) {
-                input.reputation[idx as usize] = r;
-            }
-        }
-        input
-    }
-
     /// Build a view over `nodes`, asking `reputation_of` for each *view*
-    /// node's reputation (nodes outside the view default to 0.0, exactly
-    /// like [`DetectionInput::reputation_of`] for unknown ids).
+    /// node's reputation (nodes outside the view default to 0.0).
     pub fn with_reputation_fn(
         snapshot: &'a ShardedSnapshot,
         nodes: &[NodeId],
@@ -198,10 +152,9 @@ mod tests {
         h.record(Rating::negative(NodeId(1), NodeId(3), SimTime(2)));
         let nodes: Vec<NodeId> = (1..=3).map(NodeId).collect();
         let input = DetectionInput::from_signed_history(&h, &nodes);
-        assert_eq!(input.reputation_of(NodeId(2)), 2.0);
-        assert_eq!(input.reputation_of(NodeId(3)), -1.0);
-        assert_eq!(input.reputation_of(NodeId(1)), 0.0);
         assert_eq!(input.signed_reputation(NodeId(2)), 2);
+        assert_eq!(input.signed_reputation(NodeId(3)), -1);
+        assert_eq!(input.signed_reputation(NodeId(1)), 0);
     }
 
     #[test]
@@ -223,16 +176,6 @@ mod tests {
         let input =
             DetectionInput::from_signed_history(&h, &[NodeId(3), NodeId(1), NodeId(3), NodeId(2)]);
         assert_eq!(input.nodes, vec![NodeId(1), NodeId(2), NodeId(3)]);
-        assert_eq!(input.n(), 3);
-    }
-
-    #[test]
-    fn external_reputation_map_respected() {
-        let h = InteractionHistory::new();
-        let rep: HashMap<NodeId, f64> = [(NodeId(1), 0.9)].into_iter().collect();
-        let input = DetectionInput::new(&h, &[NodeId(1), NodeId(2)], rep);
-        assert_eq!(input.reputation_of(NodeId(1)), 0.9);
-        assert_eq!(input.reputation_of(NodeId(2)), 0.0);
     }
 
     #[test]
@@ -245,28 +188,14 @@ mod tests {
         let snap = ShardedSnapshot::build(&h, &nodes, 1);
         let legacy = DetectionInput::from_signed_history(&h, &nodes);
         let input = SnapshotInput::from_signed(&snap, &nodes);
-        assert_eq!(input.n(), legacy.n());
+        assert_eq!(input.n(), legacy.nodes.len());
         for &id in &nodes {
             let idx = snap.index(id).unwrap();
-            assert_eq!(input.reputation_of_idx(idx), legacy.reputation_of(id));
+            assert_eq!(input.reputation_of_idx(idx), legacy.signed_reputation(id) as f64);
         }
         let t = Thresholds::new(1.0, 20, 0.8, 0.2);
         let high_ids: Vec<NodeId> =
             input.high_reputed_idx(&t).iter().map(|&i| snap.node_id(i)).collect();
         assert_eq!(high_ids, legacy.high_reputed(&t));
-    }
-
-    #[test]
-    fn snapshot_input_external_map_covers_off_view_nodes() {
-        let mut h = InteractionHistory::new();
-        h.record(Rating::positive(NodeId(9), NodeId(1), SimTime(0)));
-        let snap = ShardedSnapshot::build(&h, &[NodeId(1)], 1);
-        let rep: HashMap<NodeId, f64> = [(NodeId(1), 0.5), (NodeId(9), 2.0)].into_iter().collect();
-        let input = SnapshotInput::new(&snap, &[NodeId(1)], &rep);
-        // node 9 is outside the view but its reputation is still visible,
-        // matching DetectionInput::reputation_of for partner lookups
-        let i9 = snap.index(NodeId(9)).unwrap();
-        assert_eq!(input.reputation_of_idx(i9), 2.0);
-        assert_eq!(input.view().len(), 1);
     }
 }

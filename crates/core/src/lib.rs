@@ -43,8 +43,9 @@
 //!     hist.record(Rating::negative(NodeId(4), NodeId(2), SimTime(t)));
 //! }
 //! let nodes: Vec<NodeId> = (1..=4).map(NodeId).collect();
-//! let input = DetectionInput::from_signed_history(&hist, &nodes);
-//! let report = OptimizedDetector::new(Thresholds::PAPER).detect(&input);
+//! let snap = ShardedSnapshot::build(&hist, &nodes, 1);
+//! let report = OptimizedDetector::new(Thresholds::PAPER)
+//!     .detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
 //! assert!(report.is_colluder(NodeId(1)) && report.is_colluder(NodeId(2)));
 //! assert!(!report.is_colluder(NodeId(3)));
 //! ```

@@ -70,7 +70,6 @@ use crate::net::wire::{
 };
 use crate::optimized::OptimizedDetector;
 use crate::policy::DetectionPolicy;
-use crate::report::DetectionReport;
 
 /// WAL file name inside a manager's durability directory (pinned by the
 /// durable engine; its presence is what makes a spawn a rejoin).
@@ -327,10 +326,6 @@ impl ViewTotals {
 struct State {
     /// Node table and totals of the primary slice, as of the last absorb.
     view: ViewTotals,
-    /// The engine's standing report. It changes only when an epoch closes:
-    /// refreshed at `CloseEpoch` and rejoin, and by the next publication
-    /// after a watermark-forced close ([`DataPlane::report_stale`]).
-    report: DetectionReport,
     /// Replica ratings (replicated for other managers' nodes, or
     /// misrouted here) since the last `Freeze`, which folds them into
     /// `replica` the way an epoch close folds the primary's open epoch.
@@ -361,11 +356,6 @@ struct DataPlane {
     /// Pending read-view counter deltas from stream frames, lock-striped
     /// by ratee. Drained into `State::view` by `absorb_intake`.
     intake: ShardedIntake,
-    /// Raised (under the durable lock) when folding an insert tripped the
-    /// pair watermark and the engine closed an epoch on the data plane: the
-    /// next publication re-reads the standing report before it goes out.
-    /// Every other publication leaves the durable lock alone.
-    report_stale: AtomicBool,
     /// Resumable-stream session table: session id → applied watermark.
     /// Rebuilt on rejoin from the last `StreamSession` marker of each
     /// session the recovery saw; a `StreamResume` barrier syncs the WAL
@@ -468,16 +458,10 @@ impl ManagerNode {
             (durable, ViewTotals::unrated(responsible.clone()), 0, FxHashMap::default())
         };
 
-        let initial = PublishedView {
-            epoch: 0,
-            nodes: Arc::new(Vec::new()),
-            signed: Vec::new(),
-            report: DetectionReport::default(),
-        };
+        let initial = PublishedView { epoch: 0, nodes: Arc::new(Vec::new()), signed: Vec::new() };
         let view = Arc::new(ViewCell::new(initial));
         let state = State {
             view: totals,
-            report: durable.report(),
             replica_log: EpochBuffer::new(),
             replica: ShardedSnapshot::build(&InteractionHistory::new(), &backed_up, cfg.shards),
             frozen: None,
@@ -488,7 +472,6 @@ impl ManagerNode {
         let data = DataPlane {
             durable: Mutex::new(durable),
             intake: ShardedIntake::new(cfg.shards.max(1)),
-            report_stale: AtomicBool::new(false),
             sessions: Mutex::new(sessions),
             stream_frames: AtomicU64::new(0),
             stream_ratings: AtomicU64::new(0),
@@ -612,19 +595,14 @@ fn other_io<E: std::fmt::Display>(e: E) -> io::Error {
 }
 
 /// Publish the read view from `st.view`: share the node table, clone the
-/// signed totals. Call with the state lock held. The durable lock is
-/// taken (lock order state → durable) only when a data-plane fold closed
-/// an epoch since the cached report was read.
+/// signed totals. Call with the state lock held; the durable lock is never
+/// taken.
 fn publish_view(shared: &Shared, st: &mut State) {
-    if shared.data.report_stale.swap(false, Ordering::AcqRel) {
-        st.report = shared.data.durable.lock().expect("durable engine lock").report();
-    }
     st.epoch += 1;
     let view = PublishedView {
         epoch: st.epoch,
         nodes: Arc::clone(&st.view.nodes),
         signed: st.view.signed.clone(),
-        report: st.report.clone(),
     };
     shared.view.publish(Arc::new(view));
 }
@@ -834,16 +812,11 @@ fn apply_stream_frame(
     };
     let (wal_target, durable_now) = {
         let mut eng = shared.data.durable.lock().expect("durable engine lock");
-        let closes_before = eng.engine_stats().epochs;
         let appended = if session != 0 {
             eng.record_stream_frame(&owned, session, stream_seq, cum_accepted)
         } else {
             eng.record_batch(&owned)
         };
-        if eng.engine_stats().epochs != closes_before {
-            // the pair watermark closed an epoch inside the fold
-            shared.data.report_stale.store(true, Ordering::Release);
-        }
         let Ok(target) = appended else {
             return Some(Response::Error { code: ErrorCode::Internal });
         };
@@ -1004,11 +977,10 @@ fn handle(shared: &Shared, req: Request) -> Response {
             absorb_intake(shared, &mut st);
             let closed = {
                 let mut eng = shared.data.durable.lock().expect("durable engine lock");
-                eng.close_epoch().map(|_| (eng.report(), eng.wal().next_seq()))
+                eng.close_epoch().map(|_| eng.wal().next_seq())
             };
             match closed {
-                Ok((report, seq)) => {
-                    st.report = report;
+                Ok(seq) => {
                     publish_view(shared, &mut st);
                     Response::Ack { seq, accepted: 0 }
                 }

@@ -10,8 +10,6 @@
 
 use super::*;
 use crate::durability::scratch_dir;
-use crate::epoch::EpochEngine;
-use crate::model::SuspectPair;
 use collusion_reputation::id::SimTime;
 use collusion_reputation::rating::RatingValue;
 use proptest::prelude::*;
@@ -38,8 +36,8 @@ enum Op {
 }
 
 /// Ratings over a small id space so pairs repeat: nodes 1 and 2 boost each
-/// other while the community rates them down (so the standing report is
-/// not empty), background of every sign, and the occasional self-rating.
+/// other while the community rates them down (so the manager's closes flag
+/// a pair), background of every sign, and the occasional self-rating.
 fn rating() -> impl Strategy<Value = Rating> {
     (0u32..100, 1..=RATER_IDS, 1..=RATED_IDS, 0u32..10).prop_map(|(plant, a, b, sign)| {
         let (rater, ratee, value) = match (plant, sign) {
@@ -65,8 +63,7 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The implementation the manager replaced, plus a reference engine for
-/// the standing report.
+/// The implementation the manager replaced.
 struct Oracle {
     responsible: Vec<NodeId>,
     /// Every rating the manager accepted.
@@ -76,15 +73,13 @@ struct Oracle {
     absorbed: InteractionHistory,
     /// Stream ratings folded into the intake, not absorbed yet.
     intake: u64,
-    engine: EpochEngine,
-    /// `(nodes, signed, report)` of the last publication.
-    published: (Vec<NodeId>, Vec<i64>, Vec<SuspectPair>),
+    /// `(nodes, signed)` of the last publication.
+    published: (Vec<NodeId>, Vec<i64>),
 }
 
 impl Oracle {
     fn stream_frame(&mut self, frame: &[Rating]) {
         for &r in frame {
-            self.engine.record(r);
             if self.history.record(r) {
                 self.intake += 1;
             }
@@ -107,7 +102,7 @@ impl Oracle {
     fn publish(&mut self) {
         let snap = ShardedSnapshot::build(&self.absorbed, &self.responsible, 1);
         let signed = (0..snap.n() as u32).map(|i| snap.signed(i)).collect();
-        self.published = (snap.nodes().to_vec(), signed, self.engine.report().pairs);
+        self.published = (snap.nodes().to_vec(), signed);
     }
 
     fn reputation(&self, id: NodeId) -> Option<i64> {
@@ -139,10 +134,9 @@ fn call(client: &mut RpcClient, node: &ManagerNode, req: &Request) -> Response {
 /// Everything observable from outside equals the oracle's last publication.
 fn assert_matches(client: &mut RpcClient, node: &ManagerNode, oracle: &Oracle, step: &str) {
     let view = node.view_reader().get().clone();
-    let (nodes, signed, report) = &oracle.published;
+    let (nodes, signed) = &oracle.published;
     assert_eq!(&*view.nodes, nodes, "published node table after {step}");
     assert_eq!(&view.signed, signed, "published signed totals after {step}");
-    assert_eq!(&view.report.pairs, report, "published report after {step}");
     for id in (1..=QUERIED_IDS).map(NodeId) {
         let Response::Reputation { known, signed, .. } = call(client, node, &Request::Query(id))
         else {
@@ -189,22 +183,12 @@ proptest! {
             max_retries: 0,
             ..RpcConfig::lan()
         });
-        let mut engine = EpochEngine::new(
-            &cfg.nodes,
-            cfg.shards,
-            Method::Optimized,
-            cfg.thresholds,
-            cfg.policy,
-            false,
-        );
-        engine.set_pair_watermark(pair_watermark);
         let mut oracle = Oracle {
             responsible: cfg.nodes.clone(),
             history: InteractionHistory::new(),
             absorbed: InteractionHistory::new(),
             intake: 0,
-            engine,
-            published: (Vec::new(), Vec::new(), Vec::new()),
+            published: (Vec::new(), Vec::new()),
         };
         assert_matches(&mut client, &node, &oracle, "spawn");
 
@@ -230,7 +214,6 @@ proptest! {
                     let resp = call(&mut client, &node, &Request::CloseEpoch);
                     prop_assert!(matches!(resp, Response::Ack { .. }));
                     oracle.absorb();
-                    oracle.engine.close_epoch();
                     oracle.publish();
                 }
                 Op::Freeze => {

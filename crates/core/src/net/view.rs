@@ -1,8 +1,8 @@
 //! Lock-free read publication for [`super::server::ManagerNode`]'s query
 //! path.
 //!
-//! The server publishes an immutable [`PublishedView`] (reputations +
-//! standing suspect set) through a [`ViewCell`] after every close and every
+//! The server publishes an immutable [`PublishedView`] (the node table
+//! and signed reputations) through a [`ViewCell`] after every close and every
 //! `PUBLISH_EVERY` stream inserts. Readers hold a
 //! [`ViewReader`] whose `get` fast path is a single atomic version load —
 //! no lock, no allocation — and only on a version change clones the new
@@ -21,8 +21,6 @@ use std::sync::{Arc, RwLock};
 
 use collusion_reputation::id::NodeId;
 
-use crate::report::DetectionReport;
-
 /// An immutable read view: everything a query path needs, behind one
 /// `Arc`.
 #[derive(Clone, Debug)]
@@ -36,8 +34,6 @@ pub struct PublishedView {
     pub nodes: Arc<Vec<NodeId>>,
     /// Signed reputation per dense index.
     pub signed: Vec<i64>,
-    /// Standing suspect set as of this close.
-    pub report: DetectionReport,
 }
 
 impl PublishedView {
@@ -121,7 +117,7 @@ mod tests {
 
     fn view(epoch: u64, signed: Vec<i64>) -> PublishedView {
         let nodes = (1..=signed.len() as u64).map(NodeId).collect();
-        PublishedView { epoch, nodes: Arc::new(nodes), signed, report: DetectionReport::default() }
+        PublishedView { epoch, nodes: Arc::new(nodes), signed }
     }
 
     #[test]

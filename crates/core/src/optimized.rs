@@ -22,15 +22,13 @@
 
 use crate::cost::CostMeter;
 use crate::formula::{formula_band, formula_reputation};
-use crate::input::{DetectionInput, SnapshotInput};
+use crate::input::SnapshotInput;
 use crate::model::{DirectionEvidence, SuspectPair};
 use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 use collusion_reputation::history::NodeTotals;
-use collusion_reputation::id::NodeId;
 use collusion_reputation::sharded::{ShardedSnapshot, TotalsColumns};
 use collusion_reputation::thresholds::Thresholds;
-use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// Counters from a band-pruned detection pass
@@ -59,11 +57,6 @@ impl PruneStats {
     }
 }
 
-/// Per-ratee aggregates over its *frequent* raters (count, signed sum),
-/// computed once per ratee under the extended policy. Keeps the policy's
-/// community adjustment at `O(m·n)` overall instead of `O(m·n²)`.
-pub(crate) type FrequentCache = HashMap<NodeId, (u64, i64)>;
-
 /// The `O(m·n)` band-checking detector.
 #[derive(Clone, Copy, Debug)]
 pub struct OptimizedDetector {
@@ -84,125 +77,25 @@ impl OptimizedDetector {
         OptimizedDetector { thresholds, policy }
     }
 
-    /// Detection pass over the manager's view.
-    pub fn detect(&self, input: &DetectionInput<'_>) -> DetectionReport {
-        let meter = CostMeter::new();
-        let high = input.high_reputed(&self.thresholds);
-        let high_set: HashSet<NodeId> = high.iter().copied().collect();
-        let mut checked: HashSet<(NodeId, NodeId)> = HashSet::new();
-        let mut cache = FrequentCache::new();
-        let mut pairs = Vec::new();
-        for &i in &high {
-            for &j in input.history.raters_of(i) {
-                meter.element_check();
-                let key = if i < j { (i, j) } else { (j, i) };
-                if checked.contains(&key) {
-                    continue;
-                }
-                if !high_set.contains(&j) {
-                    continue;
-                }
-                checked.insert(key);
-                let ev_fwd = self.check_direction(input, i, j, &meter, &mut cache);
-                if self.policy.require_mutual {
-                    let Some(fwd) = ev_fwd else { continue };
-                    let Some(rev) = self.check_direction(input, j, i, &meter, &mut cache) else {
-                        continue;
-                    };
-                    pairs.push(SuspectPair::new(j, i, Some(fwd), Some(rev)));
-                } else {
-                    let ev_rev = self.check_direction(input, j, i, &meter, &mut cache);
-                    if ev_fwd.is_none() && ev_rev.is_none() {
-                        continue;
-                    }
-                    pairs.push(SuspectPair::new(j, i, ev_fwd, ev_rev));
-                }
-            }
-        }
-        DetectionReport::new(pairs, meter.snapshot())
-    }
-
-    /// Direction test: is `ratee`'s reputation inside the Formula (2)
-    /// collusion band for rater `rater`? O(1) per pair under the strict
-    /// policy; amortized O(1) under the extended policy (one row aggregation
-    /// per ratee, cached).
-    pub(crate) fn check_direction(
-        &self,
-        input: &DetectionInput<'_>,
-        ratee: NodeId,
-        rater: NodeId,
-        meter: &CostMeter,
-        cache: &mut FrequentCache,
-    ) -> Option<DirectionEvidence> {
-        let h = input.history;
-        meter.element_check();
-        let pair = h.pair(rater, ratee);
-        let n_pair = pair.total;
-        if !self.thresholds.is_frequent(n_pair) {
-            return None;
-        }
-        let (n_eff, r_eff) = if self.policy.community_excludes_frequent {
-            // ratee's view restricted to community + the tested partner
-            let (freq_n, freq_signed) = match cache.get(&ratee) {
-                Some(&agg) => agg,
-                None => {
-                    let raters = h.raters_of(ratee);
-                    meter.row_scan(raters.len() as u64);
-                    let mut n = 0u64;
-                    let mut signed = 0i64;
-                    for &k in raters {
-                        let c = h.pair(k, ratee);
-                        if self.thresholds.is_frequent(c.total) {
-                            n += c.total;
-                            signed += c.signed();
-                        }
-                    }
-                    cache.insert(ratee, (n, signed));
-                    (n, signed)
-                }
-            };
-            (
-                h.ratings_for(ratee) - freq_n + n_pair,
-                h.signed_reputation(ratee) - freq_signed + pair.signed(),
-            )
-        } else {
-            (h.ratings_for(ratee), h.signed_reputation(ratee))
-        };
-        if n_eff == n_pair {
-            return None; // no community evidence (same convention as Basic)
-        }
-        meter.band_check();
-        let band = formula_band(self.thresholds.t_a, self.thresholds.t_b, n_eff, n_pair);
-        if !band.contains(r_eff as f64) {
-            return None;
-        }
-        Some(DirectionEvidence {
-            pair_ratings: n_pair,
-            fraction_a: None,
-            fraction_b: None,
-            signed_reputation: r_eff,
-        })
-    }
-
-    /// [`OptimizedDetector::detect`] on the frozen CSR snapshot: the same
-    /// sparse row walk and metering, with the pair probe a binary search in
-    /// the ratee's row and the extended-policy frequent aggregates served
+    /// Detection pass over the manager's view on the frozen CSR snapshot:
+    /// every high row's raters in row order, the pair probe a binary search
+    /// in the ratee's row, and the extended-policy frequent aggregates served
     /// from the snapshot's precomputed table (falling back to a row pass
-    /// when the snapshot was built without them). Produces a bit-identical
-    /// [`DetectionReport`] (pairs *and* cost) to the legacy path — enforced
-    /// by `tests/detection_equivalence.rs`.
+    /// when the snapshot was built without them, or for another `T_N`).
+    /// `tests/scale_props.rs` pins the report (pairs *and* cost) to a
+    /// reference walk written out from the specification.
     pub fn detect_snapshot(&self, input: &SnapshotInput<'_>) -> DetectionReport {
         self.walk_rows(input, false).0
     }
 
-    /// Snapshot analogue of [`OptimizedDetector::check_direction`], with the
-    /// extended-policy frequent aggregate supplied lazily by `freq_of` so
-    /// the sequential walk and the forked epoch re-check can bring their own
-    /// cache shapes.
-    /// Metering is placed identically to the legacy path. `rater` is `None`
+    /// Direction test: is `ratee`'s reputation inside the Formula (2)
+    /// collusion band for rater `rater`? O(1) per pair under the strict
+    /// policy; under the extended policy the ratee's frequent aggregate is
+    /// supplied lazily by `freq_of`, so the sequential walk and the forked
+    /// epoch re-check can bring their own cache shapes. `rater` is `None`
     /// when the rater is not interned in this snapshot (a partitioned
     /// manager probing an unknown partner) — the probe then sees zero
-    /// counters, exactly like the legacy hash lookup of an absent pair.
+    /// counters.
     pub(crate) fn check_direction_snap(
         &self,
         snap: &ShardedSnapshot,
@@ -242,9 +135,9 @@ impl OptimizedDetector {
     }
 
     /// Sequential snapshot direction test backed by a dense per-ratee cache.
-    /// The cache-miss row scan is metered exactly like the legacy
-    /// `FrequentCache` fill, even when the actual numbers come from the
-    /// snapshot's precomputed table.
+    /// A cache miss is metered as the row scan the paper's algorithm makes,
+    /// even when the actual numbers come from the snapshot's precomputed
+    /// table.
     pub(crate) fn direction_cached(
         &self,
         snap: &ShardedSnapshot,
@@ -484,8 +377,9 @@ fn prunable_lane(
 mod tests {
     use super::*;
     use crate::basic::BasicDetector;
+    use crate::input::DetectionInput;
     use collusion_reputation::history::InteractionHistory;
-    use collusion_reputation::id::SimTime;
+    use collusion_reputation::id::{NodeId, SimTime};
     use collusion_reputation::rating::{Rating, RatingValue};
     use collusion_reputation::sharded::ShardedSnapshot;
     use rand::rngs::SmallRng;
@@ -493,6 +387,12 @@ mod tests {
 
     fn thresholds() -> Thresholds {
         Thresholds::new(1.0, 20, 0.8, 0.2)
+    }
+
+    /// One detection pass over a one-shard snapshot of `h`.
+    fn detect(det: OptimizedDetector, h: &InteractionHistory, nodes: &[NodeId]) -> DetectionReport {
+        let snap = ShardedSnapshot::build(h, nodes, 1);
+        det.detect_snapshot(&SnapshotInput::from_signed(&snap, nodes))
     }
 
     fn collusion_history(boost: u64, community_neg: u64) -> (InteractionHistory, Vec<NodeId>) {
@@ -521,8 +421,7 @@ mod tests {
     #[test]
     fn detects_colluding_pair_via_band() {
         let (h, nodes) = collusion_history(30, 5);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let report = OptimizedDetector::new(thresholds()).detect(&input);
+        let report = detect(OptimizedDetector::new(thresholds()), &h, &nodes);
         assert_eq!(report.pair_ids(), vec![(NodeId(1), NodeId(2))]);
         let fwd = report.pairs[0].low_boosts_high.unwrap();
         assert_eq!(fwd.signed_reputation, 25);
@@ -532,8 +431,7 @@ mod tests {
     #[test]
     fn community_loved_node_not_flagged() {
         let (h, nodes) = collusion_history(30, 5);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let report = OptimizedDetector::new(thresholds()).detect(&input);
+        let report = detect(OptimizedDetector::new(thresholds()), &h, &nodes);
         assert!(!report.is_colluder(NodeId(4)));
     }
 
@@ -543,7 +441,7 @@ mod tests {
             let (h, nodes) = collusion_history(boost, neg);
             let input = DetectionInput::from_signed_history(&h, &nodes);
             let basic = BasicDetector::new(thresholds()).detect(&input);
-            let opt = OptimizedDetector::new(thresholds()).detect(&input);
+            let opt = detect(OptimizedDetector::new(thresholds()), &h, &nodes);
             assert_eq!(basic.pair_ids(), opt.pair_ids(), "disagreement at boost={boost} neg={neg}");
         }
     }
@@ -580,7 +478,7 @@ mod tests {
             let input = DetectionInput::from_signed_history(&h, &nodes);
             let th = Thresholds::new(1.0, 10, 0.8, 0.2);
             let basic = BasicDetector::new(th).detect(&input);
-            let opt = OptimizedDetector::new(th).detect(&input);
+            let opt = detect(OptimizedDetector::new(th), &h, &nodes);
             let opt_set: std::collections::BTreeSet<_> = opt.pair_ids().into_iter().collect();
             for p in basic.pair_ids() {
                 assert!(
@@ -592,33 +490,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_path_is_bit_identical() {
-        let (h, nodes) = collusion_history(30, 5);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let snap = ShardedSnapshot::build(&h, &nodes, 1);
-        let sinput = SnapshotInput::from_signed(&snap, &nodes);
-        for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
-            let det = OptimizedDetector::with_policy(thresholds(), policy);
-            let legacy = det.detect(&input);
-            let fast = det.detect_snapshot(&sinput);
-            assert_eq!(legacy.pairs, fast.pairs);
-            assert_eq!(legacy.cost, fast.cost);
-        }
-    }
-
-    #[test]
     fn snapshot_precomputed_aggregates_keep_costs_identical() {
-        // built WITH frequent aggregates: the meter must still record the
-        // legacy cache-fill row scans under the extended policy
+        // built WITH frequent aggregates, the extended policy reads the
+        // precomputed table; built without, it falls back to row passes. The
+        // meter models the algorithm, so pairs and cost agree.
         let (h, nodes) = collusion_history(30, 5);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
-        let sinput = SnapshotInput::from_signed(&snap, &nodes);
         let det = OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED);
-        let legacy = det.detect(&input);
-        let fast = det.detect_snapshot(&sinput);
-        assert_eq!(legacy.pairs, fast.pairs);
-        assert_eq!(legacy.cost, fast.cost);
+        let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
+        let precomputed = det.detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
+        let row_passes = detect(det, &h, &nodes);
+        assert_eq!(precomputed.pairs, row_passes.pairs);
+        assert_eq!(precomputed.cost, row_passes.cost);
+        assert!(precomputed.cost.row_scans > 0);
     }
 
     #[test]
@@ -626,7 +509,7 @@ mod tests {
         let (h, nodes) = collusion_history(40, 10);
         let input = DetectionInput::from_signed_history(&h, &nodes);
         let basic = BasicDetector::new(thresholds()).detect(&input);
-        let opt = OptimizedDetector::new(thresholds()).detect(&input);
+        let opt = detect(OptimizedDetector::new(thresholds()), &h, &nodes);
         assert_eq!(opt.cost.row_scans, 0, "optimized must never scan rows");
         assert!(
             opt.cost.total(1) < basic.cost.total(1),
@@ -639,8 +522,7 @@ mod tests {
     #[test]
     fn infrequent_pair_skipped() {
         let (h, nodes) = collusion_history(10, 2); // below T_N=20
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let report = OptimizedDetector::new(thresholds()).detect(&input);
+        let report = detect(OptimizedDetector::new(thresholds()), &h, &nodes);
         assert!(report.pairs.is_empty());
     }
 
@@ -652,8 +534,7 @@ mod tests {
             h.record(Rating::positive(NodeId(2), NodeId(1), SimTime(t)));
         }
         let nodes = vec![NodeId(1), NodeId(2)];
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let report = OptimizedDetector::new(thresholds()).detect(&input);
+        let report = detect(OptimizedDetector::new(thresholds()), &h, &nodes);
         assert!(report.pairs.is_empty());
     }
 
@@ -704,8 +585,7 @@ mod tests {
     #[test]
     fn low_reputation_filter_applies() {
         let (h, nodes) = collusion_history(25, 40);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let report = OptimizedDetector::new(thresholds()).detect(&input);
+        let report = detect(OptimizedDetector::new(thresholds()), &h, &nodes);
         assert!(report.pairs.is_empty(), "drowned colluders fail the C1 filter");
     }
 }

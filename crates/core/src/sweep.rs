@@ -7,7 +7,7 @@
 //! ground truth. Grid points are independent, so the sweep fans out with
 //! rayon.
 
-use crate::input::DetectionInput;
+use crate::input::SnapshotInput;
 use crate::optimized::OptimizedDetector;
 use crate::policy::DetectionPolicy;
 use crate::report::ConfusionMatrix;
@@ -55,10 +55,12 @@ impl SweepPoint {
 }
 
 /// Evaluate the optimized detector over the full grid
-/// `t_a_grid × t_b_grid × t_n_grid`, scoring against `truth_pairs`.
-/// `base` supplies the fixed `T_R`.
+/// `t_a_grid × t_b_grid × t_n_grid` on one snapshot, scoring against
+/// `truth_pairs`. `base` supplies the fixed `T_R`. Under the extended
+/// policy a grid `T_N` other than the snapshot's precomputed one reads its
+/// frequent aggregates by row passes.
 pub fn sweep_thresholds(
-    input: &DetectionInput<'_>,
+    input: &SnapshotInput<'_>,
     base: Thresholds,
     policy: DetectionPolicy,
     t_a_grid: &[f64],
@@ -74,7 +76,7 @@ pub fn sweep_thresholds(
     grid.par_iter()
         .map(|&(t_a, t_b, t_n)| {
             let th = Thresholds::new(base.t_r, t_n, t_a, t_b);
-            let report = OptimizedDetector::with_policy(th, policy).detect(input);
+            let report = OptimizedDetector::with_policy(th, policy).detect_snapshot(input);
             SweepPoint::from_matrix(t_a, t_b, t_n, report.score(truth_pairs, n_nodes))
         })
         .collect()
@@ -94,6 +96,7 @@ mod tests {
     use collusion_reputation::history::InteractionHistory;
     use collusion_reputation::id::SimTime;
     use collusion_reputation::rating::Rating;
+    use collusion_reputation::sharded::ShardedSnapshot;
 
     fn scenario() -> (InteractionHistory, Vec<NodeId>) {
         let mut h = InteractionHistory::new();
@@ -121,7 +124,8 @@ mod tests {
     #[test]
     fn sweep_covers_full_grid() {
         let (h, nodes) = scenario();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let input = SnapshotInput::from_signed(&snap, &nodes);
         let points = sweep_thresholds(
             &input,
             Thresholds::new(1.0, 20, 0.8, 0.2),
@@ -137,7 +141,8 @@ mod tests {
     #[test]
     fn sane_thresholds_achieve_perfect_f1_here() {
         let (h, nodes) = scenario();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let input = SnapshotInput::from_signed(&snap, &nodes);
         let points = sweep_thresholds(
             &input,
             Thresholds::new(1.0, 20, 0.8, 0.2),
@@ -154,7 +159,8 @@ mod tests {
     #[test]
     fn overly_strict_t_n_misses_the_pair() {
         let (h, nodes) = scenario();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let input = SnapshotInput::from_signed(&snap, &nodes);
         let points = sweep_thresholds(
             &input,
             Thresholds::new(1.0, 20, 0.8, 0.2),
@@ -171,7 +177,8 @@ mod tests {
     #[test]
     fn best_f1_selects_maximum() {
         let (h, nodes) = scenario();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let input = SnapshotInput::from_signed(&snap, &nodes);
         let points = sweep_thresholds(
             &input,
             Thresholds::new(1.0, 20, 0.8, 0.2),
@@ -189,7 +196,8 @@ mod tests {
     #[test]
     fn empty_grid_yields_no_points() {
         let (h, nodes) = scenario();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let input = SnapshotInput::from_signed(&snap, &nodes);
         let points = sweep_thresholds(
             &input,
             Thresholds::PAPER,
@@ -201,5 +209,36 @@ mod tests {
         );
         assert!(points.is_empty());
         assert!(best_f1(&points).is_none());
+    }
+
+    #[test]
+    fn extended_points_equal_standalone_detection() {
+        // the sweep's snapshot precomputes T_N = 20 only, so every grid T_N
+        // below takes the row-pass fallback; each point must score exactly
+        // like a detection on a snapshot precomputed for that point's T_N
+        let (h, nodes) = scenario();
+        let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, 20);
+        let truth = [(NodeId(1), NodeId(2))];
+        let base = Thresholds::new(1.0, 20, 0.8, 0.2);
+        let points = sweep_thresholds(
+            &SnapshotInput::from_signed(&snap, &nodes),
+            base,
+            DetectionPolicy::EXTENDED,
+            &[0.7, 0.9],
+            &[0.2, 0.5],
+            &[5, 15, 25],
+            &truth,
+        );
+        assert_eq!(points.len(), 12);
+        for p in &points {
+            let own = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, p.t_n);
+            let th = Thresholds::new(base.t_r, p.t_n, p.t_a, p.t_b);
+            let report = OptimizedDetector::with_policy(th, DetectionPolicy::EXTENDED)
+                .detect_snapshot(&SnapshotInput::from_signed(&own, &nodes));
+            let cm = report.score(&truth, nodes.len());
+            let expect = SweepPoint::from_matrix(p.t_a, p.t_b, p.t_n, cm);
+            assert_eq!(format!("{p:?}"), format!("{expect:?}"));
+        }
+        assert!(points.iter().any(|p| p.true_positives == 1));
     }
 }

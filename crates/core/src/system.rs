@@ -563,7 +563,6 @@ impl DecentralizedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::DetectionInput;
     use crate::optimized::OptimizedDetector;
     use collusion_reputation::id::SimTime;
 
@@ -631,8 +630,9 @@ mod tests {
             h.record(r);
         }
         let nodes: Vec<NodeId> = (1..=2).chain(20..=21).chain(40..45).map(NodeId).collect();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let central = OptimizedDetector::new(thresholds()).detect(&input);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let central = OptimizedDetector::new(thresholds())
+            .detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
         for managers in [1u64, 3, 8, 32] {
             let mut sys = build_system(managers);
             let report = sys.detect();

@@ -8,6 +8,7 @@ use collusion_core::mitigation::apply_mitigation;
 use collusion_core::optimized::OptimizedDetector;
 use collusion_core::policy::DetectionPolicy;
 use collusion_core::prelude::Thresholds;
+use collusion_core::report::DetectionReport;
 use collusion_core::system::DecentralizedSystem;
 use collusion_reputation::history::InteractionHistory;
 use collusion_reputation::id::{NodeId, SimTime};
@@ -24,6 +25,12 @@ fn ratings_strategy(n: u64, max_len: usize) -> impl Strategy<Value = Vec<Rating>
         }),
         0..max_len,
     )
+}
+
+/// Strict Optimized detection over a one-shard snapshot of `h`.
+fn optimized(th: Thresholds, h: &InteractionHistory, nodes: &[NodeId]) -> DetectionReport {
+    let snap = ShardedSnapshot::build(h, nodes, 1);
+    OptimizedDetector::new(th).detect_snapshot(&SnapshotInput::from_signed(&snap, nodes))
 }
 
 fn build(ratings: &[Rating]) -> InteractionHistory {
@@ -70,10 +77,9 @@ proptest! {
     fn mitigation_idempotent(ratings in ratings_strategy(10, 400)) {
         let h = build(&ratings);
         let nodes: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let report = OptimizedDetector::new(Thresholds::new(1.0, 10, 0.8, 0.3)).detect(&input);
+        let report = optimized(Thresholds::new(1.0, 10, 0.8, 0.3), &h, &nodes);
         let mut reps: HashMap<NodeId, f64> =
-            nodes.iter().map(|&n| (n, input.reputation_of(n))).collect();
+            nodes.iter().map(|&n| (n, h.signed_reputation(n) as f64)).collect();
         let baseline = reps.clone();
         let zeroed1 = apply_mitigation(&report, &mut reps);
         let snapshot = reps.clone();
@@ -97,9 +103,8 @@ proptest! {
     ) {
         let h = build(&ratings);
         let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
         let th = Thresholds::new(1.0, 8, 0.8, 0.3);
-        let central = OptimizedDetector::new(th).detect(&input);
+        let central = optimized(th, &h, &nodes);
         let manager_ids: Vec<NodeId> = (500..500 + managers as u64).map(NodeId).collect();
         let mut sys =
             DecentralizedSystem::new(&manager_ids, th, Method::Optimized, DetectionPolicy::STRICT);
@@ -121,10 +126,8 @@ proptest! {
         let h2 = build(&reversed);
         let nodes: Vec<NodeId> = (0..8).map(NodeId).collect();
         let th = Thresholds::new(1.0, 8, 0.8, 0.3);
-        let r1 = OptimizedDetector::new(th)
-            .detect(&DetectionInput::from_signed_history(&h1, &nodes));
-        let r2 = OptimizedDetector::new(th)
-            .detect(&DetectionInput::from_signed_history(&h2, &nodes));
+        let r1 = optimized(th, &h1, &nodes);
+        let r2 = optimized(th, &h2, &nodes);
         prop_assert_eq!(r1.pair_ids(), r2.pair_ids());
     }
 
@@ -133,9 +136,8 @@ proptest! {
     fn frequency_threshold_monotone(ratings in ratings_strategy(10, 500)) {
         let h = build(&ratings);
         let nodes: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let lo = OptimizedDetector::new(Thresholds::new(1.0, 5, 0.8, 0.3)).detect(&input);
-        let hi = OptimizedDetector::new(Thresholds::new(1.0, 15, 0.8, 0.3)).detect(&input);
+        let lo = optimized(Thresholds::new(1.0, 5, 0.8, 0.3), &h, &nodes);
+        let hi = optimized(Thresholds::new(1.0, 15, 0.8, 0.3), &h, &nodes);
         let lo_set: std::collections::BTreeSet<_> = lo.pair_ids().into_iter().collect();
         for p in hi.pair_ids() {
             prop_assert!(lo_set.contains(&p), "pair {p:?} appeared only at higher T_N");

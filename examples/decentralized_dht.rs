@@ -54,11 +54,12 @@ fn main() {
     for &r in &ratings {
         history.record(r);
     }
-    let input = DetectionInput::from_signed_history(&history, &nodes);
+    let snapshot = ShardedSnapshot::build(&history, &nodes, 1);
     let thresholds = Thresholds::new(1.0, 20, 0.8, 0.2);
 
     // Centralized reference.
-    let central = OptimizedDetector::new(thresholds).detect(&input);
+    let central = OptimizedDetector::new(thresholds)
+        .detect_snapshot(&SnapshotInput::from_signed(&snapshot, &nodes));
     println!("centralized detection: {:?}\n", central.pair_ids());
 
     println!("managers  pairs  messages  DHT hops  max load");

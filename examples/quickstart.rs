@@ -53,7 +53,9 @@ fn main() {
     // 3. Run both detectors with trace-calibrated thresholds.
     let thresholds = Thresholds::new(1.0, 20, 0.8, 0.2);
     let basic = BasicDetector::new(thresholds).detect(&input);
-    let optimized = OptimizedDetector::new(thresholds).detect(&input);
+    let snapshot = ShardedSnapshot::build(&history, &nodes, 1);
+    let optimized = OptimizedDetector::new(thresholds)
+        .detect_snapshot(&SnapshotInput::from_signed(&snapshot, &nodes));
 
     println!("\nBasic   (O(m·n²)) found: {:?}", basic.pair_ids());
     println!("Optimized (O(m·n)) found: {:?}", optimized.pair_ids());
@@ -78,7 +80,7 @@ fn main() {
 
     // 5. Mitigate: zero the colluders' reputations.
     let mut reputations: std::collections::HashMap<NodeId, f64> =
-        nodes.iter().map(|&n| (n, input.reputation_of(n))).collect();
+        nodes.iter().map(|&n| (n, input.signed_reputation(n) as f64)).collect();
     let zeroed = apply_mitigation(&optimized, &mut reputations);
     println!("zeroed reputations of {zeroed:?}");
     assert!(!zeroed.contains(&honest));

@@ -62,7 +62,8 @@ fn main() {
     let mut nodes: Vec<NodeId> = trace.seller_ids();
     nodes.extend(trace.boosters.iter().map(|&(b, _)| b));
     nodes.extend(trace.rivals.iter().map(|&(r, _)| r));
-    let input = DetectionInput::from_signed_history(&history, &nodes);
+    let snapshot = ShardedSnapshot::build(&history, &nodes, 1);
+    let input = SnapshotInput::from_signed(&snapshot, &nodes);
     let truth: Vec<(NodeId, NodeId)> = trace.boosters.clone();
 
     println!(

@@ -60,6 +60,12 @@ timeout 300 cargo run --release -q -p collusion-bench --bin reproduce -- \
   fig8 fig9 fig10 fig11 fig12 fig13 --csv "$figs_out" > /dev/null
 diff -r scripts/figures_expected "$figs_out"
 
+echo "== examples (every examples/*.rs in release; each asserts its own result) =="
+# ≈ 1 s together once built; an example's assert! fails the gate here
+for ex in examples/*.rs; do
+  timeout 120 cargo run --release -q --example "$(basename "$ex" .rs)" > /dev/null
+done
+
 echo "== nemesis smoke (crash + partition + overload against live resumable streams) =="
 # composed fault schedules against a 3-manager cluster ingesting through
 # resumable exactly-once stream sessions: detector-gated kills, an

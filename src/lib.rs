@@ -28,8 +28,9 @@
 //!     }
 //! }
 //! let nodes: Vec<NodeId> = (1..=6).map(NodeId).collect();
-//! let input = DetectionInput::from_signed_history(&hist, &nodes);
-//! let report = OptimizedDetector::new(Thresholds::new(1.0, 20, 0.8, 0.2)).detect(&input);
+//! let snap = ShardedSnapshot::build(&hist, &nodes, 1);
+//! let input = SnapshotInput::from_signed(&snap, &nodes);
+//! let report = OptimizedDetector::new(Thresholds::new(1.0, 20, 0.8, 0.2)).detect_snapshot(&input);
 //! assert_eq!(report.pair_ids(), vec![(NodeId(1), NodeId(2))]);
 //! ```
 

@@ -82,6 +82,12 @@ fn thresholds() -> Thresholds {
     Thresholds::new(1.0, 20, 0.8, 0.2)
 }
 
+/// `det`'s plain row walk over a one-shard snapshot of `h`.
+fn optimized(det: OptimizedDetector, h: &InteractionHistory, nodes: &[NodeId]) -> DetectionReport {
+    let snap = ShardedSnapshot::build(h, nodes, 1);
+    det.detect_snapshot(&SnapshotInput::from_signed(&snap, nodes))
+}
+
 #[test]
 fn all_four_deployments_agree_across_seeds() {
     for seed in 0..10u64 {
@@ -89,7 +95,7 @@ fn all_four_deployments_agree_across_seeds() {
         let ratings = random_ratings(seed, 40, 3);
         let input = DetectionInput::from_signed_history(&h, &nodes);
         let basic = BasicDetector::new(thresholds()).detect(&input);
-        let optimized = OptimizedDetector::new(thresholds()).detect(&input);
+        let optimized = optimized(OptimizedDetector::new(thresholds()), &h, &nodes);
         let managers: Vec<NodeId> = (1000..1008).map(NodeId).collect();
         let (dec_basic, _) = system_detect(&ratings, 40, &managers, Method::Basic);
         let (dec_opt, _) = system_detect(&ratings, 40, &managers, Method::Optimized);
@@ -103,8 +109,7 @@ fn all_four_deployments_agree_across_seeds() {
 fn injected_pairs_are_recovered() {
     for seed in 0..5u64 {
         let (h, nodes) = random_history(100 + seed, 50, 4);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let report = OptimizedDetector::new(thresholds()).detect(&input);
+        let report = optimized(OptimizedDetector::new(thresholds()), &h, &nodes);
         let truth: Vec<(NodeId, NodeId)> =
             (0..4).map(|p| (NodeId(1 + 2 * p), NodeId(2 + 2 * p))).collect();
         let cm = report.score(&truth, nodes.len());
@@ -117,10 +122,12 @@ fn injected_pairs_are_recovered() {
 fn extended_policy_finds_a_superset_of_strict() {
     for seed in 0..10u64 {
         let (h, nodes) = random_history(300 + seed, 40, 3);
-        let input = DetectionInput::from_signed_history(&h, &nodes);
-        let strict = OptimizedDetector::new(thresholds()).detect(&input);
-        let extended =
-            OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED).detect(&input);
+        let strict = optimized(OptimizedDetector::new(thresholds()), &h, &nodes);
+        let extended = optimized(
+            OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED),
+            &h,
+            &nodes,
+        );
         let ext_set: std::collections::BTreeSet<_> = extended.pair_ids().into_iter().collect();
         for p in strict.pair_ids() {
             assert!(ext_set.contains(&p), "seed {seed}: extended missed strict pair {p:?}");
@@ -131,9 +138,8 @@ fn extended_policy_finds_a_superset_of_strict() {
 #[test]
 fn detection_is_deterministic() {
     let (h, nodes) = random_history(7, 40, 3);
-    let input = DetectionInput::from_signed_history(&h, &nodes);
-    let a = OptimizedDetector::new(thresholds()).detect(&input);
-    let b = OptimizedDetector::new(thresholds()).detect(&input);
+    let a = optimized(OptimizedDetector::new(thresholds()), &h, &nodes);
+    let b = optimized(OptimizedDetector::new(thresholds()), &h, &nodes);
     assert_eq!(a.pair_ids(), b.pair_ids());
     assert_eq!(a.cost, b.cost);
 }
@@ -142,9 +148,10 @@ fn detection_is_deterministic() {
 /// paper-scale call sites use, uneven splits, and more shards than rows.
 const SHARD_COUNTS: [usize; 4] = [1, 3, 8, 64];
 
-/// `detect_snapshot` over `snap` must reproduce the HashMap-backed detectors
-/// over the raw history exactly: same suspect pairs AND the same metered
-/// cost, for both detectors under both policies.
+/// Basic's `detect_snapshot` over `snap` must reproduce the oracle,
+/// `BasicDetector::detect` over the raw history, exactly: same suspect
+/// pairs AND the same metered cost, under both policies. The Optimized walks
+/// are pinned to `scale_props`' reference walk instead.
 fn assert_snapshot_matches_raw(
     snap: &ShardedSnapshot,
     h: &InteractionHistory,
@@ -159,11 +166,6 @@ fn assert_snapshot_matches_raw(
         let fast = basic.detect_snapshot(&snap_input);
         assert_eq!(raw.pairs, fast.pairs, "{ctx}, {policy:?}: basic pairs");
         assert_eq!(raw.cost, fast.cost, "{ctx}, {policy:?}: basic cost");
-        let optimized = OptimizedDetector::with_policy(thresholds(), policy);
-        let raw = optimized.detect(&raw_input);
-        let fast = optimized.detect_snapshot(&snap_input);
-        assert_eq!(raw.pairs, fast.pairs, "{ctx}, {policy:?}: optimized pairs");
-        assert_eq!(raw.cost, fast.cost, "{ctx}, {policy:?}: optimized cost");
     }
 }
 
@@ -185,19 +187,23 @@ fn snapshot_paths_are_bit_identical_across_seeds() {
 
 #[test]
 fn precomputed_frequent_aggregates_stay_bit_identical() {
-    // build_with_frequent serves the frequent sums from the precomputed
-    // table, but the metered cost must not change (the meter models the
-    // paper's algorithm, not our shortcut).
+    // build_with_frequent serves the Optimized walk's frequent sums from the
+    // precomputed table, but neither report may change: the meter models
+    // the paper's algorithm, not our shortcut.
     for seed in 0..5u64 {
         let (h, nodes) = random_history(500 + seed, 40, 3);
         for shards in SHARD_COUNTS {
             let snap = ShardedSnapshot::build_with_frequent(&h, &nodes, shards, thresholds().t_n);
-            assert_snapshot_matches_raw(
-                &snap,
-                &h,
-                &nodes,
-                &format!("seed {seed}, {shards} shards"),
-            );
+            let ctx = format!("seed {seed}, {shards} shards");
+            assert_snapshot_matches_raw(&snap, &h, &nodes, &ctx);
+            let plain = ShardedSnapshot::build(&h, &nodes, shards);
+            for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
+                let det = OptimizedDetector::with_policy(thresholds(), policy);
+                let table = det.detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
+                let rows = det.detect_snapshot(&SnapshotInput::from_signed(&plain, &nodes));
+                assert_eq!(table.pairs, rows.pairs, "{ctx}, {policy:?}: optimized pairs");
+                assert_eq!(table.cost, rows.cost, "{ctx}, {policy:?}: optimized cost");
+            }
         }
     }
 }
@@ -261,19 +267,20 @@ fn decentralized_message_count_scales_with_manager_dispersion() {
 #[test]
 fn sharded_snapshot_paths_are_bit_identical_across_seeds() {
     // The same row walk with the band gate armed (`detect_pruned`), at every
-    // shard count, against the raw-history detector: under the extended
-    // policy the gate disarms itself, so pairs AND cost are the oracle's;
-    // under the strict policy the pairs are the oracle's and every metered
-    // counter can only go down.
+    // shard count, against the ungated walk over one shard: under the
+    // extended policy the gate disarms itself, so pairs AND cost are the
+    // ungated walk's; under the strict policy the pairs are and every
+    // metered counter can only go down.
     for seed in 0..10u64 {
         let (h, nodes) = random_history(900 + seed, 40, 3);
-        let raw_input = DetectionInput::from_signed_history(&h, &nodes);
+        let one = ShardedSnapshot::build(&h, &nodes, 1);
+        let one_input = SnapshotInput::from_signed(&one, &nodes);
         for shards in SHARD_COUNTS {
             let snap = ShardedSnapshot::build(&h, &nodes, shards);
             let input = SnapshotInput::from_signed(&snap, &nodes);
             for policy in [DetectionPolicy::STRICT, DetectionPolicy::EXTENDED] {
                 let det = OptimizedDetector::with_policy(thresholds(), policy);
-                let raw = det.detect(&raw_input);
+                let raw = det.detect_snapshot(&one_input);
                 let (pruned, stats) = det.detect_pruned(&input);
                 let ctx = format!("seed {seed}, {shards} shards, {policy:?}");
                 assert_eq!(raw.pairs, pruned.pairs, "{ctx}: pruned pairs");

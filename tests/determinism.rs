@@ -97,8 +97,11 @@ fn detection_reports_stable_across_node_list_permutations() {
     let mut reversed = forward.clone();
     reversed.reverse();
     let th = Thresholds::new(1.0, 20, 0.8, 0.2);
-    let a = OptimizedDetector::new(th).detect(&DetectionInput::from_signed_history(&h, &forward));
-    let b = OptimizedDetector::new(th).detect(&DetectionInput::from_signed_history(&h, &reversed));
+    let snap = ShardedSnapshot::build(&h, &forward, 1);
+    let a =
+        OptimizedDetector::new(th).detect_snapshot(&SnapshotInput::from_signed(&snap, &forward));
+    let b =
+        OptimizedDetector::new(th).detect_snapshot(&SnapshotInput::from_signed(&snap, &reversed));
     assert_eq!(a.pair_ids(), b.pair_ids());
     assert_eq!(a.cost, b.cost);
 }

@@ -86,8 +86,9 @@ proptest! {
         }
     }
 
-    /// Optimized never misses a Basic pair, for arbitrary *binary* (±1)
-    /// histories and thresholds (strict policy on both). Neutral ratings
+    /// Optimized's snapshot walk never misses a pair the Basic oracle finds
+    /// on the raw history, for arbitrary *binary* (±1) histories and
+    /// thresholds (strict policy on both). Neutral ratings
     /// void Formula (1)'s derivation — the band becomes conservative and
     /// may skip pairs the fraction test flags, as `formula.rs` documents —
     /// so the property is stated over the rating model the paper (eBay /
@@ -111,7 +112,9 @@ proptest! {
         let input = DetectionInput::from_signed_history(&h, &nodes);
         let th = Thresholds::new(1.0, t_n, t_a, t_b);
         let basic = BasicDetector::new(th).detect(&input);
-        let opt = OptimizedDetector::new(th).detect(&input);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let opt =
+            OptimizedDetector::new(th).detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
         let opt_set: std::collections::BTreeSet<_> = opt.pair_ids().into_iter().collect();
         for p in basic.pair_ids() {
             prop_assert!(opt_set.contains(&p), "optimized missed {p:?}");

@@ -1,6 +1,7 @@
 //! Property-based guarantees for the scale path: sharded CSR snapshots,
 //! Formula (2) band pruning, and the epoch-incremental engine are all
-//! *bit-identical* to a full pass of the raw-history detectors — the
+//! *bit-identical* to their oracles — the Basic detector over the raw
+//! history and, for the Optimized walks, the reference walk below — the
 //! correctness contract that lets the benchmark's `audit-batch` and
 //! `engine-churn` workloads compare their costs honestly. The batch band
 //! kernel and the fork-join close are checked against their serial oracles
@@ -45,9 +46,10 @@ fn nodes() -> Vec<NodeId> {
 }
 
 proptest! {
-    /// Sharded detection is bit-identical to the raw-history detectors —
-    /// pairs *and* metered cost — for any shard count, both detectors, both
-    /// policies.
+    /// Sharded detection is bit-identical to its oracle — pairs *and*
+    /// metered cost — for any shard count, both detectors, both policies:
+    /// Basic to `BasicDetector::detect` on the raw history, Optimized to
+    /// [`reference_walk`].
     #[test]
     fn sharded_detect_bit_identical(ratings in ratings_strategy(N, 400), shards in 1usize..=16) {
         let mut h = InteractionHistory::new();
@@ -65,7 +67,7 @@ proptest! {
             };
             let shard_in = SnapshotInput::from_signed(&shard, &nodes);
             let opt = OptimizedDetector::with_policy(t, policy);
-            let a = opt.detect(&raw_in);
+            let (a, _) = reference_walk(&opt, &shard_in, false);
             let b = opt.detect_snapshot(&shard_in);
             prop_assert_eq!(&a.pairs, &b.pairs, "optimized pairs, {:?}", policy);
             prop_assert_eq!(a.cost, b.cost, "optimized cost, {:?}", policy);
@@ -78,8 +80,9 @@ proptest! {
     }
 
     /// Random epoch sequences: a sharded snapshot advanced wave by wave
-    /// through `apply_epoch` detects identically — pairs and cost — to the
-    /// raw-history detector at every step.
+    /// through `apply_epoch` equals a fresh build of the same history at
+    /// every step, probe for probe, and detects identically — pairs and
+    /// cost.
     #[test]
     fn sharded_epoch_sequences_bit_identical(
         waves in prop::collection::vec(ratings_strategy(N, 120), 1..5),
@@ -97,7 +100,9 @@ proptest! {
                 buf.record(*r);
             }
             shard.apply_epoch(&buf.drain(), 1);
-            let a = opt.detect(&DetectionInput::from_signed_history(&h, &nodes));
+            let fresh = ShardedSnapshot::build(&h, &nodes, shards);
+            assert_sharded_eq(&shard, &fresh);
+            let a = opt.detect_snapshot(&SnapshotInput::from_signed(&fresh, &nodes));
             let b = opt.detect_snapshot(&SnapshotInput::from_signed(&shard, &nodes));
             prop_assert_eq!(a.pairs, b.pairs);
             prop_assert_eq!(a.cost, b.cost);

@@ -143,12 +143,12 @@ fn trace_detection_bridge_flags_booster_relationships() {
     let mut nodes: Vec<NodeId> = trace.seller_ids();
     nodes.extend(trace.boosters.iter().map(|&(b, _)| b));
     nodes.extend(trace.rivals.iter().map(|&(r, _)| r));
-    let input = DetectionInput::from_signed_history(&history, &nodes);
+    let snap = ShardedSnapshot::build(&history, &nodes, 1);
     let report = OptimizedDetector::with_policy(
         Thresholds::new(0.0, 20, 0.8, 0.5),
         DetectionPolicy::EXTENDED,
     )
-    .detect(&input);
+    .detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
     let truth: BTreeSet<(NodeId, NodeId)> =
         trace.boosters.iter().map(|&(b, s)| if b < s { (b, s) } else { (s, b) }).collect();
     let found: BTreeSet<(NodeId, NodeId)> = report.pair_ids().into_iter().collect();
