@@ -8,8 +8,8 @@
 //! EigenTrust > Optimized; EigenTrust flat in the number of colluders)
 //! depends only on these counts.
 //!
-//! [`CostMeter`] uses relaxed atomics so the forked epoch re-check can
-//! meter from many threads without locks; `Relaxed` suffices because the
+//! [`CostMeter`] uses relaxed atomics so a shared `&CostMeter` meters
+//! without `&mut` and stays `Sync`; `Relaxed` suffices because the
 //! counters are statistics, not synchronization. Only the sums matter, so a
 //! row walk adds its row's element inspections once per row
 //! ([`CostMeter::element_checks`]) rather than once per cell.

@@ -88,8 +88,8 @@ pub struct EngineSetup {
     pub policy: DetectionPolicy,
     /// Whether the Formula (2) band pre-filter is armed.
     pub prune: bool,
-    /// Fork-join width for the epoch close (shard merge, candidate
-    /// enumeration, re-check). `0` = auto (`RAYON_NUM_THREADS` override,
+    /// Fork-join width for the epoch close's `advance` stage (per-shard
+    /// merge and high-flag recompute). `0` = auto (`RAYON_NUM_THREADS` override,
     /// else available parallelism); `1` = the serial oracle. Every width
     /// produces bit-identical state, reports, and cost.
     pub close_threads: usize,

@@ -55,7 +55,6 @@
 //! see [`EpochStats::pruned`].
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use collusion_reputation::codec::{ByteReader, ByteWriter, CodecError};
@@ -124,33 +123,6 @@ pub struct CloseTimings {
     pub recheck_ns: u64,
 }
 
-/// One fork-join worker's private slice of the candidate-enumeration
-/// state: a locally deduplicated candidate buffer in local discovery
-/// order. The ordered merge in [`enumerate_candidates`] concatenates
-/// these in row-range order, which reproduces the serial scan order.
-#[derive(Debug, Default)]
-struct EnumLocal {
-    /// Worker-local dedup set (cleared per close, table reused).
-    seen: PairSet,
-    /// Worker-local candidates in discovery order.
-    cands: Vec<(u32, u32)>,
-}
-
-/// Reusable scratch of the re-check pass (step 4). The dense `cache` backs
-/// the serial path's per-ratee frequent aggregates; `once` backs the
-/// forked path with shared [`OnceLock`] cells so the fill — and its
-/// metered row scan — happens exactly once per ratee regardless of which
-/// worker gets there first (identical cost to the serial first-use fill).
-/// Only `community_excludes_frequent` reads either, so only that policy
-/// pays their O(n) reset; otherwise both stay empty.
-#[derive(Debug, Default)]
-struct RecheckScratch {
-    /// Per-ratee frequent-aggregate cache (serial path).
-    cache: Vec<Option<(u64, i64)>>,
-    /// Per-ratee frequent-aggregate cells (forked path).
-    once: Vec<OnceLock<(u64, i64)>>,
-}
-
 /// Reusable per-close scratch buffers. Clearing and re-growing these is
 /// semantically identical to the fresh `vec![..; n]` allocations of the
 /// original close loop, but steady-state closes stop allocating.
@@ -169,11 +141,10 @@ struct CloseScratch {
     seen: PairSet,
     /// Candidate pairs of the current close (step 3's output).
     cands: Vec<(u32, u32)>,
-    /// Per-worker enumeration buffers (step 3's forked path; unused and
-    /// empty when the close runs on one thread).
-    locals: Vec<EnumLocal>,
-    /// Re-check scratch (step 4).
-    recheck: RecheckScratch,
+    /// Per-ratee frequent-aggregate cache (step 4). Only
+    /// `community_excludes_frequent` reads it, so only that policy pays its
+    /// O(n) reset; otherwise it stays empty.
+    cache: Vec<Option<(u64, i64)>>,
 }
 
 impl CloseScratch {
@@ -313,34 +284,64 @@ struct CandidateParams<'a> {
     prune_on: bool,
 }
 
-/// Read-only per-close row state both scan paths fan over.
-struct FanState<'a> {
-    high: &'a [bool],
-    active: &'a [bool],
-    to_high: &'a [bool],
-    memo: &'a [u8],
-}
-
-/// The candidate fan over rows `range` (the body of step 3's scan):
-/// pairs joined to an active high row by a frequent cell (the module docs
-/// give the rule and why the reverse fan is this narrow) that pass the
-/// cheap gates are pushed into `cands` in discovery order, first-wins
-/// deduplicated against `seen`.
-fn fan_rows(
+/// Step 3 of an epoch close: enumerate the candidate pairs whose verdict
+/// could have changed, into `scratch.cands`. `snap` has just applied the
+/// close's delta, so its [`ShardedSnapshot::applied_rows`] are the dirty
+/// rows. `verdict_keys` must iterate the standing verdict keys in
+/// ascending order (the [`BTreeMap`] key order) so the candidate list is
+/// reproduced exactly regardless of who owns the verdict map.
+///
+/// The candidate fan joins each active high row to the pairs its frequent
+/// cells reach (the module docs give the rule and why the reverse fan is
+/// this narrow); pairs that pass the cheap gates are pushed in discovery
+/// order, first-wins deduplicated.
+fn enumerate_candidates<I: IntoIterator<Item = (NodeId, NodeId)>>(
     snap: &ShardedSnapshot,
+    high: &[bool],
     params: &CandidateParams<'_>,
-    state: &FanState<'_>,
-    range: std::ops::Range<u32>,
-    seen: &mut PairSet,
-    cands: &mut Vec<(u32, u32)>,
+    flips: &[u32],
+    verdict_keys: I,
+    scratch: &mut CloseScratch,
 ) {
-    let FanState { high, active, to_high, memo } = *state;
     let prune_on = params.prune_on;
+    scratch.reset_merge(snap.n());
+    // Batch-fill the prunability flags for every row up front. The memo is
+    // a pure function of row totals, so computing lanes the old lazy scan
+    // would never have consulted cannot change which pairs are admitted —
+    // and the SoA kernel fills all n lanes for less than the scalar oracle
+    // charged for its misses. Step 4 reuses these flags verbatim.
+    if prune_on {
+        for tc in snap.totals_columns() {
+            let base = tc.base as usize;
+            let out = &mut scratch.memo[base..base + tc.total.len()];
+            params.optimized.rows_prunable_batch(&tc, out);
+        }
+    }
+    for row in snap.applied_rows() {
+        scratch.active[row as usize] = true;
+    }
+    for &f in flips {
+        scratch.active[f as usize] = true;
+        scratch.to_high[f as usize] = high[f as usize];
+    }
+    let CloseScratch { active, to_high, memo, seen, cands, .. } = scratch;
+    seen.clear();
+    cands.clear();
+    // Standing verdicts with an active endpoint first, in key order.
+    for (a, b) in verdict_keys {
+        let (i, j) = (
+            snap.index(a).expect("verdict node interned"),
+            snap.index(b).expect("verdict node interned"),
+        );
+        if (active[i as usize] || active[j as usize]) && seen.insert(i, j) {
+            cands.push((i, j));
+        }
+    }
     let prunable = |x: u32| -> bool { prune_on && memo[x as usize] != 0 };
     // `T_N = 0` makes an absent cell frequent: a pair can then be flagged
     // through a direction that has no cell to fan over
     let absent_is_frequent = params.optimized.thresholds.t_n == 0;
-    for c in range {
+    for c in 0..snap.n() as u32 {
         if !active[c as usize] || !high[c as usize] {
             continue;
         }
@@ -375,113 +376,6 @@ fn fan_rows(
     }
 }
 
-/// Step 3 of an epoch close: enumerate the candidate pairs whose verdict
-/// could have changed, into `scratch.cands`. `snap` has just applied the
-/// close's delta, so its [`ShardedSnapshot::applied_rows`] are the dirty
-/// rows. `verdict_keys` must iterate the standing verdict keys in
-/// ascending order (the [`BTreeMap`] key order) so the candidate list is
-/// reproduced exactly regardless of who owns the verdict map.
-///
-/// `threads` bounds the fork-join width of the row fan. The forked path
-/// gives each worker a contiguous run of shard row ranges and a private
-/// `PairSet`/candidate buffer, then merges the buffers **in shard order**
-/// through the global dedup set: a pair's first surviving emission in the
-/// concatenated sequence is its first emission in the serial scan, so
-/// `scratch.cands` is byte-identical to the single-thread pass.
-fn enumerate_candidates<I: IntoIterator<Item = (NodeId, NodeId)>>(
-    snap: &ShardedSnapshot,
-    high: &[bool],
-    params: &CandidateParams<'_>,
-    flips: &[u32],
-    verdict_keys: I,
-    scratch: &mut CloseScratch,
-    threads: usize,
-) {
-    let prune_on = params.prune_on;
-    scratch.reset_merge(snap.n());
-    // Batch-fill the prunability flags for every row up front. The memo is
-    // a pure function of row totals, so computing lanes the old lazy scan
-    // would never have consulted cannot change which pairs are admitted —
-    // and the SoA kernel fills all n lanes for less than the scalar oracle
-    // charged for its misses. Step 4 reuses these flags verbatim.
-    if prune_on {
-        for tc in snap.totals_columns() {
-            let base = tc.base as usize;
-            let out = &mut scratch.memo[base..base + tc.total.len()];
-            params.optimized.rows_prunable_batch(&tc, out);
-        }
-    }
-    {
-        let active = &mut scratch.active;
-        for row in snap.applied_rows() {
-            active[row as usize] = true;
-        }
-        for &f in flips {
-            active[f as usize] = true;
-            scratch.to_high[f as usize] = high[f as usize];
-        }
-    }
-    scratch.seen.clear();
-    scratch.cands.clear();
-    // Standing verdicts with an active endpoint first, in key order; these
-    // seed the global dedup set for both scan paths below.
-    {
-        let active = &scratch.active;
-        let seen = &mut scratch.seen;
-        let cands = &mut scratch.cands;
-        for (a, b) in verdict_keys {
-            let (i, j) = (
-                snap.index(a).expect("verdict node interned"),
-                snap.index(b).expect("verdict node interned"),
-            );
-            if (active[i as usize] || active[j as usize]) && seen.insert(i, j) {
-                cands.push((i, j));
-            }
-        }
-    }
-    let n = snap.n() as u32;
-    if threads <= 1 {
-        let state = FanState {
-            high,
-            active: &scratch.active,
-            to_high: &scratch.to_high,
-            memo: &scratch.memo,
-        };
-        fan_rows(snap, params, &state, 0..n, &mut scratch.seen, &mut scratch.cands);
-        return;
-    }
-    // Forked path: one row range per shard, scanned with worker-private
-    // buffers. A worker's local dedup keeps only a pair's first emission
-    // within its ranges; phase-A pairs and cross-worker repeats fall to
-    // the ordered merge below.
-    let ranges: Vec<std::ops::Range<u32>> =
-        snap.totals_columns().map(|tc| tc.base..tc.base + tc.total.len() as u32).collect();
-    if scratch.locals.len() < ranges.len() {
-        scratch.locals.resize_with(ranges.len(), EnumLocal::default);
-    }
-    let state =
-        FanState { high, active: &scratch.active, to_high: &scratch.to_high, memo: &scratch.memo };
-    let mut items: Vec<(std::ops::Range<u32>, &mut EnumLocal)> =
-        ranges.into_iter().zip(scratch.locals.iter_mut()).collect();
-    par::for_each_mut(threads, &mut items, |(range, local)| {
-        local.seen.clear();
-        local.cands.clear();
-        fan_rows(snap, params, &state, range.clone(), &mut local.seen, &mut local.cands);
-    });
-    // Ordered merge: worker buffers visited in shard order under the
-    // global first-wins dedup. The concatenated emission sequence equals
-    // the serial scan's, so the surviving list (and its order) matches.
-    let seen = &mut scratch.seen;
-    let cands = &mut scratch.cands;
-    for (_, local) in &items {
-        for &(x, y) in &local.cands {
-            if seen.insert(x, y) {
-                cands.push((x, y));
-            }
-        }
-    }
-}
-
 /// Kernel configuration of the re-check pass (step 4).
 struct RecheckKernels<'a> {
     /// Which kernel runs on candidate pairs.
@@ -506,160 +400,69 @@ struct RecheckOutcome {
     pruned: u64,
 }
 
-/// One candidate's re-check result, before it is applied to the verdict
-/// map. Kept per-candidate so forked workers can evaluate chunks
-/// independently and the results can be applied serially in candidate
-/// order.
-enum CandOutcome {
-    /// An endpoint lost its high flag — retract without a kernel check.
-    NotHigh,
-    /// The band pre-filter proved no flag is possible — retract.
-    Pruned,
-    /// Kernel flagged the pair.
-    Flag(SuspectPair),
-    /// Kernel cleared the pair — retract any standing verdict.
-    Clear,
-}
-
-/// Evaluate one candidate pair against the gates and the configured
-/// kernel. `direction` supplies the optimized kernel's direction test
-/// (the serial and forked paths back it with different cache shapes).
-fn eval_candidate(
-    kernels: &RecheckKernels<'_>,
-    snap: &ShardedSnapshot,
-    high: &[bool],
-    prunable: &[u8],
-    meter: &CostMeter,
-    (i, j): (u32, u32),
-    mut direction: impl FnMut(u32, Option<u32>) -> Option<DirectionEvidence>,
-) -> CandOutcome {
-    if !(high[i as usize] && high[j as usize]) {
-        return CandOutcome::NotHigh;
-    }
-    if kernels.prune_active {
-        let (pi, pj) = (prunable[i as usize] != 0, prunable[j as usize] != 0);
-        let skip = if kernels.require_mutual { pi || pj } else { pi && pj };
-        if skip {
-            // sound: a prunable row's direction check cannot pass,
-            // so the full kernel would produce no flag here
-            return CandOutcome::Pruned;
-        }
-    }
-    let (id_i, id_j) = (snap.node_id(i), snap.node_id(j));
-    let verdict = match kernels.method {
-        EpochMethod::Basic => kernels.basic.check_pair_snap(snap, i, j, meter),
-        EpochMethod::Optimized => {
-            let ev_fwd = direction(i, Some(j));
-            let ev_rev = direction(j, Some(i));
-            if kernels.require_mutual {
-                match (ev_fwd, ev_rev) {
-                    (Some(f), Some(r)) => Some(SuspectPair::new(id_j, id_i, Some(f), Some(r))),
-                    _ => None,
-                }
-            } else if ev_fwd.is_none() && ev_rev.is_none() {
-                None
-            } else {
-                Some(SuspectPair::new(id_j, id_i, ev_fwd, ev_rev))
-            }
-        }
-    };
-    match verdict {
-        Some(pair) => CandOutcome::Flag(pair),
-        None => CandOutcome::Clear,
-    }
-}
-
-/// Step 4 of an epoch close: re-check `cands` with the configured kernel,
-/// updating `verdicts` both ways (insert on flag, remove on retraction).
+/// Step 4 of an epoch close: re-check `scratch.cands` with the configured
+/// kernel, updating `verdicts` both ways (insert on flag, remove on
+/// retraction).
 ///
-/// `prunable` holds the per-row prunability flags (nonzero = prunable)
+/// `scratch.memo` holds the per-row prunability flags (nonzero = prunable)
 /// batch-computed by [`enumerate_candidates`] from the same snapshot state;
 /// it is read only when `kernels.prune_active`.
-///
-/// `threads` bounds the fork-join width. The forked path chunks the
-/// candidate list contiguously; each worker evaluates its chunk against
-/// shared [`OnceLock`] aggregate cells (filled — and metered — exactly
-/// once per ratee, like the serial cache's first use, so the reported
-/// cost is identical for every thread count). Candidates are unique per
-/// close (the enumeration dedup), so applying the per-chunk outcomes
-/// serially in candidate order reproduces the serial verdict map exactly.
-#[allow(clippy::too_many_arguments)]
 fn recheck_candidates(
     kernels: &RecheckKernels<'_>,
     snap: &ShardedSnapshot,
     high: &[bool],
-    cands: &[(u32, u32)],
-    prunable: &[u8],
     verdicts: &mut BTreeMap<(NodeId, NodeId), SuspectPair>,
-    scratch: &mut RecheckScratch,
-    threads: usize,
+    scratch: &mut CloseScratch,
 ) -> RecheckOutcome {
     let meter = CostMeter::new();
     let mut checked = 0u64;
     let mut pruned = 0u64;
-    let excludes_frequent = kernels.optimized.policy.community_excludes_frequent;
-    let mut apply = |key: (NodeId, NodeId), outcome: CandOutcome| match outcome {
-        CandOutcome::NotHigh => {
+    let CloseScratch { cands, memo, cache, .. } = scratch;
+    cache.clear();
+    if kernels.optimized.policy.community_excludes_frequent {
+        cache.resize(snap.n(), None);
+    }
+    for &(i, j) in cands.iter() {
+        let (id_i, id_j) = (snap.node_id(i), snap.node_id(j));
+        let key = if id_i < id_j { (id_i, id_j) } else { (id_j, id_i) };
+        // an endpoint lost its high flag: retract without a kernel check
+        if !(high[i as usize] && high[j as usize]) {
             verdicts.remove(&key);
+            continue;
         }
-        CandOutcome::Pruned => {
-            pruned += 1;
-            verdicts.remove(&key);
+        if kernels.prune_active {
+            let (pi, pj) = (memo[i as usize] != 0, memo[j as usize] != 0);
+            let skip = if kernels.require_mutual { pi || pj } else { pi && pj };
+            if skip {
+                // sound: a prunable row's direction check cannot pass,
+                // so the full kernel would produce no flag here
+                pruned += 1;
+                verdicts.remove(&key);
+                continue;
+            }
         }
-        CandOutcome::Flag(pair) => {
-            checked += 1;
-            verdicts.insert(key, pair);
-        }
-        CandOutcome::Clear => {
-            checked += 1;
-            verdicts.remove(&key);
-        }
-    };
-    if threads <= 1 || cands.len() <= 1 {
-        let cache = &mut scratch.cache;
-        cache.clear();
-        if excludes_frequent {
-            cache.resize(snap.n(), None);
-        }
-        for &(i, j) in cands {
-            let (id_i, id_j) = (snap.node_id(i), snap.node_id(j));
-            let key = if id_i < id_j { (id_i, id_j) } else { (id_j, id_i) };
-            let outcome = eval_candidate(kernels, snap, high, prunable, &meter, (i, j), |r, p| {
-                kernels.optimized.direction_cached(snap, r, p, &meter, cache)
-            });
-            apply(key, outcome);
-        }
-    } else {
-        scratch.once.clear();
-        if excludes_frequent {
-            scratch.once.resize_with(snap.n(), OnceLock::new);
-        }
-        let once = &scratch.once[..];
-        let meter_ref = &meter;
-        let chunk = cands.len().div_ceil(threads);
-        let mut chunks: Vec<&[(u32, u32)]> = cands.chunks(chunk).collect();
-        let per_chunk: Vec<Vec<((NodeId, NodeId), CandOutcome)>> =
-            par::map_mut(threads, &mut chunks, |part| {
-                part.iter()
-                    .map(|&(i, j)| {
-                        let (id_i, id_j) = (snap.node_id(i), snap.node_id(j));
-                        let key = if id_i < id_j { (id_i, id_j) } else { (id_j, id_i) };
-                        let outcome = eval_candidate(
-                            kernels,
-                            snap,
-                            high,
-                            prunable,
-                            meter_ref,
-                            (i, j),
-                            |r, p| kernels.optimized.direction_once(snap, r, p, meter_ref, once),
-                        );
-                        (key, outcome)
-                    })
-                    .collect()
-            });
-        for (key, outcome) in per_chunk.into_iter().flatten() {
-            apply(key, outcome);
-        }
+        checked += 1;
+        let verdict = match kernels.method {
+            EpochMethod::Basic => kernels.basic.check_pair_snap(snap, i, j, &meter),
+            EpochMethod::Optimized => {
+                let ev_fwd = kernels.optimized.direction_cached(snap, i, Some(j), &meter, cache);
+                let ev_rev = kernels.optimized.direction_cached(snap, j, Some(i), &meter, cache);
+                if kernels.require_mutual {
+                    match (ev_fwd, ev_rev) {
+                        (Some(f), Some(r)) => Some(SuspectPair::new(id_j, id_i, Some(f), Some(r))),
+                        _ => None,
+                    }
+                } else if ev_fwd.is_none() && ev_rev.is_none() {
+                    None
+                } else {
+                    Some(SuspectPair::new(id_j, id_i, ev_fwd, ev_rev))
+                }
+            }
+        };
+        match verdict {
+            Some(pair) => verdicts.insert(key, pair),
+            None => verdicts.remove(&key),
+        };
     }
     RecheckOutcome {
         report: DetectionReport::new(verdicts.values().copied().collect(), meter.snapshot()),
@@ -753,12 +556,6 @@ impl EpochEngine {
     /// byte-identical detection output; `1` is the serial oracle.
     pub fn set_close_threads(&mut self, knob: usize) {
         self.close_threads = par::resolve_threads(knob);
-    }
-
-    /// The resolved close fork-join width (≥ 1).
-    #[inline]
-    pub fn close_threads(&self) -> usize {
-        self.close_threads
     }
 
     /// Sub-stage wall-clock breakdown of the most recent non-empty close.
@@ -867,11 +664,15 @@ impl EpochEngine {
         if delta.is_empty() {
             return self.report();
         }
-        let threads = self.close_threads;
         // 1–2. advance the snapshot and high flags, collecting flips
         let t0 = Instant::now();
-        let flips =
-            advance_epoch_state(&mut self.snap, &mut self.high, &self.thresholds, &delta, threads);
+        let flips = advance_epoch_state(
+            &mut self.snap,
+            &mut self.high,
+            &self.thresholds,
+            &delta,
+            self.close_threads,
+        );
         let t1 = Instant::now();
 
         // 3. enumerate candidate pairs. A pair's verdict can only change
@@ -900,7 +701,6 @@ impl EpochEngine {
             &flips,
             self.verdicts.keys().copied(),
             &mut self.scratch,
-            threads,
         );
         let t2 = Instant::now();
         self.stats.candidates += self.scratch.cands.len() as u64;
@@ -914,16 +714,12 @@ impl EpochEngine {
             basic: &self.basic,
             optimized: &self.optimized,
         };
-        let scratch = &mut self.scratch;
         let out = recheck_candidates(
             &kernels,
             &self.snap,
             &self.high,
-            &scratch.cands,
-            &scratch.memo,
             &mut self.verdicts,
-            &mut scratch.recheck,
-            threads,
+            &mut self.scratch,
         );
         let t3 = Instant::now();
         self.last_close = CloseTimings {

@@ -273,19 +273,6 @@ impl RpcClient {
         addr: SocketAddr,
         window: usize,
     ) -> Result<InsertStream, RpcError> {
-        self.open_insert_stream_session(addr, window, 0)
-    }
-
-    /// Like [`RpcClient::open_insert_stream`], but bound to a client-chosen
-    /// non-zero `session` id: the server persists the session's durable
-    /// watermark, so a later [`ResumableStream`] (or a reconnecting
-    /// `InsertStream` driven by a harness) can resume it exactly.
-    pub fn open_insert_stream_session(
-        &mut self,
-        addr: SocketAddr,
-        window: usize,
-        session: u64,
-    ) -> Result<InsertStream, RpcError> {
         let stream = match self.conns.remove(&addr) {
             Some(s) => s,
             None => {
@@ -295,7 +282,7 @@ impl RpcClient {
                 s
             }
         };
-        Ok(InsertStream::new(addr, stream, window.max(1), session, self.cfg))
+        Ok(InsertStream::new(addr, stream, window.max(1), self.cfg))
     }
 
     /// Drain a session's outstanding acks and, on clean success, return the
@@ -331,13 +318,13 @@ pub struct StreamStats {
 /// watermark covers a frame's bytes, so [`StreamStats::ratings_acked`]
 /// counts ratings that survive a crash. Any transport or protocol error
 /// poisons the session; a poisoned session's connection is never re-pooled.
+/// Frames carry session id 0, the anonymous stream a reconnect cannot
+/// resume; [`ResumableStream`] is the resumable client.
 #[derive(Debug)]
 pub struct InsertStream {
     addr: SocketAddr,
     stream: TcpStream,
     window: u64,
-    /// Resumable session id carried on every frame (0 = anonymous).
-    session: u64,
     /// Frame number of the next `send` (1-based, per connection).
     next_seq: u64,
     /// Highest frame number covered by a cumulative ack.
@@ -357,18 +344,11 @@ pub struct InsertStream {
 const STAGE_FLUSH_BYTES: usize = 64 * 1024;
 
 impl InsertStream {
-    fn new(
-        addr: SocketAddr,
-        stream: TcpStream,
-        window: usize,
-        session: u64,
-        cfg: RpcConfig,
-    ) -> Self {
+    fn new(addr: SocketAddr, stream: TcpStream, window: usize, cfg: RpcConfig) -> Self {
         InsertStream {
             addr,
             stream,
             window: window as u64,
-            session,
             next_seq: 1,
             acked_seq: 0,
             staged: Vec::with_capacity(STAGE_FLUSH_BYTES + 1024),
@@ -395,7 +375,7 @@ impl InsertStream {
     pub fn send(&mut self, ratings: &[Rating]) -> Result<(), RpcError> {
         self.guard()?;
         // encode straight from the slice — no per-batch Vec clone
-        let payload = Request::encode_insert_stream(self.session, self.next_seq, ratings);
+        let payload = Request::encode_insert_stream(0, self.next_seq, ratings);
         let before = self.staged.len();
         encode_frame_into(&payload, &mut self.staged);
         self.next_seq += 1;

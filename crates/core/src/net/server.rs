@@ -514,7 +514,11 @@ impl ManagerNode {
                         }
                         let conn_shared = Arc::clone(&accept_shared);
                         let handle = std::thread::spawn(move || serve_conn(stream, conn_shared));
-                        accept_conns.lock().expect("conn registry lock").push(handle);
+                        let mut conns = accept_conns.lock().expect("conn registry lock");
+                        // reap closed connections so the registry holds
+                        // the live ones, not every connection ever accepted
+                        conns.retain(|h| !h.is_finished());
+                        conns.push(handle);
                     }
                     Err(_) => break,
                 }
@@ -1056,6 +1060,17 @@ fn direction(
     cfg.method.direction(cfg.thresholds, cfg.policy, snap, probe, meter, cache)
 }
 
+/// The per-ratee frequent-aggregate cache [`direction`] reads: `n` empty
+/// cells under `community_excludes_frequent`, the one policy that reads
+/// it, else nothing.
+fn agg_cache(shared: &Shared, n: usize) -> Vec<Option<(u64, i64)>> {
+    if shared.cfg.policy.community_excludes_frequent {
+        vec![None; n]
+    } else {
+        Vec::new()
+    }
+}
+
 /// Partner-side `Confirm` handler: answer from the frozen primary slice if
 /// we own the ratee, from the frozen replica slice if we back it up.
 fn confirm(shared: &Shared, round: u64, ratee: NodeId, rater: NodeId) -> Response {
@@ -1101,7 +1116,7 @@ fn confirm_on(
         return Some(ConfirmVerdict { known: true, high_reputed, reverse: None });
     }
     let meter = CostMeter::new();
-    let mut cache = vec![None; snap.n()];
+    let mut cache = agg_cache(shared, snap.n());
     let reverse = direction(shared, snap, (r_idx, snap.index(rater)), &meter, &mut cache);
     Some(ConfirmVerdict { known: true, high_reputed, reverse })
 }
@@ -1125,7 +1140,7 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
     let snap = &frozen.snap;
     let input = SnapshotInput::from_signed(snap, &shared.responsible);
     let meter = CostMeter::new();
-    let mut cache: Vec<Option<(u64, i64)>> = vec![None; snap.n()];
+    let mut cache = agg_cache(shared, snap.n());
     let mut checked: HashSet<(NodeId, NodeId)> = HashSet::new();
     let mut confirmed: Vec<SuspectPair> = Vec::new();
     let mut unconfirmed: Vec<SuspectPair> = Vec::new();
@@ -1308,9 +1323,20 @@ mod tests {
     }
 
     fn spawn_cluster(dir: &Path, managers: &[NodeId]) -> Vec<ManagerNode> {
+        spawn_cluster_with(dir, managers, DetectionPolicy::STRICT)
+    }
+
+    fn spawn_cluster_with(
+        dir: &Path,
+        managers: &[NodeId],
+        policy: DetectionPolicy,
+    ) -> Vec<ManagerNode> {
         let nodes: Vec<ManagerNode> = managers
             .iter()
-            .map(|&id| ManagerNode::spawn(config(id, dir, managers)).expect("spawn manager"))
+            .map(|&id| {
+                let cfg = ManagerConfig { policy, ..config(id, dir, managers) };
+                ManagerNode::spawn(cfg).expect("spawn manager")
+            })
             .collect();
         let peers: Vec<(NodeId, SocketAddr)> = nodes.iter().map(|n| (n.id(), n.addr())).collect();
         for n in &nodes {
@@ -1442,6 +1468,63 @@ mod tests {
         };
         assert!(known);
         assert_eq!(signed, 25, "n1: +30 partner, -5 community");
+
+        drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn extended_policy_round_matches_one_snapshot_detection() {
+        let dir = scratch_dir("net-extended");
+        let managers = manager_ids(3);
+        let nodes = spawn_cluster_with(&dir, &managers, DetectionPolicy::EXTENDED);
+        let ring = RingView::new(&managers);
+        let mut client = RpcClient::new(RpcConfig::lan());
+        let rs = ratings();
+        ingest(&mut client, &nodes, &ring, &rs);
+
+        // each direction reads only the ratee's row — its frequent
+        // aggregate included — and the ratee's owner holds that row whole
+        let mut history = InteractionHistory::new();
+        for &r in &rs {
+            history.record(r);
+        }
+        let snap = ShardedSnapshot::build(&history, &node_ids(), 1);
+        let input = SnapshotInput::from_signed(&snap, &node_ids());
+        let want: BTreeSet<(u64, u64)> =
+            OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED)
+                .detect_snapshot(&input)
+                .pair_ids()
+                .into_iter()
+                .map(|(a, b)| (a.raw(), b.raw()))
+                .collect();
+        assert!(!want.is_empty(), "the workload must produce suspect pairs");
+        assert_eq!(run_round(&mut client, &nodes, 1), want);
+
+        drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let dir = scratch_dir("net-reap");
+        let managers = manager_ids(1);
+        let nodes = spawn_cluster(&dir, &managers);
+        let node = &nodes[0];
+        let beat = || {
+            let mut conn = TcpStream::connect(node.addr()).expect("connect");
+            let beat = call_raw(&mut conn, &Request::Heartbeat);
+            assert!(matches!(beat, Response::Beat { .. }), "got {beat:?}");
+            conn
+        };
+        // eight connections one after another, never more than one open
+        for _ in 0..8 {
+            drop(beat());
+        }
+        // the open ninth and the closed eighth may still be registered
+        let _ninth = beat();
+        let held = node.conns.lock().expect("conn registry lock").len();
+        assert!(held <= 2, "the registry holds {held} connection threads");
 
         drop(nodes);
         std::fs::remove_dir_all(&dir).ok();

@@ -29,7 +29,6 @@ use crate::report::DetectionReport;
 use collusion_reputation::history::NodeTotals;
 use collusion_reputation::sharded::{ShardedSnapshot, TotalsColumns};
 use collusion_reputation::thresholds::Thresholds;
-use std::sync::OnceLock;
 
 /// Counters from a band-pruned detection pass
 /// ([`OptimizedDetector::detect_pruned`]), proving how much work the
@@ -91,11 +90,11 @@ impl OptimizedDetector {
     /// Direction test: is `ratee`'s reputation inside the Formula (2)
     /// collusion band for rater `rater`? O(1) per pair under the strict
     /// policy; under the extended policy the ratee's frequent aggregate is
-    /// supplied lazily by `freq_of`, so the sequential walk and the forked
-    /// epoch re-check can bring their own cache shapes. `rater` is `None`
-    /// when the rater is not interned in this snapshot (a partitioned
-    /// manager probing an unknown partner) — the probe then sees zero
-    /// counters.
+    /// supplied lazily by `freq_of`, which runs only under that policy, so
+    /// a caller under the strict policy needs no aggregate cache. `rater`
+    /// is `None` when the rater is not interned in this snapshot (a
+    /// partitioned manager probing an unknown partner) — the probe then
+    /// sees zero counters.
     pub(crate) fn check_direction_snap(
         &self,
         snap: &ShardedSnapshot,
@@ -328,26 +327,6 @@ impl OptimizedDetector {
                 cols.negative[k],
             );
         }
-    }
-
-    /// Snapshot direction test backed by shared [`OnceLock`] cells, for the
-    /// forked epoch re-check.
-    pub(crate) fn direction_once(
-        &self,
-        snap: &ShardedSnapshot,
-        ratee: u32,
-        rater: Option<u32>,
-        meter: &CostMeter,
-        agg: &[OnceLock<(u64, i64)>],
-    ) -> Option<DirectionEvidence> {
-        let t_n = self.thresholds.t_n;
-        self.check_direction_snap(snap, ratee, rater, meter, || {
-            *agg[ratee as usize].get_or_init(|| {
-                let (cols, _) = snap.row(ratee);
-                meter.row_scan(cols.len() as u64);
-                snap.frequent_agg(t_n, ratee).unwrap_or_else(|| snap.row_freq(ratee, t_n))
-            })
-        })
     }
 }
 

@@ -1,4 +1,5 @@
-//! Deterministic fork-join helpers for the parallel epoch close.
+//! Deterministic fork-join helpers for the epoch close's `advance` stage:
+//! the per-shard delta merge and the high-flag recompute.
 //!
 //! Every helper preserves input order in its output: work is split into
 //! **contiguous** chunks, each chunk runs on its own scoped thread, and
@@ -70,32 +71,6 @@ where
     per_chunk.into_iter().flatten().collect()
 }
 
-/// Map indices `0..count` through `f`, returning results in index order.
-/// The index space splits into at most `threads` contiguous ranges; range
-/// results are concatenated in range order.
-pub fn map_indexed<R, F>(threads: usize, count: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let chunk = count.div_ceil(threads.min(count));
-    let per_range: Vec<Vec<R>> = rayon::scope(|s| {
-        let handles: Vec<_> = (0..count)
-            .step_by(chunk)
-            .map(|start| {
-                let f = &f;
-                let end = (start + chunk).min(count);
-                s.spawn(move || (start..end).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("parallel close worker panicked")).collect()
-    });
-    per_range.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,15 +97,6 @@ mod tests {
             let mut v: Vec<usize> = (0..53).collect();
             let got = map_mut(threads, &mut v, |x| *x * 2);
             let want: Vec<usize> = (0..53).map(|x| x * 2).collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_indexed_preserves_order_any_threads() {
-        for threads in [1, 2, 4, 9, 50] {
-            let got = map_indexed(threads, 41, |i| i * i);
-            let want: Vec<usize> = (0..41).map(|i| i * i).collect();
             assert_eq!(got, want, "threads={threads}");
         }
     }

@@ -812,7 +812,7 @@ impl ShardedSnapshot {
                 .collect();
             fresh.sort_unstable();
             fresh.dedup();
-            remap = Some(self.reintern(&fresh, threads));
+            remap = Some(self.reintern(&fresh));
             let resolved = self.try_resolve(delta, &mut idx);
             assert!(resolved, "all delta ids must be interned after reintern");
         }
@@ -894,11 +894,8 @@ impl ShardedSnapshot {
 
     /// Intern `fresh` ids (sorted, deduped, all previously unknown) and
     /// rebuild the shard partition under the widened index space. Returns
-    /// the strictly monotone old-index → new-index remap. The remap itself
-    /// is computed by one serial two-pointer merge — never split across
-    /// threads — so it is deterministic for any `threads`; only the
-    /// independent per-shard row migration forks.
-    fn reintern(&mut self, fresh: &[NodeId], threads: usize) -> Vec<u32> {
+    /// the strictly monotone old-index → new-index remap.
+    fn reintern(&mut self, fresh: &[NodeId]) -> Vec<u32> {
         let old_nodes = std::mem::take(&mut self.nodes);
         let old_n = old_nodes.len();
         let mut merged: Vec<NodeId> = Vec::with_capacity(old_n + fresh.len());
@@ -928,11 +925,9 @@ impl ShardedSnapshot {
         let rps = self.rows_per_shard;
         let n_shards = n.div_ceil(rps);
 
-        let remap_ref = &remap;
-        let old_of_new_ref = &old_of_new;
-        let old_shards_ref = &old_shards;
         let freq_t_n = self.freq_t_n;
-        self.shards = crate::par::map_indexed(threads, n_shards, |s| {
+        self.shards = Vec::with_capacity(n_shards);
+        for s in 0..n_shards {
             let base = s * rps;
             let rows = rps.min(n - base);
             let mut shard = Shard::empty(base as u32, rows, freq_t_n.is_some());
@@ -941,11 +936,11 @@ impl ShardedSnapshot {
             let mut row_cols = Vec::new();
             let mut row_cells = Vec::new();
             for local in 0..rows {
-                if let Some(og) = old_of_new_ref[base + local] {
-                    let osh = &old_shards_ref[og as usize / old_rps];
+                if let Some(og) = old_of_new[base + local] {
+                    let osh = &old_shards[og as usize / old_rps];
                     let olocal = (og - osh.base) as usize;
                     let (cols, cells) = osh.row(olocal);
-                    row_cols.extend(cols.iter().map(|&c| remap_ref[c as usize]));
+                    row_cols.extend(cols.iter().map(|&c| remap[c as usize]));
                     row_cells.extend_from_slice(cells);
                     shard.set_totals(local, osh.totals(olocal));
                     if let (Some(f), Some(of)) = (shard.freq.as_mut(), osh.freq.as_ref()) {
@@ -957,8 +952,8 @@ impl ShardedSnapshot {
             shard.row_offsets = row_offsets;
             shard.row_cols = row_cols;
             shard.row_cells = row_cells;
-            shard
-        });
+            self.shards.push(shard);
+        }
 
         let old_rev = std::mem::take(&mut self.freq_rev);
         let mut freq_rev: Vec<Vec<u32>> = vec![Vec::new(); n];

@@ -27,8 +27,10 @@ cargo test --workspace -q
 
 echo "== parallel-close identity matrix (RAYON_NUM_THREADS ∈ {1, 4}) =="
 # close_threads=0 resolves through RAYON_NUM_THREADS, so this forces the
-# auto path through both the serial oracle and a genuinely forked width;
-# the properties assert bit-identical reports, state and persisted images
+# auto path through both the serial oracle and a genuinely forked width of
+# the close's two forks, both in its `advance` stage (the per-shard merge
+# and the high-flag recompute); the properties assert bit-identical
+# reports, state and persisted images
 for w in 1 4; do
   RAYON_NUM_THREADS="$w" cargo test --release -q --test scale_props
 done

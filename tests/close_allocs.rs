@@ -7,11 +7,12 @@
 //! held to zero allocations.
 //!
 //! The close reuses its detection scratch (candidate dedup set, prunability
-//! flags, re-check caches) across epochs, so once warm it should allocate
+//! flags, re-check cache) across epochs, so once warm it should allocate
 //! little beyond the report it returns. A counting global allocator
 //! measures the last close of the seeded n = 2 000 scale stream through a
-//! serial [`DurableEngine`]; the pre-scratch code cost thousands of
-//! allocations there, the reused scratch about 140.
+//! [`DurableEngine`] at the auto close width (`close_threads: 0`); the
+//! pre-scratch code cost thousands of allocations there, the reused
+//! scratch about 140.
 //!
 //! A restore decodes the image's rows straight into the snapshot's shard
 //! arenas, so it allocates per shard and per frequent reverse-index list,

@@ -534,8 +534,8 @@ proptest! {
     /// snapshot state, and the persisted image all match `close_threads=1`
     /// exactly, for both kernels, both policies, pruning on and off.
     /// Seeding only a prefix of the id space forces later epochs to intern
-    /// fresh nodes, so the deterministic re-interning remap runs under
-    /// fork-join too.
+    /// fresh nodes, so the forked merge also runs over a re-interned
+    /// partition.
     #[test]
     fn parallel_close_matches_serial_oracle_across_widths(
         ratings in ratings_strategy(12, 240),
