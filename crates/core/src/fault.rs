@@ -9,10 +9,10 @@
 //! Determinism contract: all fault decisions come from a private SplitMix64
 //! stream keyed by the plan seed, so the same plan always yields the same
 //! confirmed/unconfirmed partition and the same message counts. The
-//! [`FaultPlan::none`] plan draws **zero** random values, which keeps a
-//! fault-free run bit-identical (pairs, meter, messages, hops) to the
-//! fault-oblivious code path — enforced by `system.rs`'s
-//! `detect_robust_none_plan_matches_detect_exactly`.
+//! [`FaultPlan::none`] plan draws **zero** random values and delivers every
+//! exchange on its first attempt (two messages), so a fault-free run's
+//! pairs, meter, messages and hops are those of a reliable network —
+//! pinned by `system.rs`'s `detect_robust_none_plan_matches_detect_exactly`.
 
 // One seeded implementation for the whole workspace: the DHT crate owns the
 // SplitMix64 stream, the message-fault spec, and the injector; this module

@@ -243,15 +243,9 @@ impl RpcClient {
         write_frame(&mut stream, payload)?;
         let remaining = remaining_budget(deadline)?;
         stream.set_read_timeout(Some(remaining))?;
-        let reply = match read_frame(&mut stream, self.cfg.max_frame) {
-            Ok(p) => p,
-            Err(e) if e.is_timeout() => {
-                // request or response frame lost/late: the attempt's budget
-                // is the per-attempt deadline firing
-                return Err(RpcError::Frame(e));
-            }
-            Err(e) => return Err(RpcError::Frame(e)),
-        };
+        // a request or response frame lost or late reads as a timeout: the
+        // attempt's budget is the per-attempt deadline firing
+        let reply = read_frame(&mut stream, self.cfg.max_frame)?;
         let resp = Response::decode(&reply).map_err(RpcError::Codec)?;
         self.conns.insert(addr, stream); // healthy — keep for reuse
         Ok(resp)

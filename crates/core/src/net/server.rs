@@ -19,13 +19,15 @@
 //!    standing replica snapshot, the same way, and freezes a copy of it,
 //!    so every `Confirm` of the round is answered from the same frozen
 //!    data;
-//! 2. `DetectRound{round}` — every manager walks its own responsible
-//!    nodes and, for each suspicious direction found, either verifies the
-//!    partner side locally (same-manager pair) or sends `Confirm` to the
-//!    partner's owner — with failover to the owner's ring successors, whose
-//!    replica snapshots answer when the owner is dead. The reply carries
-//!    the manager's confirmed and unconfirmed pairs; the harness merges
-//!    them across managers.
+//! 2. `DetectRound{round}` — every manager runs the round of
+//!    [`crate::decentralized`] (the one `DecentralizedSystem` runs
+//!    in-process) over its own responsible nodes: for each suspicious
+//!    direction found, it either verifies the partner side locally
+//!    (same-manager pair) or sends `Confirm` to the partner's owner — with
+//!    failover to the owner's ring successors, whose replica snapshots
+//!    answer when the owner is dead. The reply carries the manager's
+//!    confirmed and unconfirmed pairs; the harness merges them across
+//!    managers.
 //!
 //! **Degraded-mode contract:** a `Confirm` that cannot be delivered within
 //! its total deadline demotes the pair to *unconfirmed* (forward evidence
@@ -59,15 +61,12 @@ use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
 
 use crate::cost::CostMeter;
-use crate::decentralized::Method;
+use crate::decentralized::{ConfirmVerdict, Kernel, Method, Partner};
 use crate::durability::{DurabilityConfig, DurableEngine, EngineSetup};
 use crate::input::SnapshotInput;
-use crate::model::{DirectionEvidence, SuspectPair};
 use crate::net::client::{RpcClient, RpcConfig};
 use crate::net::view::{PublishedView, ViewCell, ViewReader};
-use crate::net::wire::{
-    ConfirmVerdict, ErrorCode, Request, Response, RoundReport, StatusInfo, WirePair,
-};
+use crate::net::wire::{ErrorCode, Request, Response, RoundReport, StatusInfo, WirePair};
 use crate::optimized::OptimizedDetector;
 use crate::policy::DetectionPolicy;
 
@@ -135,6 +134,10 @@ pub struct ManagerConfig {
 }
 
 impl ManagerConfig {
+    fn kernel(&self) -> Kernel {
+        Kernel { method: self.method, thresholds: self.thresholds, policy: self.policy }
+    }
+
     fn setup(&self) -> EngineSetup {
         EngineSetup {
             target_shards: self.shards,
@@ -1048,141 +1051,59 @@ fn handle(shared: &Shared, req: Request) -> Response {
     }
 }
 
-/// Direction probe on a frozen snapshot with this manager's kernel.
-fn direction(
-    shared: &Shared,
-    snap: &ShardedSnapshot,
-    probe: (u32, Option<u32>),
-    meter: &CostMeter,
-    cache: &mut [Option<(u64, i64)>],
-) -> Option<DirectionEvidence> {
-    let cfg = &shared.cfg;
-    cfg.method.direction(cfg.thresholds, cfg.policy, snap, probe, meter, cache)
-}
-
-/// The per-ratee frequent-aggregate cache [`direction`] reads: `n` empty
-/// cells under `community_excludes_frequent`, the one policy that reads
-/// it, else nothing.
-fn agg_cache(shared: &Shared, n: usize) -> Vec<Option<(u64, i64)>> {
-    if shared.cfg.policy.community_excludes_frequent {
-        vec![None; n]
-    } else {
-        Vec::new()
+/// The frozen snapshots of `round`, cloned out from under the state lock,
+/// or the refusal of a `Confirm` or `DetectRound` for any other round.
+fn frozen_round(shared: &Shared, round: u64) -> Result<Arc<Frozen>, Response> {
+    match &shared.state.lock().expect("manager state lock").frozen {
+        Some(f) if f.round == round => Ok(Arc::clone(f)),
+        Some(_) => Err(Response::Error { code: ErrorCode::BadRound }),
+        None => Err(Response::Error { code: ErrorCode::NotFrozen }),
     }
 }
 
 /// Partner-side `Confirm` handler: answer from the frozen primary slice if
 /// we own the ratee, from the frozen replica slice if we back it up.
 fn confirm(shared: &Shared, round: u64, ratee: NodeId, rater: NodeId) -> Response {
-    let frozen = {
-        let st = shared.state.lock().expect("manager state lock");
-        match &st.frozen {
-            Some(f) => Arc::clone(f),
-            None => return Response::Error { code: ErrorCode::NotFrozen },
-        }
+    let frozen = match frozen_round(shared, round) {
+        Ok(frozen) => frozen,
+        Err(refusal) => return refusal,
     };
-    if frozen.round != round {
-        return Response::Error { code: ErrorCode::BadRound };
-    }
-    let verdict = if shared.responsible.binary_search(&ratee).is_ok() {
-        confirm_on(shared, &frozen.snap, ratee, rater)
+    let snap = if shared.responsible.binary_search(&ratee).is_ok() {
+        Some(&frozen.snap)
     } else {
-        match &frozen.rep_snap {
-            Some(snap) if shared.backed_up.binary_search(&ratee).is_ok() => {
-                confirm_on(shared, snap, ratee, rater)
-            }
-            _ => None,
-        }
+        frozen.rep_snap.as_ref().filter(|_| shared.backed_up.binary_search(&ratee).is_ok())
     };
-    Response::Verdict(verdict.unwrap_or(ConfirmVerdict {
-        known: false,
-        high_reputed: false,
-        reverse: None,
+    let kernel = shared.cfg.kernel();
+    Response::Verdict(snap.map_or(ConfirmVerdict::default(), |snap| {
+        kernel.confirm(snap, ratee, rater, &CostMeter::new(), &mut kernel.agg_cache(snap))
     }))
 }
 
-/// The partner-side check of `ratee` on the frozen slice that covers it
-/// (so its reputation is its signed total there); `None` when the slice
-/// does not know the ratee.
-fn confirm_on(
-    shared: &Shared,
-    snap: &ShardedSnapshot,
-    ratee: NodeId,
-    rater: NodeId,
-) -> Option<ConfirmVerdict> {
-    let r_idx = snap.index(ratee)?;
-    let high_reputed = shared.cfg.thresholds.is_high_reputed(snap.signed(r_idx) as f64);
-    if !high_reputed {
-        return Some(ConfirmVerdict { known: true, high_reputed, reverse: None });
-    }
-    let meter = CostMeter::new();
-    let mut cache = agg_cache(shared, snap.n());
-    let reverse = direction(shared, snap, (r_idx, snap.index(rater)), &meter, &mut cache);
-    Some(ConfirmVerdict { known: true, high_reputed, reverse })
-}
-
-/// The local forward walk plus outbound confirmations, one manager's share
-/// of the paper's decentralised round. Runs entirely on the frozen `Arc`
-/// with the state lock released.
+/// One manager's share of the paper's decentralised round: the shared
+/// walk over its frozen primary slice, confirming each cross-manager pair
+/// over the network. Runs entirely on the frozen `Arc` with the state lock
+/// released.
 fn detect_round(shared: &Shared, round: u64) -> Response {
-    let frozen = {
-        let st = shared.state.lock().expect("manager state lock");
-        match &st.frozen {
-            Some(f) => Arc::clone(f),
-            None => return Response::Error { code: ErrorCode::NotFrozen },
-        }
+    let frozen = match frozen_round(shared, round) {
+        Ok(frozen) => frozen,
+        Err(refusal) => return refusal,
     };
-    if frozen.round != round {
-        return Response::Error { code: ErrorCode::BadRound };
-    }
     let peers: HashMap<NodeId, SocketAddr> = shared.peers.lock().expect("peer map lock").clone();
-
+    let kernel = shared.cfg.kernel();
     let snap = &frozen.snap;
-    let input = SnapshotInput::from_signed(snap, &shared.responsible);
-    let meter = CostMeter::new();
-    let mut cache = agg_cache(shared, snap.n());
-    let mut checked: HashSet<(NodeId, NodeId)> = HashSet::new();
-    let mut confirmed: Vec<SuspectPair> = Vec::new();
-    let mut unconfirmed: Vec<SuspectPair> = Vec::new();
     // fresh client per round: per-round jitter stream, per-round stats
     let rpc_cfg =
         shared.cfg.rpc.with_jitter_seed(shared.cfg.rpc.jitter_seed ^ shared.cfg.id.raw() ^ round);
     let mut client = RpcClient::new(rpc_cfg);
-
-    for &i in &shared.responsible {
-        let Some(i_idx) = snap.index(i) else { continue };
-        if !shared.cfg.thresholds.is_high_reputed(input.reputation_of_idx(i_idx)) {
-            continue;
-        }
-        let row_cols: Vec<u32> = snap.row(i_idx).0.to_vec();
-        for j_idx in row_cols {
-            let j = snap.node_id(j_idx);
-            meter.element_check();
-            let key = if i < j { (i, j) } else { (j, i) };
-            if checked.contains(&key) {
-                continue;
-            }
-            let Some(ev_fwd) = direction(shared, snap, (i_idx, Some(j_idx)), &meter, &mut cache)
-            else {
-                continue;
-            };
-            checked.insert(key);
-            let owner = shared.ring.owner_of(j);
-            if owner == shared.cfg.id {
-                // same-manager pair: partner-side verification on the same
-                // frozen slice, the check `confirm_on` runs for a peer
-                let Some(p_j) = snap.index(j) else { continue };
-                if !shared.cfg.thresholds.is_high_reputed(input.reputation_of_idx(p_j)) {
-                    continue;
-                }
-                let ev_rev = direction(shared, snap, (p_j, snap.index(i)), &meter, &mut cache);
-                if shared.cfg.policy.require_mutual {
-                    let Some(rev) = ev_rev else { continue };
-                    confirmed.push(SuspectPair::new(j, i, Some(ev_fwd), Some(rev)));
-                } else {
-                    confirmed.push(SuspectPair::new(j, i, Some(ev_fwd), ev_rev));
-                }
-                continue;
+    let (confirmed, unconfirmed) = kernel.round(
+        snap,
+        &shared.responsible,
+        &CostMeter::new(),
+        &mut kernel.agg_cache(snap),
+        &mut HashSet::new(),
+        |j, i| {
+            if shared.ring.owner_of(j) == shared.cfg.id {
+                return Partner::Local;
             }
             // cross-manager pair: Confirm at the owner, failing over to its
             // ring successors (their replica slices answer for a dead owner)
@@ -1193,37 +1114,17 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
                 .filter_map(|m| peers.get(&m).copied())
                 .collect();
             if targets.is_empty() {
-                unconfirmed.push(SuspectPair::new(j, i, Some(ev_fwd), None));
-                continue;
+                return Partner::Unreachable;
             }
-            let probe = Request::Confirm { round, ratee: j, rater: i };
-            match client.call_failover(&targets, &probe) {
-                Ok(Response::Verdict(v)) => {
-                    if !v.known {
-                        // reachable replica without data: degraded, not lost
-                        unconfirmed.push(SuspectPair::new(j, i, Some(ev_fwd), None));
-                    } else if !v.high_reputed {
-                        // a definitive negative: the partner is not high-reputed
-                    } else if shared.cfg.policy.require_mutual {
-                        if let Some(rev) = v.reverse {
-                            confirmed.push(SuspectPair::new(j, i, Some(ev_fwd), Some(rev)));
-                        }
-                    } else {
-                        confirmed.push(SuspectPair::new(j, i, Some(ev_fwd), v.reverse));
-                    }
-                }
-                Ok(_) => {
-                    // NotFrozen/BadRound from a just-rejoined partner, or an
-                    // unexpected reply: degrade rather than drop
-                    unconfirmed.push(SuspectPair::new(j, i, Some(ev_fwd), None));
-                }
-                Err(_) => {
-                    // deadline exhausted across every replica
-                    unconfirmed.push(SuspectPair::new(j, i, Some(ev_fwd), None));
-                }
+            match client.call_failover(&targets, &Request::Confirm { round, ratee: j, rater: i }) {
+                Ok(Response::Verdict(v)) => Partner::Answered(v),
+                // NotFrozen/BadRound from a just-rejoined partner, an
+                // unexpected reply, or the deadline exhausted across every
+                // replica: degrade rather than drop
+                _ => Partner::Unreachable,
             }
-        }
-    }
+        },
+    );
 
     Response::Round(RoundReport {
         round,
@@ -1239,6 +1140,7 @@ mod oracle_props;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decentralized::tests::{colluding_ratings, node_ids, ratings, thresholds};
     use crate::durability::scratch_dir;
     use crate::fault::FaultStats;
     use crate::net::client::InsertStream;
@@ -1248,54 +1150,15 @@ mod tests {
     use std::collections::BTreeSet;
     use std::path::Path;
 
-    fn thresholds() -> Thresholds {
-        Thresholds::new(1.0, 20, 0.8, 0.2)
-    }
+    type Ids = BTreeSet<(u64, u64)>;
 
-    /// Two colluding pairs plus a community of honest cross-raters.
-    fn ratings() -> Vec<Rating> {
-        colluding_ratings(&[(1, 2), (20, 21)])
-    }
-
-    /// Each pair boosts itself 30 times each way; a five-node community
-    /// (40..45) rates every colluder down once and each other up once.
-    fn colluding_ratings(pairs: &[(u64, u64)]) -> Vec<Rating> {
-        let mut out = Vec::new();
-        let mut t = 0u64;
-        let mut tick = || {
-            t += 1;
-            SimTime(t)
-        };
-        for &(a, b) in pairs {
-            for _ in 0..30 {
-                out.push(Rating::positive(NodeId(a), NodeId(b), tick()));
-                out.push(Rating::positive(NodeId(b), NodeId(a), tick()));
-            }
-            for k in 0..5 {
-                out.push(Rating::negative(NodeId(40 + k), NodeId(a), tick()));
-                out.push(Rating::negative(NodeId(40 + k), NodeId(b), tick()));
-            }
-        }
-        for k in 0..5u64 {
-            for l in 0..5u64 {
-                if k != l {
-                    out.push(Rating::positive(NodeId(40 + k), NodeId(40 + l), tick()));
-                }
-            }
-        }
-        out
-    }
-
-    fn node_ids() -> Vec<NodeId> {
-        (1..=2).chain(20..=21).chain(40..45).map(NodeId).collect()
+    fn raw(pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Ids {
+        pairs.into_iter().map(|(a, b)| (a.raw(), b.raw())).collect()
     }
 
     /// [`centralised_baseline`] under the tests' thresholds, as raw ids.
-    fn centralised(rs: &[Rating], nodes: &[NodeId]) -> BTreeSet<(u64, u64)> {
-        centralised_baseline(thresholds(), rs, nodes)
-            .into_iter()
-            .map(|(a, b)| (a.raw(), b.raw()))
-            .collect()
+    fn centralised(rs: &[Rating], nodes: &[NodeId]) -> Ids {
+        raw(centralised_baseline(thresholds(), rs, nodes))
     }
 
     /// Manager ids from 1042: on three of them each planted pair of
@@ -1418,31 +1281,42 @@ mod tests {
         ingest_with(client, nodes, ring, rs, || ())
     }
 
-    fn run_round(
+    /// Freeze every one of `nodes` for `round`, then merge their
+    /// `DetectRound` replies: confirmed and unconfirmed pairs as raw ids,
+    /// and the summed retries and failed exchanges.
+    fn round_reports(
         client: &mut RpcClient,
         nodes: &[ManagerNode],
         round: u64,
-    ) -> BTreeSet<(u64, u64)> {
+    ) -> (Ids, Ids, FaultStats) {
         for n in nodes {
             let resp = client.call(n.addr(), &Request::Freeze { round }).expect("freeze");
             assert!(matches!(resp, Response::Frozen { .. }));
         }
-        let mut confirmed = BTreeSet::new();
+        let ids = |pairs: &[WirePair]| raw(pairs.iter().map(|p| (p.low, p.high)));
+        let (mut confirmed, mut unconfirmed, mut fault) =
+            (Ids::new(), Ids::new(), FaultStats::default());
         for n in nodes {
             let resp = client.call(n.addr(), &Request::DetectRound { round }).expect("detect");
             let Response::Round(report) = resp else {
                 panic!("DetectRound must answer Round, got {resp:?}")
             };
-            assert!(report.unconfirmed.is_empty(), "fault-free round must confirm everything");
-            for p in &report.confirmed {
-                confirmed.insert((p.low.raw(), p.high.raw()));
-            }
+            confirmed.extend(ids(&report.confirmed));
+            unconfirmed.extend(ids(&report.unconfirmed));
+            fault.retries += report.fault.retries;
+            fault.failed_exchanges += report.fault.failed_exchanges;
         }
+        (confirmed, unconfirmed, fault)
+    }
+
+    fn run_round(client: &mut RpcClient, nodes: &[ManagerNode], round: u64) -> Ids {
+        let (confirmed, unconfirmed, _) = round_reports(client, nodes, round);
+        assert!(unconfirmed.is_empty(), "fault-free round must confirm everything");
         confirmed
     }
 
     #[test]
-    fn three_manager_cluster_matches_in_process_detection() {
+    fn three_manager_cluster_matches_centralised_detection() {
         let dir = scratch_dir("net-cluster");
         let managers = manager_ids(3);
         let nodes = spawn_cluster(&dir, &managers);
@@ -1491,13 +1365,8 @@ mod tests {
         }
         let snap = ShardedSnapshot::build(&history, &node_ids(), 1);
         let input = SnapshotInput::from_signed(&snap, &node_ids());
-        let want: BTreeSet<(u64, u64)> =
-            OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED)
-                .detect_snapshot(&input)
-                .pair_ids()
-                .into_iter()
-                .map(|(a, b)| (a.raw(), b.raw()))
-                .collect();
+        let detector = OptimizedDetector::with_policy(thresholds(), DetectionPolicy::EXTENDED);
+        let want = raw(detector.detect_snapshot(&input).pair_ids());
         assert!(!want.is_empty(), "the workload must produce suspect pairs");
         assert_eq!(run_round(&mut client, &nodes, 1), want);
 
@@ -1713,20 +1582,7 @@ mod tests {
 
         // tight deadlines keep the round fast even with a dead peer
         let start = std::time::Instant::now();
-        for n in &nodes {
-            client.call(n.addr(), &Request::Freeze { round: 1 }).expect("freeze");
-        }
-        let (mut confirmed, mut unconfirmed) = (BTreeSet::new(), BTreeSet::new());
-        let mut failed_exchanges = 0;
-        for n in &nodes {
-            let resp = client.call(n.addr(), &Request::DetectRound { round: 1 }).expect("detect");
-            let Response::Round(report) = resp else {
-                panic!("DetectRound must answer Round, got {resp:?}")
-            };
-            confirmed.extend(report.confirmed.iter().map(|p| (p.low.raw(), p.high.raw())));
-            unconfirmed.extend(report.unconfirmed.iter().map(|p| (p.low.raw(), p.high.raw())));
-            failed_exchanges += report.fault.failed_exchanges;
-        }
+        let (confirmed, unconfirmed, fault) = round_reports(&mut client, &nodes, 1);
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "rounds against a dead peer must respect deadlines, took {:?}",
@@ -1734,7 +1590,7 @@ mod tests {
         );
         assert!(unconfirmed.contains(&(1, 2)), "the straddling pair must be reported unconfirmed");
         assert!(!confirmed.contains(&(1, 2)), "a dead partner cannot confirm");
-        assert!(failed_exchanges > 0, "degradation must be accounted");
+        assert!(fault.failed_exchanges > 0, "degradation must be accounted");
 
         drop(nodes);
         std::fs::remove_dir_all(&dir).ok();
@@ -1811,22 +1667,7 @@ mod tests {
             max_retries: 0,
             ..RpcConfig::lan()
         });
-        for n in &nodes {
-            let resp = control.call(n.addr(), &Request::Freeze { round: 1 }).expect("freeze");
-            assert!(matches!(resp, Response::Frozen { .. }));
-        }
-        let (mut confirmed, mut unconfirmed) = (BTreeSet::new(), BTreeSet::new());
-        let mut fault = FaultStats::default();
-        for n in &nodes {
-            let resp = control.call(n.addr(), &Request::DetectRound { round: 1 }).expect("detect");
-            let Response::Round(report) = resp else {
-                panic!("DetectRound must answer Round, got {resp:?}")
-            };
-            confirmed.extend(report.confirmed.iter().map(|p| (p.low.raw(), p.high.raw())));
-            unconfirmed.extend(report.unconfirmed.iter().map(|p| (p.low.raw(), p.high.raw())));
-            fault.retries += report.fault.retries;
-            fault.failed_exchanges += report.fault.failed_exchanges;
-        }
+        let (confirmed, unconfirmed, fault) = round_reports(&mut control, &nodes, 1);
 
         let baseline = centralised(&rs, &node_list);
         assert_eq!(baseline.len(), pairs.len(), "every planted pair is a baseline pair");

@@ -13,6 +13,7 @@
 //! `tests/net_wire_props.rs` hold every variant to a byte-exact round trip
 //! and every decoder to the no-panic contract.
 
+pub use crate::decentralized::ConfirmVerdict;
 use crate::fault::FaultStats;
 use crate::model::{DirectionEvidence, SuspectPair};
 use collusion_reputation::codec::{ByteReader, ByteWriter, CodecError};
@@ -118,17 +119,6 @@ impl From<&SuspectPair> for WirePair {
             high_boosts_low: p.high_boosts_low,
         }
     }
-}
-
-/// Partner-side answer to a [`Request::Confirm`] probe.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ConfirmVerdict {
-    /// Whether this manager holds (primary or replica) data for the ratee.
-    pub known: bool,
-    /// Whether the ratee is high-reputed on this manager's own slice.
-    pub high_reputed: bool,
-    /// Reverse-direction evidence (`ratee` boosts `rater`), if suspicious.
-    pub reverse: Option<DirectionEvidence>,
 }
 
 /// One manager's detection-round result (its own forward walk plus the

@@ -12,9 +12,11 @@
 //!   responsible nodes* and computes their reputations from that data
 //!   alone;
 //! * `Lookup(ID_i)` fetches a reputation across the ring (hop-counted);
-//! * detection runs per manager on its local slice, with request/response
-//!   messages to the partner's manager for the cross-manager reverse check
-//!   — exactly the paper's message flow.
+//! * detection runs per manager on its local slice — the round of
+//!   [`crate::decentralized`], the one [`crate::net::server::ManagerNode`]
+//!   runs over TCP — with a request/response exchange through a lossy
+//!   [`FaultSession`] to the partner's manager for each cross-manager
+//!   reverse check, answered from that manager's own slice.
 //!
 //! The end-to-end tests assert the partitioned system reaches the same
 //! verdicts as a centralized manager fed the identical rating stream. A
@@ -22,10 +24,9 @@
 //! disk belongs to [`crate::durability::DurableEngine`].
 
 use crate::cost::CostMeter;
-use crate::decentralized::Method;
+use crate::decentralized::{Kernel, Method, Partner};
 use crate::fault::{ChurnSchedule, FaultPlan, FaultSession, FaultStats};
-use crate::input::SnapshotInput;
-use crate::model::{DirectionEvidence, SuspectPair};
+use crate::model::SuspectPair;
 use crate::policy::DetectionPolicy;
 use crate::report::DetectionReport;
 use collusion_dht::hash::consistent_hash;
@@ -37,7 +38,7 @@ use collusion_reputation::id::NodeId;
 use collusion_reputation::rating::Rating;
 use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Cumulative network-cost counters of a running system.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,9 +75,8 @@ pub struct RobustReport {
 /// The §IV.A decentralized reputation system.
 #[derive(Clone, Debug)]
 pub struct DecentralizedSystem {
-    thresholds: Thresholds,
-    method: Method,
-    policy: DetectionPolicy,
+    /// The direction tests every manager runs.
+    kernel: Kernel,
     ring: ChordRing,
     key_to_manager: HashMap<u64, NodeId>,
     /// manager → interaction history about its responsible nodes
@@ -130,9 +130,7 @@ impl DecentralizedSystem {
             }
         }
         DecentralizedSystem {
-            thresholds,
-            method,
-            policy,
+            kernel: Kernel { method, thresholds, policy },
             ring,
             key_to_manager,
             histories: HashMap::new(),
@@ -414,16 +412,9 @@ impl DecentralizedSystem {
     /// Run the collusion detection round across all managers (the paper's
     /// periodic check), returning the merged report.
     ///
-    /// Each manager freezes its local slice into an owned
-    /// [`ShardedSnapshot`] once per round — no history clones, no
-    /// per-pair reputation-map copies — and both the local forward walk
-    /// and the partner-side reverse verification run on these frozen
-    /// views. A partner that has never seen the probing rater answers
-    /// from zero counters, exactly like the former hash-map lookup.
-    ///
-    /// Equivalent to `detect_robust(&FaultPlan::none()).report` — by the
-    /// zero-draw contract of [`FaultPlan::none`] the accounting (hops,
-    /// messages, meter) is bit-identical to a fault-oblivious round.
+    /// `detect_robust(&FaultPlan::none()).report`: by the zero-draw
+    /// contract of [`FaultPlan::none`] every exchange is delivered on its
+    /// first attempt, so hops, messages and meter are a reliable network's.
     pub fn detect(&mut self) -> DetectionReport {
         self.detect_robust(&FaultPlan::none()).report
     }
@@ -434,113 +425,78 @@ impl DecentralizedSystem {
     /// exhausts the retry budget are reported as *unconfirmed* (forward
     /// evidence only) instead of being silently dropped.
     ///
+    /// Each manager freezes its local slice into a [`ShardedSnapshot`]
+    /// and runs its share of the shared decentralized round on it, in
+    /// ascending manager order and with one `checked` set for the whole
+    /// round. A delivered confirmation is answered from the partner
+    /// manager's own frozen slice; a partner that has never seen the
+    /// probing rater answers from zero counters.
+    ///
     /// The plan's churn schedule is **not** applied here — churn happens
     /// between rounds via [`DecentralizedSystem::apply_churn`], which the
     /// simulator drives once per detection period.
     pub fn detect_robust(&mut self, plan: &FaultPlan) -> RobustReport {
         let mut session = FaultSession::new(plan);
-        let mut unconfirmed: Vec<SuspectPair> = Vec::new();
         let meter = CostMeter::new();
-        // Group responsible nodes per manager; `self.nodes` is ascending,
-        // so each manager's list comes out ascending too.
-        let mut manager_nodes: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        let kernel = self.kernel;
+        // Group responsible nodes per manager, managers ascending;
+        // `self.nodes` is ascending, so each manager's list is too.
+        let mut manager_nodes: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
         for &node in &self.nodes {
             let manager = self.key_to_manager[&self.manager_of[&node].raw()];
             manager_nodes.entry(manager).or_default().push(node);
         }
-        let mut manager_list: Vec<NodeId> = manager_nodes.keys().copied().collect();
-        manager_list.sort_unstable();
-        let manager_pos: HashMap<NodeId, usize> =
-            manager_list.iter().enumerate().map(|(k, &m)| (m, k)).collect();
+        let managers: Vec<NodeId> = manager_nodes.keys().copied().collect();
 
         // Freeze each manager's local slice; reputations are the signed
         // sums each manager computes from its own data.
         let empty = InteractionHistory::new();
-        let snaps: Vec<ShardedSnapshot> = manager_list
+        let snaps: Vec<ShardedSnapshot> = manager_nodes
             .iter()
-            .map(|m| {
-                let history = self.histories.get(m).unwrap_or(&empty);
-                ShardedSnapshot::build(history, &manager_nodes[m], 1)
+            .map(|(m, nodes)| {
+                ShardedSnapshot::build(self.histories.get(m).unwrap_or(&empty), nodes, 1)
             })
             .collect();
-        let inputs: Vec<SnapshotInput<'_>> = manager_list
-            .iter()
-            .zip(&snaps)
-            .map(|(m, s)| SnapshotInput::from_signed(s, &manager_nodes[m]))
-            .collect();
         let mut caches: Vec<Vec<Option<(u64, i64)>>> =
-            snaps.iter().map(|s| vec![None; s.n()]).collect();
+            snaps.iter().map(|s| kernel.agg_cache(s)).collect();
 
-        let router_ring = self.ring.clone();
-        let router = Router::new(&router_ring);
+        let router = Router::new(&self.ring);
         let mut pairs: Vec<SuspectPair> = Vec::new();
+        let mut unconfirmed: Vec<SuspectPair> = Vec::new();
         // indices are per-snapshot, so the cross-manager marking stays on ids
         let mut checked: HashSet<(NodeId, NodeId)> = HashSet::new();
 
-        for (k, &manager) in manager_list.iter().enumerate() {
-            let snap = &snaps[k];
-            let input = &inputs[k];
-            let nodes = &manager_nodes[&manager];
+        for (k, nodes) in manager_nodes.values().enumerate() {
             let my_key = self.manager_of[&nodes[0]];
-            for &i in nodes {
-                let i_idx = snap.index(i).expect("responsible node is interned");
-                if !self.thresholds.is_high_reputed(input.reputation_of_idx(i_idx)) {
-                    continue;
-                }
-                let (cols, _) = snap.row(i_idx);
-                for &j_idx in cols {
-                    let j = snap.node_id(j_idx);
-                    meter.element_check();
-                    let key = if i < j { (i, j) } else { (j, i) };
-                    if checked.contains(&key) {
-                        continue;
-                    }
-                    let Some(ev_fwd) =
-                        self.direction_snap(snap, (i_idx, Some(j_idx)), &meter, &mut caches[k])
-                    else {
-                        continue;
+            // the partner route reaches the other managers' caches, never this one's
+            let mut cache = std::mem::take(&mut caches[k]);
+            let (confirmed, stranded) =
+                kernel.round(&snaps[k], nodes, &meter, &mut cache, &mut checked, |j, i| {
+                    let Some(&partner_key) = self.manager_of.get(&j) else {
+                        return Partner::Unmanaged;
                     };
-                    checked.insert(key);
-                    // locate the partner's manager
-                    let Some(&partner_key) = self.manager_of.get(&j) else { continue };
-                    let partner_manager = self.key_to_manager[&partner_key.raw()];
-                    if partner_key != my_key {
-                        // each (re)transmission re-routes to the partner
-                        let route = router.lookup(my_key, consistent_hash(j.raw(), 64));
-                        let exchange = session.exchange();
-                        self.stats.hops += route.hops as u64 * exchange.attempts as u64;
-                        self.stats.detection_messages += exchange.messages;
-                        for _ in 0..exchange.messages {
-                            meter.message();
-                        }
-                        if !exchange.delivered {
-                            unconfirmed.push(SuspectPair::new(j, i, Some(ev_fwd), None));
-                            continue;
-                        }
+                    if partner_key == my_key {
+                        return Partner::Local;
+                    }
+                    // each (re)transmission re-routes to the partner
+                    let route = router.lookup(my_key, consistent_hash(j.raw(), 64));
+                    let exchange = session.exchange();
+                    self.stats.hops += route.hops as u64 * exchange.attempts as u64;
+                    self.stats.detection_messages += exchange.messages;
+                    for _ in 0..exchange.messages {
+                        meter.message();
+                    }
+                    if !exchange.delivered {
+                        return Partner::Unreachable;
                     }
                     // partner-side verification on the partner's OWN slice
-                    let Some(&p_pos) = manager_pos.get(&partner_manager) else {
-                        continue;
-                    };
-                    let p_snap = &snaps[p_pos];
-                    let p_j = p_snap.index(j).expect("registered node is interned");
-                    if !self.thresholds.is_high_reputed(inputs[p_pos].reputation_of_idx(p_j)) {
-                        continue;
-                    }
-                    let ev_rev = self.direction_snap(
-                        p_snap,
-                        (p_j, p_snap.index(i)),
-                        &meter,
-                        &mut caches[p_pos],
-                    );
-                    if self.policy.require_mutual {
-                        let Some(rev) = ev_rev else { continue };
-                        pairs.push(SuspectPair::new(j, i, Some(ev_fwd), Some(rev)));
-                    } else {
-                        pairs.push(SuspectPair::new(j, i, Some(ev_fwd), ev_rev));
-                    }
-                }
-            }
+                    let partner = self.key_to_manager[&partner_key.raw()];
+                    let Ok(p) = managers.binary_search(&partner) else { return Partner::Unmanaged };
+                    Partner::Answered(kernel.confirm(&snaps[p], j, i, &meter, &mut caches[p]))
+                });
+            caches[k] = cache;
+            pairs.extend(confirmed);
+            unconfirmed.extend(stranded);
         }
         RobustReport {
             report: DetectionReport::new(pairs, meter.snapshot()),
@@ -548,54 +504,14 @@ impl DecentralizedSystem {
             fault: session.stats(),
         }
     }
-
-    fn direction_snap(
-        &self,
-        snap: &ShardedSnapshot,
-        probe: (u32, Option<u32>),
-        meter: &CostMeter,
-        cache: &mut [Option<(u64, i64)>],
-    ) -> Option<DirectionEvidence> {
-        self.method.direction(self.thresholds, self.policy, snap, probe, meter, cache)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimized::OptimizedDetector;
+    use crate::decentralized::tests::{node_ids, ratings, thresholds};
+    use crate::net::server::centralised_baseline;
     use collusion_reputation::id::SimTime;
-
-    fn thresholds() -> Thresholds {
-        Thresholds::new(1.0, 20, 0.8, 0.2)
-    }
-
-    fn ratings() -> Vec<Rating> {
-        let mut out = Vec::new();
-        let mut t = 0u64;
-        let mut tick = || {
-            t += 1;
-            SimTime(t)
-        };
-        for (a, b) in [(1u64, 2u64), (20, 21)] {
-            for _ in 0..30 {
-                out.push(Rating::positive(NodeId(a), NodeId(b), tick()));
-                out.push(Rating::positive(NodeId(b), NodeId(a), tick()));
-            }
-            for k in 0..5 {
-                out.push(Rating::negative(NodeId(40 + k), NodeId(a), tick()));
-                out.push(Rating::negative(NodeId(40 + k), NodeId(b), tick()));
-            }
-        }
-        for k in 0..5u64 {
-            for l in 0..5u64 {
-                if k != l {
-                    out.push(Rating::positive(NodeId(40 + k), NodeId(40 + l), tick()));
-                }
-            }
-        }
-        out
-    }
 
     fn build_system(managers: u64) -> DecentralizedSystem {
         build_replicated_system(managers, 1)
@@ -614,8 +530,8 @@ mod tests {
             DetectionPolicy::STRICT,
             replication,
         );
-        for id in (1..=2).chain(20..=21).chain(40..45) {
-            sys.register(NodeId(id));
+        for id in node_ids() {
+            sys.register(id);
         }
         for r in ratings() {
             sys.submit(r);
@@ -625,27 +541,15 @@ mod tests {
 
     #[test]
     fn partitioned_detection_matches_centralized() {
-        let mut h = InteractionHistory::new();
-        for r in ratings() {
-            h.record(r);
-        }
-        let nodes: Vec<NodeId> = (1..=2).chain(20..=21).chain(40..45).map(NodeId).collect();
-        let snap = ShardedSnapshot::build(&h, &nodes, 1);
-        let central = OptimizedDetector::new(thresholds())
-            .detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
+        let central = centralised_baseline(thresholds(), &ratings(), &node_ids());
         for managers in [1u64, 3, 8, 32] {
-            let mut sys = build_system(managers);
-            let report = sys.detect();
-            assert_eq!(
-                report.pair_ids(),
-                central.pair_ids(),
-                "{managers} managers diverged from centralized"
-            );
+            let report = build_system(managers).detect();
+            assert_eq!(report.pair_ids(), central, "{managers} managers diverged from centralized");
         }
         // duplicate manager ids are tolerated: the ring holds each id once
         let mut dup = build_on(&[NodeId(1000), NodeId(1000), NodeId(1001)], 1);
         assert_eq!(dup.key_to_manager.len(), 2);
-        assert_eq!(dup.detect().pair_ids(), central.pair_ids());
+        assert_eq!(dup.detect().pair_ids(), central);
     }
 
     #[test]
@@ -761,7 +665,7 @@ mod tests {
     fn basic_method_agrees_with_optimized_in_system() {
         let mut opt = build_system(8);
         let mut basic = build_system(8);
-        basic.method = Method::Basic;
+        basic.kernel.method = Method::Basic;
         assert_eq!(basic.detect().pair_ids(), opt.detect().pair_ids());
     }
 

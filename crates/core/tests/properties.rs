@@ -95,19 +95,38 @@ proptest! {
         }
     }
 
-    /// Decentralized detection equals centralized for any manager count.
+    /// Decentralized detection equals centralized for any manager count,
+    /// under either policy: each direction reads only the ratee's row (its
+    /// frequent aggregate included), and the ratee's manager holds that
+    /// row whole. Planted pairs make the compared sets non-empty.
     #[test]
     fn decentralized_invariant_to_manager_count(
-        ratings in ratings_strategy(12, 400),
+        background in ratings_strategy(12, 400),
+        planted in prop::collection::vec((0..12u64, 0..12u64), 0..3),
         managers in 1usize..20,
+        policy in prop::sample::select(vec![DetectionPolicy::STRICT, DetectionPolicy::EXTENDED]),
     ) {
+        let mut ratings = background;
+        for (a, b) in planted.into_iter().filter(|(a, b)| a != b) {
+            // 30 boosts each way, and every other node rates both down twice
+            let (a, b) = (NodeId(a), NodeId(b));
+            for t in 0..30 {
+                ratings.push(Rating::new(a, b, RatingValue::Positive, SimTime(t)));
+                ratings.push(Rating::new(b, a, RatingValue::Positive, SimTime(t)));
+            }
+            for c in (0..12).map(NodeId).filter(|&c| c != a && c != b) {
+                let down = |x| Rating::new(c, x, RatingValue::Negative, SimTime(0));
+                ratings.extend([a, b, a, b].map(down));
+            }
+        }
         let h = build(&ratings);
         let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
         let th = Thresholds::new(1.0, 8, 0.8, 0.3);
-        let central = optimized(th, &h, &nodes);
+        let snap = ShardedSnapshot::build(&h, &nodes, 1);
+        let central = OptimizedDetector::with_policy(th, policy)
+            .detect_snapshot(&SnapshotInput::from_signed(&snap, &nodes));
         let manager_ids: Vec<NodeId> = (500..500 + managers as u64).map(NodeId).collect();
-        let mut sys =
-            DecentralizedSystem::new(&manager_ids, th, Method::Optimized, DetectionPolicy::STRICT);
+        let mut sys = DecentralizedSystem::new(&manager_ids, th, Method::Optimized, policy);
         for &node in &nodes {
             sys.register(node);
         }
