@@ -15,7 +15,7 @@
 //! [`crate::system::DecentralizedSystem`] passes it through a lossy
 //! in-process [`crate::fault::FaultSession`] and answers from the
 //! partner's slice in memory; [`crate::net::server::ManagerNode`] sends
-//! `Confirm` over TCP with failover to the owner's replicas.
+//! `Confirm` over TCP to the partner's owner.
 
 use std::collections::HashSet;
 
@@ -42,7 +42,7 @@ pub enum Method {
 /// answer of a manager holding no data for the ratee.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ConfirmVerdict {
-    /// Whether this manager holds (primary or replica) data for the ratee.
+    /// Whether the answering manager holds data for the ratee.
     pub known: bool,
     /// Whether the ratee is high-reputed on this manager's own slice.
     pub high_reputed: bool,
@@ -55,7 +55,7 @@ pub struct ConfirmVerdict {
 pub(crate) enum Partner {
     /// The partner is on the walking manager's own slice: checked there.
     Local,
-    /// The partner's manager (or a replica of its slice) answered.
+    /// The partner's manager answered.
     Answered(ConfirmVerdict),
     /// No answer within the retry budget or deadline.
     Unreachable,
@@ -160,7 +160,7 @@ impl Kernel {
                     Partner::Unmanaged => continue,
                 };
                 if !verdict.known {
-                    // no answer, or a replica without data: degraded, not lost
+                    // no answer, or a manager without data: degraded, not lost
                     unconfirmed.push(SuspectPair::new(j, i, Some(fwd), None));
                 } else if verdict.high_reputed
                     && (verdict.reverse.is_some() || !self.policy.require_mutual)

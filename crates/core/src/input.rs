@@ -122,12 +122,6 @@ impl<'a> SnapshotInput<'a> {
         self.view.len()
     }
 
-    /// The reputation of dense index `idx` (0.0 when never set).
-    #[inline]
-    pub fn reputation_of_idx(&self, idx: u32) -> f64 {
-        self.reputation[idx as usize]
-    }
-
     /// View nodes passing the `T_R` filter, as dense indices ascending.
     pub fn high_reputed_idx(&self, thresholds: &Thresholds) -> Vec<u32> {
         self.view
@@ -191,7 +185,7 @@ mod tests {
         assert_eq!(input.n(), legacy.nodes.len());
         for &id in &nodes {
             let idx = snap.index(id).unwrap();
-            assert_eq!(input.reputation_of_idx(idx), legacy.signed_reputation(id) as f64);
+            assert_eq!(input.reputation[idx as usize], legacy.signed_reputation(id) as f64);
         }
         let t = Thresholds::new(1.0, 20, 0.8, 0.2);
         let high_ids: Vec<NodeId> =

@@ -1,20 +1,17 @@
-//! RPC client: per-call deadlines, bounded exponential-backoff retries with
-//! deterministic jitter, and failover across successor replicas.
+//! RPC client: per-call deadlines and bounded exponential-backoff retries
+//! with deterministic jitter.
 //!
 //! Every call runs under two clocks:
 //!
 //! * an **attempt budget** — connect + write + read of one try, after which
 //!   the connection is abandoned (a dropped request or response frame shows
 //!   up as a read timeout here);
-//! * a **total deadline** — the hard ceiling across all retries and
-//!   failover targets. When it expires the call returns
-//!   [`RpcError::DeadlineExceeded`] and the caller degrades (an unconfirmed
-//!   verdict, a skipped replica push) instead of hanging.
+//! * a **total deadline** — the hard ceiling across all retries. When it
+//!   expires the call returns [`RpcError::DeadlineExceeded`] and the caller
+//!   degrades (an unconfirmed verdict) instead of hanging.
 //!
 //! Between attempts the client backs off exponentially with jitter drawn
-//! from the workspace's seeded [`FaultRng`] stream, and rotates through the
-//! provided replica addresses (owner first, then successors), so a dead
-//! owner fails over to a backup within the same total deadline.
+//! from the workspace's seeded [`FaultRng`] stream.
 //!
 //! Healthy connections are pooled per address and reused across calls; any
 //! error or timeout discards the connection (after a timeout the stream is
@@ -56,7 +53,7 @@ pub struct RpcConfig {
     pub connect_timeout_ms: u64,
     /// Write + read budget per attempt.
     pub attempt_timeout_ms: u64,
-    /// Hard ceiling across all retries and failover targets.
+    /// Hard ceiling across all retries.
     pub total_deadline_ms: u64,
     /// Retries after the first attempt (attempts = `max_retries + 1`,
     /// deadline permitting).
@@ -97,7 +94,7 @@ impl Default for RpcConfig {
     }
 }
 
-/// Why an RPC failed (after all retries and failover targets).
+/// Why an RPC failed (after all retries).
 #[derive(Debug)]
 pub enum RpcError {
     /// Transport failure on the last attempt.
@@ -108,6 +105,10 @@ pub enum RpcError {
     Codec(CodecError),
     /// The total deadline expired before any attempt succeeded.
     DeadlineExceeded,
+    /// The server refused a stream frame for good: retransmitting it
+    /// cannot succeed ([`ErrorCode::Malformed`], e.g. a ratee the manager
+    /// does not own).
+    Refused(ErrorCode),
 }
 
 impl fmt::Display for RpcError {
@@ -117,6 +118,7 @@ impl fmt::Display for RpcError {
             RpcError::Frame(e) => write!(f, "rpc framing error: {e}"),
             RpcError::Codec(e) => write!(f, "rpc decode error: {e}"),
             RpcError::DeadlineExceeded => write!(f, "rpc total deadline exceeded"),
+            RpcError::Refused(code) => write!(f, "rpc refused: {code:?}"),
         }
     }
 }
@@ -165,20 +167,8 @@ impl RpcClient {
         self.stats
     }
 
-    /// Call one address (no failover).
+    /// Call `addr`, retrying under one total deadline.
     pub fn call(&mut self, addr: SocketAddr, req: &Request) -> Result<Response, RpcError> {
-        self.call_failover(&[addr], req)
-    }
-
-    /// Call with failover: `addrs` holds the owner first, then its
-    /// successor replicas. Attempts rotate through the list — attempt `k`
-    /// goes to `addrs[k % addrs.len()]` — under one shared total deadline.
-    pub fn call_failover(
-        &mut self,
-        addrs: &[SocketAddr],
-        req: &Request,
-    ) -> Result<Response, RpcError> {
-        assert!(!addrs.is_empty(), "call_failover needs at least one address");
         self.stats.exchanges += 1;
         let start = Instant::now();
         let total = Duration::from_millis(self.cfg.total_deadline_ms);
@@ -192,7 +182,6 @@ impl RpcClient {
                 return Err(RpcError::DeadlineExceeded);
             }
             let budget = Duration::from_millis(self.cfg.attempt_timeout_ms).min(total - elapsed);
-            let addr = addrs[attempt as usize % addrs.len()];
             match self.attempt(addr, &payload, budget) {
                 Ok(resp) => return Ok(resp),
                 Err(err) => {
@@ -518,11 +507,14 @@ pub struct ResumeStats {
 /// them. On *any* fault — connection loss, a [`Response::StreamNack`]
 /// desync, an [`ErrorCode::Overloaded`] refusal — the stream reconnects
 /// via its address resolver (re-resolved every attempt, so a manager
-/// reborn on a new port or a promoted replica is picked up), performs a
-/// `StreamResume` handshake to learn the server's durable watermark, drops
-/// the buffered frames the watermark covers, and retransmits the rest.
+/// reborn on a new port is picked up), performs a `StreamResume`
+/// handshake to learn the server's durable watermark, drops the buffered
+/// frames the watermark covers, and retransmits the rest.
 /// Server-side dedup by `(session, seq)` makes the retransmissions
-/// exactly-once: no acked rating is lost, no frame is applied twice.
+/// exactly-once: no acked rating is lost, no frame is applied twice. A
+/// frame the server refuses as malformed is no fault to heal: every
+/// retransmission would be refused again, so the stream stops with
+/// [`RpcError::Refused`].
 ///
 /// Backpressure: an ack carrying `throttle` shrinks the effective window
 /// to one frame (send → ack lockstep) until a non-throttled ack arrives;
@@ -618,6 +610,9 @@ impl ResumableStream {
                 Err(e) => {
                     self.conn = None;
                     self.staged.clear();
+                    if matches!(e, RpcError::Refused(_)) {
+                        return Err(e);
+                    }
                     let fault_at = Instant::now();
                     let deadline = fault_at + Duration::from_millis(RECOVER_DEADLINE_MS);
                     if self.overloads > 0 {
@@ -708,6 +703,9 @@ impl ResumableStream {
                 self.stats.overload_refusals += 1;
                 self.overloads = (self.overloads + 1).min(8);
                 Err(RpcError::Io(io::Error::other("server shedding load")))
+            }
+            Response::Error { code: ErrorCode::Malformed } => {
+                Err(RpcError::Refused(ErrorCode::Malformed))
             }
             Response::StreamNack { expected_seq } => Err(RpcError::Io(io::Error::other(format!(
                 "stream desync: server expects frame {expected_seq}"
@@ -1084,10 +1082,8 @@ mod tests {
                 )
             })
             .collect();
-        assert!(
-            client.call(addr, &Request::Replicate(big)).is_err(),
-            "the stalled call must fail, not hang"
-        );
+        let frame = Request::InsertStream { session: 0, stream_seq: 1, ratings: big };
+        assert!(client.call(addr, &frame).is_err(), "the stalled call must fail, not hang");
         stall_tx.send(()).expect("server thread alive");
 
         // the poisoned connection must be gone: this call reconnects
@@ -1095,34 +1091,6 @@ mod tests {
         assert!(matches!(resp, Response::Beat { .. }));
         let accepted = server.join().expect("server thread");
         assert_eq!(accepted, 2, "the failed call's connection must not be reused");
-    }
-
-    #[test]
-    fn failover_reaches_the_second_address() {
-        // first address dead, second alive: the call must succeed via
-        // rotation within its retry budget
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-            l.local_addr().expect("addr")
-        };
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let alive = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().expect("accept");
-            let payload = read_frame(&mut s, MAX_FRAME_PAYLOAD).expect("read");
-            assert!(Request::decode(&payload).is_ok());
-            let resp = Response::Beat {
-                manager: collusion_reputation::id::NodeId(7),
-                intake_pending: 0,
-                shedding: false,
-            };
-            write_frame(&mut s, &resp.encode()).expect("write");
-        });
-        let mut client = RpcClient::new(RpcConfig::lan().with_jitter_seed(3));
-        let resp = client.call_failover(&[dead, alive], &Request::Heartbeat).expect("failover");
-        assert!(matches!(resp, Response::Beat { .. }));
-        assert!(client.stats().retries >= 1, "the dead owner must cost a retry");
-        server.join().expect("server thread");
     }
 
     use std::sync::atomic::{AtomicBool, Ordering};

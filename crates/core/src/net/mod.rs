@@ -7,7 +7,7 @@
 //!   [`collusion_reputation::frame`] (same fnv1a64 integrity primitive as
 //!   the WAL);
 //! * [`client`] — deadline-aware client with bounded exponential-backoff
-//!   retries and failover to successor replicas;
+//!   retries;
 //! * [`server`] — [`server::ManagerNode`], a thread-per-connection TCP
 //!   server owning a durable engine and a published read view;
 //! * [`view`] — [`view::ViewCell`], the lock-free single-writer

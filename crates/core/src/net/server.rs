@@ -1,8 +1,8 @@
 //! [`ManagerNode`]: a reputation manager as a real TCP server.
 //!
-//! Each node owns a [`DurableEngine`] (WAL + checkpoints) for its primary
-//! slice — the **only** copy of that slice — an in-memory replica store for
-//! slices it backs up, and a [`ViewCell`] published read view answering
+//! Each node owns a [`DurableEngine`] (WAL + checkpoints) for its slice —
+//! the **only** copy of that slice, the ratings about the nodes it owns on
+//! the ring — and a [`ViewCell`] published read view answering
 //! `Query` without touching the write path (the single-writer protocol of
 //! [`crate::net::view`]). The view is fed by counter deltas
 //! (`ViewTotals`): a publication costs the ratings since the last one
@@ -12,22 +12,18 @@
 //!
 //! The detection round is a two-RPC protocol driven by the harness:
 //!
-//! 1. `Freeze{round}` — every manager freezes its primary slice as the
-//!    engine holds it (standing [`ShardedSnapshot`] + the open epoch, see
-//!    [`EpochEngine::frozen_snapshot`](crate::epoch::EpochEngine::frozen_snapshot))
-//!    and folds the replica ratings logged since the last freeze into its
-//!    standing replica snapshot, the same way, and freezes a copy of it,
+//! 1. `Freeze{round}` — every manager freezes its slice as the engine
+//!    holds it (standing [`ShardedSnapshot`] + the open epoch, see
+//!    [`EpochEngine::frozen_snapshot`](crate::epoch::EpochEngine::frozen_snapshot)),
 //!    so every `Confirm` of the round is answered from the same frozen
 //!    data;
 //! 2. `DetectRound{round}` — every manager runs the round of
 //!    [`crate::decentralized`] (the one `DecentralizedSystem` runs
 //!    in-process) over its own responsible nodes: for each suspicious
 //!    direction found, it either verifies the partner side locally
-//!    (same-manager pair) or sends `Confirm` to the partner's owner — with
-//!    failover to the owner's ring successors, whose replica snapshots
-//!    answer when the owner is dead. The reply carries the manager's
-//!    confirmed and unconfirmed pairs; the harness merges them across
-//!    managers.
+//!    (same-manager pair) or sends `Confirm` to the partner's owner. The
+//!    reply carries the manager's confirmed and unconfirmed pairs; the
+//!    harness merges them across managers.
 //!
 //! **Degraded-mode contract:** a `Confirm` that cannot be delivered within
 //! its total deadline demotes the pair to *unconfirmed* (forward evidence
@@ -50,7 +46,6 @@ use std::time::Duration;
 
 use collusion_dht::hash::consistent_hash;
 use collusion_dht::ring::ChordRing;
-use collusion_reputation::epoch::EpochBuffer;
 use collusion_reputation::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use collusion_reputation::fxhash::FxHashMap;
 use collusion_reputation::history::{InteractionHistory, NodeTotals, PairCounters};
@@ -114,7 +109,11 @@ pub struct ManagerConfig {
     /// All managers on the ring (fixed for the cluster's lifetime; a
     /// killed manager stays a member and rejoins from disk).
     pub managers: Vec<NodeId>,
-    /// Total copies of each node's slice (primary + successors).
+    /// Copies of each node's slice. Must be 1: a manager holds only the
+    /// slice its WAL makes durable, and [`ManagerNode::spawn`] refuses any
+    /// other value. The field stays only because the benchmark's cluster
+    /// configuration (`benchmark/src/sut.rs`) still sets it; it goes once
+    /// that file stops naming it.
     pub replication: usize,
     /// Detection thresholds.
     pub thresholds: Thresholds,
@@ -122,8 +121,7 @@ pub struct ManagerConfig {
     pub method: Method,
     /// Detection policy.
     pub policy: DetectionPolicy,
-    /// Shard target of the durable engine's snapshot and of the frozen
-    /// replica slice.
+    /// Shard target of the durable engine's snapshot.
     pub shards: usize,
     /// Durability tuning.
     pub durability: DurabilityConfig,
@@ -150,8 +148,7 @@ impl ManagerConfig {
     }
 }
 
-/// Ring geometry shared by every manager and harness: node → owner,
-/// owner → backups.
+/// Ring geometry shared by every manager and harness: node → owner.
 #[derive(Clone, Debug)]
 pub struct RingView {
     ring: ChordRing,
@@ -177,32 +174,6 @@ impl RingView {
         let key = self.ring.owner(consistent_hash(node.raw(), 64));
         self.key_to_manager[&key.raw()]
     }
-
-    /// The owner's distinct ring successors, up to `replication - 1`.
-    fn backups_of(&self, owner: NodeId, replication: usize) -> Vec<NodeId> {
-        let mut backups = Vec::new();
-        if replication <= 1 {
-            return backups;
-        }
-        let owner_key = consistent_hash(owner.raw(), 64);
-        let mut cur = owner_key;
-        for _ in 0..replication - 1 {
-            cur = self.ring.successor_of(cur);
-            if cur == owner_key {
-                break;
-            }
-            backups.push(self.key_to_manager[&cur.raw()]);
-        }
-        backups
-    }
-
-    /// Failover order for `node`'s slice: owner first, then its backups.
-    fn replicas_of(&self, node: NodeId, replication: usize) -> Vec<NodeId> {
-        let owner = self.owner_of(node);
-        let mut out = vec![owner];
-        out.extend(self.backups_of(owner, replication));
-        out
-    }
 }
 
 /// The suspect pairs a detection round over `nodes` must reproduce: the
@@ -224,15 +195,18 @@ pub fn centralised_baseline(
     pairs
 }
 
-/// A round's frozen snapshots.
+/// A round's frozen slice.
 struct Frozen {
     round: u64,
-    /// The primary slice as the engine held it at the freeze (standing
-    /// snapshot + open epoch), interned over the responsible nodes.
+    /// The slice as the engine held it at the freeze (standing snapshot +
+    /// open epoch), interned over the responsible nodes.
     snap: ShardedSnapshot,
-    /// Replica view over [`Shared::backed_up`], when this manager backs
-    /// any node up.
-    rep_snap: Option<ShardedSnapshot>,
+    /// The per-ratee aggregate cache every `Confirm` of the round shares
+    /// (empty unless the policy reads it). Locked only around one partner
+    /// check, never across an RPC; `DetectRound` walks with a cache of its
+    /// own, so two managers confirming each other never wait on each
+    /// other's lock.
+    confirm_cache: Mutex<Vec<Option<(u64, i64)>>>,
 }
 
 /// What the published view is made from: the primary slice's sorted node
@@ -323,24 +297,16 @@ impl ViewTotals {
 }
 
 /// Mutable control-plane state behind the single mutex: the read view's
-/// source, the replica slices, frozen rounds, counters. The durable engine
-/// — the primary slice itself — lives on the [`DataPlane`] so streaming
-/// inserts never serialize behind control RPCs.
+/// source, the frozen round, counters. The durable engine — the slice
+/// itself — lives on the [`DataPlane`] so streaming inserts never
+/// serialize behind control RPCs.
 struct State {
-    /// Node table and totals of the primary slice, as of the last absorb.
+    /// Node table and totals of the slice, as of the last absorb.
     view: ViewTotals,
-    /// Replica ratings (replicated for other managers' nodes, or
-    /// misrouted here) since the last `Freeze`, which folds them into
-    /// `replica` the way an epoch close folds the primary's open epoch.
-    replica_log: EpochBuffer,
-    /// Standing snapshot of the replica slices as of the last `Freeze`,
-    /// interned over [`Shared::backed_up`] plus every id folded so far.
-    replica: ShardedSnapshot,
     frozen: Option<Arc<Frozen>>,
-    /// Ratings folded into the primary slice and absorbed into `view`
+    /// Ratings folded into the slice and absorbed into `view`
     /// (self-ratings are logged but never folded, so never counted).
     recorded: u64,
-    replicated: u64,
     epoch: u64,
 }
 
@@ -354,7 +320,7 @@ struct State {
 /// the state mutex, so concurrent streams stop serializing on control
 /// traffic.
 struct DataPlane {
-    /// WAL + checkpointed engine for the primary slice.
+    /// WAL + checkpointed engine for the slice.
     durable: Mutex<DurableEngine>,
     /// Pending read-view counter deltas from stream frames, lock-striped
     /// by ratee. Drained into `State::view` by `absorb_intake`.
@@ -399,8 +365,6 @@ struct Shared {
     ring: RingView,
     /// Nodes this manager owns, ascending.
     responsible: Vec<NodeId>,
-    /// Nodes this manager backs up for other owners, ascending.
-    backed_up: Vec<NodeId>,
     state: Mutex<State>,
     data: DataPlane,
     view: Arc<ViewCell>,
@@ -421,21 +385,19 @@ impl ManagerNode {
     /// already holds a WAL the engine **recovers** from it (the log is read
     /// once) and the read view and session table are seeded from the
     /// recovery — the kill-and-rejoin path; otherwise a fresh engine is
-    /// created.
+    /// created. A `replication` other than 1 is refused with
+    /// [`io::ErrorKind::InvalidInput`] before the directory is touched.
     pub fn spawn(cfg: ManagerConfig) -> io::Result<Self> {
-        let ring = RingView::new(&cfg.managers);
-        let mut responsible = Vec::new();
-        let mut backed_up = Vec::new();
-        for &node in &cfg.nodes {
-            let owner = ring.owner_of(node);
-            if owner == cfg.id {
-                responsible.push(node);
-            } else if ring.backups_of(owner, cfg.replication).contains(&cfg.id) {
-                backed_up.push(node);
-            }
+        if cfg.replication != 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("replication {} unsupported: a manager holds one slice", cfg.replication),
+            ));
         }
+        let ring = RingView::new(&cfg.managers);
+        let mut responsible: Vec<NodeId> =
+            cfg.nodes.iter().copied().filter(|&node| ring.owner_of(node) == cfg.id).collect();
         responsible.sort_unstable();
-        backed_up.sort_unstable();
 
         let rejoining = cfg.dir.join(WAL_FILE).exists();
         let (durable, totals, recorded, sessions) = if rejoining {
@@ -463,15 +425,7 @@ impl ManagerNode {
 
         let initial = PublishedView { epoch: 0, nodes: Arc::new(Vec::new()), signed: Vec::new() };
         let view = Arc::new(ViewCell::new(initial));
-        let state = State {
-            view: totals,
-            replica_log: EpochBuffer::new(),
-            replica: ShardedSnapshot::build(&InteractionHistory::new(), &backed_up, cfg.shards),
-            frozen: None,
-            recorded,
-            replicated: 0,
-            epoch: 0,
-        };
+        let state = State { view: totals, frozen: None, recorded, epoch: 0 };
         let data = DataPlane {
             durable: Mutex::new(durable),
             intake: ShardedIntake::new(cfg.shards.max(1)),
@@ -486,7 +440,6 @@ impl ManagerNode {
             cfg,
             ring,
             responsible,
-            backed_up,
             state: Mutex::new(state),
             data,
             view,
@@ -714,13 +667,11 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// One `InsertStream` frame on the data plane: WAL-append the owned
-/// ratings (durable lock only — the state mutex is not touched on this
-/// path), fold their counters into the sharded intake, and return a
-/// cumulative ack if the durable watermark already covers pending frames.
-/// Misrouted ratings fall back to the replica store under the state lock
-/// (degraded acceptance: the harness's failover path when the owner is
-/// down).
+/// One `InsertStream` frame on the data plane: WAL-append its ratings
+/// (durable lock only — the state mutex is not touched on this path), fold
+/// their counters into the sharded intake, and return a cumulative ack if
+/// the durable watermark already covers pending frames. A frame naming a
+/// ratee this manager does not own is refused whole.
 fn handle_stream_frame(
     shared: &Shared,
     sc: &mut StreamConn,
@@ -761,11 +712,11 @@ fn handle_stream_frame(
     }
 }
 
-/// Apply one in-sequence stream frame: shed load if the intake is past its
-/// hard limit, WAL-append the owned ratings (with the session watermark
-/// marker for resumable sessions), fold counters into the sharded intake,
-/// and return a cumulative ack if the durable watermark already covers
-/// pending frames.
+/// Apply one in-sequence stream frame: refuse it if it names a ratee this
+/// manager does not own, shed load if the intake is past its hard limit,
+/// WAL-append the ratings (with the session watermark marker for resumable
+/// sessions), fold counters into the sharded intake, and return a
+/// cumulative ack if the durable watermark already covers pending frames.
 fn apply_stream_frame(
     shared: &Shared,
     sc: &mut StreamConn,
@@ -774,8 +725,12 @@ fn apply_stream_frame(
     ratings: Vec<Rating>,
     entry: Option<&mut SessionEntry>,
 ) -> Option<Response> {
-    // load shedding first: a refused frame is not applied and does not
-    // advance the stream sequence, so the client retries it verbatim
+    // a refused frame is not applied and does not advance the stream
+    // sequence: a misrouted one is malformed (acking it would promise a
+    // durability no WAL here backs), a shed one is retried verbatim
+    if ratings.iter().any(|r| shared.ring.owner_of(r.ratee) != shared.cfg.id) {
+        return Some(Response::Error { code: ErrorCode::Malformed });
+    }
     let bp = shared.cfg.backpressure;
     let intake_depth = shared.data.intake.ratings();
     if intake_depth >= bp.hard_limit {
@@ -783,36 +738,16 @@ fn apply_stream_frame(
         return Some(Response::Error { code: ErrorCode::Overloaded });
     }
     sc.throttle = intake_depth >= bp.high_watermark;
-    let mut owned: Vec<Rating> = Vec::with_capacity(ratings.len());
-    let mut misrouted: Vec<Rating> = Vec::new();
-    for r in ratings {
-        if shared.ring.owner_of(r.ratee) == shared.cfg.id {
-            owned.push(r);
-        } else {
-            misrouted.push(r);
-        }
-    }
     // aggregate counters before taking any lock (producer-local fold)
     let mut frame_ratings = 0u64;
-    for r in &owned {
+    for r in &ratings {
         if r.is_self_rating() {
             continue;
         }
         sc.local.entry((r.ratee, r.rater)).or_default().accumulate(r.value);
         frame_ratings += 1;
     }
-    // misrouted ratings go to the replica store before the WAL append so
-    // the session marker's cumulative count is final when it hits the log
-    let mut frame_accepted = owned.len() as u64;
-    if !misrouted.is_empty() {
-        let mut st = shared.state.lock().expect("manager state lock");
-        for r in misrouted {
-            if st.replica_log.record(r) {
-                st.replicated += 1;
-                frame_accepted += 1;
-            }
-        }
-    }
+    let frame_accepted = ratings.len() as u64;
     let cum_accepted = match &entry {
         Some(e) => e.accepted + frame_accepted,
         None => sc.accepted + frame_accepted,
@@ -820,9 +755,9 @@ fn apply_stream_frame(
     let (wal_target, durable_now) = {
         let mut eng = shared.data.durable.lock().expect("durable engine lock");
         let appended = if session != 0 {
-            eng.record_stream_frame(&owned, session, stream_seq, cum_accepted)
+            eng.record_stream_frame(&ratings, session, stream_seq, cum_accepted)
         } else {
-            eng.record_batch(&owned)
+            eng.record_batch(&ratings)
         };
         let Ok(target) = appended else {
             return Some(Response::Error { code: ErrorCode::Internal });
@@ -842,7 +777,7 @@ fn apply_stream_frame(
     sc.cells.extend(sc.local.drain().map(|((ratee, rater), c)| (ratee, rater, c)));
     shared.data.intake.merge_cells(&mut sc.cells, frame_ratings);
     shared.data.stream_frames.fetch_add(1, Ordering::Relaxed);
-    shared.data.stream_ratings.fetch_add(owned.len() as u64, Ordering::Relaxed);
+    shared.data.stream_ratings.fetch_add(frame_accepted, Ordering::Relaxed);
     if sc.throttle {
         shared.data.throttled_frames.fetch_add(1, Ordering::Relaxed);
     }
@@ -944,17 +879,6 @@ fn flush_acks(shared: &Shared, sc: &mut StreamConn, stream: &mut TcpStream) -> R
 /// state lock released.
 fn handle(shared: &Shared, req: Request) -> Response {
     match req {
-        Request::Replicate(rs) => {
-            let mut st = shared.state.lock().expect("manager state lock");
-            let mut accepted = 0;
-            for r in rs {
-                if st.replica_log.record(r) {
-                    accepted += 1;
-                }
-            }
-            st.replicated += accepted;
-            Response::Ack { seq: 0, accepted }
-        }
         Request::Query(node) => {
             let view = shared.view.load();
             match view.reputation(node) {
@@ -1002,10 +926,8 @@ fn handle(shared: &Shared, req: Request) -> Response {
             let parts =
                 shared.data.durable.lock().expect("durable engine lock").engine().frozen_parts();
             let snap = parts.merge();
-            let delta = st.replica_log.drain();
-            st.replica.apply_epoch(&delta, 1);
-            let rep_snap = (!shared.backed_up.is_empty()).then(|| st.replica.clone());
-            st.frozen = Some(Arc::new(Frozen { round, snap, rep_snap }));
+            let confirm_cache = Mutex::new(shared.cfg.kernel().agg_cache(&snap));
+            st.frozen = Some(Arc::new(Frozen { round, snap, confirm_cache }));
             Response::Frozen { round, nodes: shared.responsible.len() as u64 }
         }
         Request::DetectRound { round } => detect_round(shared, round),
@@ -1034,7 +956,6 @@ fn handle(shared: &Shared, req: Request) -> Response {
             Response::Status(StatusInfo {
                 manager: shared.cfg.id,
                 recorded: st.recorded,
-                replicated: st.replicated,
                 wal_next_seq,
                 round: st.frozen.as_ref().map_or(0, |f| f.round),
                 view_version: shared.view.version(),
@@ -1051,7 +972,7 @@ fn handle(shared: &Shared, req: Request) -> Response {
     }
 }
 
-/// The frozen snapshots of `round`, cloned out from under the state lock,
+/// The frozen slice of `round`, cloned out from under the state lock,
 /// or the refusal of a `Confirm` or `DetectRound` for any other round.
 fn frozen_round(shared: &Shared, round: u64) -> Result<Arc<Frozen>, Response> {
     match &shared.state.lock().expect("manager state lock").frozen {
@@ -1061,27 +982,24 @@ fn frozen_round(shared: &Shared, round: u64) -> Result<Arc<Frozen>, Response> {
     }
 }
 
-/// Partner-side `Confirm` handler: answer from the frozen primary slice if
-/// we own the ratee, from the frozen replica slice if we back it up.
+/// Partner-side `Confirm` handler: answer from the frozen slice if we own
+/// the ratee, else with the verdict of a manager holding no data for it.
 fn confirm(shared: &Shared, round: u64, ratee: NodeId, rater: NodeId) -> Response {
     let frozen = match frozen_round(shared, round) {
         Ok(frozen) => frozen,
         Err(refusal) => return refusal,
     };
-    let snap = if shared.responsible.binary_search(&ratee).is_ok() {
-        Some(&frozen.snap)
-    } else {
-        frozen.rep_snap.as_ref().filter(|_| shared.backed_up.binary_search(&ratee).is_ok())
-    };
-    let kernel = shared.cfg.kernel();
-    Response::Verdict(snap.map_or(ConfirmVerdict::default(), |snap| {
-        kernel.confirm(snap, ratee, rater, &CostMeter::new(), &mut kernel.agg_cache(snap))
-    }))
+    if shared.responsible.binary_search(&ratee).is_err() {
+        return Response::Verdict(ConfirmVerdict::default());
+    }
+    let mut cache = frozen.confirm_cache.lock().expect("confirm cache lock");
+    let meter = CostMeter::new();
+    Response::Verdict(shared.cfg.kernel().confirm(&frozen.snap, ratee, rater, &meter, &mut cache))
 }
 
 /// One manager's share of the paper's decentralised round: the shared
-/// walk over its frozen primary slice, confirming each cross-manager pair
-/// over the network. Runs entirely on the frozen `Arc` with the state lock
+/// walk over its frozen slice, confirming each cross-manager pair at the
+/// partner's owner over the network. Runs entirely on the frozen `Arc` with the state lock
 /// released.
 fn detect_round(shared: &Shared, round: u64) -> Response {
     let frozen = match frozen_round(shared, round) {
@@ -1102,25 +1020,16 @@ fn detect_round(shared: &Shared, round: u64) -> Response {
         &mut kernel.agg_cache(snap),
         &mut HashSet::new(),
         |j, i| {
-            if shared.ring.owner_of(j) == shared.cfg.id {
+            let owner = shared.ring.owner_of(j);
+            if owner == shared.cfg.id {
                 return Partner::Local;
             }
-            // cross-manager pair: Confirm at the owner, failing over to its
-            // ring successors (their replica slices answer for a dead owner)
-            let targets: Vec<SocketAddr> = shared
-                .ring
-                .replicas_of(j, shared.cfg.replication)
-                .into_iter()
-                .filter_map(|m| peers.get(&m).copied())
-                .collect();
-            if targets.is_empty() {
-                return Partner::Unreachable;
-            }
-            match client.call_failover(&targets, &Request::Confirm { round, ratee: j, rater: i }) {
+            let Some(&addr) = peers.get(&owner) else { return Partner::Unreachable };
+            match client.call(addr, &Request::Confirm { round, ratee: j, rater: i }) {
                 Ok(Response::Verdict(v)) => Partner::Answered(v),
                 // NotFrozen/BadRound from a just-rejoined partner, an
-                // unexpected reply, or the deadline exhausted across every
-                // replica: degrade rather than drop
+                // unexpected reply, or the deadline exhausted: degrade
+                // rather than drop
                 _ => Partner::Unreachable,
             }
         },
@@ -1143,7 +1052,7 @@ mod tests {
     use crate::decentralized::tests::{colluding_ratings, node_ids, ratings, thresholds};
     use crate::durability::scratch_dir;
     use crate::fault::FaultStats;
-    use crate::net::client::InsertStream;
+    use crate::net::client::{InsertStream, ResumableStream, RpcError};
     use crate::net::proxy::{FaultProxy, NetFaultPlan, Partition};
     use collusion_reputation::id::SimTime;
     use collusion_reputation::wal::{replay_bytes, WalRecord};
@@ -1279,6 +1188,15 @@ mod tests {
         rs: &[Rating],
     ) -> HashMap<NodeId, (SocketAddr, Vec<Rating>)> {
         ingest_with(client, nodes, ring, rs, || ())
+    }
+
+    /// Rating records in the WAL of manager `id` under `dir`. Every acked
+    /// frame is on disk, so a running manager's WAL can be read too.
+    fn wal_ratings(dir: &Path, id: NodeId) -> usize {
+        let wal_path = dir.join(format!("m{}", id.raw())).join(WAL_FILE);
+        let replay =
+            replay_bytes(&std::fs::read(&wal_path).expect("wal readable")).expect("wal replays");
+        replay.records.iter().filter(|(_, r)| matches!(r, WalRecord::Rating(_))).count()
     }
 
     /// Freeze every one of `nodes` for `round`, then merge their
@@ -1445,12 +1363,11 @@ mod tests {
         // acked ⇒ on disk: the WAL already holds every acked rating even
         // though no explicit sync/close was requested
         for (owner, (_, rs)) in &by_owner {
-            let wal_path = dir.join(format!("m{}", owner.raw())).join(WAL_FILE);
-            let bytes = std::fs::read(&wal_path).expect("wal readable");
-            let replay = replay_bytes(&bytes).expect("wal replays");
-            let on_disk =
-                replay.records.iter().filter(|(_, r)| matches!(r, WalRecord::Rating(_))).count();
-            assert_eq!(on_disk, rs.len(), "acked ratings must already be in the WAL");
+            assert_eq!(
+                wal_ratings(&dir, *owner),
+                rs.len(),
+                "acked ratings must already be in the WAL"
+            );
         }
 
         // the stream path must feed detection as one centralised pass would
@@ -1572,8 +1489,8 @@ mod tests {
         ingest(&mut client, &nodes, &ring, &ratings());
 
         // the planted pair (1, 2) straddles two managers: kill the one that
-        // owns 2 and leave it dead. Replication is 1, so its slice is gone
-        // and no replica can answer for it.
+        // owns 2 and leave it dead. That manager holds the only copy of
+        // 2's slice, so nobody else can answer for it.
         let victim_id = ring.owner_of(NodeId(2));
         assert_ne!(ring.owner_of(NodeId(1)), victim_id, "the pair must straddle the victim");
         let mut nodes: Vec<ManagerNode> = nodes.into_iter().collect();
@@ -1597,9 +1514,8 @@ mod tests {
     }
 
     /// Confirmations over lossy links: each manager's peers reach it
-    /// through a [`FaultProxy`] dropping 30 % of frames, and each owner's
-    /// slice is replicated to its ring successor, so a confirmation whose
-    /// owner attempt is lost fails over to the replica. A lost exchange
+    /// through a [`FaultProxy`] dropping 30 % of frames, so a confirmation
+    /// retries at the partner's owner until its deadline. A lost exchange
     /// degrades its pair to unconfirmed; no pair is invented or lost.
     #[test]
     fn dropped_confirmation_frames_degrade_pairs_never_lose_them() {
@@ -1624,7 +1540,6 @@ mod tests {
             .map(|&id| {
                 let cfg = ManagerConfig {
                     nodes: node_list.clone(),
-                    replication: 2,
                     rpc: lossy,
                     ..config(id, &dir, &managers)
                 };
@@ -1648,16 +1563,10 @@ mod tests {
             n.set_peers(&peers);
         }
 
-        // ingest and replica pushes go direct; only peer traffic is lossy
+        // ingest goes direct; only peer traffic is lossy
         let ring = RingView::new(&managers);
         let mut client = RpcClient::new(RpcConfig::lan());
-        for (owner, (_, owned)) in ingest(&mut client, &nodes, &ring, &rs) {
-            for backup in ring.backups_of(owner, 2) {
-                let addr = nodes.iter().find(|n| n.id() == backup).expect("backup spawned").addr();
-                let resp = client.call(addr, &Request::Replicate(owned.clone())).expect("push");
-                assert_eq!(resp, Response::Ack { seq: 0, accepted: owned.len() as u64 });
-            }
-        }
+        ingest(&mut client, &nodes, &ring, &rs);
 
         // DetectRound runs every confirmation before it replies: one patient
         // attempt, since a retried round would run twice
@@ -1703,10 +1612,11 @@ mod tests {
         let managers = manager_ids(1);
         let nodes = spawn_cluster(&dir, &managers);
         let mut conn = TcpStream::connect(nodes[0].addr()).expect("connect");
-        // 1 and 2 are the retired inserts, 0 the bare probe, 9 the verdict
-        // fetch; a rating batch behind each tag must not be folded
-        for tag in [1, 2, 0, 9] {
-            let mut frame = Request::Replicate(ratings()).encode();
+        // 1 and 2 are the retired inserts, 3 the replica push, 0 the bare
+        // probe, 9 the verdict fetch; a rating batch behind each tag must
+        // not be folded
+        for tag in [1, 2, 3, 0, 9] {
+            let mut frame = Request::encode_insert_stream(0, 1, &ratings());
             frame[1] = tag;
             write_frame(&mut conn, &frame).expect("send");
             let resp = Response::decode(&read_frame(&mut conn, MAX_FRAME_PAYLOAD).expect("reply"))
@@ -1718,7 +1628,7 @@ mod tests {
         let Response::Status(info) = call_raw(&mut conn, &Request::Status) else {
             panic!("Status must answer Status")
         };
-        assert_eq!((info.recorded, info.replicated), (0, 0), "nothing may be folded");
+        assert_eq!((info.recorded, info.stream_ratings), (0, 0), "nothing may be folded");
 
         drop(nodes);
         std::fs::remove_dir_all(&dir).ok();
@@ -1781,12 +1691,7 @@ mod tests {
 
         // durability-level dedup: the WAL holds each rating exactly once
         nodes.remove(0).kill().expect("clean kill");
-        let wal_path = dir.join(format!("m{}", managers[0].raw())).join(WAL_FILE);
-        let replay =
-            replay_bytes(&std::fs::read(&wal_path).expect("wal readable")).expect("replay");
-        let on_disk =
-            replay.records.iter().filter(|(_, r)| matches!(r, WalRecord::Rating(_))).count();
-        assert_eq!(on_disk, 4, "WAL must hold each rating exactly once");
+        assert_eq!(wal_ratings(&dir, managers[0]), 4, "WAL must hold each rating exactly once");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1817,58 +1722,74 @@ mod tests {
     }
 
     #[test]
-    fn the_replica_slice_frozen_twice_equals_a_build_of_its_ratings() {
-        let dir = scratch_dir("net-replica-freeze");
+    fn a_frame_naming_a_ratee_owned_elsewhere_is_refused_whole() {
+        let dir = scratch_dir("net-misrouted");
         let managers = manager_ids(3);
-        let mut cfg = config(managers[0], &dir, &managers);
-        cfg.replication = 2;
-        let node = ManagerNode::spawn(cfg).expect("spawn manager");
-        let backed_up = node.shared.backed_up.clone();
-        assert!(!backed_up.is_empty(), "the manager must back some node up");
-        let mut client = RpcClient::new(RpcConfig::lan());
-        // backed-up ratees, ids nobody interned yet (77, 78), a node this
-        // manager neither owns nor backs up, repeats and a self-rating
-        let ratee = backed_up[0];
-        let waves = [
-            vec![
-                Rating::positive(NodeId(40), ratee, SimTime(1)),
-                Rating::negative(NodeId(77), ratee, SimTime(2)),
-                Rating::positive(NodeId(40), ratee, SimTime(3)),
-                Rating::positive(ratee, ratee, SimTime(4)),
-            ],
-            vec![
-                Rating::neutral(NodeId(78), ratee, SimTime(5)),
-                Rating::negative(NodeId(40), ratee, SimTime(6)),
-                Rating::positive(ratee, NodeId(41), SimTime(7)),
-                Rating::positive(NodeId(42), *backed_up.last().expect("non-empty"), SimTime(8)),
-            ],
-        ];
-        let mut history = InteractionHistory::new();
-        let mut rep_snap = None;
-        for (round, wave) in (1..).zip(&waves) {
-            let resp = client.call(node.addr(), &Request::Replicate(wave.clone())).expect("rep");
-            let accepted = wave.iter().filter(|r| !r.is_self_rating()).count() as u64;
-            assert!(matches!(resp, Response::Ack { accepted: a, .. } if a == accepted));
-            for &r in wave {
-                history.record(r);
-            }
-            let resp = client.call(node.addr(), &Request::Freeze { round }).expect("freeze");
-            assert!(matches!(resp, Response::Frozen { .. }));
-            let st = node.shared.state.lock().expect("manager state lock");
-            let frozen = st.frozen.as_ref().expect("frozen");
-            rep_snap = frozen.rep_snap.clone();
-        }
-        let got = rep_snap.expect("a backing manager freezes a replica slice");
-        let want = ShardedSnapshot::build(&history, &backed_up, node.shared.cfg.shards);
-        assert_eq!(got.nodes(), want.nodes());
-        assert_eq!(got.n_shards(), want.n_shards());
-        assert_eq!(got.nnz(), want.nnz());
-        for idx in 0..want.n() as u32 {
-            assert_eq!(got.row(idx), want.row(idx), "row {idx}");
-            assert_eq!(got.totals_of(idx), want.totals_of(idx), "totals {idx}");
-        }
+        let nodes = spawn_cluster(&dir, &managers);
+        let node = &nodes[0];
+        let ring = RingView::new(&managers);
+        // any id is owned by someone on the ring, registered or not
+        let (owned, elsewhere): (Vec<NodeId>, Vec<NodeId>) =
+            (1..1000).map(NodeId).partition(|&n| ring.owner_of(n) == node.id());
+        assert!(owned.len() >= 2 && !elsewhere.is_empty(), "the ids must split across managers");
+        let rate_owned = |t: u64| Rating::positive(owned[1], owned[0], SimTime(t));
+        let session = 0x0B5Eu64;
+        let mut conn = TcpStream::connect(node.addr()).expect("connect");
+        let send = |conn: &mut TcpStream, seq: u64, rs: &[Rating]| {
+            write_frame(conn, &Request::encode_insert_stream(session, seq, rs)).expect("send");
+        };
 
-        drop(node);
+        send(&mut conn, 1, &[rate_owned(1)]);
+        let ack = call_raw(&mut conn, &Request::StreamFlush);
+        assert!(matches!(ack, Response::InsertAck { stream_seq: 1, accepted: 1, .. }), "{ack:?}");
+        let status = |conn: &mut TcpStream| {
+            let Response::Status(info) = call_raw(conn, &Request::Status) else {
+                panic!("Status must answer Status")
+            };
+            (info.recorded, info.intake_pending, info.stream_ratings)
+        };
+        let before = status(&mut conn);
+        assert_eq!(before.0 + before.1, 1);
+
+        // one owned and one foreign ratee: the whole frame is refused
+        let mixed = [rate_owned(2), Rating::positive(owned[0], elsewhere[0], SimTime(3))];
+        send(&mut conn, 2, &mixed);
+        let resp = Response::decode(&read_frame(&mut conn, MAX_FRAME_PAYLOAD).expect("refusal"))
+            .expect("decode");
+        assert_eq!(resp, Response::Error { code: ErrorCode::Malformed });
+        assert_eq!(status(&mut conn), before, "a refused frame must change no counter");
+        assert_eq!(wal_ratings(&dir, node.id()), 1, "a refused frame must not reach the WAL");
+
+        // the sequence did not advance: the same stream_seq, owned only, is taken
+        send(&mut conn, 2, &mixed[..1]);
+        let ack = call_raw(&mut conn, &Request::StreamFlush);
+        assert!(matches!(ack, Response::InsertAck { stream_seq: 2, accepted: 2, .. }), "{ack:?}");
+        let (recorded, pending, streamed) = status(&mut conn);
+        assert_eq!((recorded + pending, streamed), (2, 2));
+        assert_eq!(wal_ratings(&dir, node.id()), 2);
+        drop(conn);
+
+        // a resumable stream stops on the refusal instead of resuming and
+        // retransmitting the frame for ever
+        let addr = node.addr();
+        let mut stream =
+            ResumableStream::open(session + 1, 4, RpcConfig::lan(), move || vec![addr]);
+        let refused = stream.send(&mixed).and_then(|()| stream.finish().map(drop));
+        assert!(matches!(refused, Err(RpcError::Refused(ErrorCode::Malformed))), "got {refused:?}");
+        assert_eq!(wal_ratings(&dir, node.id()), 2);
+
+        drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_replication_other_than_one_is_refused_before_any_wal_exists() {
+        let dir = scratch_dir("net-replication");
+        let managers = manager_ids(3);
+        let cfg = ManagerConfig { replication: 2, ..config(managers[0], &dir, &managers) };
+        let err = ManagerNode::spawn(cfg.clone()).err().expect("replication 2 must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!cfg.dir.exists(), "a refused spawn must leave no directory behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 

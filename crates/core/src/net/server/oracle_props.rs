@@ -174,9 +174,9 @@ proptest! {
         let dir = scratch_dir("net-oracle");
         let cfg = config(&dir, pair_watermark);
         let mut node = ManagerNode::spawn(cfg.clone()).expect("spawn manager");
-        // patient and never retrying: `CloseEpoch` and `Replicate` are not
-        // idempotent, and on a busy disk one close's fsyncs can outlast
-        // `lan()`'s 400 ms attempt, so a retry would close a second epoch
+        // patient and never retrying: `CloseEpoch` is not idempotent, and on
+        // a busy disk one close's fsyncs can outlast `lan()`'s 400 ms
+        // attempt, so a retry would close a second epoch
         let mut client = RpcClient::new(RpcConfig {
             attempt_timeout_ms: 30_000,
             total_deadline_ms: 30_000,

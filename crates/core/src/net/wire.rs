@@ -25,7 +25,9 @@ use collusion_reputation::rating::{Rating, RatingValue};
 /// `StreamResume`/`StreamState`), explicit `StreamNack`, heartbeat probes
 /// (`Heartbeat`/`Beat`), backpressure (`throttle` on `InsertAck`,
 /// `ErrorCode::Overloaded`), and the [`StatusInfo`] overload counters.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// Version 4: the replica push (request tag 3) is retired and
+/// [`StatusInfo`] no longer carries a replica count.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// A manager's advertised address (the cluster runs over IPv4 loopback; the
 /// codec carries the four octets and the port explicitly rather than a
@@ -50,7 +52,10 @@ impl PeerAddr {
 /// Why a server refused a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// The request could not be decoded or carried an unknown version.
+    /// The request could not be decoded or carried an unknown version, or
+    /// an `InsertStream` frame named a ratee the receiving manager does not
+    /// own. Such a frame is refused whole: none of its ratings is applied
+    /// and the stream sequence is not advanced.
     Malformed,
     /// A detection RPC arrived before `Freeze` for that round.
     NotFrozen,
@@ -146,8 +151,6 @@ pub struct StatusInfo {
     /// stream ratings still in the intake are `intake_pending`. Means the
     /// same before and after a rejoin.
     pub recorded: u64,
-    /// Replica ratings held for other managers' nodes.
-    pub replicated: u64,
     /// Next WAL sequence number.
     pub wal_next_seq: u64,
     /// Currently frozen round (0 = none).
@@ -181,13 +184,11 @@ pub struct StatusInfo {
 /// `Insert(j, msg)` primitive — store ratings at the manager responsible
 /// for ratee `j`. Retired tags are never reused and decode to
 /// [`CodecError::InvalidTag`]: 0 (a liveness probe; [`Request::Heartbeat`]
-/// is the probe), 1 and 2 (the one-ack request/response inserts) and 9 (a
+/// is the probe), 1 and 2 (the one-ack request/response inserts), 3 (a
+/// replica push; each node's ratings live at its owner alone) and 9 (a
 /// fetch of the last round's verdicts; [`Response::Round`] carries them).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Replica push: ratings about nodes this manager backs up for their
-    /// owner. Held in memory (the owner's WAL is the durable copy).
-    Replicate(Vec<Rating>),
     /// Read a node's published signed reputation (lock-free view path).
     Query(NodeId),
     /// Close the engine epoch: run detection on the durable engine and
@@ -199,7 +200,7 @@ pub enum Request {
         round: u64,
     },
     /// Run the local forward walk of `round`, confirming cross-manager
-    /// pairs over the wire with deadlines, retries, and failover.
+    /// pairs at the partner's owner with deadlines and retries.
     DetectRound {
         /// Round number; must match the frozen round.
         round: u64,
@@ -209,8 +210,8 @@ pub enum Request {
     Confirm {
         /// Round number; must match the frozen round.
         round: u64,
-        /// The node whose reverse direction is probed (owned or replicated
-        /// by the receiving manager).
+        /// The node whose reverse direction is probed (owned by the
+        /// receiving manager).
         ratee: NodeId,
         /// The probing high-reputed partner.
         rater: NodeId,
@@ -263,7 +264,7 @@ pub enum Request {
 /// and 4, which no server path produced.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
-    /// Replicas, an epoch close or a peer update accepted.
+    /// An epoch close or a peer update accepted.
     Ack {
         /// Next WAL sequence after the append (0 for non-durable acks).
         seq: u64,
@@ -304,8 +305,9 @@ pub enum Response {
     InsertAck {
         /// Highest durably-covered frame number (cumulative).
         stream_seq: u64,
-        /// Total ratings accepted across all acked frames (cumulative;
-        /// self-ratings and misrouted ratings are counted out).
+        /// Total ratings accepted across all acked frames (cumulative).
+        /// Self-ratings count: the WAL logs them, though no counter folds
+        /// them.
         accepted: u64,
         /// The WAL durable watermark (bytes) backing this ack.
         durable_len: u64,
@@ -523,10 +525,6 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
-            Request::Replicate(rs) => {
-                header(&mut w, 3);
-                put_ratings(&mut w, rs);
-            }
             Request::Query(n) => {
                 header(&mut w, 4);
                 w.put_u64(n.0);
@@ -591,7 +589,6 @@ impl Request {
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
         let req = match read_header(&mut r)? {
-            3 => Request::Replicate(get_ratings(&mut r)?),
             4 => Request::Query(NodeId(r.get_u64()?)),
             5 => Request::CloseEpoch,
             6 => Request::Freeze { round: r.get_u64()? },
@@ -676,7 +673,6 @@ impl Response {
                 header(&mut w, 7);
                 w.put_u64(s.manager.0);
                 w.put_u64(s.recorded);
-                w.put_u64(s.replicated);
                 w.put_u64(s.wal_next_seq);
                 w.put_u64(s.round);
                 w.put_u64(s.view_version);
@@ -756,7 +752,6 @@ impl Response {
             7 => Response::Status(StatusInfo {
                 manager: NodeId(r.get_u64()?),
                 recorded: r.get_u64()?,
-                replicated: r.get_u64()?,
                 wal_next_seq: r.get_u64()?,
                 round: r.get_u64()?,
                 view_version: r.get_u64()?,
@@ -807,7 +802,6 @@ mod tests {
     #[test]
     fn request_round_trips() {
         let reqs = [
-            Request::Replicate(vec![Rating::negative(NodeId(5), NodeId(6), SimTime(3))]),
             Request::Query(NodeId(42)),
             Request::CloseEpoch,
             Request::Freeze { round: 7 },
@@ -870,7 +864,6 @@ mod tests {
             Response::Status(StatusInfo {
                 manager: NodeId(7),
                 recorded: 100,
-                replicated: 50,
                 wal_next_seq: 101,
                 round: 2,
                 view_version: 3,
@@ -927,6 +920,9 @@ mod tests {
         put_ratings(&mut w, &[Rating::negative(NodeId(2), NodeId(1), SimTime(2))]);
         batch.extend_from_slice(w.as_bytes());
         assert_eq!(Request::decode(&batch), Err(CodecError::InvalidTag(2)));
+        // tag 3 carried a counted replica batch
+        batch[1] = 3;
+        assert_eq!(Request::decode(&batch), Err(CodecError::InvalidTag(3)));
         // the bare probe and verdict fetch, their replies, and error codes
         // 1 and 4
         for tag in [0, 9] {
@@ -954,14 +950,8 @@ mod tests {
 
     #[test]
     fn hostile_counts_cannot_allocate() {
-        // a Replicate header claiming u64::MAX ratings with 3 bytes behind
-        let mut w = ByteWriter::new();
-        w.put_u8(PROTOCOL_VERSION);
-        w.put_u8(3);
-        w.put_u64(u64::MAX);
-        w.put_bytes(&[1, 2, 3]);
-        assert_eq!(Request::decode(w.as_bytes()), Err(CodecError::BadLength));
-        // same for a stream frame (tag 12): session + stream_seq + hostile count
+        // a stream frame (tag 12): session + stream_seq + a rating count
+        // claiming u64::MAX / 2 with no bytes behind it
         let mut w = ByteWriter::new();
         w.put_u8(PROTOCOL_VERSION);
         w.put_u8(12);

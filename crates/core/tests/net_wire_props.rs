@@ -93,7 +93,6 @@ fn error_code() -> impl Strategy<Value = ErrorCode> {
 
 fn request() -> impl Strategy<Value = Request> {
     prop_oneof![
-        prop::collection::vec(rating(), 0..20).prop_map(Request::Replicate),
         any::<u64>().prop_map(|n| Request::Query(NodeId(n))),
         Just(Request::CloseEpoch),
         any::<u64>().prop_map(|round| Request::Freeze { round }),
@@ -128,22 +127,21 @@ fn response() -> impl Strategy<Value = Response> {
                 Response::Round(RoundReport { round, confirmed, unconfirmed, fault })
             }),
         verdict().prop_map(Response::Verdict),
-        prop::collection::vec(any::<u64>(), 14..15).prop_map(|f| {
+        prop::collection::vec(any::<u64>(), 13..14).prop_map(|f| {
             Response::Status(StatusInfo {
                 manager: NodeId(f[0]),
                 recorded: f[1],
-                replicated: f[2],
-                wal_next_seq: f[3],
-                round: f[4],
-                view_version: f[5],
-                durable_len: f[6],
-                wal_len: f[7],
-                intake_pending: f[8],
-                stream_frames: f[9],
-                stream_ratings: f[10],
-                throttled_frames: f[11],
-                refused_frames: f[12],
-                sessions_resumed: f[13],
+                wal_next_seq: f[2],
+                round: f[3],
+                view_version: f[4],
+                durable_len: f[5],
+                wal_len: f[6],
+                intake_pending: f[7],
+                stream_frames: f[8],
+                stream_ratings: f[9],
+                throttled_frames: f[10],
+                refused_frames: f[11],
+                sessions_resumed: f[12],
             })
         }),
         error_code().prop_map(|code| Response::Error { code }),

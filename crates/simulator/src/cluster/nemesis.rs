@@ -111,8 +111,8 @@ pub struct NemesisConfig {
 
 impl NemesisConfig {
     /// Smoke-gate scenario over the shrunk workload. The cluster runs 3
-    /// managers at replication 1, so streams are the only write path and
-    /// the WAL multiset check is exact.
+    /// managers, each holding only the slice it owns, and streams are the
+    /// only write path, so the WAL multiset check is exact.
     pub fn quick(kind: NemesisKind, seed: u64) -> Self {
         NemesisConfig { cluster: ClusterConfig::quick(seed), kind, seed }
     }
