@@ -119,7 +119,6 @@ fn bench_snapshot_apply(c: &mut Criterion) {
         h.record(rating);
         epoch.record(rating);
     }
-    let delta = epoch.drain();
 
     let mut group = c.benchmark_group("snapshot_apply");
     group.bench_function(BenchmarkId::new("full_build", n), |bench| {
@@ -134,8 +133,8 @@ fn bench_snapshot_apply(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("apply_epoch_2pct", n), |bench| {
         bench.iter(|| {
-            let mut snap = base.clone();
-            black_box(snap.apply_epoch(black_box(&delta), 1))
+            let (mut snap, mut open) = (base.clone(), epoch.clone());
+            black_box(snap.apply_epoch(black_box(&mut open), 1))
         });
     });
     group.finish();

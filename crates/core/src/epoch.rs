@@ -9,8 +9,8 @@
 //! * an [`EpochBuffer`] appending each rating to a log between closes,
 //! * a verdict map: the standing suspect set keyed by node-id pair.
 //!
-//! At [`EpochEngine::close_epoch`] the buffer's log is sorted and folded
-//! into an [`EpochDelta`] — the dirty-pair work queue — and the engine
+//! At [`EpochEngine::close_epoch`] the buffer's log is drained into the
+//! snapshot — its touched rows are the dirty-pair work queue — and the engine
 //! re-examines only the *candidate pairs* whose verdict could have
 //! changed. A node is *active* when it is a dirty ratee (its row, totals
 //! or frequent aggregate changed) or its high-reputed flag flipped. Then:
@@ -58,12 +58,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use collusion_reputation::codec::{ByteReader, ByteWriter, CodecError};
-use collusion_reputation::epoch::{EpochBuffer, EpochDelta};
+use collusion_reputation::epoch::EpochBuffer;
 use collusion_reputation::history::{InteractionHistory, NodeTotals, PairCounters};
 use collusion_reputation::id::NodeId;
 use collusion_reputation::par;
 use collusion_reputation::rating::Rating;
-use collusion_reputation::sharded::ShardedSnapshot;
+use collusion_reputation::sharded::{ShardedSnapshot, MAX_NODES};
 use collusion_reputation::thresholds::Thresholds;
 
 use crate::model::DirectionEvidence;
@@ -108,14 +108,15 @@ pub struct EpochStats {
 }
 
 /// Wall-clock breakdown of the most recent epoch close, in nanoseconds.
-/// `advance` covers steps 1–2 (`advance_epoch_state`: delta merge +
-/// high-flag recompute), `enumerate` step 3 (`enumerate_candidates`) and
+/// `advance` covers steps 1–2 (`advance_epoch_state`: the open log's id
+/// resolution, key sort and fold, the per-shard merge, and the high-flag
+/// recompute), `enumerate` step 3 (`enumerate_candidates`) and
 /// `recheck` step 4 (`recheck_candidates`). The benchmark's engine
 /// workloads report these per close so the next close-path bottleneck is
 /// visible by name.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CloseTimings {
-    /// Steps 1–2: snapshot delta merge + high-flag recompute.
+    /// Steps 1–2: log drain (resolve, sort, fold), snapshot merge, high-flag recompute.
     pub advance_ns: u64,
     /// Step 3: candidate enumeration.
     pub enumerate_ns: u64,
@@ -190,9 +191,9 @@ pub struct FrozenParts {
 }
 
 impl FrozenParts {
-    /// Sort and fold the copied log, and merge it into the snapshot copy.
+    /// Drain the copied log into the snapshot copy.
     pub fn merge(mut self) -> ShardedSnapshot {
-        self.snap.apply_epoch(&self.open.drain(), self.threads);
+        self.snap.apply_epoch(&mut self.open, self.threads);
         self.snap
     }
 }
@@ -218,9 +219,9 @@ fn recompute_high_shard(
     }
 }
 
-/// Steps 1–2 of an epoch close: advance the snapshot in place (carrying
-/// high flags across any re-interning) and recompute the high-reputed
-/// flags, returning the indices that flipped.
+/// Steps 1–2 of an epoch close: drain the open log into the snapshot in
+/// place (carrying high flags across any re-interning) and recompute the
+/// high-reputed flags, returning the indices that flipped.
 ///
 /// `threads` bounds the fork-join width of both the per-shard delta merge
 /// and the high-flag recompute. Shards are ratee-range disjoint and the
@@ -231,10 +232,10 @@ fn advance_epoch_state(
     snap: &mut ShardedSnapshot,
     high: &mut Vec<bool>,
     thresholds: &Thresholds,
-    delta: &EpochDelta,
+    open: &mut EpochBuffer,
     threads: usize,
 ) -> Vec<u32> {
-    if let Some(remap) = snap.apply_epoch(delta, threads) {
+    if let Some(remap) = snap.apply_epoch(open, threads) {
         let mut carried = vec![false; snap.n()];
         for (old, &new) in remap.iter().enumerate() {
             carried[new as usize] = high[old];
@@ -285,8 +286,8 @@ struct CandidateParams<'a> {
 }
 
 /// Step 3 of an epoch close: enumerate the candidate pairs whose verdict
-/// could have changed, into `scratch.cands`. `snap` has just applied the
-/// close's delta, so its [`ShardedSnapshot::applied_rows`] are the dirty
+/// could have changed, into `scratch.cands`. `snap` has just drained the
+/// close's log, so its [`ShardedSnapshot::applied_rows`] are the dirty
 /// rows. `verdict_keys` must iterate the standing verdict keys in
 /// ascending order (the [`BTreeMap`] key order) so the candidate list is
 /// reproduced exactly regardless of who owns the verdict map.
@@ -608,8 +609,8 @@ impl EpochEngine {
         &self.snap
     }
 
-    /// The slice as of *now*: a clone of the standing snapshot with the
-    /// open epoch merged in through the same [`ShardedSnapshot::apply_epoch`]
+    /// The slice as of *now*: a clone of the standing snapshot with a copy
+    /// of the open epoch drained in through the same [`ShardedSnapshot::apply_epoch`]
     /// a close uses, so it holds every rating [`EpochEngine::record`] has
     /// accepted — bit-identical to a fresh build from a history that
     /// recorded them. The engine itself is untouched (no epoch closes).
@@ -649,7 +650,7 @@ impl EpochEngine {
         self.prune && !self.policy.community_excludes_frequent
     }
 
-    /// Close the open epoch: merge the buffered delta into the sharded
+    /// Close the open epoch: drain the buffered log into the sharded
     /// snapshot, re-check exactly the candidate pairs whose inputs changed,
     /// and return the updated standing suspect set. The reported cost
     /// covers only this close's kernel work.
@@ -658,10 +659,9 @@ impl EpochEngine {
     /// `enumerate_candidates` and step 4 `recheck_candidates`; the
     /// step comments live on those functions.
     pub fn close_epoch(&mut self) -> DetectionReport {
-        let delta: EpochDelta = self.buffer.drain();
         self.stats.epochs += 1;
-        self.stats.ratings += delta.ratings;
-        if delta.is_empty() {
+        self.stats.ratings += self.buffer.ratings();
+        if self.buffer.is_empty() {
             return self.report();
         }
         // 1–2. advance the snapshot and high flags, collecting flips
@@ -670,7 +670,7 @@ impl EpochEngine {
             &mut self.snap,
             &mut self.high,
             &self.thresholds,
-            &delta,
+            &mut self.buffer,
             self.close_threads,
         );
         let t1 = Instant::now();
@@ -806,7 +806,8 @@ impl EpochEngine {
     /// them holds them. Evidence `f64`s travel as bit patterns, and
     /// high-reputed flags are recomputed from the restored snapshot (they
     /// are a pure function of it at epoch boundaries). Malformed payloads —
-    /// including a row whose columns are not strictly ascending, or a cell
+    /// including a node count above [`MAX_NODES`], a row whose columns are
+    /// not strictly ascending, or a cell
     /// whose positive and negative counts exceed its total, which the
     /// writer never produces — yield `Err`, never a panic.
     pub fn recover_from_bytes(
@@ -823,6 +824,9 @@ impl EpochEngine {
         }
         let wal_seq = r.get_u64()?;
         let n_raw = r.get_u32()? as u64;
+        if n_raw > MAX_NODES as u64 {
+            return Err(CodecError::BadLength);
+        }
         let n = r.checked_count(n_raw, 8)?;
         let mut nodes: Vec<NodeId> = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1328,6 +1332,13 @@ mod tests {
         let mut wrong = good.clone();
         wrong[0] ^= 0xFF;
         assert!(recover(&wrong).is_err());
+        // a node count past the interning cap (the u32 after the version
+        // and the WAL sequence number)
+        for n in [MAX_NODES as u32 + 1, u32::MAX] {
+            let mut over = good.clone();
+            over[12..16].copy_from_slice(&n.to_le_bytes());
+            assert!(recover(&over).is_err(), "node count {n} accepted");
+        }
         // a row's columns repeated, or descending: the writer emits neither
         let (_, cells) = first_row_with_two_cells(&good);
         let mut repeated = good.clone();
@@ -1506,6 +1517,10 @@ mod tests {
             };
         fold(&mut engine, &mut history, &base_ids, 1);
         engine.close_epoch();
+        let applied: Vec<u32> = engine.snapshot().applied_rows().collect();
+        assert!(!applied.is_empty());
+        // the close's scratch does not travel with a copy
+        assert_eq!(engine.frozen_parts().snap.applied_rows().count(), 0);
         // the open epoch interns two ids the standing snapshot has not seen
         let wider: Vec<u64> = base_ids.iter().copied().chain([40, 41]).collect();
         fold(&mut engine, &mut history, &wider, 2);
@@ -1513,22 +1528,25 @@ mod tests {
         assert!(pending > 0);
 
         let frozen = engine.frozen_snapshot();
-        let expect = ShardedSnapshot::build(&history, &nodes, 1);
-        assert_eq!(frozen.nodes(), expect.nodes());
-        for i in 0..expect.n() as u32 {
-            assert_eq!(frozen.totals_of(i), expect.totals_of(i), "totals of {i}");
-            assert_eq!(frozen.row(i), expect.row(i), "row {i}");
-        }
+        let same = |a: &ShardedSnapshot, b: &ShardedSnapshot| {
+            a.nodes() == b.nodes()
+                && (0..a.n() as u32)
+                    .all(|i| a.totals_of(i) == b.totals_of(i) && a.row(i) == b.row(i))
+        };
+        assert!(same(&frozen, &ShardedSnapshot::build(&history, &nodes, 1)));
         // nothing was drained or closed
         assert_eq!(engine.pending_ratings(), pending);
         assert_eq!(engine.stats().epochs, 1);
         assert!(engine.snapshot().index(NodeId(40)).is_none());
+        assert!(engine.snapshot().applied_rows().eq(applied.iter().copied()));
         let all: Vec<NodeId> = wider.iter().map(|&i| NodeId(i)).collect();
         let report = engine.close_epoch();
         assert_eq!(
             report.pairs,
             full_pass(&history, &all, EpochMethod::Optimized, thresholds, policy)
         );
+        // the copy probes as the engine does once it has closed the epoch
+        assert!(same(&frozen, engine.snapshot()));
     }
 
     #[test]

@@ -1,25 +1,28 @@
-//! Epoch write-buffer: an append-only log of one epoch's ratings, sorted
-//! and folded into a delta of [`PairCounters`] when the epoch closes.
+//! Epoch write-buffer: an append-only log of one epoch's ratings.
 //!
 //! The paper lets ratings accumulate for an update period `T` and then
 //! runs one band test over the aggregated counters, so nothing reads the
 //! aggregate before the close. The [`EpochBuffer`] therefore records a
 //! rating as one push onto a log that keeps its capacity across epochs —
 //! no per-rating probe of a pair map that, at production scale, no longer
-//! fits in cache. At the close, [`EpochBuffer::drain`] sorts the log by
-//! `(ratee, rater)` and folds each run into one cell, handing the
-//! aggregated [`EpochDelta`] to
-//! [`crate::sharded::ShardedSnapshot::apply_epoch`]. The delta doubles as
-//! the detection round's *dirty-pair work queue*: the pairs whose counters
-//! changed are exactly the entries, so an incremental detector
-//! re-examines only those (plus pairs adjacent to reputation flips)
-//! instead of scanning the whole matrix.
+//! fits in cache. At the close
+//! [`crate::sharded::ShardedSnapshot::apply_epoch`] drains the buffer
+//! itself: ids resolved to dense indices, packed keys sorted, each pair's
+//! run folded into one cell. The folded pairs are the detection round's
+//! *dirty-pair work queue*
+//! ([`crate::sharded::ShardedSnapshot::applied_rows`]), so an incremental
+//! detector re-examines only those (plus pairs adjacent to reputation
+//! flips) instead of scanning the whole matrix.
 //!
-//! Counter arithmetic is the same integer bookkeeping
-//! [`crate::history::InteractionHistory::record`] performs, and counter
-//! adds commute, so a snapshot advanced by epoch deltas stays
-//! bit-identical to one built from a history that recorded the same
-//! ratings (asserted by the sharded-snapshot tests).
+//! [`EpochBuffer::drain`] folds the log by a comparison sort on ids into
+//! an [`EpochDelta`], the shape [`crate::ingest::ShardedIntake::drain`]
+//! returns too. No close runs it: it is the tests' oracle for the fused
+//! path.
+//!
+//! Counter adds are the integer bookkeeping of
+//! [`crate::history::InteractionHistory::record`] and commute, so a
+//! snapshot advanced epoch by epoch stays bit-identical to one built from
+//! a history of the same ratings (asserted by the sharded-snapshot tests).
 
 use crate::history::PairCounters;
 use crate::id::NodeId;
@@ -29,7 +32,7 @@ use crate::rating::{Rating, RatingValue};
 #[derive(Clone, Debug, Default)]
 pub struct EpochBuffer {
     /// `(ratee, rater, value)` in arrival order, self-ratings excluded.
-    log: Vec<(NodeId, NodeId, RatingValue)>,
+    pub(crate) log: Vec<(NodeId, NodeId, RatingValue)>,
     /// Memory watermark: when the log holds this many ratings the buffer
     /// reports itself over the watermark and the engine closes the epoch
     /// early. `None` = unbounded (the default).
@@ -79,7 +82,7 @@ impl EpochBuffer {
         true
     }
 
-    /// Number of ratings buffered since the last [`EpochBuffer::drain`].
+    /// Number of ratings buffered since the epoch opened.
     #[inline]
     pub fn ratings(&self) -> u64 {
         self.log.len() as u64
@@ -91,49 +94,32 @@ impl EpochBuffer {
         self.log.is_empty()
     }
 
-    /// Close the epoch: sort the log, fold it into a delta and empty it
-    /// (keeping its capacity for the next epoch).
+    /// Comparison-sort the log by `(ratee id, rater id)`, fold it into a
+    /// delta and empty it. No close runs this: it is the tests' oracle for
+    /// [`crate::sharded::ShardedSnapshot::apply_epoch`].
     pub fn drain(&mut self) -> EpochDelta {
         self.log.sort_unstable_by_key(|&(ratee, rater, _)| (ratee, rater));
-        let same_pair = |a: &(NodeId, NodeId, RatingValue), b: &(NodeId, NodeId, RatingValue)| {
-            (a.0, a.1) == (b.0, b.1)
-        };
-        let mut entries = Vec::with_capacity(self.log.chunk_by(same_pair).count());
-        entries.extend(self.log.chunk_by(same_pair).map(|run| {
-            let mut c = PairCounters::default();
-            for &(_, _, value) in run {
-                c.accumulate(value);
-            }
-            (run[0].0, run[0].1, c)
-        }));
+        let runs = self.log.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1));
+        let entries = runs
+            .map(|run| {
+                let mut c = PairCounters::default();
+                run.iter().for_each(|&(_, _, value)| c.accumulate(value));
+                (run[0].0, run[0].1, c)
+            })
+            .collect();
         let ratings = self.ratings();
         self.log.clear();
         EpochDelta { entries, ratings }
-    }
-
-    /// The delta [`EpochBuffer::drain`] would return, without emptying the
-    /// buffer.
-    pub fn peek(&self) -> EpochDelta {
-        self.clone().drain()
     }
 }
 
 /// One closed epoch's aggregated counter delta.
 #[derive(Clone, Debug, Default)]
 pub struct EpochDelta {
-    /// `(ratee, rater, counter delta)`, sorted by `(ratee, rater)` — the
-    /// dirty-pair work queue for the next detection round.
+    /// `(ratee, rater, counter delta)`, sorted by `(ratee, rater)`.
     pub entries: Vec<(NodeId, NodeId, PairCounters)>,
     /// Number of ratings aggregated into the entries.
     pub ratings: u64,
-}
-
-impl EpochDelta {
-    /// Whether the delta is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -142,37 +128,6 @@ mod tests {
     use crate::history::InteractionHistory;
     use crate::id::SimTime;
     use proptest::prelude::*;
-
-    #[test]
-    fn buffer_aggregates_like_history() {
-        let mut buf = EpochBuffer::new();
-        let mut h = InteractionHistory::new();
-        let ratings = [
-            (1u64, 2u64, RatingValue::Positive),
-            (1, 2, RatingValue::Positive),
-            (1, 2, RatingValue::Negative),
-            (3, 2, RatingValue::Neutral),
-            (2, 1, RatingValue::Positive),
-        ];
-        for (t, &(j, i, v)) in ratings.iter().enumerate() {
-            let r = Rating::new(NodeId(j), NodeId(i), v, SimTime(t as u64));
-            buf.record(r);
-            h.record(r);
-        }
-        assert_eq!(buf.ratings(), 5);
-        // peeking reads the same delta and leaves the buffer as it was
-        let peeked = buf.peek();
-        assert_eq!(buf.ratings(), 5);
-        let delta = buf.drain();
-        assert_eq!((&peeked.entries, peeked.ratings), (&delta.entries, delta.ratings));
-        assert!(buf.is_empty());
-        assert_eq!(delta.ratings, 5);
-        assert_eq!(delta.entries.len(), 3);
-        for &(ratee, rater, c) in &delta.entries {
-            assert_eq!(c, h.pair(rater, ratee), "delta cell {rater}->{ratee}");
-        }
-        assert!(delta.entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-    }
 
     #[test]
     fn watermark_trips_at_max_ratings() {
@@ -201,21 +156,10 @@ mod tests {
         assert!(!buf.over_watermark());
     }
 
-    #[test]
-    fn self_ratings_rejected() {
-        let mut buf = EpochBuffer::new();
-        assert!(!buf.record(Rating::positive(NodeId(4), NodeId(4), SimTime(0))));
-        assert!(buf.is_empty());
-        assert_eq!(buf.drain().ratings, 0);
-    }
-
-    /// Peek, drain and check one epoch against the history of exactly its
+    /// Drain and check one epoch against the history of exactly its
     /// ratings.
     fn close_and_check(buf: &mut EpochBuffer, h: &InteractionHistory) {
-        let peeked = buf.peek();
         let delta = buf.drain();
-        prop_assert_eq!(&peeked.entries, &delta.entries);
-        prop_assert_eq!(peeked.ratings, delta.ratings);
         prop_assert!(buf.is_empty());
         prop_assert_eq!(delta.ratings, h.recorded());
         prop_assert!(delta.entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));

@@ -44,10 +44,13 @@
 //! kept beside the per-row frequent aggregates, from the same `T_N`
 //! crossings, and is empty for a snapshot built without a `T_N`.
 //!
-//! The snapshot also absorbs closed [`EpochDelta`]s directly
-//! ([`ShardedSnapshot::apply_epoch`]) — counters merge into rows in place,
-//! previously unseen nodes are re-interned with a monotone index remap —
-//! so a long-running engine never replays a full history. A snapshot
+//! The snapshot also drains a closed [`EpochBuffer`] directly
+//! ([`ShardedSnapshot::apply_epoch`]): both ids of every logged rating
+//! resolve to dense indices, the ratings are sorted as packed
+//! `(row, col, value)` keys and folded into per-pair deltas, counters merge
+//! into rows in place, and previously unseen nodes are re-interned with a
+//! monotone index remap — so a long-running engine never replays a full
+//! history, and no close sorts by id. A snapshot
 //! changes only by a fresh build or by `apply_epoch`, and both only add
 //! counts, so the frequent reverse index only ever gains edges. An advanced
 //! snapshot is bit-identical to a fresh build from a history that recorded
@@ -55,15 +58,63 @@
 //! itself, and the workspace `detection_equivalence`/`scale_props`
 //! harnesses check the detectors' reports.
 
-use crate::epoch::EpochDelta;
+use crate::epoch::EpochBuffer;
 use crate::fxhash::FxHashMap;
 use crate::history::{InteractionHistory, NodeTotals, PairCounters};
 use crate::id::NodeId;
+use crate::rating::RatingValue;
 
-/// One epoch-delta entry with ids resolved to dense indices:
-/// `(global ratee row, rater index, counter delta)`, sorted by row then
-/// rater (id order and index order agree — interning is ascending by id).
+/// One cell with ids resolved to dense indices: `(global ratee row, rater
+/// index, counters)` (id order and index order agree — interning is
+/// ascending by id).
 type IdxEntry = (u32, u32, PairCounters);
+
+/// Bits of one dense index inside a packed close key.
+const INDEX_BITS: u32 = 31;
+
+/// The most nodes a snapshot interns. A close sorts each rating as one
+/// `u64` key holding two dense indices of 31 bits each and a
+/// 2-bit rating value, so every index must stay below `2^31`.
+pub const MAX_NODES: usize = 1 << INDEX_BITS;
+
+/// Pack one resolved rating into its close sort key: the row in the top
+/// 31 bits, the column in the next 31, the value in the low 2. Ascending
+/// keys are ascending `(row, col)`, with a pair's ratings adjacent.
+#[inline]
+fn pack_key(row: u32, col: u32, value: RatingValue) -> u64 {
+    debug_assert!((row as usize) < MAX_NODES && (col as usize) < MAX_NODES);
+    let code = match value {
+        RatingValue::Negative => 0,
+        RatingValue::Neutral => 1,
+        RatingValue::Positive => 2,
+    };
+    (u64::from(row) << (INDEX_BITS + 2)) | (u64::from(col) << 2) | code
+}
+
+/// The `(row, col, value)` of a key [`pack_key`] made.
+#[inline]
+fn unpack_key(key: u64) -> (u32, u32, RatingValue) {
+    let value = match key & 3 {
+        0 => RatingValue::Negative,
+        1 => RatingValue::Neutral,
+        _ => RatingValue::Positive,
+    };
+    let col = ((key >> 2) & ((1 << INDEX_BITS) - 1)) as u32;
+    ((key >> (INDEX_BITS + 2)) as u32, col, value)
+}
+
+/// Sort `keys` and fold each run of one pair into an `out` entry, in
+/// `(row, col)` order.
+fn fold_keys(keys: &mut [u64], out: &mut Vec<IdxEntry>) {
+    keys.sort_unstable();
+    out.clear();
+    for run in keys.chunk_by(|a, b| a >> 2 == b >> 2) {
+        let mut c = PairCounters::default();
+        run.iter().for_each(|&key| c.accumulate(unpack_key(key).2));
+        let (row, col, _) = unpack_key(run[0]);
+        out.push((row, col, c));
+    }
+}
 
 /// Borrowed structure-of-arrays totals of one contiguous row range.
 ///
@@ -173,6 +224,26 @@ struct MergeScratch {
 impl Clone for MergeScratch {
     fn clone(&self) -> Self {
         MergeScratch::default()
+    }
+}
+
+/// Reusable buffers of [`ShardedSnapshot::apply_epoch`]. Scratch, not
+/// state: a clone starts with none, so freezing a snapshot copies none of
+/// them.
+#[derive(Debug, Default)]
+struct ApplyScratch {
+    /// The drained log's packed `(row, col, value)` sort keys.
+    keys: Vec<u64>,
+    /// The keys folded into per-pair entries — the last apply's dirty
+    /// rows ([`ShardedSnapshot::applied_rows`]).
+    entries: Vec<IdxEntry>,
+    /// `(rater, ratee)` edges for the frequent reverse index.
+    fixup_edges: Vec<(u32, u32)>,
+}
+
+impl Clone for ApplyScratch {
+    fn clone(&self) -> Self {
+        ApplyScratch::default()
     }
 }
 
@@ -429,10 +500,9 @@ pub struct ShardedSnapshot {
     /// `T_N` the per-shard frequent aggregates and the frequent reverse
     /// index were computed for, if any.
     freq_t_n: Option<u64>,
-    /// Reusable id→index resolution scratch for [`ShardedSnapshot::apply_epoch`].
-    apply_idx: Vec<IdxEntry>,
-    /// Reusable `(rater, ratee)` scratch for the frequent reverse index.
-    fixup_edges: Vec<(u32, u32)>,
+    /// Sort keys, folded entries and reverse-index edges of the last
+    /// [`ShardedSnapshot::apply_epoch`].
+    apply: ApplyScratch,
 }
 
 /// The row-order constructor of a [`ShardedSnapshot`], the one way a whole
@@ -463,7 +533,7 @@ impl RowBuilder {
         target_shards: usize,
         freq_t_n: Option<u64>,
     ) -> Self {
-        assert!(nodes.len() <= u32::MAX as usize, "too many nodes for u32 interning");
+        assert!(nodes.len() <= MAX_NODES, "too many nodes to intern");
         let n = nodes.len();
         let rows_per_shard = rows_per_shard_for(n, target_shards);
         let shards = (0..n.div_ceil(rows_per_shard))
@@ -481,8 +551,7 @@ impl RowBuilder {
                 shards,
                 freq_rev: Vec::new(),
                 freq_t_n,
-                apply_idx: Vec::new(),
-                fixup_edges: Vec::new(),
+                apply: ApplyScratch::default(),
             },
             shard: 0,
             local: 0,
@@ -561,17 +630,13 @@ fn index_of(nodes: &[NodeId]) -> FxHashMap<NodeId, u32> {
     nodes.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect()
 }
 
-/// One history cell with ids resolved: `(ratee row, rater column,
-/// counters)`.
-type RowCell = (u32, u32, PairCounters);
-
 /// Resolve every cell of `history` through `index` into `out`, in the
 /// history's iteration order. Returns the ids `index` lacks, sorted and
 /// deduplicated; when there are any, `out` misses their cells.
 fn resolve_cells(
     history: &InteractionHistory,
     index: &FxHashMap<NodeId, u32>,
-    out: &mut Vec<RowCell>,
+    out: &mut Vec<IdxEntry>,
 ) -> Vec<NodeId> {
     out.clear();
     out.reserve_exact(history.iter_pairs().len());
@@ -593,8 +658,12 @@ fn resolve_cells(
 /// Permute `cells` in place so each shard's cells are contiguous, in shard
 /// order (an American-flag pass: every cell moves at most once). Returns
 /// the `n_shards + 1` shard bounds.
-fn partition_by_shard(cells: &mut [RowCell], rows_per_shard: usize, n_shards: usize) -> Vec<usize> {
-    let shard_of = |cell: &RowCell| cell.0 as usize / rows_per_shard;
+fn partition_by_shard(
+    cells: &mut [IdxEntry],
+    rows_per_shard: usize,
+    n_shards: usize,
+) -> Vec<usize> {
+    let shard_of = |cell: &IdxEntry| cell.0 as usize / rows_per_shard;
     let mut bounds = vec![0usize; n_shards + 1];
     for cell in cells.iter() {
         bounds[shard_of(cell) + 1] += 1;
@@ -772,16 +841,22 @@ impl ShardedSnapshot {
 
     // ----- Epoch application ------------------------------------------------
 
-    /// Merge one closed epoch's counter delta into the shards, without any
-    /// backing history. Counters add cell-wise (LSM-style), totals and
-    /// frequent aggregates update per touched row, (rater, ratee) edges
-    /// whose cell crossed `T_N` enter the frequent reverse index.
+    /// Drain one closed epoch's log into the shards, without any backing
+    /// history, and empty `epoch` (keeping its capacity). Counters add
+    /// cell-wise (LSM-style), totals and frequent aggregates update per
+    /// touched row, (rater, ratee) edges whose cell crossed `T_N` enter the
+    /// frequent reverse index.
     ///
-    /// The merge is a shard-parallel **arena rebuild**: ids resolve to
-    /// dense indices once (reusable scratch), each touched shard rewrites
-    /// its packed CSR into a retained spare arena — untouched row ranges
-    /// bulk-copy, touched rows two-pointer-merge — and the arenas swap.
-    /// Steady state (no fresh nodes) allocates nothing.
+    /// Both ids of every logged rating resolve through the index, each
+    /// rating becomes one packed `(row, col, value)` `u64` key, and the
+    /// keys are sorted and folded into per-pair `(row, col, counters)`
+    /// entries. Interning is ascending by id, so this is the
+    /// `(ratee id, rater id)` order [`EpochBuffer::drain`] produces, with
+    /// the same cells. The merge is then a shard-parallel **arena
+    /// rebuild**: each touched shard rewrites its packed CSR into a retained
+    /// spare arena — untouched row ranges bulk-copy, touched rows
+    /// two-pointer-merge — and the arenas swap. Steady state (no fresh
+    /// nodes) allocates nothing.
     ///
     /// Previously unseen node ids are re-interned. Because interning is
     /// ascending by id, that *shifts dense indices*: the return value is
@@ -793,19 +868,19 @@ impl ShardedSnapshot {
     /// row ranges are disjoint, so the result is identical for any value;
     /// `1` runs inline and is the oracle the parallel path is tested
     /// against, `0` is resolved by the caller — pass an explicit count).
-    pub fn apply_epoch(&mut self, delta: &EpochDelta, threads: usize) -> Option<Vec<u32>> {
-        if delta.is_empty() {
-            self.apply_idx.clear();
+    pub fn apply_epoch(&mut self, epoch: &mut EpochBuffer, threads: usize) -> Option<Vec<u32>> {
+        self.apply.entries.clear();
+        if epoch.is_empty() {
             return None;
         }
+        let mut scratch = std::mem::take(&mut self.apply);
         // Resolve optimistically: the steady state has no fresh ids, so
         // pay one resolution pass and only fall back to the
         // collect-fresh → reintern → re-resolve path on an actual miss.
-        let mut idx = std::mem::take(&mut self.apply_idx);
         let mut remap = None;
-        if !self.try_resolve(delta, &mut idx) {
-            let mut fresh: Vec<NodeId> = delta
-                .entries
+        if !self.resolve_keys(&epoch.log, &mut scratch.keys) {
+            let mut fresh: Vec<NodeId> = epoch
+                .log
                 .iter()
                 .flat_map(|&(ratee, rater, _)| [ratee, rater])
                 .filter(|id| !self.index.contains_key(id))
@@ -813,20 +888,22 @@ impl ShardedSnapshot {
             fresh.sort_unstable();
             fresh.dedup();
             remap = Some(self.reintern(&fresh));
-            let resolved = self.try_resolve(delta, &mut idx);
-            assert!(resolved, "all delta ids must be interned after reintern");
+            let resolved = self.resolve_keys(&epoch.log, &mut scratch.keys);
+            assert!(resolved, "all logged ids must be interned after reintern");
         }
+        epoch.log.clear();
+        fold_keys(&mut scratch.keys, &mut scratch.entries);
 
         let freq_t_n = self.freq_t_n;
-        let idx_ref: &[IdxEntry] = &idx;
+        let entries: &[IdxEntry] = &scratch.entries;
         crate::par::for_each_mut(threads, &mut self.shards, |shard| {
             let base = shard.base as usize;
-            let lo = idx_ref.partition_point(|e| (e.0 as usize) < base);
-            let hi = idx_ref.partition_point(|e| (e.0 as usize) < base + shard.rows);
+            let lo = entries.partition_point(|e| (e.0 as usize) < base);
+            let hi = entries.partition_point(|e| (e.0 as usize) < base + shard.rows);
             if lo == hi {
                 return;
             }
-            shard.rebuild_with(&idx_ref[lo..hi], freq_t_n);
+            shard.rebuild_with(&entries[lo..hi], freq_t_n);
         });
 
         // Serial frequent-reverse-index fix-up from the per-shard newly
@@ -836,57 +913,38 @@ impl ShardedSnapshot {
         // per-rater edge runs arrive sorted and a rater's list is touched
         // exactly once, so the resulting lists are identical to per-edge
         // sorted insertion.
-        self.fixup_edges.clear();
+        let edges = &mut scratch.fixup_edges;
+        edges.clear();
         for shard in &self.shards {
-            self.fixup_edges.extend_from_slice(&shard.scratch.new_frequent);
+            edges.extend_from_slice(&shard.scratch.new_frequent);
         }
-        self.fixup_edges.sort_unstable();
-        let mut e = 0usize;
-        while e < self.fixup_edges.len() {
-            let j = self.fixup_edges[e].0;
-            let mut e_end = e + 1;
-            while e_end < self.fixup_edges.len() && self.fixup_edges[e_end].0 == j {
-                e_end += 1;
-            }
-            merge_sorted_into(&mut self.freq_rev[j as usize], &self.fixup_edges[e..e_end]);
-            e = e_end;
+        edges.sort_unstable();
+        for run in edges.chunk_by(|a, b| a.0 == b.0) {
+            merge_sorted_into(&mut self.freq_rev[run[0].0 as usize], run);
         }
 
-        self.apply_idx = idx;
+        self.apply = scratch;
         remap
     }
 
     /// The rows the most recent [`ShardedSnapshot::apply_epoch`] merged a
-    /// delta entry into, ascending, once per entry — the close's dirty
-    /// rows, read from the resolution that merge already made.
+    /// folded entry into, ascending, once per entry — the close's dirty
+    /// rows, read from the entries that merge consumed. A clone starts
+    /// with none.
     pub fn applied_rows(&self) -> impl Iterator<Item = u32> + '_ {
-        self.apply_idx.iter().map(|&(row, _, _)| row)
+        self.apply.entries.iter().map(|&(row, _, _)| row)
     }
 
-    /// Resolve `delta`'s ids to dense `(row, rater index, counters)`
-    /// entries in `out`. Entries arrive sorted by (ratee id, rater id) and
-    /// interning is ascending by id, so the output is sorted by
-    /// (row, rater index): ratees resolve by a monotone binary-search walk
-    /// over `nodes`, raters by one Fx probe each. Returns `false` (with
-    /// `out` unspecified) on the first id not interned yet.
-    fn try_resolve(&self, delta: &EpochDelta, out: &mut Vec<IdxEntry>) -> bool {
-        out.clear();
-        out.reserve(delta.entries.len());
-        let mut cursor = 0usize;
-        let mut cur_ratee: Option<NodeId> = None;
-        let mut cur_row = 0u32;
-        for &(ratee, rater, c) in &delta.entries {
-            if cur_ratee != Some(ratee) {
-                cursor += self.nodes[cursor..].partition_point(|&x| x < ratee);
-                if cursor >= self.nodes.len() || self.nodes[cursor] != ratee {
-                    return false;
-                }
-                cur_ratee = Some(ratee);
-                cur_row = cursor as u32;
-            }
-            match self.index.get(&rater) {
-                Some(&r) => out.push((cur_row, r, c)),
-                None => return false,
+    /// Resolve both ids of every rating in `log` into one packed key each,
+    /// in `keys`. Returns `false` (with `keys` unspecified) on the first id
+    /// not interned yet.
+    fn resolve_keys(&self, log: &[(NodeId, NodeId, RatingValue)], keys: &mut Vec<u64>) -> bool {
+        keys.clear();
+        keys.reserve(log.len());
+        for &(ratee, rater, value) in log {
+            match (self.index.get(&ratee), self.index.get(&rater)) {
+                (Some(&row), Some(&col)) => keys.push(pack_key(row, col, value)),
+                _ => return false,
             }
         }
         true
@@ -915,7 +973,7 @@ impl ShardedSnapshot {
             }
         }
         let n = merged.len();
-        assert!(n <= u32::MAX as usize, "too many nodes for u32 interning");
+        assert!(n <= MAX_NODES, "too many nodes to intern");
         self.index = index_of(&merged);
         self.nodes = merged;
 
@@ -1150,6 +1208,7 @@ mod tests {
                     h.raters_of(ratee).iter().map(|&r| h.pair(r, ratee)).filter(|c| c.total >= t_n);
                 let agg = frequent.fold((0, 0), |(n, s), c| (n + c.total, s + c.signed()));
                 assert_eq!(snap.frequent_agg(t_n, i), Some(agg), "frequent agg of {ratee}");
+                assert_eq!(snap.frequent_agg(t_n + 1, i), None, "no aggregate for another T_N");
             }
         }
         assert_frequent_index_exact(snap);
@@ -1212,74 +1271,6 @@ mod tests {
         assert_matches_history(&sharded, &h, &[NodeId(1), NodeId(2)]);
     }
 
-    #[test]
-    fn epoch_apply_matches_history_build() {
-        let mut h = InteractionHistory::new();
-        let base = pseudo_ratings(11, 20, 300);
-        record_all(&mut h, &base);
-        let nodes: Vec<NodeId> = (0..20).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 6, 2);
-        let mut buf = EpochBuffer::new();
-        for round in 0..5u64 {
-            let epoch = pseudo_ratings(700 + round, 20, 50);
-            for &r in &epoch {
-                buf.record(r);
-                h.record(r);
-            }
-            let delta = buf.drain();
-            let remap = sharded.apply_epoch(&delta, 2);
-            assert!(remap.is_none(), "no new nodes expected");
-            assert_matches_history(&sharded, &h, &nodes);
-        }
-    }
-
-    #[test]
-    fn epoch_apply_interns_new_nodes_with_monotone_remap() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(13, 10, 120));
-        // leave gaps so the new ids land between existing ones
-        let nodes: Vec<NodeId> = (0..20).step_by(2).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 3, 2);
-        let old_nodes: Vec<NodeId> = sharded.nodes().to_vec();
-        let mut buf = EpochBuffer::new();
-        let extra = [
-            Rating::positive(NodeId(3), NodeId(0), SimTime(100)),
-            Rating::negative(NodeId(15), NodeId(7), SimTime(101)),
-            Rating::positive(NodeId(4), NodeId(100), SimTime(102)),
-        ];
-        for &r in &extra {
-            buf.record(r);
-            h.record(r);
-        }
-        let remap = sharded.apply_epoch(&buf.drain(), 2).expect("new nodes must remap");
-        assert_eq!(remap.len(), old_nodes.len());
-        for (old_idx, &new_idx) in remap.iter().enumerate() {
-            assert_eq!(sharded.node_id(new_idx), old_nodes[old_idx]);
-        }
-        assert!(remap.windows(2).all(|w| w[0] < w[1]), "remap must be strictly monotone");
-        assert_matches_history(&sharded, &h, &nodes);
-    }
-
-    #[test]
-    fn epoch_apply_keeps_frequent_aggregates_exact() {
-        let mut h = InteractionHistory::new();
-        record_all(&mut h, &pseudo_ratings(17, 12, 200));
-        let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
-        let mut sharded = ShardedSnapshot::build_with_frequent(&h, &nodes, 4, 20);
-        let mut buf = EpochBuffer::new();
-        for t in 0..30u64 {
-            let r = Rating::positive(NodeId(1), NodeId(2), SimTime(800 + t));
-            buf.record(r);
-            h.record(r);
-        }
-        sharded.apply_epoch(&buf.drain(), 2);
-        assert_matches_history(&sharded, &h, &nodes);
-        // the boosted pair is counted; a different t_n has no cached aggregate
-        let i2 = sharded.index(NodeId(2)).unwrap();
-        assert!(sharded.frequent_agg(20, i2).unwrap().0 >= 30);
-        assert_eq!(sharded.frequent_agg(19, 0), None);
-    }
-
     /// Every way an edge enters the frequent reverse index, with
     /// the expected lists spelled out (ids are dense indices here until the
     /// re-interning step) and the brute-force check after each step.
@@ -1302,7 +1293,7 @@ mod tests {
                     h.record(r);
                 }
             }
-            sharded.apply_epoch(&buf.drain(), 2);
+            sharded.apply_epoch(&mut buf, 2);
             assert_frequent_index_exact(sharded);
         };
         // a brand-new cell already at T_N enters; one below it does not
@@ -1336,7 +1327,7 @@ mod tests {
             buf.record(Rating::positive(NodeId(12), NodeId(7), SimTime(t)));
             buf.record(Rating::positive(NodeId(7), NodeId(12), SimTime(t)));
         }
-        let remap = wide.apply_epoch(&buf.drain(), 2).expect("fresh id must remap");
+        let remap = wide.apply_epoch(&mut buf, 2).expect("fresh id must remap");
         assert_eq!(remap[i5] as usize, i5, "the lower block stays");
         assert_eq!(remap[i10] as usize, i10 + 1, "the upper block shifts by one");
         assert_eq!(wide.frequent_ratees_of(index(&wide, 1)), &[index(&wide, 2), index(&wide, 4)]);
@@ -1344,6 +1335,22 @@ mod tests {
         assert_eq!(wide.frequent_ratees_of(index(&wide, 7)), &[index(&wide, 12)]);
         assert_eq!(wide.frequent_ratees_of(index(&wide, 12)), &[index(&wide, 7)]);
         assert_frequent_index_exact(&wide);
+    }
+
+    #[test]
+    fn close_keys_round_trip_at_the_boundary_indices() {
+        let top = (MAX_NODES - 1) as u32;
+        let values = [RatingValue::Negative, RatingValue::Neutral, RatingValue::Positive];
+        for (row, col) in [(0, 0), (0, top), (top, 0), (top, top), (1, top - 1)] {
+            for value in values {
+                assert_eq!(unpack_key(pack_key(row, col, value)), (row, col, value));
+            }
+        }
+        // key order is (row, col) order, a pair's values adjacent
+        let pairs = [(0, top), (1, 0), (1, 1), (top, top - 1), (top, top)];
+        let keys: Vec<u64> =
+            pairs.iter().flat_map(|&(r, c)| values.map(|v| pack_key(r, c, v))).collect();
+        assert!(keys.is_sorted_by(|a, b| a < b));
     }
 
     #[test]
@@ -1356,7 +1363,7 @@ mod tests {
         let i1 = sharded.index(NodeId(1)).unwrap();
         assert!(sharded.row(i1).0.is_empty());
         assert_eq!(sharded.signed(i1), 0);
-        assert!(sharded.apply_epoch(&EpochDelta::default(), 2).is_none());
+        assert!(sharded.apply_epoch(&mut EpochBuffer::new(), 2).is_none());
         assert_matches_history(&sharded, &h, &nodes);
     }
 }

@@ -38,15 +38,20 @@ const N: u64 = 6;
 /// more shards than rows.
 const SHARD_COUNTS: [usize; 3] = [1, 3, 64];
 
-/// Logical equality of two frozen views: same interned nodes, same totals,
-/// same rows — regardless of how either was advanced or how the rows are
-/// sharded.
+/// Logical equality of two frozen views: same interned nodes, totals,
+/// rows, frequent aggregates and frequent index — regardless of how either
+/// was advanced or how the rows are sharded.
 fn assert_same_rows(a: &ShardedSnapshot, b: &ShardedSnapshot) {
     assert_eq!(a.nodes(), b.nodes());
     assert_eq!(a.nnz(), b.nnz());
+    assert_eq!(a.frequent_t_n(), b.frequent_t_n());
+    let t_n = a.frequent_t_n().unwrap_or(0);
     for i in 0..a.n() as u32 {
         assert_eq!(a.totals_of(i), b.totals_of(i), "totals of row {i}");
         assert_eq!(a.row(i), b.row(i), "row {i}");
+        assert_eq!(a.frequent_agg(t_n, i), b.frequent_agg(t_n, i), "frequent agg of {i}");
+        assert_eq!(a.frequent_ratees_of(i), b.frequent_ratees_of(i), "frequent ratees of {i}");
+        assert!(a.frequent_raters_of(i).eq(b.frequent_raters_of(i)), "frequent raters of {i}");
     }
 }
 
@@ -62,7 +67,7 @@ fn empty_slice_then_first_node() {
     h.record(first);
     let mut buf = EpochBuffer::new();
     buf.record(first);
-    assert_eq!(snap.apply_epoch(&buf.drain(), 1), Some(Vec::new()));
+    assert_eq!(snap.apply_epoch(&mut buf, 1), Some(Vec::new()));
     assert_same_rows(&snap, &ShardedSnapshot::build(&h, &[], 1));
     assert_eq!(snap.nodes(), &[NodeId(1), NodeId(2)]);
 }
@@ -119,25 +124,51 @@ proptest! {
         }
     }
 
-    /// `apply_epoch` of the extra ratings converges to the same snapshot a
-    /// full rebuild produces, no matter how the extra ratings are spread.
+    /// Closes that drain random logs into a standing snapshot — repeat
+    /// pairs, self-ratings, and fresh ids as ratee and as rater, landing
+    /// between the interned (even) ids and beyond them — at 1–64 shards.
+    /// After each close every probe equals a fresh build over the history
+    /// of the same ratings, the applied rows are the rows of the
+    /// comparison-sort oracle's entries, and the remap is strictly
+    /// monotone.
     #[test]
     fn apply_epoch_equals_rebuild(
-        base in ratings_strategy(N, 200),
-        extra in ratings_strategy(N, 60),
+        base in ratings_strategy(2 * N, 120),
+        closes in prop::collection::vec(ratings_strategy(2 * N + 4, 80), 1..5),
+        shards in 1usize..=64,
+        threads in 1usize..=3,
     ) {
-        let nodes: Vec<NodeId> = (0..N).map(NodeId).collect();
+        const T_N: u64 = 2;
+        let nodes: Vec<NodeId> = (0..N).map(|k| NodeId(2 * k)).collect();
         let mut h = history_of(&base);
-        let mut snaps = SHARD_COUNTS.map(|shards| ShardedSnapshot::build(&h, &nodes, shards));
-        let mut buf = EpochBuffer::new();
-        for r in &extra {
-            h.record(*r);
-            buf.record(*r);
-        }
-        let delta = buf.drain();
-        for (snap, shards) in snaps.iter_mut().zip(SHARD_COUNTS) {
-            snap.apply_epoch(&delta, 1);
-            assert_same_rows(snap, &ShardedSnapshot::build(&h, &nodes, shards));
+        let mut snap = ShardedSnapshot::build_with_frequent(&h, &nodes, shards, T_N);
+        for close in &closes {
+            let mut buf = EpochBuffer::new();
+            for r in close {
+                h.record(*r);
+                buf.record(*r);
+            }
+            let oracle = buf.clone().drain();
+            let old_nodes = snap.nodes().to_vec();
+            let remap = snap.apply_epoch(&mut buf, threads);
+            prop_assert!(buf.is_empty());
+            assert_same_rows(&snap, &ShardedSnapshot::build_with_frequent(&h, &nodes, shards, T_N));
+            let rows: Vec<u32> = oracle
+                .entries
+                .iter()
+                .map(|&(ratee, _, _)| snap.index(ratee).expect("ratee interned"))
+                .collect();
+            prop_assert_eq!(snap.applied_rows().collect::<Vec<_>>(), rows);
+            match remap {
+                None => prop_assert_eq!(snap.nodes(), &old_nodes[..]),
+                Some(remap) => {
+                    prop_assert_eq!(remap.len(), old_nodes.len());
+                    prop_assert!(remap.windows(2).all(|w| w[0] < w[1]), "remap not monotone");
+                    for (old, &new) in remap.iter().enumerate() {
+                        prop_assert_eq!(snap.node_id(new), old_nodes[old]);
+                    }
+                }
+            }
         }
     }
 }

@@ -379,7 +379,7 @@ impl Simulation {
                     &fresh
                 }
                 None => {
-                    self.snapshot.apply_epoch(&self.epoch.drain(), 1);
+                    self.snapshot.apply_epoch(&mut self.epoch, 1);
                     &self.snapshot
                 }
             };

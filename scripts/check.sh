@@ -25,12 +25,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+echo "== bench bodies (each criterion bench body once, as a smoke test) =="
+# `cargo test --workspace` builds no bench target, so without this step
+# no bench body runs at all. ≈ 7 s warm.
+cargo test --release -q -p collusion-bench --benches
+
 echo "== parallel-close identity matrix (RAYON_NUM_THREADS ∈ {1, 4}) =="
 # close_threads=0 resolves through RAYON_NUM_THREADS, so this forces the
 # auto path through both the serial oracle and a genuinely forked width of
 # the close's two forks, both in its `advance` stage (the per-shard merge
-# and the high-flag recompute); the properties assert bit-identical
-# reports, state and persisted images
+# and the high-flag recompute; the log drain before them — id resolution,
+# key sort and fold — is serial at every width); the properties assert
+# bit-identical reports, state and persisted images
 for w in 1 4; do
   RAYON_NUM_THREADS="$w" cargo test --release -q --test scale_props
 done

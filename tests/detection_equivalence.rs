@@ -239,7 +239,7 @@ fn incremental_epoch_matches_fresh_build_detection() {
             h.record(r);
             buf.record(r);
         }
-        assert!(snap.apply_epoch(&buf.drain(), 1).is_none(), "seed {seed}: no fresh node");
+        assert!(snap.apply_epoch(&mut buf, 1).is_none(), "seed {seed}: no fresh node");
         let rebuilt = ShardedSnapshot::build_with_frequent(&h, &nodes, 1, thresholds().t_n);
         for i in 0..rebuilt.n() as u32 {
             assert_eq!(snap.row(i), rebuilt.row(i), "seed {seed}: advanced row {i} diverged");

@@ -99,7 +99,7 @@ proptest! {
                 h.record(*r);
                 buf.record(*r);
             }
-            shard.apply_epoch(&buf.drain(), 1);
+            shard.apply_epoch(&mut buf, 1);
             let fresh = ShardedSnapshot::build(&h, &nodes, shards);
             assert_sharded_eq(&shard, &fresh);
             let a = opt.detect_snapshot(&SnapshotInput::from_signed(&fresh, &nodes));
@@ -460,10 +460,9 @@ proptest! {
             for r in batch {
                 buf.record(*r);
             }
-            let delta = buf.drain();
-            let want_remap = oracle.apply_epoch(&delta, 1);
+            let want_remap = oracle.apply_epoch(&mut buf.clone(), 1);
             for (wide, width) in wides.iter_mut().zip([2usize, 4, 8]) {
-                let remap = wide.apply_epoch(&delta, width);
+                let remap = wide.apply_epoch(&mut buf.clone(), width);
                 prop_assert_eq!(&remap, &want_remap, "remap @ width {}", width);
                 assert_sharded_eq(wide, &oracle);
             }
