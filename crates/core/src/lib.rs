@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::input::{DetectionInput, SnapshotInput};
     pub use crate::mitigation::apply_mitigation;
     pub use crate::model::{Characteristic, SuspectPair};
-    pub use crate::net::view::{PublishedView, ViewCell, ViewReader};
+    pub use crate::net::view::PublishedView;
     pub use crate::optimized::{OptimizedDetector, PruneStats};
     pub use crate::policy::DetectionPolicy;
     pub use crate::report::{ConfusionMatrix, DetectionReport};

@@ -10,8 +10,8 @@
 //!   retries;
 //! * [`server`] — [`server::ManagerNode`], a thread-per-connection TCP
 //!   server owning a durable engine and a published read view;
-//! * [`view`] — [`view::ViewCell`], the lock-free single-writer
-//!   publication of that read view;
+//! * [`view`] — [`view::PublishedView`], that read view, which `Query`
+//!   answers from;
 //! * [`proxy`] — [`proxy::FaultProxy`], which drops, delays and
 //!   partitions real frames on the link it fronts.
 //!

@@ -2,13 +2,13 @@
 //!
 //! Each node owns a [`DurableEngine`] (WAL + checkpoints) for its slice —
 //! the **only** copy of that slice, the ratings about the nodes it owns on
-//! the ring — and a [`ViewCell`] published read view answering
-//! `Query` without touching the write path (the single-writer protocol of
-//! [`crate::net::view`]). The view is fed by counter deltas
-//! (`ViewTotals`): a publication costs the ratings since the last one
-//! plus one `Vec<i64>` clone, never a pass over the slice. A rejoin
-//! recovers the engine (checkpoint + WAL tail, one pass over the log) and
-//! seeds the view from it.
+//! the ring — and a published [`PublishedView`] answering `Query` without
+//! touching the write path (one `Arc` clone under a read lock). The view is
+//! fed by per-node totals (`ViewTotals`): stream frames log their ratings
+//! beside the engine, and a publication folds the ratings logged since the
+//! last one plus one `Vec<i64>` clone, never a pass over the slice. A
+//! rejoin recovers the engine (checkpoint + WAL tail, one pass over the
+//! log) and seeds the view from it.
 //!
 //! The detection round is a two-RPC protocol driven by the harness:
 //!
@@ -40,7 +40,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -48,9 +48,8 @@ use collusion_dht::hash::consistent_hash;
 use collusion_dht::ring::ChordRing;
 use collusion_reputation::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use collusion_reputation::fxhash::FxHashMap;
-use collusion_reputation::history::{InteractionHistory, NodeTotals, PairCounters};
+use collusion_reputation::history::{InteractionHistory, NodeTotals};
 use collusion_reputation::id::NodeId;
-use collusion_reputation::ingest::ShardedIntake;
 use collusion_reputation::rating::Rating;
 use collusion_reputation::sharded::ShardedSnapshot;
 use collusion_reputation::thresholds::Thresholds;
@@ -60,7 +59,7 @@ use crate::decentralized::{ConfirmVerdict, Kernel, Method, Partner};
 use crate::durability::{DurabilityConfig, DurableEngine, EngineSetup};
 use crate::input::SnapshotInput;
 use crate::net::client::{RpcClient, RpcConfig};
-use crate::net::view::{PublishedView, ViewCell, ViewReader};
+use crate::net::view::PublishedView;
 use crate::net::wire::{ErrorCode, Request, Response, RoundReport, StatusInfo, WirePair};
 use crate::optimized::OptimizedDetector;
 use crate::policy::DetectionPolicy;
@@ -69,15 +68,16 @@ use crate::policy::DetectionPolicy;
 /// durable engine; its presence is what makes a spawn a rejoin).
 const WAL_FILE: &str = "engine.wal";
 
-/// Intake depth (ratings) at which a stream frame absorbs and publishes.
+/// Unabsorbed ratings (stream ratings logged but not yet folded into the
+/// read view) at which a stream frame absorbs them and publishes.
 const PUBLISH_EVERY: u64 = 1024;
 
 /// Idle poll interval of the accept loop and connection read loops.
 const POLL: Duration = Duration::from_millis(20);
 
 /// Intake-depth watermarks bounding the server-side stream queue (the
-/// ratings folded into [`ShardedIntake`] but not yet absorbed into the
-/// read view's totals). Past `high_watermark`, stream acks carry a
+/// ratings stream frames logged but not yet absorbed into the read view's
+/// totals). Past `high_watermark`, stream acks carry a
 /// `throttle` hint that stalls the sender's window; past `hard_limit`,
 /// frames are refused with the retryable [`ErrorCode::Overloaded`] without
 /// advancing the stream sequence. Defaults are generous enough that only a
@@ -244,15 +244,15 @@ impl ViewTotals {
         }
     }
 
-    /// Add `(ratee, rater, counters)` cells: intern both ids, add the
-    /// counters to the ratee's totals — saturating, as
-    /// [`InteractionHistory::record`] counts them, so `signed` stays
-    /// bit-identical to a history that folded the same ratings. Cells must
-    /// be non-empty and not self-pairs (the history ignores both).
-    fn fold(&mut self, cells: &[(NodeId, NodeId, PairCounters)]) {
-        let mut fresh: Vec<NodeId> = cells
+    /// Add `ratings`: intern both ids of each, count it in the ratee's
+    /// totals — saturating, as [`InteractionHistory::record`] counts it, so
+    /// `signed` stays bit-identical to a history that folded the same
+    /// ratings, in any order. Self-ratings must have been dropped (the
+    /// history ignores them).
+    fn fold(&mut self, ratings: &[Rating]) {
+        let mut fresh: Vec<NodeId> = ratings
             .iter()
-            .flat_map(|&(ratee, rater, _)| [ratee, rater])
+            .flat_map(|r| [r.ratee, r.rater])
             .filter(|id| self.nodes.binary_search(id).is_err())
             .collect();
         if !fresh.is_empty() {
@@ -260,13 +260,10 @@ impl ViewTotals {
             fresh.dedup();
             self.intern(&fresh);
         }
-        for &(ratee, _, c) in cells {
-            let i = self.nodes.binary_search(&ratee).expect("ratee interned above");
-            let t = &mut self.totals[i];
-            t.total = t.total.saturating_add(c.total);
-            t.positive = t.positive.saturating_add(c.positive);
-            t.negative = t.negative.saturating_add(c.negative);
-            self.signed[i] = t.signed();
+        for r in ratings {
+            let i = self.nodes.binary_search(&r.ratee).expect("ratee interned above");
+            self.totals[i].add(r.value);
+            self.signed[i] = self.totals[i].signed();
         }
     }
 
@@ -307,24 +304,37 @@ struct State {
     /// Ratings folded into the slice and absorbed into `view`
     /// (self-ratings are logged but never folded, so never counted).
     recorded: u64,
-    epoch: u64,
+    /// The log `absorb_intake` swaps in for [`Durable::unabsorbed`]: empty
+    /// between absorbs, kept for its capacity.
+    spare: Vec<Rating>,
+}
+
+/// What the durable lock guards: the slice and the stream ratings the read
+/// view has not absorbed yet.
+struct Durable {
+    /// WAL + checkpointed engine for the slice.
+    engine: DurableEngine,
+    /// Non-self ratings of every stream frame applied since the last
+    /// absorb, in arrival order. Appended under the lock the frame's WAL
+    /// append already holds; swapped out by `absorb_intake`.
+    unabsorbed: Vec<Rating>,
 }
 
 /// The streaming data plane, split off the control-plane state mutex.
 ///
-/// `InsertStream` frames take only `durable` (WAL append + engine fold)
-/// plus per-stripe intake locks; control RPCs (`Freeze`, `CloseEpoch`,
-/// `Status`, detection) take the state mutex and *absorb* the intake into
+/// `InsertStream` frames take only `durable` (WAL append + engine fold +
+/// unabsorbed-log append); control RPCs (`Freeze`, `CloseEpoch`, `Status`,
+/// detection) take the state mutex and *absorb* the unabsorbed log into
 /// the read view's totals at well-defined points. Lock order is always
 /// state → durable — a connection thread holding `durable` never waits on
 /// the state mutex, so concurrent streams stop serializing on control
 /// traffic.
 struct DataPlane {
-    /// WAL + checkpointed engine for the slice.
-    durable: Mutex<DurableEngine>,
-    /// Pending read-view counter deltas from stream frames, lock-striped
-    /// by ratee. Drained into `State::view` by `absorb_intake`.
-    intake: ShardedIntake,
+    durable: Mutex<Durable>,
+    /// `Durable::unabsorbed.len()`, readable without the lock (backpressure,
+    /// `Heartbeat`, `Status.intake_pending`, the publication trigger).
+    /// Written only under `durable`.
+    pending: AtomicU64,
     /// Resumable-stream session table: session id → applied watermark.
     /// Rebuilt on rejoin from the last `StreamSession` marker of each
     /// session the recovery saw; a `StreamResume` barrier syncs the WAL
@@ -367,7 +377,8 @@ struct Shared {
     responsible: Vec<NodeId>,
     state: Mutex<State>,
     data: DataPlane,
-    view: Arc<ViewCell>,
+    /// The published read view; `Query` clones the `Arc` out.
+    view: RwLock<Arc<PublishedView>>,
     peers: Mutex<HashMap<NodeId, SocketAddr>>,
     stop: AtomicBool,
 }
@@ -424,11 +435,10 @@ impl ManagerNode {
         };
 
         let initial = PublishedView { epoch: 0, nodes: Arc::new(Vec::new()), signed: Vec::new() };
-        let view = Arc::new(ViewCell::new(initial));
-        let state = State { view: totals, frozen: None, recorded, epoch: 0 };
+        let state = State { view: totals, frozen: None, recorded, spare: Vec::new() };
         let data = DataPlane {
-            durable: Mutex::new(durable),
-            intake: ShardedIntake::new(cfg.shards.max(1)),
+            durable: Mutex::new(Durable { engine: durable, unabsorbed: Vec::new() }),
+            pending: AtomicU64::new(0),
             sessions: Mutex::new(sessions),
             stream_frames: AtomicU64::new(0),
             stream_ratings: AtomicU64::new(0),
@@ -442,14 +452,14 @@ impl ManagerNode {
             responsible,
             state: Mutex::new(state),
             data,
-            view,
+            view: RwLock::new(Arc::new(initial)),
             peers: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
         });
         if rejoining {
             // make the recovered slice queryable before the first insert
-            let mut st = shared.state.lock().expect("manager state lock");
-            publish_view(&shared, &mut st);
+            let st = shared.state.lock().expect("manager state lock");
+            publish_view(&shared, &st);
         }
 
         let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -506,10 +516,10 @@ impl ManagerNode {
         map.extend(peers.iter().copied());
     }
 
-    /// A lock-free reader over this manager's published view (in-process
-    /// observers; remote readers use the `Query` RPC).
-    pub fn view_reader(&self) -> ViewReader {
-        self.shared.view.reader()
+    /// This manager's published view (in-process observers; remote
+    /// readers use the `Query` RPC).
+    pub fn view(&self) -> Arc<PublishedView> {
+        published(&self.shared)
     }
 
     /// Kill the process model: stop accepting, join every connection
@@ -535,7 +545,7 @@ impl ManagerNode {
         for h in handles {
             h.join().ok();
         }
-        let mut eng = self.shared.data.durable.lock().expect("durable engine lock");
+        let eng = &mut self.shared.data.durable.lock().expect("durable engine lock").engine;
         eng.sync().map_err(other_io)?;
         // the last close's checkpoint lands before the directory is handed
         // to a respawn, which then loads the same image a crash-free
@@ -554,31 +564,37 @@ fn other_io<E: std::fmt::Display>(e: E) -> io::Error {
     io::Error::other(e.to_string())
 }
 
-/// Publish the read view from `st.view`: share the node table, clone the
-/// signed totals. Call with the state lock held; the durable lock is never
-/// taken.
-fn publish_view(shared: &Shared, st: &mut State) {
-    st.epoch += 1;
+/// The current published view.
+fn published(shared: &Shared) -> Arc<PublishedView> {
+    Arc::clone(&shared.view.read().expect("published view lock"))
+}
+
+/// Publish the read view from `st.view` at the next epoch: share the node
+/// table, clone the signed totals. Call with the state lock held, which
+/// makes this the one writer; the durable lock is never taken.
+fn publish_view(shared: &Shared, st: &State) {
     let view = PublishedView {
-        epoch: st.epoch,
+        epoch: published(shared).epoch + 1,
         nodes: Arc::clone(&st.view.nodes),
         signed: st.view.signed.clone(),
     };
-    shared.view.publish(Arc::new(view));
+    *shared.view.write().expect("published view lock") = Arc::new(view);
 }
 
-/// Drain the stream intake into the read view's totals. Call with the
-/// state lock held; this is where stream-ingested ratings become visible
-/// to `publish_view` and `Status.recorded`. (`Freeze` reads the engine,
-/// which folded them when their frame was applied.) Counter adds commute,
-/// so absorption order cannot change what is published.
+/// Fold the unabsorbed stream ratings into the read view's totals. Call
+/// with the state lock held; this is where stream-ingested ratings become
+/// visible to `publish_view` and `Status.recorded`. (`Freeze` reads the
+/// engine, which folded them when their frame was applied.) Counter adds
+/// commute, so absorption order cannot change what is published.
 fn absorb_intake(shared: &Shared, st: &mut State) {
-    if shared.data.intake.is_empty() {
-        return;
+    {
+        let mut d = shared.data.durable.lock().expect("durable engine lock");
+        std::mem::swap(&mut d.unabsorbed, &mut st.spare);
+        shared.data.pending.store(0, Ordering::Relaxed);
     }
-    let delta = shared.data.intake.drain();
-    st.view.fold(&delta.entries);
-    st.recorded += delta.ratings;
+    st.view.fold(&st.spare);
+    st.recorded += st.spare.len() as u64;
+    st.spare.clear();
 }
 
 /// Per-connection streaming-insert state: the server side of one
@@ -599,10 +615,6 @@ struct StreamConn {
     /// cumulative accepted at that frame)`. An ack for a frame may only be
     /// sent once the WAL's durable watermark covers its byte target.
     pending: VecDeque<(u64, u64, u64)>,
-    /// Per-frame counter aggregation scratch (reused across frames).
-    local: FxHashMap<(NodeId, NodeId), PairCounters>,
-    /// Cell buffer handed to `ShardedIntake::merge_cells` (reused).
-    cells: Vec<(NodeId, NodeId, PairCounters)>,
 }
 
 /// One connection's request loop: framed request in, framed response out.
@@ -667,9 +679,9 @@ fn serve_conn(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// One `InsertStream` frame on the data plane: WAL-append its ratings
-/// (durable lock only — the state mutex is not touched on this path), fold
-/// their counters into the sharded intake, and return a cumulative ack if
+/// One `InsertStream` frame on the data plane: WAL-append its ratings and
+/// log them for the read view (durable lock only — the state mutex is not
+/// touched on this path), and return a cumulative ack if
 /// the durable watermark already covers pending frames. A frame naming a
 /// ratee this manager does not own is refused whole.
 fn handle_stream_frame(
@@ -715,8 +727,8 @@ fn handle_stream_frame(
 /// Apply one in-sequence stream frame: refuse it if it names a ratee this
 /// manager does not own, shed load if the intake is past its hard limit,
 /// WAL-append the ratings (with the session watermark marker for resumable
-/// sessions), fold counters into the sharded intake, and return a
-/// cumulative ack if the durable watermark already covers pending frames.
+/// sessions), log them for the read view, and return a cumulative ack if
+/// the durable watermark already covers pending frames.
 fn apply_stream_frame(
     shared: &Shared,
     sc: &mut StreamConn,
@@ -732,41 +744,35 @@ fn apply_stream_frame(
         return Some(Response::Error { code: ErrorCode::Malformed });
     }
     let bp = shared.cfg.backpressure;
-    let intake_depth = shared.data.intake.ratings();
+    let intake_depth = shared.data.pending.load(Ordering::Relaxed);
     if intake_depth >= bp.hard_limit {
         shared.data.refused_frames.fetch_add(1, Ordering::Relaxed);
         return Some(Response::Error { code: ErrorCode::Overloaded });
     }
     sc.throttle = intake_depth >= bp.high_watermark;
-    // aggregate counters before taking any lock (producer-local fold)
-    let mut frame_ratings = 0u64;
-    for r in &ratings {
-        if r.is_self_rating() {
-            continue;
-        }
-        sc.local.entry((r.ratee, r.rater)).or_default().accumulate(r.value);
-        frame_ratings += 1;
-    }
     let frame_accepted = ratings.len() as u64;
     let cum_accepted = match &entry {
         Some(e) => e.accepted + frame_accepted,
         None => sc.accepted + frame_accepted,
     };
-    let (wal_target, durable_now) = {
-        let mut eng = shared.data.durable.lock().expect("durable engine lock");
+    let (wal_target, durable_now, unabsorbed) = {
+        let mut d = shared.data.durable.lock().expect("durable engine lock");
         let appended = if session != 0 {
-            eng.record_stream_frame(&ratings, session, stream_seq, cum_accepted)
+            d.engine.record_stream_frame(&ratings, session, stream_seq, cum_accepted)
         } else {
-            eng.record_batch(&ratings)
+            d.engine.record_batch(&ratings)
         };
         let Ok(target) = appended else {
             return Some(Response::Error { code: ErrorCode::Internal });
         };
+        d.unabsorbed.extend(ratings.iter().filter(|r| !r.is_self_rating()));
+        let unabsorbed = d.unabsorbed.len() as u64;
+        shared.data.pending.store(unabsorbed, Ordering::Relaxed);
         // No committer nudge here: a per-frame commit request keeps the
         // committer fsyncing back to back, so the target the *final* ack
         // needs queues behind an in-flight fsync and every barrier pays
         // double. [`flush_acks`] requests one targeted commit at burst end.
-        (target, eng.durable_len())
+        (target, d.engine.durable_len(), unabsorbed)
     };
     sc.accepted = cum_accepted;
     sc.next_seq = stream_seq + 1;
@@ -774,8 +780,6 @@ fn apply_stream_frame(
         e.next_seq = stream_seq + 1;
         e.accepted = cum_accepted;
     }
-    sc.cells.extend(sc.local.drain().map(|((ratee, rater), c)| (ratee, rater, c)));
-    shared.data.intake.merge_cells(&mut sc.cells, frame_ratings);
     shared.data.stream_frames.fetch_add(1, Ordering::Relaxed);
     shared.data.stream_ratings.fetch_add(frame_accepted, Ordering::Relaxed);
     if sc.throttle {
@@ -784,12 +788,12 @@ fn apply_stream_frame(
     sc.pending.push_back((stream_seq, wal_target, cum_accepted));
     // keep the read view fresh under sustained streaming — but never park
     // a data-plane thread behind a long control operation: when the state
-    // lock is busy the absorb is skipped and the intake simply grows,
-    // which is exactly what the watermarks above bound
-    if shared.data.intake.ratings() >= PUBLISH_EVERY {
+    // lock is busy the absorb is skipped and the unabsorbed log simply
+    // grows, which is exactly what the watermarks above bound
+    if unabsorbed >= PUBLISH_EVERY {
         if let Ok(mut st) = shared.state.try_lock() {
             absorb_intake(shared, &mut st);
-            publish_view(shared, &mut st);
+            publish_view(shared, &st);
         }
     }
     ack_ready(sc, durable_now)
@@ -805,11 +809,8 @@ fn handle_stream_resume(shared: &Shared, sc: &mut StreamConn, session: u64) -> R
         return Response::Error { code: ErrorCode::Malformed };
     }
     let sessions = shared.data.sessions.lock().expect("session table lock");
-    {
-        let mut eng = shared.data.durable.lock().expect("durable engine lock");
-        if eng.sync().is_err() {
-            return Response::Error { code: ErrorCode::Internal };
-        }
+    if shared.data.durable.lock().expect("durable engine lock").engine.sync().is_err() {
+        return Response::Error { code: ErrorCode::Internal };
     }
     let entry = sessions.get(&session).copied().unwrap_or_default();
     sc.session = session;
@@ -855,13 +856,13 @@ const ACK_BARRIER_CAP: Duration = Duration::from_millis(10);
 fn flush_acks(shared: &Shared, sc: &mut StreamConn, stream: &mut TcpStream) -> Result<(), ()> {
     let Some(&(_, back_target, _)) = sc.pending.back() else { return Ok(()) };
     let (mut durable, waiter) = {
-        let mut eng = shared.data.durable.lock().expect("durable engine lock");
+        let eng = &mut shared.data.durable.lock().expect("durable engine lock").engine;
         eng.request_durable().map_err(|_| ())?;
         (eng.durable_len(), eng.wal().waiter())
     };
     if durable < back_target {
         let covered = waiter.map(|w| w.wait_covered(back_target, ACK_BARRIER_CAP)).unwrap_or(false);
-        let mut eng = shared.data.durable.lock().expect("durable engine lock");
+        let eng = &mut shared.data.durable.lock().expect("durable engine lock").engine;
         if !covered {
             // no committer (sync-policy engine), a stalled committer, or a
             // latched I/O error: pay the blocking barrier ourselves
@@ -880,7 +881,7 @@ fn flush_acks(shared: &Shared, sc: &mut StreamConn, stream: &mut TcpStream) -> R
 fn handle(shared: &Shared, req: Request) -> Response {
     match req {
         Request::Query(node) => {
-            let view = shared.view.load();
+            let view = published(shared);
             match view.reputation(node) {
                 Some(signed) => {
                     Response::Reputation { known: true, signed, view_version: view.epoch }
@@ -896,7 +897,7 @@ fn handle(shared: &Shared, req: Request) -> Response {
         Request::Heartbeat => {
             // answered without touching the state or durable locks so a
             // busy control plane cannot make a live manager look dead
-            let intake_pending = shared.data.intake.ratings();
+            let intake_pending = shared.data.pending.load(Ordering::Relaxed);
             Response::Beat {
                 manager: shared.cfg.id,
                 intake_pending,
@@ -907,12 +908,12 @@ fn handle(shared: &Shared, req: Request) -> Response {
             let mut st = shared.state.lock().expect("manager state lock");
             absorb_intake(shared, &mut st);
             let closed = {
-                let mut eng = shared.data.durable.lock().expect("durable engine lock");
+                let eng = &mut shared.data.durable.lock().expect("durable engine lock").engine;
                 eng.close_epoch().map(|_| eng.wal().next_seq())
             };
             match closed {
                 Ok(seq) => {
-                    publish_view(shared, &mut st);
+                    publish_view(shared, &st);
                     Response::Ack { seq, accepted: 0 }
                 }
                 Err(_) => Response::Error { code: ErrorCode::Internal },
@@ -923,8 +924,14 @@ fn handle(shared: &Shared, req: Request) -> Response {
             absorb_intake(shared, &mut st);
             // copy under the durable lock, merge outside it: streams keep
             // appending while the open epoch is folded into the copy
-            let parts =
-                shared.data.durable.lock().expect("durable engine lock").engine().frozen_parts();
+            let parts = shared
+                .data
+                .durable
+                .lock()
+                .expect("durable engine lock")
+                .engine
+                .engine()
+                .frozen_parts();
             let snap = parts.merge();
             let confirm_cache = Mutex::new(shared.cfg.kernel().agg_cache(&snap));
             st.frozen = Some(Arc::new(Frozen { round, snap, confirm_cache }));
@@ -943,7 +950,7 @@ fn handle(shared: &Shared, req: Request) -> Response {
         Request::Status => {
             let st = shared.state.lock().expect("manager state lock");
             let (wal_next_seq, durable_len, wal_len) = {
-                let mut eng = shared.data.durable.lock().expect("durable engine lock");
+                let eng = &mut shared.data.durable.lock().expect("durable engine lock").engine;
                 // answer for a settled durable layer: the last close's
                 // checkpoint lands first (it is long done unless Status
                 // follows a close at once), so the directory is what a kill
@@ -958,10 +965,10 @@ fn handle(shared: &Shared, req: Request) -> Response {
                 recorded: st.recorded,
                 wal_next_seq,
                 round: st.frozen.as_ref().map_or(0, |f| f.round),
-                view_version: shared.view.version(),
+                view_version: published(shared).epoch,
                 durable_len,
                 wal_len,
-                intake_pending: shared.data.intake.ratings(),
+                intake_pending: shared.data.pending.load(Ordering::Relaxed),
                 stream_frames: shared.data.stream_frames.load(Ordering::Relaxed),
                 stream_ratings: shared.data.stream_ratings.load(Ordering::Relaxed),
                 throttled_frames: shared.data.throttled_frames.load(Ordering::Relaxed),
@@ -1055,6 +1062,7 @@ mod tests {
     use crate::net::client::{InsertStream, ResumableStream, RpcError};
     use crate::net::proxy::{FaultProxy, NetFaultPlan, Partition};
     use collusion_reputation::id::SimTime;
+    use collusion_reputation::rating::RatingValue;
     use collusion_reputation::wal::{replay_bytes, WalRecord};
     use std::collections::BTreeSet;
     use std::path::Path;
@@ -1803,7 +1811,7 @@ mod tests {
         let mut publish = |batch: Vec<Rating>| {
             stream(&mut client, node.addr(), &batch);
             client.call(node.addr(), &Request::CloseEpoch).expect("close epoch");
-            node.view_reader().get().clone()
+            node.view()
         };
 
         let first = publish(ratings());
@@ -1820,7 +1828,87 @@ mod tests {
         let fourth = publish(Vec::new());
         assert!(Arc::ptr_eq(&third.nodes, &fourth.nodes));
 
+        // Status and Query read the one published view
+        let Response::Status(info) = client.call(node.addr(), &Request::Status).expect("status")
+        else {
+            panic!("Status must answer Status")
+        };
+        let resp = client.call(node.addr(), &Request::Query(NodeId(1))).expect("query");
+        let Response::Reputation { view_version, .. } = resp else {
+            panic!("Query must answer Reputation, got {resp:?}")
+        };
+        assert_eq!(info.view_version, view_version);
+        assert_eq!(view_version, fourth.epoch);
+
         drop(nodes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Three connections stream into one manager at once, over shared
+    /// ratees, self-ratings and ids nobody registered, while a low rating
+    /// watermark closes epochs inside frames. After one `CloseEpoch` the
+    /// published view equals the engine's slice and every non-self rating
+    /// is counted exactly once.
+    #[test]
+    fn concurrent_streams_into_one_manager_publish_the_engine_s_slice() {
+        let dir = scratch_dir("net-concurrent");
+        let managers = manager_ids(1);
+        let mut cfg = config(managers[0], &dir, &managers);
+        cfg.durability.pair_watermark = Some(200);
+        let node = ManagerNode::spawn(cfg).expect("spawn manager");
+        node.set_peers(&[(node.id(), node.addr())]);
+        // ids 1..=60: the registered ones and many more; every 97th a self-rating
+        let lanes: Vec<Vec<Rating>> = (0..3u64)
+            .map(|lane| {
+                (0..3_000u64)
+                    .map(|k| {
+                        let x = (lane * 3_000 + k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24;
+                        let rater = NodeId(1 + x % 60);
+                        let ratee = if k % 97 == 0 { rater } else { NodeId(1 + (x >> 8) % 60) };
+                        let value = match (x >> 16) % 3 {
+                            0 => RatingValue::Negative,
+                            1 => RatingValue::Neutral,
+                            _ => RatingValue::Positive,
+                        };
+                        Rating::new(rater, ratee, value, SimTime(k))
+                    })
+                    .collect()
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for lane in &lanes {
+                let addr = node.addr();
+                scope.spawn(move || stream(&mut RpcClient::new(RpcConfig::lan()), addr, lane));
+            }
+        });
+        let mut client = RpcClient::new(RpcConfig::lan());
+        let closed = client.call(node.addr(), &Request::CloseEpoch).expect("close epoch");
+        assert!(matches!(closed, Response::Ack { .. }), "got {closed:?}");
+
+        let slice = node
+            .shared
+            .data
+            .durable
+            .lock()
+            .expect("durable lock")
+            .engine
+            .engine()
+            .frozen_snapshot();
+        let expect = ViewTotals::of(&slice);
+        let view = node.view();
+        assert!(expect.nodes.len() > node_ids().len(), "unregistered ids must be interned");
+        assert_eq!(*view.nodes, *expect.nodes, "published node table");
+        assert_eq!(view.signed, expect.signed, "published signed totals");
+        let Response::Status(info) = client.call(node.addr(), &Request::Status).expect("status")
+        else {
+            panic!("Status must answer Status")
+        };
+        let non_self = lanes.iter().flatten().filter(|r| !r.is_self_rating()).count() as u64;
+        assert!(non_self < 9_000, "the lanes must hold self-ratings");
+        assert_eq!(info.recorded, non_self);
+        assert_eq!(info.intake_pending, 0);
+
+        node.kill().expect("clean kill");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -133,7 +133,7 @@ fn call(client: &mut RpcClient, node: &ManagerNode, req: &Request) -> Response {
 
 /// Everything observable from outside equals the oracle's last publication.
 fn assert_matches(client: &mut RpcClient, node: &ManagerNode, oracle: &Oracle, step: &str) {
-    let view = node.view_reader().get().clone();
+    let view = node.view();
     let (nodes, signed) = &oracle.published;
     assert_eq!(&*view.nodes, nodes, "published node table after {step}");
     assert_eq!(&view.signed, signed, "published signed totals after {step}");

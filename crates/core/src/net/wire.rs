@@ -148,14 +148,15 @@ pub struct StatusInfo {
     pub manager: NodeId,
     /// Ratings folded into the primary slice and absorbed into the read
     /// view — self-ratings are logged but never folded, so never counted;
-    /// stream ratings still in the intake are `intake_pending`. Means the
+    /// stream ratings not absorbed yet are `intake_pending`. Means the
     /// same before and after a rejoin.
     pub recorded: u64,
     /// Next WAL sequence number.
     pub wal_next_seq: u64,
     /// Currently frozen round (0 = none).
     pub round: u64,
-    /// Published read-view version.
+    /// Epoch of the published read view (the `view_version` a `Query`
+    /// answered now would carry).
     pub view_version: u64,
     /// WAL durable watermark in bytes (everything at or below this offset
     /// survives a crash; stream acks are only sent at-or-behind it).
@@ -163,8 +164,8 @@ pub struct StatusInfo {
     /// WAL logical length in bytes (`durable_len ≤ wal_len`; the gap is
     /// the un-fsynced backlog).
     pub wal_len: u64,
-    /// Ratings folded into the sharded intake but not yet absorbed into
-    /// the read view (the data-plane queue depth).
+    /// Stream ratings logged but not yet absorbed into the read view (the
+    /// data-plane queue depth).
     pub intake_pending: u64,
     /// Stream frames accepted over all connections so far.
     pub stream_frames: u64,
@@ -330,7 +331,7 @@ pub enum Response {
     Beat {
         /// Responding manager.
         manager: NodeId,
-        /// Current intake queue depth (ratings folded but not absorbed).
+        /// Current intake queue depth (ratings logged but not absorbed).
         intake_pending: u64,
         /// Whether the manager is currently refusing frames (past its
         /// hard intake limit).

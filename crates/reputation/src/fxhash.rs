@@ -10,11 +10,9 @@
 //! **Exposure.** Fx is unkeyed: anyone who chooses the keys can choose
 //! colliding ones and turn each probe into a linear scan. Some maps keyed
 //! through it are fed from the wire, so their keys *are* client-chosen:
-//! a manager connection's per-frame fold (`StreamConn::local`, rater and
-//! ratee ids from `InsertStream`), the session table (`sessions`, keyed
-//! by the client's session id), the [`crate::ingest::ShardedIntake`]
-//! stripes, and the [`crate::sharded::ShardedSnapshot`] index, which
-//! interns every id a rating names. These are not DoS-resistant today;
+//! a manager's session table (`sessions`, keyed by the client's session
+//! id) and the [`crate::sharded::ShardedSnapshot`] index, which interns
+//! every id a rating names. These are not DoS-resistant today;
 //! keyed hashing for them is an open ROADMAP item.
 //! [`crate::history::InteractionHistory`] is fed only from offline input
 //! (audits, simulations, traces).

@@ -116,7 +116,8 @@ pub struct NodeTotals {
 }
 
 impl NodeTotals {
-    fn add(&mut self, value: RatingValue) {
+    /// Count one received rating of `value`, saturating.
+    pub fn add(&mut self, value: RatingValue) {
         self.total = self.total.saturating_add(1);
         match value {
             RatingValue::Positive => self.positive = self.positive.saturating_add(1),

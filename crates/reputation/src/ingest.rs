@@ -13,10 +13,13 @@
 //! of ratings alone fixes every cell, regardless of which producer folded
 //! which rating in what order. [`ShardedIntake::drain`] concatenates the
 //! shards and sorts by `(ratee, rater)` — byte-identical to
-//! [`crate::epoch::EpochBuffer::drain`] over the same ratings, which is
-//! what lets a manager's stream data plane fold through it (one
-//! [`ShardedIntake::merge_cells`] per frame) and still close epochs
-//! bit-identical to the serial engine (asserted by this module's tests).
+//! [`crate::epoch::EpochBuffer::drain`] over the same ratings (asserted by
+//! this module's tests).
+//!
+//! No engine or manager folds through it: a manager's stream frames are
+//! already serialised by their WAL append, and it logs their ratings
+//! under that lock. The type stays while the benchmark's `ingest` probe
+//! times it.
 
 use crate::epoch::EpochDelta;
 use crate::fxhash::FxHashMap;
@@ -78,56 +81,11 @@ impl ShardedIntake {
         true
     }
 
-    /// Merge a producer's locally-aggregated counter cells in, locking
-    /// each shard at most once.
-    ///
-    /// This is the batched twin of [`ShardedIntake::record`]: a producer
-    /// aggregates its ratings into a private map (no lock, no contention)
-    /// and periodically folds the cells here. `entries` is consumed and
-    /// left empty (capacity retained for reuse); `ratings` is the number
-    /// of raw ratings the cells aggregate. Counter merging is the same
-    /// commutative bookkeeping as per-rating folding, so the drained delta
-    /// is bit-identical either way.
-    pub fn merge_cells(&self, entries: &mut Vec<(NodeId, NodeId, PairCounters)>, ratings: u64) {
-        if entries.is_empty() {
-            return;
-        }
-        let nshards = self.shards.len() as u64;
-        // group cells by shard so each stripe is locked once per flush,
-        // not once per rating
-        entries.sort_unstable_by_key(|&(ratee, _, _)| ratee.raw() % nshards);
-        let mut at = 0;
-        while at < entries.len() {
-            let shard_idx = self.shard_of(entries[at].0);
-            let run_end = entries[at..]
-                .iter()
-                .position(|&(ratee, _, _)| self.shard_of(ratee) != shard_idx)
-                .map_or(entries.len(), |k| at + k);
-            let mut shard = self.shards[shard_idx].lock().expect("intake shard poisoned");
-            for &(ratee, rater, c) in &entries[at..run_end] {
-                shard.delta.entry((ratee, rater)).or_default().merge(&c);
-            }
-            drop(shard);
-            at = run_end;
-        }
-        entries.clear();
-        if let Some(shard) = self.shards.first() {
-            // rating count is global, not per-cell; account it on stripe 0
-            shard.lock().expect("intake shard poisoned").ratings += ratings;
-        }
-        self.ratings.fetch_add(ratings, Ordering::Relaxed);
-    }
-
     /// Ratings folded in since the last [`ShardedIntake::drain`]. Exact
     /// only after producers quiesce.
     #[inline]
     pub fn ratings(&self) -> u64 {
         self.ratings.load(Ordering::Relaxed)
-    }
-
-    /// Whether no ratings are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().expect("intake shard poisoned").delta.is_empty())
     }
 
     /// Close the epoch: drain every shard into one sorted delta.
@@ -199,7 +157,7 @@ mod tests {
             let b = buffer.drain();
             assert_eq!(a.entries, b.entries, "shards={shards}");
             assert_eq!(a.ratings, b.ratings);
-            assert!(intake.is_empty());
+            assert_eq!(intake.ratings(), 0);
             // second drain is empty
             assert!(intake.drain().entries.is_empty());
         }
@@ -235,42 +193,7 @@ mod tests {
     fn self_ratings_rejected() {
         let intake = ShardedIntake::new(4);
         assert!(!intake.record(Rating::positive(NodeId(3), NodeId(3), SimTime(0))));
-        assert!(intake.is_empty());
+        assert_eq!(intake.ratings(), 0);
         assert_eq!(intake.drain().ratings, 0);
-    }
-
-    #[test]
-    fn merged_cells_drain_identically_to_per_rating_folds() {
-        for shards in [1usize, 3, 8] {
-            let ratings = random_ratings(800, 0xBEEF ^ shards as u64);
-            let per_rating = ShardedIntake::new(shards);
-            for &r in &ratings {
-                per_rating.record(r);
-            }
-            // producer-local aggregation: fold into a private map, then
-            // merge the cells in batches of uneven size
-            let batched = ShardedIntake::new(shards);
-            let mut cells: Vec<(NodeId, NodeId, PairCounters)> = Vec::new();
-            for chunk in ratings.chunks(171) {
-                let mut local: std::collections::HashMap<(NodeId, NodeId), PairCounters> =
-                    Default::default();
-                let mut count = 0u64;
-                for &r in chunk {
-                    if r.is_self_rating() {
-                        continue;
-                    }
-                    local.entry((r.ratee, r.rater)).or_default().accumulate(r.value);
-                    count += 1;
-                }
-                cells.extend(local.into_iter().map(|((ratee, rater), c)| (ratee, rater, c)));
-                batched.merge_cells(&mut cells, count);
-                assert!(cells.is_empty(), "merge_cells must consume the batch");
-            }
-            assert_eq!(per_rating.ratings(), batched.ratings());
-            let a = per_rating.drain();
-            let b = batched.drain();
-            assert_eq!(a.entries, b.entries, "shards={shards}");
-            assert_eq!(a.ratings, b.ratings);
-        }
     }
 }

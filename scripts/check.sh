@@ -57,6 +57,17 @@ for i in 1 2 3; do
   cargo test --release -q --test durability_props
 done
 
+echo "== manager stream tests ×3 (connection threads append to one shared log: loop them) =="
+# three connections streaming into one manager at once, the oracle props'
+# random interleavings of streams, closes, freezes and rejoins, and the
+# three-manager streamed ingest beside live queries
+for i in 1 2 3; do
+  cargo test --release -q -p collusion-core --lib -- \
+    net::server::tests::concurrent_streams_into_one_manager_publish_the_engine_s_slice \
+    net::server::oracle_props \
+    net::server::tests::streamed_ingest_acks_durably_and_matches_in_process_detection
+done
+
 echo "== paper figures (reproduce fig8 … fig13 --csv, byte-identical) =="
 # the simulator detects through the same snapshot builds and apply_epoch
 # closes as every other path; the CSVs are deterministic, so any byte of difference is a change
