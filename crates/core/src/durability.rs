@@ -4,16 +4,24 @@
 //!
 //! # Protocol
 //!
-//! * Every accepted rating is appended to the WAL
-//!   ([`collusion_reputation::wal`]) before it is folded into the engine;
-//!   fsync scheduling follows [`DurabilityConfig::sync_policy`] — per
-//!   record ([`SyncPolicy::PerRecord`]), or asynchronous group commit on
-//!   a background committer thread ([`SyncPolicy::Async`]; the default is
-//!   [`SyncPolicy::ASYNC_DEFAULT`]): the record path never blocks on
-//!   fsync, and closes barrier on the committer's durable watermark.
-//! * Every epoch close — scheduled or forced by the epoch-buffer memory
-//!   watermark — appends an epoch-close marker and fsyncs, so epoch
-//!   boundaries are always durable.
+//! * Every durable operation is a *unit* that becomes one WAL record
+//!   ([`collusion_reputation::wal`]): [`DurableEngine::record`] logs a unit
+//!   of one rating, [`DurableEngine::record_frame`] a stream frame's
+//!   ratings plus its session marker, and a close the epoch-buffer
+//!   watermark forces puts its marker in the same record as the ratings
+//!   that forced it. Both go through one path that folds the unit into the
+//!   engine and then appends its record. Folding first is safe because a
+//!   failed append poisons the engine (below), so a fold whose record never
+//!   reached the log is never seen by a later call.
+//! * The watermark is checked only at unit ends: a one-rating unit closes
+//!   exactly where a per-rating check would, and a frame closes — and so
+//!   checkpoints — only at its end, so no image covers half a frame.
+//! * fsync scheduling is asynchronous group commit on a background
+//!   committer thread ([`SyncPolicy::Async`]; the default is
+//!   [`SyncPolicy::ASYNC_DEFAULT`]): the record path never blocks on fsync,
+//!   and closes barrier on the committer's durable watermark.
+//! * Every epoch close — scheduled or forced — appends an epoch-close
+//!   marker and fsyncs, so epoch boundaries are always durable.
 //! * Every [`DurabilityConfig::checkpoint_interval`] closes, the engine
 //!   state is checkpointed atomically
 //!   ([`collusion_reputation::checkpoint`]): serialized via
@@ -24,6 +32,11 @@
 //!   never truncated. One image is in flight at a time, the next close
 //!   waits for it, and a failed save is returned by the next
 //!   [`DurableEngine::checkpoint`] or [`DurableEngine::wait_checkpoint`].
+//! * The first failed WAL `write(2)` or `sync_data` poisons the log and
+//!   with it the engine: every later record, close, checkpoint and sync
+//!   fails with [`WalError::Poisoned`]. Nothing is retried on the same
+//!   state (<https://wiki.postgresql.org/wiki/Fsync_Errors>); the way back
+//!   is [`DurableEngine::recover`] from the directory.
 //!
 //! # Recovery
 //!
@@ -32,13 +45,14 @@
 //! crash is ignored, and so is a checkpoint in a previous file format —
 //! the log is never truncated, so the worst case is a full replay),
 //! rebuilds the engine from it, then replays the WAL
-//! tail — every record at or past the checkpoint's replay cursor — through
+//! tail — every entry at or past the checkpoint's replay cursor — through
 //! the same `record`/`close_epoch` entry points the live path uses, each
-//! record folded as the scanner decodes it from a window over the file
+//! entry folded as the scanner decodes it from a window over the file
 //! ([`Wal::open_with`]), so neither the log's image nor its decoded
 //! records are ever held in memory. A torn
 //! or corrupt final WAL record ends the replay and is physically truncated
-//! away; the loss is reported in [`RecoveryReport`], never a panic. Because
+//! away — a whole unit, never part of one; the loss is reported in
+//! [`RecoveryReport`], never a panic. Because
 //! detection state is a pure fold over the record stream, the recovered
 //! suspect set and every [`collusion_reputation::history::PairCounters`]
 //! cell are bit-identical to an uncrashed engine that processed the same
@@ -47,8 +61,9 @@
 //!
 //! The epoch-buffer watermark is disarmed while replaying: the durable
 //! epoch-close markers already encode exactly where every close (forced or
-//! scheduled) happened, so replay must follow the log rather than re-trigger
-//! the watermark itself.
+//! scheduled) happened, so replay follows the log rather than re-triggering
+//! the watermark itself. A forced close's marker shares its record with
+//! the ratings that forced it, so a torn tail keeps both or neither.
 //!
 //! [`KillPoint`] and [`DurableEngine::crash`] simulate the interesting
 //! crash instants by manipulating the on-disk state the way a real crash
@@ -67,7 +82,7 @@ use collusion_reputation::codec::CodecError;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::rating::Rating;
 use collusion_reputation::thresholds::Thresholds;
-use collusion_reputation::wal::{SyncPolicy, Wal, WalError, WalRecord};
+use collusion_reputation::wal::{SyncPolicy, Wal, WalError, WalFault, WalRecord, MAX_UNIT_RATINGS};
 
 use crate::epoch::{EpochEngine, EpochMethod, EpochStats};
 use crate::policy::DetectionPolicy;
@@ -98,8 +113,8 @@ pub struct EngineSetup {
 /// Durability tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityConfig {
-    /// When rating appends are fsync'd (see [`SyncPolicy`]). Epoch closes
-    /// always fsync regardless.
+    /// The group-commit window of the WAL (see [`SyncPolicy`]). Epoch
+    /// closes always fsync regardless.
     pub sync_policy: SyncPolicy,
     /// Checkpoint every this many epoch closes; 0 disables periodic
     /// checkpoints (the WAL alone still makes every record durable).
@@ -178,13 +193,13 @@ pub struct RecoveryReport {
     pub invalid_checkpoints: usize,
     /// Stale checkpoint `.tmp` files found (mid-checkpoint crash evidence).
     pub stale_tmp: usize,
-    /// WAL records replayed into the engine.
+    /// WAL entries replayed into the engine.
     pub replayed_records: u64,
-    /// Ratings among the replayed records.
+    /// Ratings among the replayed entries.
     pub replayed_ratings: u64,
-    /// Epoch closes among the replayed records.
+    /// Epoch closes among the replayed entries.
     pub replayed_closes: u64,
-    /// WAL records skipped because the checkpoint already covered them.
+    /// WAL entries skipped because the checkpoint already covered them.
     pub skipped_records: u64,
     /// Bytes discarded from the WAL as a torn/corrupt tail.
     pub truncated_bytes: u64,
@@ -193,7 +208,7 @@ pub struct RecoveryReport {
     /// Sequence number the resumed WAL will assign next — the client's
     /// replay-from point for any ratings whose append never became durable.
     pub next_seq: u64,
-    /// Ratings the log holds that an engine folds: every rating record of
+    /// Ratings the log holds that an engine folds: every rating entry of
     /// the valid prefix, the ones a checkpoint covers included, self-ratings
     /// (logged, never folded) excluded.
     pub folded_ratings: u64,
@@ -206,7 +221,9 @@ pub struct RecoveryReport {
 /// Live-path bookkeeping counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// WAL records appended (ratings + epoch-close markers).
+    /// WAL entries appended (ratings, epoch-close and session markers),
+    /// not records: a stream frame of `k` ratings is one record of `k + 1`
+    /// entries.
     pub wal_appends: u64,
     /// Group fsyncs issued.
     pub wal_syncs: u64,
@@ -222,8 +239,9 @@ pub struct DurabilityStats {
 /// on-disk state exactly as a process death at that point would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KillPoint {
-    /// Death mid-`write(2)` of a WAL record: the final record is torn in
-    /// half. Recovery must truncate it and resume one sequence number back.
+    /// Death mid-`write(2)` of a WAL record: the final record — the last
+    /// unit, with every entry in it — is torn in half. Recovery must
+    /// truncate it and resume at that unit's first sequence number.
     MidWalAppend,
     /// Death between writing the checkpoint temp file and renaming it: a
     /// partial `.tmp` litters the directory, the previous checkpoint (if
@@ -332,9 +350,8 @@ impl DurableEngine {
         std::fs::create_dir_all(dir)?;
         let store = CheckpointStore::new(dir, cfg.keep_checkpoints)?;
         let mut wal = Wal::create(&dir.join(WAL_FILE), 0)?;
-        if let SyncPolicy::Async { max_bytes, max_delay_micros } = cfg.sync_policy {
-            wal.enable_group_commit(max_bytes, max_delay_micros)?;
-        }
+        let SyncPolicy::Async { max_bytes, max_delay_micros } = cfg.sync_policy;
+        wal.enable_group_commit(max_bytes, max_delay_micros)?;
         let mut engine = EpochEngine::new(
             nodes,
             setup.target_shards,
@@ -461,21 +478,12 @@ impl DurableEngine {
             Wal::create(&wal_path, replay_from)?
         };
         let mut wal = wal;
-        if let SyncPolicy::Async { max_bytes, max_delay_micros } = cfg.sync_policy {
-            wal.enable_group_commit(max_bytes, max_delay_micros)?;
-        }
+        let SyncPolicy::Async { max_bytes, max_delay_micros } = cfg.sync_policy;
+        wal.enable_group_commit(max_bytes, max_delay_micros)?;
         report.next_seq = wal.next_seq();
         // replay followed the durable close markers; arm the watermark only
         // now that the log has been consumed
         engine.set_pair_watermark(cfg.pair_watermark);
-        // A torn tail can eat the marker of a watermark-forced close while
-        // the triggering rating stayed durable. An uncrashed engine folding
-        // that prefix would have closed, so re-trigger the close here —
-        // deterministic from the log bytes, hence stable across repeated
-        // recoveries.
-        if engine.buffer_over_watermark() {
-            engine.close_epoch_forced();
-        }
         store.clear_stale_tmp()?;
         Ok((
             DurableEngine {
@@ -492,64 +500,64 @@ impl DurableEngine {
         ))
     }
 
-    /// Log and fold one rating. Returns the WAL sequence number under which
-    /// the rating is (or will be, at the next group fsync) durable.
+    /// Log and fold a unit of one rating. Returns the WAL sequence number
+    /// under which the rating is (or will be, at the next group fsync)
+    /// durable.
     pub fn record(&mut self, rating: Rating) -> Result<u64, DurabilityError> {
-        let seq = self.wal.append(&WalRecord::Rating(rating))?;
-        self.stats.wal_appends += 1;
-        if self.cfg.sync_policy == SyncPolicy::PerRecord {
-            self.wal.sync()?;
-            self.stats.wal_syncs += 1;
-        }
-        let epochs_before = self.engine.stats().epochs;
-        self.engine.record(rating);
-        if self.engine.stats().epochs > epochs_before {
-            // the memory watermark forced an early close
-            self.log_close(true)?;
-        }
-        Ok(seq)
+        self.record_unit(std::slice::from_ref(&rating), None)
     }
 
-    /// Log and fold a batch of ratings — the streaming data plane's entry
-    /// point. Semantically a loop over [`DurableEngine::record`] (and
-    /// implemented as one, so forced-close markers interleave with the
-    /// rating records exactly as they did when each rating was folded —
-    /// replay reproduces the same state); the WAL's internal write
-    /// buffering already amortizes the syscalls across the batch. Returns
-    /// the WAL byte length after the batch: once
-    /// [`DurableEngine::durable_len`] reaches that target, every rating of
-    /// the batch is crash-durable — the ack-at-durable watermark.
-    pub fn record_batch(&mut self, ratings: &[Rating]) -> Result<u64, DurabilityError> {
-        for &r in ratings {
-            self.record(r)?;
-        }
-        Ok(self.wal.len_bytes())
-    }
-
-    /// Log one resumable-stream frame: the ratings, then the session
-    /// watermark marker sealing them — a WAL replay that sees the marker
-    /// is guaranteed to have seen every rating of the frame, so the
-    /// rebuilt session table never claims durability the rating stream
-    /// lacks. Returns the WAL byte length after the marker; once
-    /// [`DurableEngine::durable_len`] covers it, the frame is
-    /// crash-durable and may be acked.
-    pub fn record_stream_frame(
+    /// Log and fold one stream frame as one unit: its ratings, then — for a
+    /// resumable session (`session != 0`) — the session marker sealing
+    /// them, so a replay that sees the marker has seen every rating of the
+    /// frame and the rebuilt session table never claims durability the
+    /// rating stream lacks. Returns the WAL byte length after the frame:
+    /// once [`DurableEngine::durable_len`] covers it, the frame is
+    /// crash-durable and may be acked. A frame of more than
+    /// [`MAX_UNIT_RATINGS`] ratings is refused before anything is folded.
+    pub fn record_frame(
         &mut self,
         ratings: &[Rating],
         session: u64,
         frame_seq: u64,
         accepted: u64,
     ) -> Result<u64, DurabilityError> {
-        for &r in ratings {
-            self.record(r)?;
-        }
-        self.wal.append(&WalRecord::StreamSession { session, frame_seq, accepted })?;
-        self.stats.wal_appends += 1;
-        if self.cfg.sync_policy == SyncPolicy::PerRecord {
-            self.wal.sync()?;
-            self.stats.wal_syncs += 1;
-        }
+        let marker =
+            (session != 0).then_some(WalRecord::StreamSession { session, frame_seq, accepted });
+        self.record_unit(ratings, marker)?;
         Ok(self.wal.len_bytes())
+    }
+
+    /// The one write path: fold the unit, check the watermark at its end,
+    /// and append one record — the ratings, the session marker if any, and
+    /// the marker of the close the unit forced, if it forced one. Returns
+    /// the record's first sequence number.
+    fn record_unit(
+        &mut self,
+        ratings: &[Rating],
+        session: Option<WalRecord>,
+    ) -> Result<u64, DurabilityError> {
+        if ratings.len() > MAX_UNIT_RATINGS {
+            return Err(WalError::Oversized.into());
+        }
+        let forced = self.engine.record_unit(ratings);
+        let close = WalRecord::EpochClose { forced: true };
+        let mut markers = [close; 2];
+        let mut n = 0;
+        if let Some(session) = session {
+            markers[0] = session;
+            n = 1;
+        }
+        if forced {
+            markers[n] = close;
+            n += 1;
+        }
+        let seq = self.wal.append_unit(ratings, &markers[..n])?;
+        self.stats.wal_appends += self.wal.next_seq() - seq;
+        if forced {
+            self.closed()?;
+        }
+        Ok(seq)
     }
 
     /// The WAL durable watermark in bytes (see [`Wal::durable_len`]).
@@ -558,9 +566,9 @@ impl DurableEngine {
         self.wal.durable_len()
     }
 
-    /// Non-blocking durability nudge (see [`Wal::request_durable`]): under
-    /// [`SyncPolicy::Async`] the background committer picks up everything
-    /// appended so far, letting stream acks advance without a barrier.
+    /// Non-blocking durability nudge (see [`Wal::request_durable`]): the
+    /// background committer picks up everything appended so far, letting
+    /// stream acks advance without a barrier.
     pub fn request_durable(&mut self) -> Result<(), DurabilityError> {
         self.wal.request_durable()?;
         Ok(())
@@ -569,14 +577,17 @@ impl DurableEngine {
     /// Close the open epoch durably: fold, append the close marker, fsync,
     /// and checkpoint if the interval came due.
     pub fn close_epoch(&mut self) -> Result<DetectionReport, DurabilityError> {
+        self.wal.healthy()?;
         let report = self.engine.close_epoch();
-        self.log_close(false)?;
+        self.wal.append(&WalRecord::EpochClose { forced: false })?;
+        self.stats.wal_appends += 1;
+        self.closed()?;
         Ok(report)
     }
 
-    fn log_close(&mut self, forced: bool) -> Result<(), DurabilityError> {
-        self.wal.append(&WalRecord::EpochClose { forced })?;
-        self.stats.wal_appends += 1;
+    /// After a close's marker is appended: fsync it, and checkpoint if the
+    /// interval came due.
+    fn closed(&mut self) -> Result<(), DurabilityError> {
         self.wal.sync()?;
         self.stats.wal_syncs += 1;
         self.closes_since_ckpt += 1;
@@ -594,8 +605,9 @@ impl DurableEngine {
     }
 
     /// Take a checkpoint now. Must be called at an epoch boundary (the
-    /// engine's open buffer is empty right after a close; `record` never
-    /// leaves one open across a forced close).
+    /// engine's open buffer is empty right after a close, and a forced
+    /// close happens only at a unit's end). Refused on a poisoned engine,
+    /// whose state may hold a unit its log lacks.
     ///
     /// The engine state is serialized here, at the current WAL cursor;
     /// writing, fsyncing and renaming the file happen on a background
@@ -604,6 +616,7 @@ impl DurableEngine {
     /// previous save and returns its error, if it failed, without taking a
     /// new checkpoint.
     pub fn checkpoint(&mut self) -> Result<(), DurabilityError> {
+        self.wal.healthy()?;
         self.wait_checkpoint()?;
         let cursor = self.wal.next_seq();
         let image = self.engine.persist_bytes(cursor);
@@ -659,6 +672,18 @@ impl DurableEngine {
     #[inline]
     pub fn wal(&self) -> &Wal {
         &self.wal
+    }
+
+    /// `Ok` unless a WAL write or fsync has failed, which poisons the
+    /// engine for good (see [`Wal::healthy`]).
+    pub fn healthy(&mut self) -> Result<(), DurabilityError> {
+        Ok(self.wal.healthy()?)
+    }
+
+    /// Arm an injected fault on the WAL (see [`Wal::inject_fault`]): a seam
+    /// for fault-injection tests, acting on this engine's own log file.
+    pub fn inject_wal_fault(&mut self, fault: WalFault) {
+        self.wal.inject_fault(fault);
     }
 
     /// The checkpoint store.

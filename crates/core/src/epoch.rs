@@ -573,11 +573,32 @@ impl EpochEngine {
     #[inline]
     pub fn record(&mut self, rating: Rating) -> bool {
         let accepted = self.buffer.record(rating);
-        if self.buffer.over_watermark() {
-            self.stats.forced_closes += 1;
-            let _ = self.close_epoch();
-        }
+        self.close_over_watermark();
         accepted
+    }
+
+    /// Append a unit of ratings — a stream frame, or one rating — to the
+    /// open epoch's log, checking the watermark once, at the unit's end: a
+    /// close the unit forces happens after all of it, never inside it.
+    /// For a one-rating unit this is exactly [`EpochEngine::record`].
+    /// Returns whether the watermark forced a close.
+    #[inline]
+    pub fn record_unit(&mut self, ratings: &[Rating]) -> bool {
+        for &r in ratings {
+            self.buffer.record(r);
+        }
+        self.close_over_watermark()
+    }
+
+    /// Close the epoch as watermark-forced if an armed watermark is
+    /// reached; returns whether it was.
+    #[inline]
+    fn close_over_watermark(&mut self) -> bool {
+        let over = self.buffer.over_watermark();
+        if over {
+            let _ = self.close_epoch_forced();
+        }
+        over
     }
 
     /// Arm or disarm the epoch-buffer memory watermark: the number of
@@ -592,15 +613,6 @@ impl EpochEngine {
     #[inline]
     pub fn pair_watermark(&self) -> Option<usize> {
         self.buffer.max_ratings()
-    }
-
-    /// Whether the open buffer holds at least as many ratings as an armed
-    /// watermark — a pure function of the ratings replayed into it. Recovery
-    /// uses this to re-trigger a forced close whose marker was lost to a
-    /// torn WAL tail while the triggering rating stayed durable.
-    #[inline]
-    pub fn buffer_over_watermark(&self) -> bool {
-        self.buffer.over_watermark()
     }
 
     /// The sharded snapshot as of the last closed epoch.

@@ -29,6 +29,12 @@
 //! its total deadline demotes the pair to *unconfirmed* (forward evidence
 //! only) instead of dropping it or hanging; the round always completes.
 //!
+//! **Durability faults:** a stream frame is one WAL record, applied whole
+//! or not at all. A failed WAL write or fsync poisons the manager's
+//! engine: stream frames, `StreamResume`, `CloseEpoch` and `Freeze` are
+//! answered `Internal` until the manager is killed and rejoined from its
+//! WAL, where the client's session resumes.
+//!
 //! Locking rule: the state mutex is **never** held across an outbound RPC.
 //! `DetectRound` clones the frozen `Arc` and the peer map, releases the
 //! lock, then confirms over the network; `Confirm` answers from the same
@@ -526,7 +532,10 @@ impl ManagerNode {
     /// thread, fsync the WAL, wait for the checkpoint writer, and drop the
     /// engine. The durability directory is left exactly as a
     /// crash-after-fsync would leave it — [`ManagerNode::spawn`] on the
-    /// same directory rejoins from it.
+    /// same directory rejoins from it. On an engine poisoned by a failed
+    /// WAL write or fsync, the sync fails and the directory is left as the
+    /// failure left it; the error is returned once the checkpoint writer
+    /// has settled, and the rejoin is the way back.
     pub fn kill(mut self) -> io::Result<()> {
         self.shutdown()
     }
@@ -546,11 +555,13 @@ impl ManagerNode {
             h.join().ok();
         }
         let eng = &mut self.shared.data.durable.lock().expect("durable engine lock").engine;
-        eng.sync().map_err(other_io)?;
+        let synced = eng.sync();
         // the last close's checkpoint lands before the directory is handed
         // to a respawn, which then loads the same image a crash-free
-        // shutdown would have left
-        eng.wait_checkpoint().map_err(other_io)
+        // shutdown would have left — also when the sync failed on a
+        // poisoned engine, which leaves its log as the failure did
+        let settled = eng.wait_checkpoint();
+        synced.and(settled).map_err(other_io)
     }
 }
 
@@ -757,12 +768,9 @@ fn apply_stream_frame(
     };
     let (wal_target, durable_now, unabsorbed) = {
         let mut d = shared.data.durable.lock().expect("durable engine lock");
-        let appended = if session != 0 {
-            d.engine.record_stream_frame(&ratings, session, stream_seq, cum_accepted)
-        } else {
-            d.engine.record_batch(&ratings)
-        };
-        let Ok(target) = appended else {
+        // one WAL record, whole or not at all; a failure poisons the
+        // engine, so the frame is never half-applied and then retried
+        let Ok(target) = d.engine.record_frame(&ratings, session, stream_seq, cum_accepted) else {
             return Some(Response::Error { code: ErrorCode::Internal });
         };
         d.unabsorbed.extend(ratings.iter().filter(|r| !r.is_self_rating()));
@@ -843,8 +851,7 @@ fn ack_ready(sc: &mut StreamConn, durable: u64) -> Option<Response> {
 }
 
 /// How long a stream-ack barrier waits on the group committer's watermark
-/// before falling back to a blocking [`DurableEngine::sync`] (sync-policy
-/// engines have no committer to wait on and fall back immediately).
+/// before falling back to a blocking [`DurableEngine::sync`].
 const ACK_BARRIER_CAP: Duration = Duration::from_millis(10);
 
 /// Durability barrier for a stream: nudge the group committer, then park
@@ -864,8 +871,8 @@ fn flush_acks(shared: &Shared, sc: &mut StreamConn, stream: &mut TcpStream) -> R
         let covered = waiter.map(|w| w.wait_covered(back_target, ACK_BARRIER_CAP)).unwrap_or(false);
         let eng = &mut shared.data.durable.lock().expect("durable engine lock").engine;
         if !covered {
-            // no committer (sync-policy engine), a stalled committer, or a
-            // latched I/O error: pay the blocking barrier ourselves
+            // a stalled committer, or a failed fsync (which poisons the
+            // engine, so this barrier fails): pay the blocking barrier ourselves
             eng.sync().map_err(|_| ())?;
         }
         durable = eng.durable_len();
@@ -923,15 +930,15 @@ fn handle(shared: &Shared, req: Request) -> Response {
             let mut st = shared.state.lock().expect("manager state lock");
             absorb_intake(shared, &mut st);
             // copy under the durable lock, merge outside it: streams keep
-            // appending while the open epoch is folded into the copy
-            let parts = shared
-                .data
-                .durable
-                .lock()
-                .expect("durable engine lock")
-                .engine
-                .engine()
-                .frozen_parts();
+            // appending while the open epoch is folded into the copy. A
+            // poisoned engine may hold a frame its log lacks: refuse.
+            let parts = {
+                let eng = &mut shared.data.durable.lock().expect("durable engine lock").engine;
+                if eng.healthy().is_err() {
+                    return Response::Error { code: ErrorCode::Internal };
+                }
+                eng.engine().frozen_parts()
+            };
             let snap = parts.merge();
             let confirm_cache = Mutex::new(shared.cfg.kernel().agg_cache(&snap));
             st.frozen = Some(Arc::new(Frozen { round, snap, confirm_cache }));
@@ -1063,7 +1070,7 @@ mod tests {
     use crate::net::proxy::{FaultProxy, NetFaultPlan, Partition};
     use collusion_reputation::id::SimTime;
     use collusion_reputation::rating::RatingValue;
-    use collusion_reputation::wal::{replay_bytes, WalRecord};
+    use collusion_reputation::wal::{replay_bytes, WalFault, WalRecord};
     use std::collections::BTreeSet;
     use std::path::Path;
 
@@ -1701,6 +1708,172 @@ mod tests {
         nodes.remove(0).kill().expect("clean kill");
         assert_eq!(wal_ratings(&dir, managers[0]), 4, "WAL must hold each rating exactly once");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Send frame `seq` of `session` and a `StreamFlush` barrier, and read
+    /// the one answer: the frame's ack, or `None` for a refusal or a
+    /// connection the manager dropped.
+    fn send_flushed(conn: &mut TcpStream, session: u64, seq: u64, frame: &[Rating]) -> Option<u64> {
+        write_frame(conn, &Request::encode_insert_stream(session, seq, frame)).ok()?;
+        write_frame(conn, &Request::StreamFlush.encode()).ok()?;
+        let resp = Response::decode(&read_frame(conn, MAX_FRAME_PAYLOAD).ok()?).expect("decode");
+        match resp {
+            Response::InsertAck { stream_seq, .. } => {
+                assert_eq!(stream_seq, seq, "one frame in flight, one ack");
+                Some(seq)
+            }
+            Response::Error { code: ErrorCode::Internal } => None,
+            other => panic!("frame {seq}: unexpected {other:?}"),
+        }
+    }
+
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+        conn
+    }
+
+    /// One resumable stream of `frames` into a fresh manager whose WAL
+    /// fails as `fault` says; on a refused frame or a dropped connection
+    /// the client resumes on a new connection, as it would after a
+    /// transient error. A poisoned manager refuses the resume, is killed,
+    /// rejoins from its WAL and the client resumes there. Checks the
+    /// outcome and returns whether the fault fired.
+    fn stream_through_a_wal_fault(fault: WalFault, frames: &[Vec<Rating>]) -> bool {
+        let dir = scratch_dir("net-wal-fault");
+        let managers = manager_ids(1);
+        let mut cfg = config(managers[0], &dir, &managers);
+        // forced closes, and so checkpoints, at frame ends (7 ratings a frame)
+        cfg.durability.pair_watermark = Some(10);
+        let mut node = ManagerNode::spawn(cfg.clone()).expect("spawn manager");
+        node.shared.data.durable.lock().expect("durable lock").engine.inject_wal_fault(fault);
+        let session = 0xFA17;
+        let (mut acked, mut next) = (0, 1);
+        let mut conn = connect(node.addr());
+        let mut refused = false;
+        while next <= frames.len() as u64 {
+            if let Some(seq) = send_flushed(&mut conn, session, next, &frames[next as usize - 1]) {
+                (acked, next) = (seq, seq + 1);
+                continue;
+            }
+            conn = connect(node.addr());
+            match call_raw(&mut conn, &Request::StreamResume { session }) {
+                Response::StreamState { durable_seq, .. } => {
+                    assert!(durable_seq >= acked, "{fault:?}: an acked frame was lost");
+                    next = durable_seq + 1;
+                }
+                Response::Error { code: ErrorCode::Internal } => {
+                    refused = true;
+                    break;
+                }
+                other => panic!("{fault:?}: StreamResume answered {other:?}"),
+            }
+        }
+        let fired = {
+            let eng = &mut node.shared.data.durable.lock().expect("durable lock").engine;
+            // a fault the stream never reached is disarmed: it is this k's
+            // run that shows the stream outran every fault
+            eng.inject_wal_fault(match fault {
+                WalFault::Write(_) => WalFault::Write(0),
+                WalFault::Sync(_) => WalFault::Sync(0),
+            });
+            eng.healthy().is_err()
+        };
+        assert_eq!(refused, fired, "{fault:?}: a poisoned manager refuses every resume");
+        if fired {
+            // the control plane refuses too, until the rejoin
+            for req in [Request::CloseEpoch, Request::Freeze { round: 1 }] {
+                let resp = call_raw(&mut conn, &req);
+                assert_eq!(resp, Response::Error { code: ErrorCode::Internal }, "{req:?}");
+            }
+            drop(conn);
+            assert!(node.kill().is_err(), "{fault:?}: the kill's sync fails on a poisoned log");
+            node = ManagerNode::spawn(cfg.clone()).expect("rejoin");
+            conn = connect(node.addr());
+            let Response::StreamState { durable_seq, accepted } =
+                call_raw(&mut conn, &Request::StreamResume { session })
+            else {
+                panic!("{fault:?}: the rejoined manager must resume the session")
+            };
+            assert!(durable_seq >= acked, "{fault:?}: an acked frame was lost");
+            let sent: usize = frames[..durable_seq as usize].iter().map(Vec::len).sum();
+            assert_eq!(accepted, sent as u64, "{fault:?}: session table vs its frames");
+            if durable_seq > 0 {
+                // a retransmission of a logged frame is deduplicated
+                let dup = &frames[durable_seq as usize - 1];
+                write_frame(&mut conn, &Request::encode_insert_stream(session, durable_seq, dup))
+                    .expect("send");
+                let resp =
+                    Response::decode(&read_frame(&mut conn, MAX_FRAME_PAYLOAD).expect("nack"))
+                        .expect("decode");
+                assert_eq!(resp, Response::StreamNack { expected_seq: durable_seq + 1 });
+            }
+            for seq in durable_seq + 1..=frames.len() as u64 {
+                let frame = &frames[seq as usize - 1];
+                assert_eq!(send_flushed(&mut conn, session, seq, frame), Some(seq), "{fault:?}");
+            }
+        }
+
+        let all: Vec<Rating> = frames.concat();
+        let non_self = all.iter().filter(|r| !r.is_self_rating()).count() as u64;
+        let closed = call_raw(&mut conn, &Request::CloseEpoch);
+        assert!(matches!(closed, Response::Ack { .. }), "{fault:?}: {closed:?}");
+        let Response::Status(info) = call_raw(&mut conn, &Request::Status) else {
+            panic!("Status must answer Status")
+        };
+        let folded = {
+            let d = node.shared.data.durable.lock().expect("durable lock");
+            d.engine.engine_stats().ratings + d.engine.engine().pending_ratings()
+        };
+        assert_eq!((info.recorded, info.intake_pending), (non_self, 0), "{fault:?}: Status");
+        assert_eq!(folded, non_self, "{fault:?}: the engine applied a frame twice or not at all");
+        drop(conn);
+        node.kill().expect("clean kill");
+        let wal_path = cfg.dir.join(WAL_FILE);
+        let replay = replay_bytes(&std::fs::read(&wal_path).expect("wal")).expect("replays");
+        let logged: Vec<Rating> = replay
+            .records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::Rating(r) => Some(*r),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(logged, all, "{fault:?}: the WAL must hold every rating once, in order");
+        std::fs::remove_dir_all(&dir).ok();
+        fired
+    }
+
+    /// For every k over a short resumable stream, the k-th WAL `write(2)`
+    /// — and, separately, the k-th `sync_data` — fails: the engine is
+    /// poisoned, the manager refuses until it is killed and rejoined from
+    /// its WAL, and the client resumes. Every rating ends up in the WAL
+    /// once, `Status.recorded` equals what the engine folded, and a
+    /// retransmitted frame is applied once.
+    #[test]
+    fn a_wal_fault_at_any_write_or_fsync_loses_and_repeats_no_frame() {
+        // six frames of seven ratings, ids 1..=12, one self-rating a frame
+        let frames: Vec<Vec<Rating>> = (0..6u64)
+            .map(|f| {
+                (0..7u64)
+                    .map(|k| {
+                        let rater = NodeId(1 + (f * 7 + k) % 12);
+                        let ratee = if k == 3 { rater } else { NodeId(1 + (f * 5 + k * 7) % 12) };
+                        let value =
+                            if k % 3 == 0 { RatingValue::Negative } else { RatingValue::Positive };
+                        Rating::new(rater, ratee, value, SimTime(f * 7 + k))
+                    })
+                    .collect()
+            })
+            .collect();
+        for fault in [WalFault::Write, WalFault::Sync] {
+            let mut k = 1;
+            while stream_through_a_wal_fault(fault(k), &frames) {
+                k += 1;
+                assert!(k < 100, "{:?}: the stream never outran the fault", fault(k));
+            }
+            assert!(k > 1, "{:?}: no fault ever fired", fault(1));
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! used in this paper effectively and efficiently according to the given
 //! system parameters." — this module provides the empirical machinery: run a
 //! detector over a grid of `(T_a, T_b, T_N)` and score each point against
-//! ground truth. Grid points are independent, so the sweep fans out with
-//! rayon.
+//! ground truth, one grid point after another.
 
 use crate::input::SnapshotInput;
 use crate::optimized::OptimizedDetector;
@@ -13,7 +12,6 @@ use crate::policy::DetectionPolicy;
 use crate::report::ConfusionMatrix;
 use collusion_reputation::id::NodeId;
 use collusion_reputation::thresholds::Thresholds;
-use rayon::prelude::*;
 
 /// One evaluated grid point.
 #[derive(Clone, Copy, Debug)]
@@ -73,7 +71,7 @@ pub fn sweep_thresholds(
         .flat_map(|&a| t_b_grid.iter().flat_map(move |&b| t_n_grid.iter().map(move |&n| (a, b, n))))
         .collect();
     let n_nodes = input.n();
-    grid.par_iter()
+    grid.iter()
         .map(|&(t_a, t_b, t_n)| {
             let th = Thresholds::new(base.t_r, t_n, t_a, t_b);
             let report = OptimizedDetector::with_policy(th, policy).detect_snapshot(input);

@@ -21,7 +21,7 @@
 //!   colluders, Figures 7/11).
 //!
 //! [`scenario`] packages one constructor per paper figure; [`runner`]
-//! averages runs in parallel with rayon.
+//! averages independent seeded runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

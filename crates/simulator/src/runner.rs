@@ -2,18 +2,16 @@
 //!
 //! "Each experiment is run 5 times and the average of the results is the
 //! final result." Runs are independent — run `k` uses seed `seed + k` —
-//! so they fan out across cores with rayon.
+//! and run one after another.
 
 use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::metrics::{AveragedMetrics, SimMetrics};
-use rayon::prelude::*;
 
-/// Execute `runs` independent simulations in parallel and average them.
+/// Execute `runs` independent simulations and average them.
 pub fn run_averaged(config: &SimConfig, runs: usize) -> AveragedMetrics {
     assert!(runs > 0, "need at least one run");
     let results: Vec<SimMetrics> = (0..runs)
-        .into_par_iter()
         .map(|k| {
             let mut cfg = config.clone();
             cfg.seed = config.seed.wrapping_add(k as u64);

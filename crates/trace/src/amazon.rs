@@ -12,14 +12,14 @@
 //! and rivals — the generator returns the ground-truth assignments so the
 //! analysis pipeline can be validated exactly.
 //!
-//! Generation is deterministic in the config seed and data-parallel per
-//! seller (rayon), concatenated in seller order.
+//! Generation is deterministic in the config seed: each seller draws from
+//! its own seeded stream, and the per-seller records are concatenated in
+//! seller order.
 
 use crate::model::{Trace, TraceRecord};
 use collusion_reputation::id::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// One seller's generation parameters.
 #[derive(Clone, Copy, Debug)]
@@ -178,10 +178,10 @@ pub fn generate(config: &AmazonConfig) -> AmazonTrace {
         seller_specials.push((b, r));
     }
 
-    // Per-seller generation, parallel and deterministic.
+    // Per-seller generation, one seeded stream per seller.
     let per_seller: Vec<Vec<TraceRecord>> = config
         .sellers
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(sid, spec)| {
             let seller = NodeId(sid as u64);

@@ -59,13 +59,15 @@ done
 
 echo "== manager stream tests ×3 (connection threads append to one shared log: loop them) =="
 # three connections streaming into one manager at once, the oracle props'
-# random interleavings of streams, closes, freezes and rejoins, and the
-# three-manager streamed ingest beside live queries
+# random interleavings of streams, closes, freezes and rejoins, the
+# three-manager streamed ingest beside live queries, and a WAL write or
+# fsync failing at every k over a resumable stream (kill, rejoin, resume)
 for i in 1 2 3; do
   cargo test --release -q -p collusion-core --lib -- \
     net::server::tests::concurrent_streams_into_one_manager_publish_the_engine_s_slice \
     net::server::oracle_props \
-    net::server::tests::streamed_ingest_acks_durably_and_matches_in_process_detection
+    net::server::tests::streamed_ingest_acks_durably_and_matches_in_process_detection \
+    net::server::tests::a_wal_fault_at_any_write_or_fsync_loses_and_repeats_no_frame
 done
 
 echo "== paper figures (reproduce fig8 … fig13 --csv, byte-identical) =="
